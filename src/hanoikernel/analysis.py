@@ -182,15 +182,7 @@ def stab(quotient: TruncatedQuotient, n: int, slow: bool = False) -> SubgroupHan
         cached = _stabs.get(key)
     if cached is not None:
         return cached
-    if n == 0:
-        group = quotient.group
-    elif n == quotient.depth:
-        group = PermGroup(quotient.group.degree)
-    else:
-        extended = _extended_group(quotient.depth, n, slow)
-        block_points = list(range(quotient.group.degree + 1, extended.degree + 1))
-        pointwise = extended.pointwise_stabilizer(block_points)
-        group = permgroup.restrict(pointwise, range(1, quotient.group.degree + 1))
+    group = permgroup.kernel_of_level_action(quotient.group, n)
     handle = SubgroupHandle(quotient, group, f"stab({n})")
     with _cache_lock:
         _stabs.setdefault(key, handle)
@@ -221,14 +213,8 @@ def rist_image(quotient: TruncatedQuotient, n: int, slow: bool = False) -> Subgr
     if cached is not None:
         return cached
     inner = derived_of_quotient(quotient.depth - n, slow)
-    block_count = 3**n
-    gens = [
-        permgroup.embed_in_block(g, block, block_count)
-        for block in range(block_count)
-        for g in inner.generators
-    ]
     handle = SubgroupHandle(
-        quotient, PermGroup(quotient.group.degree, gens), f"rist({n})"
+        quotient, permgroup.direct_power(inner, 3**n), f"rist({n})"
     )
     with _cache_lock:
         _rists.setdefault(key, handle)
@@ -244,6 +230,21 @@ def q_order(depth: int, n: int, slow: bool = False) -> int:
     return permgroup.subgroup_index(
         stab(quotient, n, slow).group, rist_image(quotient, n, slow).group
     )
+
+
+def q_table(n_max: int, depth: int, slow: bool = False) -> dict[tuple[int, int], int]:
+    """|Q_{n,N}| for every 1 <= n <= n_max and n < N <= depth, keyed by
+    (n, N) in that order."""
+    if n_max < 1:
+        raise ShapeError("n_max must be >= 1")
+    if depth <= n_max:
+        raise ShapeError(f"depth {depth} must exceed n_max {n_max}")
+    _require_depth(depth, slow)
+    return {
+        (n, big_n): q_order(big_n, n, slow)
+        for n in range(1, n_max + 1)
+        for big_n in range(n + 1, depth + 1)
+    }
 
 
 # -- exact GF(2)^9 data ------------------------------------------------------
@@ -427,7 +428,9 @@ def kernel_report(n_max: int = 2, depth_budget: int = 4, slow: bool = False) -> 
     if not base_ok and failed_at is None:
         failed_at = "GF(2)^9 seed values"
     passed = base_ok and all(r.passed for r in rows)
-    kernel_order = 4 if passed else None
+    # a passing report has the same computed H order on every row, and the
+    # kernel is that stable H
+    kernel_order = rows[-1].h_order if passed else None
     kernel_type = "Klein four-group" if passed else None
     return KernelReport(
         n_max, depth_budget, gamma1, seed, rows, kernel_order, kernel_type,

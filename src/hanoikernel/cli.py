@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import analysis, automorphism, game, words
-from .errors import ResourceLimitError
+from .errors import DepthError, ResourceLimitError, ShapeError
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -116,19 +116,18 @@ def _run_verify(args) -> tuple[dict | None, int]:
 
 
 def _run_qtable(args) -> tuple[dict | None, int]:
+    table = analysis.q_table(args.n_max, args.depth, slow=args.slow)
     results = []
-    for n in range(1, args.n_max + 1):
-        for depth in range(n + 1, args.depth + 1):
-            computed = analysis.q_order(depth, n, slow=args.slow)
-            expected = analysis.q_expected(n)
-            results.append(
-                {
-                    "id": f"q({n},{depth})",
-                    "computed": computed,
-                    "expected": expected,
-                    "pass": computed == expected,
-                }
-            )
+    for (n, depth), computed in table.items():
+        expected = analysis.q_expected(n)
+        results.append(
+            {
+                "id": f"q({n},{depth})",
+                "computed": computed,
+                "expected": expected,
+                "pass": computed == expected,
+            }
+        )
     params = {"n_max": args.n_max, "depth": args.depth, "slow": args.slow}
     return _report("qtable", params, results), None
 
@@ -260,6 +259,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as err:
         print(f"resource limit: {err}", file=sys.stderr)
         return EXIT_RESOURCE
+    except (DepthError, ShapeError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     if report is None:
         return code
     _emit(report, args.out)

@@ -2,8 +2,11 @@
 
 Orders are exact big integers; membership is by sifting. Base points can be
 forced, which makes pointwise stabilizers of a chosen point set fall out of
-the chain; kernels of block actions are computed that way on a domain
-extended by one point per block.
+the chain: the levels after the forced prefix are their chain, reused as is.
+Kernels of block actions are computed that way on a domain extended by one
+point per block, and their chain is that tail cut back to the original
+points. Direct powers get their chain by repeating the factor's chain once
+per block, without Schreier-Sims.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import logging
 import threading
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidBlocksError, NotASubgroupError, ShapeError
 from .perm import Perm
@@ -62,6 +65,17 @@ class _Chain:
         for b in forced_base:
             self._new_level(b)
         self.forced = len(self.levels)
+
+    @classmethod
+    def _from_levels(cls, identity: _Tuple, levels: list[_Level]) -> "_Chain":
+        """A finished chain on ready-made levels; nothing is sifted."""
+        chain = cls.__new__(cls)
+        chain.degree = len(identity)
+        chain.identity = identity
+        chain.levels = levels
+        chain._pending = [deque() for _ in levels]
+        chain.forced = 0
+        return chain
 
     def order(self) -> int:
         n = 1
@@ -192,6 +206,7 @@ class PermGroup:
         generators: Iterable[Perm] = (),
         forced_base: Sequence[int] = (),
         _chain: "_Chain | None" = None,
+        _make_chain: "Callable[[], _Chain] | None" = None,
     ):
         gens: list[Perm] = []
         seen: set[_Tuple] = set()
@@ -205,14 +220,19 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(gens)
         self._forced_base = tuple(forced_base)
+        # a finished chain, or else a function that makes one on first use;
+        # with neither, Schreier-Sims runs on the generators
         self._chain = _chain
+        self._make_chain = _make_chain
         self._lock = threading.Lock()
 
     # -- chain -------------------------------------------------------------
 
     def _get_chain(self) -> _Chain:
         with self._lock:
-            if self._chain is None:
+            if self._chain is None and self._make_chain is not None:
+                self._chain = self._make_chain()
+            elif self._chain is None:
                 chain = _Chain(self.degree, self._forced_base)
                 for g in self.generators:
                     chain.add_generator(g.images)
@@ -245,7 +265,11 @@ class PermGroup:
         )
 
     def pointwise_stabilizer(self, points: Sequence[int]) -> "PermGroup":
-        """Subgroup fixing every listed 1-based point."""
+        """Subgroup fixing every listed 1-based point.
+
+        Its chain is the tail of a chain with the points forced to the front
+        of the base, so it needs no second Schreier-Sims run.
+        """
         zero_based = [p - 1 for p in points]
         for p in zero_based:
             if not 0 <= p < self.degree:
@@ -253,8 +277,10 @@ class PermGroup:
         chain = _Chain(self.degree, zero_based)
         for g in self.generators:
             chain.add_generator(g.images)
-        gens = [Perm(t) for t in chain.strong_generators(len(zero_based))]
-        return PermGroup(self.degree, gens)
+        gens = [Perm(t) for t in chain.strong_generators(chain.forced)]
+        # the levels after the forced ones, shared with `chain`, not copied
+        tail = _Chain._from_levels(chain.identity, chain.levels[chain.forced :])
+        return PermGroup(self.degree, gens, _chain=tail)
 
     def point_stabilizers_on_orbit(self, point: int) -> dict[int, "PermGroup"]:
         """Stabilizer of each point in the orbit of the given 1-based point.
@@ -371,24 +397,6 @@ def is_elementary_abelian(group: PermGroup, p: int) -> bool:
     return True
 
 
-def enumerate_elements(group: PermGroup, limit: int = 5000) -> set[Perm]:
-    """All elements by closure under multiplication; guarded by a limit."""
-    elements = {Perm.identity(group.degree)}
-    frontier = list(elements)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in group.generators:
-                y = x * g
-                if y not in elements:
-                    if len(elements) >= limit:
-                        raise ShapeError(f"group larger than limit {limit}")
-                    elements.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return elements
-
-
 # -- block structure ---------------------------------------------------------
 
 
@@ -474,7 +482,105 @@ def kernel_of_level_action(group: PermGroup, n: int, arity: int = 3) -> PermGrou
     extended = extend_with_blocks(group, block_size)
     block_points = list(range(degree + 1, extended.degree + 1))
     stab = extended.pointwise_stabilizer(block_points)
-    return restrict(stab, list(range(1, degree + 1)))
+    # every element fixes the block points, so cutting them off is exact
+    chain = _restrict_chain(stab._get_chain(), degree)
+    gens = [Perm(t) for t in chain.strong_generators()]
+    return PermGroup(degree, gens, _chain=chain)
+
+
+def _restrict_chain(chain: _Chain, degree: int) -> _Chain:
+    """The same chain on points 0..degree-1, which every element must map
+    among themselves and which must hold every base.
+
+    Consumes `chain`: its levels are cut in place, and a tuple that several
+    levels share (a strong generator, the identity) is cut once.
+    """
+    identity = tuple(range(degree))
+    cut: dict[int, tuple[_Tuple, _Tuple]] = {
+        id(chain.identity): (chain.identity, identity)
+    }
+
+    def cut_shared(t: _Tuple) -> _Tuple:
+        hit = cut.get(id(t))
+        if hit is None:
+            # keep the source alive so that its id is not reused
+            hit = cut[id(t)] = (t, t[:degree])
+        return hit[1]
+
+    for level in chain.levels:
+        if level.base >= degree:
+            raise ShapeError(f"base point {level.base + 1} outside 1..{degree}")
+    for level in chain.levels:
+        level.gens = [cut_shared(g) for g in level.gens]
+        for table in (level.transversal, level.inverse_transversal):
+            for point, t in table.items():
+                # transversal elements belong to one level; only the
+                # identity is shared
+                table[point] = identity if t is chain.identity else t[:degree]
+    return _Chain._from_levels(identity, chain.levels)
+
+
+def direct_power(group: PermGroup, count: int) -> PermGroup:
+    """The direct product of `count` copies of the group, copy k acting on
+    the k-th of `count` consecutive blocks of group.degree points.
+
+    Its chain is the group's chain repeated block by block, each copy
+    shifted into its block; a base and strong generating set of a direct
+    product is the concatenation of those of its factors, so no
+    Schreier-Sims is run. The chain is made on first use.
+    """
+    gens = [
+        embed_in_block(g, block, count)
+        for block in range(count)
+        for g in group.generators
+    ]
+    return PermGroup(
+        group.degree * count,
+        gens,
+        _make_chain=lambda: _direct_power_chain(group._get_chain(), count),
+    )
+
+
+def _direct_power_chain(inner: _Chain, count: int) -> _Chain:
+    degree = inner.degree * count
+    identity = tuple(range(degree))
+    blocks = [
+        _shifted_levels(inner, block * inner.degree, identity)
+        for block in range(count)
+    ]
+    # The strong generators of the later blocks fix every base of this one,
+    # so they belong to each of its levels' generator sets.
+    later: list[_Tuple] = []
+    for block_levels in reversed(blocks):
+        for level in block_levels:
+            level.gens += later
+        if block_levels:
+            later = block_levels[0].gens
+    return _Chain._from_levels(identity, [level for b in blocks for level in b])
+
+
+def _shifted_levels(inner: _Chain, offset: int, identity: _Tuple) -> list[_Level]:
+    """Copies of inner's levels acting on points offset.. of `identity`,
+    with one shifted tuple per inner tuple, shared across the levels."""
+    head, rest = identity[:offset], identity[offset + inner.degree :]
+    shifted: dict[int, _Tuple] = {id(inner.identity): identity}
+
+    def shift(t: _Tuple) -> _Tuple:
+        hit = shifted.get(id(t))
+        if hit is None:
+            hit = shifted[id(t)] = head + tuple([x + offset for x in t]) + rest
+        return hit
+
+    levels = []
+    for source in inner.levels:
+        level = _Level(source.base + offset, identity)
+        level.gens = [shift(g) for g in source.gens]
+        level.transversal = {p + offset: shift(t) for p, t in source.transversal.items()}
+        level.inverse_transversal = {
+            p + offset: shift(t) for p, t in source.inverse_transversal.items()
+        }
+        levels.append(level)
+    return levels
 
 
 def group_to_json_dict(group: PermGroup) -> dict:

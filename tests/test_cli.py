@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hanoikernel import cli
 
 
@@ -145,3 +147,26 @@ def test_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "verify", "index", "--depth", "2")
     _, second, _ = run(capsys, "verify", "index", "--depth", "2")
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["verify", "all", "--depth", "0"], 2, "depth must be >= 1"),
+        (["verify", "stab12", "--depth", "1"], 2, "depth >= 2"),
+        (["kernel-report", "--n-max", "3", "--depth", "4"], 2, "n_max + 2"),
+        (["kernel-report", "--n-max", "0"], 2, "n_max must be >= 1"),
+        (["export", "portrait", "ab", "--depth", "-1"], 2, "depth must be >= 0"),
+        (["relators", "--depth", "-2"], 2, "depth must be >= 0"),
+        (["qtable", "--depth", "9"], 3, "depth 9"),
+        (["qtable", "--n-max", "5", "--depth", "4"], 2, "n_max 5"),
+        (["qtable", "--n-max", "0"], 2, "n_max must be >= 1"),
+    ],
+)
+def test_bad_arguments_exit_without_traceback(capsys, argv, code, message):
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert message in err

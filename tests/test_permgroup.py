@@ -304,3 +304,81 @@ def test_kernel_of_level_action_matches_enumeration():
     assert kernel.order() == len(trivial_blocks) == 108
     for e in trivial_blocks[::9]:
         assert kernel.contains(Perm(e))
+
+
+def assert_chain_is_bsgs(group):
+    """Every level's generators fix the shallower bases, their orbit of the
+    level's base is the transversal, and they generate a group whose order
+    is the product of the transversal sizes from that level on."""
+    chain = group._get_chain()
+    assert chain.identity == tuple(range(group.degree))
+    for l, level in enumerate(chain.levels):
+        shallower = [lv.base for lv in chain.levels[:l]]
+        assert all(g[b] == b for g in level.gens for b in shallower)
+        orbit = {level.base}
+        frontier = [level.base]
+        while frontier:
+            point = frontier.pop()
+            for g in level.gens:
+                if g[point] not in orbit:
+                    orbit.add(g[point])
+                    frontier.append(g[point])
+        assert orbit == set(level.transversal) == set(level.inverse_transversal)
+        for point, t in level.transversal.items():
+            assert t[level.base] == point
+            assert _brute.mult(t, level.inverse_transversal[point]) == chain.identity
+        expected = 1
+        for deeper in chain.levels[l:]:
+            expected *= len(deeper.transversal)
+        regenerated = pg.PermGroup(group.degree, [Perm(g) for g in level.gens])
+        assert regenerated.order() == expected
+
+
+def test_pointwise_stabilizer_reuses_chain_tail():
+    g = quotient_group(3)
+    stab = g.pointwise_stabilizer([1, 5, 27])
+    assert_chain_is_bsgs(stab)
+    fresh = pg.PermGroup(27, stab.generators)
+    assert stab.order() == fresh.order()
+    for gen in g.generators:
+        assert stab.contains(gen) == fresh.contains(gen)
+
+
+def test_kernel_of_level_action_chain_is_cut_to_leaves():
+    g = quotient_group(3)
+    for n in (1, 2):
+        kernel = pg.kernel_of_level_action(g, n)
+        assert_chain_is_bsgs(kernel)
+        assert kernel.order() == pg.PermGroup(27, kernel.generators).order()
+
+
+def test_direct_power_matches_fresh_chain():
+    rng = random.Random(5)
+    for inner, count in ((symmetric_group(3), 4), (quotient_group(2), 3)):
+        power = pg.direct_power(inner, count)
+        assert power.degree == inner.degree * count
+        assert power.order() == inner.order() ** count
+        assert_chain_is_bsgs(power)
+        fresh = pg.PermGroup(power.degree, power.generators)
+        gens = list(power.generators)
+        for _ in range(30):
+            p = Perm.identity(power.degree)
+            for _ in range(rng.randint(1, 8)):
+                p = p * rng.choice(gens)
+            images = list(range(power.degree))
+            rng.shuffle(images)
+            for q in (p, p * Perm(images), p * Perm.transposition(power.degree, 1, 2)):
+                assert power.contains(q) == fresh.contains(q)
+
+
+def test_direct_power_rejects_block_crossing():
+    power = pg.direct_power(symmetric_group(3), 2)
+    assert power.order() == 36
+    assert not power.contains(Perm.from_cycles(6, [(3, 4)]))
+    assert power.contains(Perm.from_cycles(6, [(1, 2), (4, 5, 6)]))
+
+
+def test_direct_power_of_trivial_group():
+    power = pg.direct_power(pg.PermGroup(3), 3)
+    assert power.order() == 1
+    assert power.is_trivial()
