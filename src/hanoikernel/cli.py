@@ -135,12 +135,16 @@ def _run_qtable(args) -> tuple[dict | None, int]:
 def _run_kernel_report(args) -> tuple[dict | None, int]:
     report = analysis.kernel_report(args.n_max, args.depth, slow=args.slow)
     data = report.to_json_dict()
+    table = analysis.load_expected_table()
+    gamma1 = table["gamma_order"]["values"]["1"]
+    h_order = table["h_order"]["value"]
+    kernel = table["rigid_kernel"]
     results = [
         {
             "id": f"gamma(1)",
             "computed": report.gamma1,
-            "expected": 16,
-            "pass": report.gamma1 == 16,
+            "expected": gamma1,
+            "pass": report.gamma1 == gamma1,
         }
     ]
     for row in report.rows:
@@ -148,7 +152,7 @@ def _run_kernel_report(args) -> tuple[dict | None, int]:
             {
                 "id": f"row n={row.n}",
                 "computed": row.to_json_dict(),
-                "expected": {"h(n,n+1)": 4, "q_stable": True},
+                "expected": {"h(n,n+1)": h_order, "q_stable": True},
                 "pass": row.passed,
             }
         )
@@ -156,7 +160,7 @@ def _run_kernel_report(args) -> tuple[dict | None, int]:
         {
             "id": "kernel",
             "computed": {"order": report.kernel_order, "type": report.kernel_type},
-            "expected": {"order": 4, "type": "Klein four-group"},
+            "expected": {"order": kernel["order"], "type": kernel["type"]},
             "pass": report.passed,
         }
     )
@@ -224,6 +228,11 @@ def _run_export(args) -> tuple[dict | None, int]:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return None, EXIT_USAGE
+    if args.format == "dot" and args.depth > analysis.DEPTH_SLOW:
+        # dot output grows about 3x per level: 0.7 MB at depth 8
+        raise ResourceLimitError(
+            f"dot export at depth {args.depth} exceeds the depth cap {analysis.DEPTH_SLOW}"
+        )
     portrait = words.evaluate(args.word, args.depth)
     if args.format == "dot":
         text = automorphism.to_dot(portrait)

@@ -3,10 +3,12 @@
 Orders are exact big integers; membership is by sifting. Base points can be
 forced, which makes pointwise stabilizers of a chosen point set fall out of
 the chain: the levels after the forced prefix are their chain, reused as is.
-Kernels of block actions are computed that way on a domain extended by one
-point per block, and their chain is that tail cut back to the original
-points. Direct powers get their chain by repeating the factor's chain once
-per block, without Schreier-Sims.
+A forced base point may be a tree vertex, the block of `size` consecutive
+leaves starting at leaf v*size, whose image under a leaf permutation p is
+p[v*size] // size. Forcing the level-n vertices gives the kernel of the
+level-n action the same way, and every level of its tail has a leaf as base.
+Direct powers get their chain by repeating the factor's chain once per
+block, without Schreier-Sims.
 """
 
 from __future__ import annotations
@@ -37,10 +39,13 @@ def _inv(p: _Tuple) -> _Tuple:
 
 
 class _Level:
-    __slots__ = ("base", "gens", "transversal", "inverse_transversal")
+    __slots__ = ("base", "size", "gens", "transversal", "inverse_transversal")
 
-    def __init__(self, base: int, identity: _Tuple):
+    def __init__(self, base: int, identity: _Tuple, size: int = 1):
+        # the base is vertex `base` of `size` leaves; a leaf has size 1, and
+        # the transversals are keyed by vertices of that size
         self.base = base
+        self.size = size
         # All strong generators fixing the bases of the shallower levels;
         # the orbit of this level's base is computed under exactly this set.
         self.gens: list[_Tuple] = []
@@ -55,15 +60,20 @@ class _Chain:
     base and strong generating set for everything added so far: at each
     level, every Schreier generator of the base orbit sifts to the identity
     through the deeper levels.
+
+    The forced bases are vertices of one block size, which every generator
+    must map to vertices of that size; every other level has a leaf as base.
     """
 
-    def __init__(self, degree: int, forced_base: Sequence[int] = ()):
+    def __init__(
+        self, degree: int, forced_base: Sequence[int] = (), block_size: int = 1
+    ):
         self.degree = degree
         self.identity = tuple(range(degree))
         self.levels: list[_Level] = []
         self._pending: list[deque] = []
         for b in forced_base:
-            self._new_level(b)
+            self._new_level(b, block_size)
         self.forced = len(self.levels)
 
     @classmethod
@@ -87,8 +97,9 @@ class _Chain:
         """Strip p through the chain; returns (residue, stuck level index)."""
         for i in range(start, len(self.levels)):
             level = self.levels[i]
-            point = p[level.base]
-            if point == level.base:
+            base, size = level.base, level.size
+            point = p[base * size] // size
+            if point == base:
                 continue
             u_inv = level.inverse_transversal.get(point)
             if u_inv is None:
@@ -119,8 +130,8 @@ class _Chain:
 
     # -- internals ---------------------------------------------------------
 
-    def _new_level(self, base: int) -> None:
-        self.levels.append(_Level(base, self.identity))
+    def _new_level(self, base: int, size: int = 1) -> None:
+        self.levels.append(_Level(base, self.identity, size))
         self._pending.append(deque())
 
     def _adjoin(self, h: _Tuple, lo: int, hi: int) -> None:
@@ -155,11 +166,12 @@ class _Chain:
             if l < 0:
                 return
             level = self.levels[l]
+            size = level.size
             queue = self._pending[l]
             while queue:
                 point, s = queue.popleft()
                 u = level.transversal[point]
-                image = s[point]
+                image = s[point * size] // size
                 schreier = _mult(_mult(u, s), level.inverse_transversal[image])
                 if schreier == identity:
                     continue
@@ -173,10 +185,11 @@ class _Chain:
     def _extend_orbit(self, level: _Level, gen: _Tuple) -> list[int]:
         """Grow the orbit with one extra generator; returns new points."""
         new_points: list[int] = []
+        size = level.size
         # The old orbit was closed under the old generators, so it suffices
         # to push the new generator across it and then close from new points.
         for point in list(level.transversal):
-            image = gen[point]
+            image = gen[point * size] // size
             if image not in level.transversal:
                 t = _mult(level.transversal[point], gen)
                 level.transversal[image] = t
@@ -187,7 +200,7 @@ class _Chain:
             point = queue.pop()
             u = level.transversal[point]
             for g in level.gens:
-                image = g[point]
+                image = g[point * size] // size
                 if image not in level.transversal:
                     t = _mult(u, g)
                     level.transversal[image] = t
@@ -204,7 +217,6 @@ class PermGroup:
         self,
         degree: int,
         generators: Iterable[Perm] = (),
-        forced_base: Sequence[int] = (),
         _chain: "_Chain | None" = None,
         _make_chain: "Callable[[], _Chain] | None" = None,
     ):
@@ -219,7 +231,6 @@ class PermGroup:
             gens.append(g)
         self.degree = degree
         self.generators = tuple(gens)
-        self._forced_base = tuple(forced_base)
         # a finished chain, or else a function that makes one on first use;
         # with neither, Schreier-Sims runs on the generators
         self._chain = _chain
@@ -233,7 +244,7 @@ class PermGroup:
             if self._chain is None and self._make_chain is not None:
                 self._chain = self._make_chain()
             elif self._chain is None:
-                chain = _Chain(self.degree, self._forced_base)
+                chain = _Chain(self.degree)
                 for g in self.generators:
                     chain.add_generator(g.images)
                 self._chain = chain
@@ -274,32 +285,7 @@ class PermGroup:
         for p in zero_based:
             if not 0 <= p < self.degree:
                 raise ShapeError(f"point outside 1..{self.degree}")
-        chain = _Chain(self.degree, zero_based)
-        for g in self.generators:
-            chain.add_generator(g.images)
-        gens = [Perm(t) for t in chain.strong_generators(chain.forced)]
-        # the levels after the forced ones, shared with `chain`, not copied
-        tail = _Chain._from_levels(chain.identity, chain.levels[chain.forced :])
-        return PermGroup(self.degree, gens, _chain=tail)
-
-    def point_stabilizers_on_orbit(self, point: int) -> dict[int, "PermGroup"]:
-        """Stabilizer of each point in the orbit of the given 1-based point.
-
-        One chain is built with the point as first base; the other
-        stabilizers are its conjugates by transversal elements.
-        """
-        chain = _Chain(self.degree, [point - 1])
-        for g in self.generators:
-            chain.add_generator(g.images)
-        stab_gens = chain.strong_generators(1)
-        level = chain.levels[0]
-        out: dict[int, PermGroup] = {}
-        for image in sorted(level.transversal):
-            t = level.transversal[image]
-            t_inv = level.inverse_transversal[image]
-            gens = [Perm(_mult(_mult(t_inv, s), t)) for s in stab_gens]
-            out[image + 1] = PermGroup(self.degree, gens)
-        return out
+        return _forced_base_tail(self, zero_based, 1)
 
     def orbit(self, point: int) -> list[int]:
         """Sorted orbit of a 1-based point under the generators."""
@@ -400,36 +386,6 @@ def is_elementary_abelian(group: PermGroup, p: int) -> bool:
 # -- block structure ---------------------------------------------------------
 
 
-def _block_count(degree: int, block_size: int) -> int:
-    count, rem = divmod(degree, block_size)
-    if rem or block_size <= 0:
-        raise ShapeError(f"degree {degree} is not a multiple of block size {block_size}")
-    return count
-
-
-def extend_with_blocks(group: PermGroup, block_size: int) -> PermGroup:
-    """Adjoin one point per block of consecutive points.
-
-    Point degree+k (1-based) tracks block k. Raises InvalidBlocksError when
-    a generator fails to map blocks to blocks.
-    """
-    count = _block_count(group.degree, block_size)
-    extended = []
-    for g in group.generators:
-        block_image = []
-        for b in range(count):
-            first = g.images[b * block_size]
-            image_block, offset = divmod(first, block_size)
-            members = {g.images[b * block_size + i] // block_size for i in range(block_size)}
-            if members != {image_block}:
-                raise InvalidBlocksError(
-                    f"generator {g!r} splits block {b + 1} of size {block_size}"
-                )
-            block_image.append(group.degree + image_block)
-        extended.append(Perm(g.images + tuple(block_image)))
-    return PermGroup(group.degree + count, extended)
-
-
 def embed_in_block(p: Perm, block: int, block_count: int) -> Perm:
     """Spread a degree-k permutation onto block `block` (0-based) of
     block_count consecutive size-k blocks, acting trivially elsewhere."""
@@ -456,15 +412,8 @@ def restrict(group: PermGroup, points: Sequence[int]) -> PermGroup:
     return PermGroup(len(points), gens)
 
 
-def kernel_of_level_action(group: PermGroup, n: int, arity: int = 3) -> PermGroup:
-    """Kernel of the induced action on the level-n blocks of leaves.
-
-    The group must act on arity**N points, lex-indexed leaves, so level-n
-    vertices are blocks of arity**(N-n) consecutive points. Realized as the
-    pointwise stabilizer of the block points on the extended domain, with
-    the block points forced to the front of the base.
-    """
-    degree = group.degree
+def _block_size(degree: int, n: int, arity: int) -> int:
+    """Leaves per level-n vertex of the arity-ary tree with `degree` leaves."""
     total = 1
     big_n = 0
     while total < degree:
@@ -474,50 +423,76 @@ def kernel_of_level_action(group: PermGroup, n: int, arity: int = 3) -> PermGrou
         raise ShapeError(f"degree {degree} is not a power of {arity}")
     if not 0 <= n <= big_n:
         raise ShapeError(f"level {n} outside 0..{big_n}")
+    return arity ** (big_n - n)
+
+
+def _check_blocks(group: PermGroup, size: int) -> None:
+    """Raise InvalidBlocksError unless every generator maps each block of
+    `size` consecutive points onto a block."""
+    for g in group.generators:
+        for start in range(0, group.degree, size):
+            block = {g.images[start + i] // size for i in range(size)}
+            if len(block) != 1:
+                raise InvalidBlocksError(
+                    f"generator {g!r} splits block {start // size + 1} of size {size}"
+                )
+
+
+def _forced_base_tail(group: PermGroup, bases: Sequence[int], size: int) -> PermGroup:
+    """Subgroup fixing every listed 0-based vertex of `size` leaves.
+
+    Its chain is the tail, shared and not copied, of a chain whose base
+    starts with those vertices.
+    """
+    chain = _Chain(group.degree, bases, size)
+    for g in group.generators:
+        chain.add_generator(g.images)
+    gens = [Perm(t) for t in chain.strong_generators(chain.forced)]
+    tail = _Chain._from_levels(chain.identity, chain.levels[chain.forced :])
+    return PermGroup(group.degree, gens, _chain=tail)
+
+
+def kernel_of_level_action(group: PermGroup, n: int, arity: int = 3) -> PermGroup:
+    """Kernel of the induced action on the level-n vertices.
+
+    The group must act on arity**N points, lex-indexed leaves, so level-n
+    vertex v is the block of arity**(N-n) consecutive leaves from leaf
+    v*arity**(N-n), and every generator must map blocks to blocks. The
+    kernel is the pointwise stabilizer of the level-n vertices; its chain is
+    the tail of a chain with them forced to the front of the base, and every
+    level of that tail has a leaf as base.
+    """
+    size = _block_size(group.degree, n, arity)
     if n == 0:
         return group
-    if n == big_n:
-        return PermGroup(degree)
-    block_size = arity ** (big_n - n)
-    extended = extend_with_blocks(group, block_size)
-    block_points = list(range(degree + 1, extended.degree + 1))
-    stab = extended.pointwise_stabilizer(block_points)
-    # every element fixes the block points, so cutting them off is exact
-    chain = _restrict_chain(stab._get_chain(), degree)
-    gens = [Perm(t) for t in chain.strong_generators()]
-    return PermGroup(degree, gens, _chain=chain)
+    if size == 1:
+        return PermGroup(group.degree)
+    _check_blocks(group, size)
+    return _forced_base_tail(group, range(arity**n), size)
 
 
-def _restrict_chain(chain: _Chain, degree: int) -> _Chain:
-    """The same chain on points 0..degree-1, which every element must map
-    among themselves and which must hold every base.
+def vertex_stabilizers(group: PermGroup, level: int) -> dict[int, PermGroup]:
+    """Stabilizer of each vertex of the given level of the ternary tree in
+    the orbit of vertex 1, keyed by 1-based vertex number; vertices are
+    numbered as in kernel_of_level_action.
 
-    Consumes `chain`: its levels are cut in place, and a tuple that several
-    levels share (a strong generator, the identity) is cut once.
+    One chain is built with vertex 1 as first base; the other stabilizers
+    are its conjugates by transversal elements.
     """
-    identity = tuple(range(degree))
-    cut: dict[int, tuple[_Tuple, _Tuple]] = {
-        id(chain.identity): (chain.identity, identity)
-    }
-
-    def cut_shared(t: _Tuple) -> _Tuple:
-        hit = cut.get(id(t))
-        if hit is None:
-            # keep the source alive so that its id is not reused
-            hit = cut[id(t)] = (t, t[:degree])
-        return hit[1]
-
-    for level in chain.levels:
-        if level.base >= degree:
-            raise ShapeError(f"base point {level.base + 1} outside 1..{degree}")
-    for level in chain.levels:
-        level.gens = [cut_shared(g) for g in level.gens]
-        for table in (level.transversal, level.inverse_transversal):
-            for point, t in table.items():
-                # transversal elements belong to one level; only the
-                # identity is shared
-                table[point] = identity if t is chain.identity else t[:degree]
-    return _Chain._from_levels(identity, chain.levels)
+    size = _block_size(group.degree, level, 3)
+    _check_blocks(group, size)
+    chain = _Chain(group.degree, [0], size)
+    for g in group.generators:
+        chain.add_generator(g.images)
+    stab_gens = chain.strong_generators(1)
+    first = chain.levels[0]
+    out: dict[int, PermGroup] = {}
+    for vertex in sorted(first.transversal):
+        t = first.transversal[vertex]
+        t_inv = first.inverse_transversal[vertex]
+        gens = [Perm(_mult(_mult(t_inv, s), t)) for s in stab_gens]
+        out[vertex + 1] = PermGroup(group.degree, gens)
+    return out
 
 
 def direct_power(group: PermGroup, count: int) -> PermGroup:

@@ -161,6 +161,7 @@ def test_output_is_deterministic(capsys):
         (["qtable", "--depth", "9"], 3, "depth 9"),
         (["qtable", "--n-max", "5", "--depth", "4"], 2, "n_max 5"),
         (["qtable", "--n-max", "0"], 2, "n_max must be >= 1"),
+        (["export", "portrait", "ab", "--depth", "7", "--format", "dot"], 3, "depth 7"),
     ],
 )
 def test_bad_arguments_exit_without_traceback(capsys, argv, code, message):

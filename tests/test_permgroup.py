@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -114,8 +115,9 @@ def test_kernel_of_level_action_level1():
         for gen in g.generators:
             assert kernel.contains(gen.inverse() * k * gen)
     # the block action has order |G| / |kernel|
-    extended = pg.extend_with_blocks(g, 3)
-    block_action = pg.restrict(extended, range(10, 13))
+    block_action = pg.PermGroup(
+        3, [Perm([gen.images[3 * v] // 3 for v in range(3)]) for gen in g.generators]
+    )
     assert block_action.order() == g.order() // kernel.order()
 
 
@@ -124,11 +126,16 @@ def test_kernel_rejects_bad_degree():
         pg.kernel_of_level_action(pg.PermGroup(10), 1)
 
 
-def test_extend_with_blocks_rejects_split_blocks():
-    # (1 2) on 4 points splits the blocks {1,2},{3,4}? no; (2 3) does
-    g = pg.PermGroup(4, [Perm.from_cycles(4, [(2, 3)])])
+def test_vertex_bases_reject_split_blocks():
+    # the first generator maps level-1 blocks to blocks; (3 4) splits
+    # {1,2,3} and {4,5,6}
+    g = pg.PermGroup(
+        9, [Perm.from_cycles(9, [(1, 4), (2, 5), (3, 6)]), Perm.from_cycles(9, [(3, 4)])]
+    )
     with pytest.raises(InvalidBlocksError):
-        pg.extend_with_blocks(g, 2)
+        pg.kernel_of_level_action(g, 1)
+    with pytest.raises(InvalidBlocksError):
+        pg.vertex_stabilizers(g, 1)
 
 
 def test_derived_subgroup_of_s3_is_a3():
@@ -225,16 +232,18 @@ def test_pointwise_stabilizer_orbit_factorization():
         assert gen.apply(1) == 1
 
 
-def test_point_stabilizers_on_orbit():
+def test_vertex_stabilizers():
     g = quotient_group(2)
-    stabs = g.point_stabilizers_on_orbit(1)
-    assert sorted(stabs) == list(range(1, 10))
-    expected = g.order() // 9
-    for point, stab in stabs.items():
-        assert stab.order() == expected
-        for gen in stab.generators:
-            assert gen.apply(point) == point
-            assert g.contains(gen)
+    for level in (1, 2):
+        size = 3 ** (2 - level)
+        stabs = pg.vertex_stabilizers(g, level)
+        assert sorted(stabs) == list(range(1, 3**level + 1))
+        expected = g.order() // 3**level
+        for vertex, stab in stabs.items():
+            assert stab.order() == expected
+            for gen in stab.generators:
+                assert gen.images[(vertex - 1) * size] // size == vertex - 1
+                assert g.contains(gen)
 
 
 def test_restrict_validates_invariance():
@@ -306,49 +315,73 @@ def test_kernel_of_level_action_matches_enumeration():
         assert kernel.contains(Perm(e))
 
 
-def assert_chain_is_bsgs(group):
+def assert_chain_is_bsgs(chain):
     """Every level's generators fix the shallower bases, their orbit of the
     level's base is the transversal, and they generate a group whose order
-    is the product of the transversal sizes from that level on."""
-    chain = group._get_chain()
-    assert chain.identity == tuple(range(group.degree))
+    is the product of the transversal sizes from that level on. A base that
+    is vertex v of `size` leaves has image g[v * size] // size under g."""
+    assert chain.identity == tuple(range(chain.degree))
     for l, level in enumerate(chain.levels):
-        shallower = [lv.base for lv in chain.levels[:l]]
-        assert all(g[b] == b for g in level.gens for b in shallower)
+        size = level.size
+        for g in level.gens:
+            for lv in chain.levels[:l]:
+                assert g[lv.base * lv.size] // lv.size == lv.base
         orbit = {level.base}
         frontier = [level.base]
         while frontier:
             point = frontier.pop()
             for g in level.gens:
-                if g[point] not in orbit:
-                    orbit.add(g[point])
-                    frontier.append(g[point])
+                image = g[point * size] // size
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
         assert orbit == set(level.transversal) == set(level.inverse_transversal)
         for point, t in level.transversal.items():
-            assert t[level.base] == point
+            assert t[level.base * size] // size == point
             assert _brute.mult(t, level.inverse_transversal[point]) == chain.identity
         expected = 1
         for deeper in chain.levels[l:]:
             expected *= len(deeper.transversal)
-        regenerated = pg.PermGroup(group.degree, [Perm(g) for g in level.gens])
+        regenerated = pg.PermGroup(chain.degree, [Perm(g) for g in level.gens])
         assert regenerated.order() == expected
 
 
 def test_pointwise_stabilizer_reuses_chain_tail():
     g = quotient_group(3)
     stab = g.pointwise_stabilizer([1, 5, 27])
-    assert_chain_is_bsgs(stab)
+    assert_chain_is_bsgs(stab._get_chain())
     fresh = pg.PermGroup(27, stab.generators)
     assert stab.order() == fresh.order()
     for gen in g.generators:
         assert stab.contains(gen) == fresh.contains(gen)
 
 
-def test_kernel_of_level_action_chain_is_cut_to_leaves():
+def test_kernel_of_level_action_chain_is_cut_to_leaves(monkeypatch):
+    built = []
+
+    class RecordedChain(pg._Chain):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(pg, "_Chain", RecordedChain)
     g = quotient_group(3)
     for n in (1, 2):
+        built.clear()
         kernel = pg.kernel_of_level_action(g, n)
-        assert_chain_is_bsgs(kernel)
+        (chain,) = built
+        assert_chain_is_bsgs(chain)
+        forced = chain.levels[: chain.forced]
+        assert [level.base for level in forced] == list(range(3**n))
+        assert {level.size for level in forced} == {3 ** (3 - n)}
+        # the forced levels' orbits are |G : Stab(n)| = |G_n| cosets
+        assert math.prod(len(level.transversal) for level in forced) == (
+            quotient_group(n).order()
+        )
+        # the kernel's chain is the tail itself, and its bases are leaves
+        tail = kernel._get_chain().levels
+        assert all(a is b for a, b in zip(tail, chain.levels[chain.forced :], strict=True))
+        assert all(level.size == 1 for level in tail)
         assert kernel.order() == pg.PermGroup(27, kernel.generators).order()
 
 
@@ -358,7 +391,7 @@ def test_direct_power_matches_fresh_chain():
         power = pg.direct_power(inner, count)
         assert power.degree == inner.degree * count
         assert power.order() == inner.order() ** count
-        assert_chain_is_bsgs(power)
+        assert_chain_is_bsgs(power._get_chain())
         fresh = pg.PermGroup(power.degree, power.generators)
         gens = list(power.generators)
         for _ in range(30):

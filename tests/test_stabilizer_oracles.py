@@ -1,7 +1,8 @@
 """The level and rigid stabilizer images reuse or assemble stabilizer chains
-instead of running Schreier-Sims on their generators. Each is checked here
-against a group built afresh by Schreier-Sims from the same generators, and
-at depth 2 against brute-force enumeration."""
+instead of running Schreier-Sims on their generators, and the vertex
+stabilizers come from one chain with a vertex as first base. Each is checked
+here against a group built afresh by Schreier-Sims from the same generators,
+and at depth 2 against brute-force enumeration."""
 
 import itertools
 import random
@@ -16,6 +17,7 @@ import _brute
 
 STAB_PAIRS = [(depth, n) for depth in (2, 3, 4) for n in range(depth + 1)]
 RIST_PAIRS = [(depth, n) for depth in (2, 3, 4) for n in range(1, depth)]
+VERTEX_PAIRS = [(depth, n) for depth in (2, 3, 4) for n in range(1, depth + 1)]
 
 
 def child_swap(depth: int, rng: random.Random) -> Perm:
@@ -67,6 +69,30 @@ def test_rist_image_matches_fresh_chain(depth, n):
     assert_matches_fresh_chain(group, depth, seed=200 * depth + n)
 
 
+@pytest.mark.parametrize("depth, n", VERTEX_PAIRS)
+def test_vertex_stabilizers_match_fresh_chain(depth, n):
+    """A probe lies in the stabilizer of vertex v iff it lies in G_N, by a
+    chain built from G_N's generators, and maps v's first leaf into v."""
+    quotient = analysis.build_quotient(depth).group
+    fresh = permgroup.PermGroup(quotient.degree, quotient.generators)
+    stabilizers = permgroup.vertex_stabilizers(quotient, n)
+    assert sorted(stabilizers) == list(range(1, 3**n + 1))
+    size = 3 ** (depth - n)
+    rng = random.Random(300 * depth + n)
+    # every vertex of a level with at most 9, else 9 sampled ones
+    vertices = sorted(rng.sample(sorted(stabilizers), min(9, 3**n)))
+    for vertex in vertices:
+        group = stabilizers[vertex]
+        assert group.order() == fresh.order() // 3**n
+        answers = []
+        for p in probes(quotient, depth, seed=rng.randrange(10**6)):
+            answer = group.contains(p)
+            fixes = p.images[(vertex - 1) * size] // size == vertex - 1
+            assert answer == (fresh.contains(p) and fixes)
+            answers.append(answer)
+        assert True in answers and False in answers
+
+
 def _g2_elements() -> set:
     gens = analysis.build_quotient(2).group.generators
     return _brute.closure([g.images for g in gens])
@@ -110,3 +136,15 @@ def test_rist_image_depth2_matches_enumeration():
         for parts in itertools.product(s3, repeat=3)
     }
     assert_same_set(group, members, elements | blockwise)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_vertex_stabilizers_depth2_match_enumeration(n):
+    elements = _g2_elements()
+    size = 3 ** (2 - n)
+    stabilizers = permgroup.vertex_stabilizers(analysis.build_quotient(2).group, n)
+    assert sorted(stabilizers) == list(range(1, 3**n + 1))
+    for vertex, group in stabilizers.items():
+        v = vertex - 1
+        members = {e for e in elements if e[v * size] // size == v}
+        assert_same_set(group, members, elements)
