@@ -7,6 +7,7 @@ are 1-based at the API; the internal image tuple is 0-based.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 
@@ -118,12 +119,13 @@ class Perm:
 
     def __mul__(self, other: "Perm") -> "Perm":
         """Apply self, then other."""
-        if len(self.images) != len(other.images):
+        a, b = self.images, other.images
+        if len(a) != len(b):
             raise ValueError("degree mismatch")
         p = Perm.__new__(Perm)
-        object.__setattr__(
-            p, "images", tuple(map(other.images.__getitem__, self.images))
-        )
+        # itemgetter returns a scalar for one index and fails on none; below
+        # degree 2 the only permutation is the identity
+        object.__setattr__(p, "images", itemgetter(*a)(b) if len(a) > 1 else a)
         return p
 
     def inverse(self) -> "Perm":

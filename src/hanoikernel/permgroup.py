@@ -9,6 +9,14 @@ p[v*size] // size. Forcing the level-n vertices gives the kernel of the
 level-n action the same way, and every level of its tail has a leaf as base.
 Direct powers get their chain by repeating the factor's chain once per
 block, without Schreier-Sims.
+
+A chain stores its permutations in an encoding chosen from its degree, so
+that a product is one C call. Up to degree 256 an element is a bytes object
+padded with fixed points to length 256, and p then q is p.translate(q);
+above 256 it is a tuple, and p then q is operator.itemgetter(*p)(q). Both
+are sequences of ints, so the algorithm reads them alike. Perm images are
+packed where they enter a chain and unpacked, sliced to the degree, where
+chain data leaves as a Perm; the encoding never leaves this module.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from __future__ import annotations
 import logging
 import threading
 from collections import deque
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidBlocksError, NotASubgroupError, ShapeError
@@ -24,33 +33,44 @@ from .perm import Perm
 logger = logging.getLogger(__name__)
 
 _Tuple = tuple[int, ...]
+# a chain element: padded bytes up to degree _BYTES_MAX, a tuple above
+_Elem = bytes | _Tuple
+
+_BYTES_MAX = 256
+_BYTES_IDENTITY = bytes(range(_BYTES_MAX))
 
 
-def _mult(p: _Tuple, q: _Tuple) -> _Tuple:
-    """Apply p, then q."""
-    return tuple(map(q.__getitem__, p))
+def _pack(images: Iterable[int], degree: int) -> _Elem:
+    if degree <= _BYTES_MAX:
+        return bytes(images) + _BYTES_IDENTITY[degree:]
+    return tuple(images)
 
 
-def _inv(p: _Tuple) -> _Tuple:
+def _mult_tuples(p: _Tuple, q: _Tuple) -> _Tuple:
+    """Apply p, then q; p has at least two points."""
+    return itemgetter(*p)(q)
+
+
+def _inv(p: _Elem) -> _Elem:
     out = [0] * len(p)
     for i, j in enumerate(p):
         out[j] = i
-    return tuple(out)
+    return type(p)(out)
 
 
 class _Level:
     __slots__ = ("base", "size", "gens", "transversal", "inverse_transversal")
 
-    def __init__(self, base: int, identity: _Tuple, size: int = 1):
+    def __init__(self, base: int, identity: _Elem, size: int = 1):
         # the base is vertex `base` of `size` leaves; a leaf has size 1, and
         # the transversals are keyed by vertices of that size
         self.base = base
         self.size = size
         # All strong generators fixing the bases of the shallower levels;
         # the orbit of this level's base is computed under exactly this set.
-        self.gens: list[_Tuple] = []
-        self.transversal: dict[int, _Tuple] = {base: identity}
-        self.inverse_transversal: dict[int, _Tuple] = {base: identity}
+        self.gens: list[_Elem] = []
+        self.transversal: dict[int, _Elem] = {base: identity}
+        self.inverse_transversal: dict[int, _Elem] = {base: identity}
 
 
 class _Chain:
@@ -63,13 +83,15 @@ class _Chain:
 
     The forced bases are vertices of one block size, which every generator
     must map to vertices of that size; every other level has a leaf as base.
+    add_generator and contains take image tuples of length `degree`, and
+    strong_generators returns them; everything else holds the encoding of
+    the module docstring.
     """
 
     def __init__(
         self, degree: int, forced_base: Sequence[int] = (), block_size: int = 1
     ):
-        self.degree = degree
-        self.identity = tuple(range(degree))
+        self._set_degree(degree)
         self.levels: list[_Level] = []
         self._pending: list[deque] = []
         for b in forced_base:
@@ -77,15 +99,25 @@ class _Chain:
         self.forced = len(self.levels)
 
     @classmethod
-    def _from_levels(cls, identity: _Tuple, levels: list[_Level]) -> "_Chain":
+    def _from_levels(cls, degree: int, levels: list[_Level]) -> "_Chain":
         """A finished chain on ready-made levels; nothing is sifted."""
         chain = cls.__new__(cls)
-        chain.degree = len(identity)
-        chain.identity = identity
+        chain._set_degree(degree)
         chain.levels = levels
         chain._pending = [deque() for _ in levels]
         chain.forced = 0
         return chain
+
+    def _set_degree(self, degree: int) -> None:
+        self.degree = degree
+        self.identity = _pack(range(degree), degree)
+        # apply p, then q
+        self.mult: Callable[[_Elem, _Elem], _Elem] = (
+            bytes.translate if degree <= _BYTES_MAX else _mult_tuples
+        )
+
+    def unpack(self, p: _Elem) -> _Tuple:
+        return tuple(p[: self.degree])
 
     def order(self) -> int:
         n = 1
@@ -93,8 +125,9 @@ class _Chain:
             n *= len(level.transversal)
         return n
 
-    def sift(self, p: _Tuple, start: int = 0) -> tuple[_Tuple, int]:
+    def sift(self, p: _Elem, start: int = 0) -> tuple[_Elem, int]:
         """Strip p through the chain; returns (residue, stuck level index)."""
+        mult = self.mult
         for i in range(start, len(self.levels)):
             level = self.levels[i]
             base, size = level.base, level.size
@@ -104,16 +137,16 @@ class _Chain:
             u_inv = level.inverse_transversal.get(point)
             if u_inv is None:
                 return p, i
-            p = _mult(p, u_inv)
+            p = mult(p, u_inv)
         return p, len(self.levels)
 
-    def contains(self, p: _Tuple) -> bool:
-        residue, _ = self.sift(p)
+    def contains(self, images: _Tuple) -> bool:
+        residue, _ = self.sift(_pack(images, self.degree))
         return residue == self.identity
 
-    def add_generator(self, p: _Tuple) -> bool:
+    def add_generator(self, images: _Tuple) -> bool:
         """Add a generator; returns False if it was already a member."""
-        residue, stuck = self.sift(p)
+        residue, stuck = self.sift(_pack(images, self.degree))
         if residue == self.identity:
             return False
         self._adjoin(residue, 0, stuck)
@@ -126,7 +159,7 @@ class _Chain:
             return []
         # levels[start].gens is exactly the strong generators fixing the
         # bases of all shallower levels
-        return list(self.levels[start].gens)
+        return [self.unpack(g) for g in self.levels[start].gens]
 
     # -- internals ---------------------------------------------------------
 
@@ -134,7 +167,7 @@ class _Chain:
         self.levels.append(_Level(base, self.identity, size))
         self._pending.append(deque())
 
-    def _adjoin(self, h: _Tuple, lo: int, hi: int) -> None:
+    def _adjoin(self, h: _Elem, lo: int, hi: int) -> None:
         """Install a new strong generator at levels lo..hi.
 
         h fixes the bases of levels < hi and moves level hi's base (or all
@@ -158,7 +191,7 @@ class _Chain:
 
     def _drain(self) -> None:
         """Process pending Schreier pairs, deepest level first."""
-        identity = self.identity
+        identity, mult = self.identity, self.mult
         while True:
             l = len(self.levels) - 1
             while l >= 0 and not self._pending[l]:
@@ -172,7 +205,7 @@ class _Chain:
                 point, s = queue.popleft()
                 u = level.transversal[point]
                 image = s[point * size] // size
-                schreier = _mult(_mult(u, s), level.inverse_transversal[image])
+                schreier = mult(mult(u, s), level.inverse_transversal[image])
                 if schreier == identity:
                     continue
                 residue, stuck = self.sift(schreier, l + 1)
@@ -182,16 +215,16 @@ class _Chain:
                         break  # drain the deeper levels before continuing
             # loop re-scans for the deepest pending level
 
-    def _extend_orbit(self, level: _Level, gen: _Tuple) -> list[int]:
+    def _extend_orbit(self, level: _Level, gen: _Elem) -> list[int]:
         """Grow the orbit with one extra generator; returns new points."""
         new_points: list[int] = []
-        size = level.size
+        size, mult = level.size, self.mult
         # The old orbit was closed under the old generators, so it suffices
         # to push the new generator across it and then close from new points.
         for point in list(level.transversal):
             image = gen[point * size] // size
             if image not in level.transversal:
-                t = _mult(level.transversal[point], gen)
+                t = mult(level.transversal[point], gen)
                 level.transversal[image] = t
                 level.inverse_transversal[image] = _inv(t)
                 new_points.append(image)
@@ -202,7 +235,7 @@ class _Chain:
             for g in level.gens:
                 image = g[point * size] // size
                 if image not in level.transversal:
-                    t = _mult(u, g)
+                    t = mult(u, g)
                     level.transversal[image] = t
                     level.inverse_transversal[image] = _inv(t)
                     new_points.append(image)
@@ -346,15 +379,14 @@ def normal_closure(group: PermGroup, seeds: Sequence[Perm]) -> PermGroup:
     chain = _Chain(group.degree)
     gens: list[Perm] = []
     queue = deque(s for s in seeds if not s.is_identity())
-    generator_images = [(g.images, g.inverse().images) for g in group.generators]
+    conjugators = [(g.inverse(), g) for g in group.generators]
     while queue:
         candidate = queue.popleft()
         if not chain.add_generator(candidate.images):
             continue
         gens.append(candidate)
-        for g, g_inv in generator_images:
-            conj = _mult(_mult(g_inv, candidate.images), g)
-            queue.append(Perm(conj))
+        for g_inv, g in conjugators:
+            queue.append(g_inv * candidate * g)
     return PermGroup(group.degree, gens, _chain=chain)
 
 
@@ -448,7 +480,7 @@ def _forced_base_tail(group: PermGroup, bases: Sequence[int], size: int) -> Perm
     for g in group.generators:
         chain.add_generator(g.images)
     gens = [Perm(t) for t in chain.strong_generators(chain.forced)]
-    tail = _Chain._from_levels(chain.identity, chain.levels[chain.forced :])
+    tail = _Chain._from_levels(group.degree, chain.levels[chain.forced :])
     return PermGroup(group.degree, gens, _chain=tail)
 
 
@@ -484,14 +516,13 @@ def vertex_stabilizers(group: PermGroup, level: int) -> dict[int, PermGroup]:
     chain = _Chain(group.degree, [0], size)
     for g in group.generators:
         chain.add_generator(g.images)
-    stab_gens = chain.strong_generators(1)
+    stab_gens = [Perm(s) for s in chain.strong_generators(1)]
     first = chain.levels[0]
     out: dict[int, PermGroup] = {}
     for vertex in sorted(first.transversal):
-        t = first.transversal[vertex]
-        t_inv = first.inverse_transversal[vertex]
-        gens = [Perm(_mult(_mult(t_inv, s), t)) for s in stab_gens]
-        out[vertex + 1] = PermGroup(group.degree, gens)
+        t = Perm(chain.unpack(first.transversal[vertex]))
+        t_inv = Perm(chain.unpack(first.inverse_transversal[vertex]))
+        out[vertex + 1] = PermGroup(group.degree, [t_inv * s * t for s in stab_gens])
     return out
 
 
@@ -518,32 +549,38 @@ def direct_power(group: PermGroup, count: int) -> PermGroup:
 
 def _direct_power_chain(inner: _Chain, count: int) -> _Chain:
     degree = inner.degree * count
-    identity = tuple(range(degree))
+    identity = _pack(range(degree), degree)
     blocks = [
         _shifted_levels(inner, block * inner.degree, identity)
         for block in range(count)
     ]
     # The strong generators of the later blocks fix every base of this one,
     # so they belong to each of its levels' generator sets.
-    later: list[_Tuple] = []
+    later: list[_Elem] = []
     for block_levels in reversed(blocks):
         for level in block_levels:
             level.gens += later
         if block_levels:
             later = block_levels[0].gens
-    return _Chain._from_levels(identity, [level for b in blocks for level in b])
+    return _Chain._from_levels(degree, [level for b in blocks for level in b])
 
 
-def _shifted_levels(inner: _Chain, offset: int, identity: _Tuple) -> list[_Level]:
+def _shifted_levels(inner: _Chain, offset: int, identity: _Elem) -> list[_Level]:
     """Copies of inner's levels acting on points offset.. of `identity`,
-    with one shifted tuple per inner tuple, shared across the levels."""
-    head, rest = identity[:offset], identity[offset + inner.degree :]
-    shifted: dict[int, _Tuple] = {id(inner.identity): identity}
+    with one shifted element per inner element, shared across the levels.
 
-    def shift(t: _Tuple) -> _Tuple:
+    The copies take the encoding of `identity`, which may differ from
+    inner's: a factor of degree <= 256 has a power of larger degree.
+    """
+    head, rest = identity[:offset], identity[offset + inner.degree :]
+    encode = type(identity)
+    shifted: dict[int, _Elem] = {id(inner.identity): identity}
+
+    def shift(t: _Elem) -> _Elem:
         hit = shifted.get(id(t))
         if hit is None:
-            hit = shifted[id(t)] = head + tuple([x + offset for x in t]) + rest
+            middle = encode([x + offset for x in t[: inner.degree]])
+            hit = shifted[id(t)] = head + middle + rest
         return hit
 
     levels = []

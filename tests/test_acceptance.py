@@ -258,3 +258,28 @@ def test_optional_kernel_report_three_rows():
         and row.h_order == 4
     )
     verdict(5, ok, "slow kernel row n=3: gamma 2^56, K 2^54, H 4")
+
+
+@pytest.mark.slow
+def test_optional_depth6_quotient():
+    """G_6 acts on 729 leaves, past the degree where stabilizer chains switch
+    from bytes to tuples. A non-member is certified at depth 2: a portrait
+    whose level-2 action lies outside G_2 cannot lie in G_6."""
+    quotient = analysis.build_quotient(6, slow=True)
+    group = quotient.group
+    gens = list(quotient.generator_map.values())
+    a, b, c = gens
+    products = [g * h for g in gens for h in gens] + [a * b * c, b * c * a, c * a * b]
+    labels = {(1,): Perm.from_cycles(3, [(1, 2)])}
+    g2 = analysis.build_quotient(2).group.generators
+    assert automorphism.leaf_permutation(
+        automorphism.from_labels(2, labels), 2
+    ).images not in _brute.closure([g.images for g in g2])
+    outside = automorphism.leaf_permutation(automorphism.from_labels(6, labels), 6)
+    ok = (
+        group.order() == analysis.quotient_order(6)
+        and all(group.contains(p) for p in gens + products)
+        and not group.contains(outside)
+        and not group.contains(products[1] * outside)
+    )
+    verdict(1, ok, "|G_6| = 2^243 * 3^364 with degree-729 stabilizer chains")

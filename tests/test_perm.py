@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hanoikernel.perm import Perm
@@ -54,3 +56,25 @@ def test_immutable_and_hashable():
     with pytest.raises(AttributeError):
         p.images = (0, 1, 2)
     assert hash(p) == hash(Perm.from_cycles(3, [(1, 2)]))
+
+
+def test_products_of_degree_0_and_1():
+    for degree in (0, 1):
+        e = Perm.identity(degree)
+        product = e * e
+        assert product == e
+        assert product.images == tuple(range(degree))
+        assert product.degree == degree
+        assert product.is_identity()
+
+
+def test_product_matches_pointwise_composition():
+    rng = random.Random(3)
+    for degree in (2, 3, 7, 243, 258):
+        a, b = list(range(degree)), list(range(degree))
+        rng.shuffle(a)
+        rng.shuffle(b)
+        p, q = Perm(a), Perm(b)
+        product = p * q
+        assert type(product.images) is tuple
+        assert product.images == tuple(b[i] for i in a)

@@ -319,8 +319,18 @@ def assert_chain_is_bsgs(chain):
     """Every level's generators fix the shallower bases, their orbit of the
     level's base is the transversal, and they generate a group whose order
     is the product of the transversal sizes from that level on. A base that
-    is vertex v of `size` leaves has image g[v * size] // size under g."""
-    assert chain.identity == tuple(range(chain.degree))
+    is vertex v of `size` leaves has image g[v * size] // size under g.
+
+    A chain element may be padded past the degree; the padding must fix
+    every point, and the comparisons use the images of 0..degree-1."""
+    degree = chain.degree
+    identity = tuple(range(degree))
+
+    def images(t):
+        assert list(t[degree:]) == list(range(degree, len(t)))
+        return tuple(t[:degree])
+
+    assert images(chain.identity) == identity
     for l, level in enumerate(chain.levels):
         size = level.size
         for g in level.gens:
@@ -338,11 +348,12 @@ def assert_chain_is_bsgs(chain):
         assert orbit == set(level.transversal) == set(level.inverse_transversal)
         for point, t in level.transversal.items():
             assert t[level.base * size] // size == point
-            assert _brute.mult(t, level.inverse_transversal[point]) == chain.identity
+            t_inv = level.inverse_transversal[point]
+            assert _brute.mult(images(t), images(t_inv)) == identity
         expected = 1
         for deeper in chain.levels[l:]:
             expected *= len(deeper.transversal)
-        regenerated = pg.PermGroup(chain.degree, [Perm(g) for g in level.gens])
+        regenerated = pg.PermGroup(degree, [Perm(images(g)) for g in level.gens])
         assert regenerated.order() == expected
 
 
@@ -415,3 +426,157 @@ def test_direct_power_of_trivial_group():
     power = pg.direct_power(pg.PermGroup(3), 3)
     assert power.order() == 1
     assert power.is_trivial()
+
+
+# -- chain encodings: padded bytes up to degree 256, tuples above -------------
+
+
+def top_symmetric_group(degree):
+    """S_4 on the last four points, from a 3-cycle and a transposition."""
+    a = degree - 3
+    return pg.PermGroup(
+        degree,
+        [
+            Perm.from_cycles(degree, [(a, a + 1, a + 2)]),
+            Perm.from_cycles(degree, [(a + 2, a + 3)]),
+        ],
+    )
+
+
+def assert_perm_degrees(group, degree):
+    assert group.degree == degree
+    assert all(g.degree == degree for g in group.generators)
+
+
+def random_words(group, rng, count):
+    gens = list(group.generators)
+    out = []
+    for _ in range(count):
+        p = Perm.identity(group.degree)
+        for _ in range(rng.randint(1, 12)):
+            p = p * rng.choice(gens)
+        out.append(p)
+    return out
+
+
+@pytest.mark.parametrize("degree", [255, 256, 257, 258])
+def test_encoding_boundary_matches_enumeration(degree):
+    group = top_symmetric_group(degree)
+    chain = group._get_chain()
+    assert type(chain.identity) is (bytes if degree <= 256 else tuple)
+    assert_chain_is_bsgs(chain)
+    elements = _brute.closure([g.images for g in group.generators])
+    assert group.order() == len(elements) == 24
+    for e in elements:
+        assert group.contains(Perm(e))
+    rng = random.Random(degree)
+    for e in sorted(elements)[::5]:
+        for cycle in [(1, degree), (1, 2, 3), (degree - 4, degree - 1)]:
+            outside = _brute.mult(e, Perm.from_cycles(degree, [cycle]).images)
+            assert outside not in elements
+            assert not group.contains(Perm(outside))
+
+    stab = group.pointwise_stabilizer([degree])
+    assert_perm_degrees(stab, degree)
+    assert_chain_is_bsgs(stab._get_chain())
+    fixing = [e for e in elements if e[degree - 1] == degree - 1]
+    assert stab.order() == len(fixing) == 6
+    for e in elements:
+        assert stab.contains(Perm(e)) == (e in fixing)
+
+    derived = pg.derived_subgroup(group)
+    assert_perm_degrees(derived, degree)
+    assert derived.order() == len(_brute.commutator_closure(elements)) == 12
+    for p in random_words(group, rng, 10):
+        assert derived.contains(p) == (p.sign() == 1)
+
+
+def test_direct_power_at_degree_256():
+    """64 copies of S_4 fill the bytes encoding exactly: no padding."""
+    power = pg.direct_power(symmetric_group(4), 64)
+    chain = power._get_chain()
+    assert type(chain.identity) is bytes and len(chain.identity) == 256
+    assert_perm_degrees(power, 256)
+    fresh = pg.PermGroup(256, power.generators)
+    assert power.order() == fresh.order() == 24**64
+    rng = random.Random(256)
+    # (4 5) crosses two blocks, (253 256) stays in the last one
+    swaps = [Perm.from_cycles(256, [c]) for c in [(4, 5), (253, 256)]]
+    for p in random_words(power, rng, 20):
+        for q in [p] + [p * s for s in swaps]:
+            keeps_blocks = all(q.images[i] // 4 == i // 4 for i in range(256))
+            assert power.contains(q) == fresh.contains(q) == keeps_blocks
+    stab = power.pointwise_stabilizer([1, 256])
+    assert_perm_degrees(stab, 256)
+    assert stab.order() == fresh.pointwise_stabilizer([1, 256]).order() == 6**2 * 24**62
+
+
+def test_direct_power_of_bytes_factor_has_tuple_chain():
+    """G_2 has degree 9 and a bytes chain; 29 copies of it have degree 261
+    and a tuple chain made by shifting the factor's chain."""
+    inner = quotient_group(2)
+    power = pg.direct_power(inner, 29)
+    assert type(inner._get_chain().identity) is bytes
+    assert type(power._get_chain().identity) is tuple
+    assert_perm_degrees(power, 261)
+    fresh = pg.PermGroup(261, power.generators)
+    assert power.order() == fresh.order() == 648**29
+    elements = _brute.closure([g.images for g in inner.generators])
+
+    def in_power(q):
+        blocks = [q.images[9 * b : 9 * b + 9] for b in range(29)]
+        return all(
+            tuple(x - 9 * b for x in block) in elements for b, block in enumerate(blocks)
+        )
+
+    rng = random.Random(261)
+    answers = []
+    swaps = [Perm.from_cycles(261, [c]) for c in [(1, 2), (9, 10)]]
+    for p in random_words(power, rng, 20):
+        for q in [p] + [p * s for s in swaps]:
+            answer = power.contains(q)
+            assert answer == fresh.contains(q) == in_power(q)
+            answers.append(answer)
+    assert True in answers and False in answers
+    stab = power.pointwise_stabilizer([1, 261])
+    assert_perm_degrees(stab, 261)
+    assert stab.order() == fresh.pointwise_stabilizer([1, 261]).order() == 72**2 * 648**27
+
+
+def test_vertex_bases_at_degree_729():
+    """Kernels of level actions and vertex stabilizers on the depth-6 tree,
+    whose chains are tuples, against enumeration of a group of order 1536:
+    a root 3-cycle and transpositions at vertices (1,) and (1, 1)."""
+    from hanoikernel import automorphism as am
+
+    labels = [
+        {(): Perm.from_cycles(3, [(1, 2, 3)])},
+        {(1,): Perm.from_cycles(3, [(1, 2)])},
+        {(1, 1): Perm.from_cycles(3, [(1, 2)])},
+    ]
+    group = pg.PermGroup(
+        729, [am.leaf_permutation(am.from_labels(6, lab), 6) for lab in labels]
+    )
+    assert type(group._get_chain().identity) is tuple
+    elements = _brute.closure([g.images for g in group.generators])
+    assert group.order() == len(elements) == 1536
+
+    def fixes(e, level, vertices):
+        size = 3 ** (6 - level)
+        return all(e[v * size] // size == v for v in vertices)
+
+    for n in (1, 2, 3):
+        kernel = pg.kernel_of_level_action(group, n)
+        assert_perm_degrees(kernel, 729)
+        members = [e for e in elements if fixes(e, n, range(3**n))]
+        assert kernel.order() == len(members)
+        for e in elements:
+            assert kernel.contains(Perm(e)) == fixes(e, n, range(3**n))
+    for n in (1, 2):
+        stabilizers = pg.vertex_stabilizers(group, n)
+        for vertex, stab in stabilizers.items():
+            assert_perm_degrees(stab, 729)
+            members = [e for e in elements if fixes(e, n, [vertex - 1])]
+            assert stab.order() == len(members)
+            for e in sorted(elements)[::7]:
+                assert stab.contains(Perm(e)) == fixes(e, n, [vertex - 1])
