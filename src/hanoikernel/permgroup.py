@@ -392,10 +392,12 @@ def normal_closure(group: PermGroup, seeds: Sequence[Perm]) -> PermGroup:
 
 def derived_subgroup(group: PermGroup) -> PermGroup:
     """Normal closure of the commutators of the generators."""
+    gens = group.generators
+    inverses = [g.inverse() for g in gens]
     seeds = [
-        perm_commutator(p, q)
-        for i, p in enumerate(group.generators)
-        for q in group.generators[i + 1 :]
+        inverses[i] * inverses[j] * gens[i] * gens[j]
+        for i in range(len(gens))
+        for j in range(i + 1, len(gens))
     ]
     return normal_closure(group, seeds)
 

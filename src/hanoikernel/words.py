@@ -13,11 +13,12 @@ only rewriting ever applied is free cancellation xx -> empty.
 from __future__ import annotations
 
 import functools
+import re
 from typing import Callable, Iterable, Sequence
 
 from . import automorphism
 from .automorphism import Portrait
-from .errors import ShapeError
+from .errors import ResourceLimitError, ShapeError
 from .perm import Perm
 
 ALPHABET = "abc"
@@ -32,21 +33,55 @@ ROOT_PERMS = {
 # Coordinate (1-based) of the letter's single nontrivial state.
 _HOME = {"a": 1, "b": 2, "c": 3}
 
+
+def _s3_tables() -> tuple[tuple[Perm, ...], tuple[dict[str, tuple[int, int]], ...]]:
+    """The root labels a word can reach, and one letter's step from each.
+
+    Index 0 is the identity; the rest follow in breadth-first order over the
+    alphabet, which reaches all six elements of S_3. ``step[s][letter]`` is
+    the 0-based coordinate that receives the letter when the running root
+    label is ``labels[s]``, and the index of the label after the letter.
+    """
+    labels = [Perm.identity(3)]
+    step = []
+    for root in labels:  # grows while it is walked
+        row = {}
+        for ch in ALPHABET:
+            after = root * ROOT_PERMS[ch]
+            if after not in labels:
+                labels.append(after)
+            row[ch] = (root.inverse().apply(_HOME[ch]) - 1, labels.index(after))
+        step.append(row)
+    return tuple(labels), tuple(step)
+
+
+_S3, _STEP = _s3_tables()
+
 # Words generating the first-level stabilizer.
 LEVEL1_STABILIZER_WORDS = ("acab", "abac", "bcba", "babc")
 
+# Each tau step about triples a relator's length, and the cost of checking it.
+MAX_TAU = 12
+
+_OUTSIDE_ALPHABET = re.compile(f"[^{ALPHABET}]").search
+_DOUBLED = tuple(ch + ch for ch in ALPHABET)
+_TAU = str.maketrans({"b": "cbc", "c": "bcb"})
+
 
 def check_word(word: str) -> str:
-    for ch in word:
-        if ch not in ALPHABET:
-            raise ValueError(f"letter {ch!r} outside alphabet {ALPHABET!r}")
+    bad = _OUTSIDE_ALPHABET(word)
+    if bad:
+        raise ValueError(f"letter {bad.group()!r} outside alphabet {ALPHABET!r}")
     return word
 
 
 def free_reduce(word: str) -> str:
     """Cancel adjacent equal letters until none remain."""
+    check_word(word)
+    if not any(pair in word for pair in _DOUBLED):
+        return word
     out: list[str] = []
-    for ch in check_word(word):
+    for ch in word:
         if out and out[-1] == ch:
             out.pop()
         else:
@@ -71,8 +106,7 @@ def commutator(x: str, y: str) -> str:
 
 def tau(word: str) -> str:
     """The substitution endomorphism a -> a, b -> cbc, c -> bcb."""
-    table = {"a": "a", "b": "cbc", "c": "bcb"}
-    return free_reduce("".join(table[ch] for ch in check_word(word)))
+    return free_reduce(check_word(word).translate(_TAU))
 
 
 def tau_power(word: str, n: int) -> str:
@@ -92,20 +126,19 @@ def word_states(word: str) -> tuple[tuple[str, str, str], Perm]:
 
     Returns the three state words (freely reduced) and the root permutation.
     Each letter lands in the single state whose current image is the letter's
-    home coordinate, then multiplies the running root permutation.
+    home coordinate, then multiplies the running root permutation; both come
+    from one lookup in the step table of the six root labels.
     """
-    states: list[list[str]] = [[], [], []]
-    root = Perm.identity(3)
+    states: tuple[list[str], ...] = ([], [], [])
+    s = 0
     for ch in check_word(word):
-        home = _HOME[ch]
-        coordinate = root.inverse().apply(home)
-        bucket = states[coordinate - 1]
+        coordinate, s = _STEP[s][ch]
+        bucket = states[coordinate]
         if bucket and bucket[-1] == ch:
             bucket.pop()
         else:
             bucket.append(ch)
-        root = root * ROOT_PERMS[ch]
-    return tuple("".join(s) for s in states), root  # type: ignore[return-value]
+    return tuple("".join(b) for b in states), _S3[s]  # type: ignore[return-value]
 
 
 @functools.lru_cache(maxsize=None)
@@ -161,6 +194,10 @@ INVOLUTION_RELATORS = ("aa", "bb", "cc")
 
 def relator_family(max_tau: int) -> dict[str, str]:
     """The involution relators plus tau-iterates of w1..w4 up to max_tau."""
+    if max_tau < 0:
+        raise ShapeError("max_tau must be >= 0")
+    if max_tau > MAX_TAU:
+        raise ResourceLimitError(f"max_tau {max_tau} exceeds the cap {MAX_TAU}")
     out = {f"{w[0]}^2": w for w in INVOLUTION_RELATORS}
     for name, word in RELATORS.items():
         for n in range(max_tau + 1):

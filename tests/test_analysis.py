@@ -231,6 +231,7 @@ def test_expected_table_is_consistent_with_formulas():
     for n, value in table["kernel_step_order"]["values"].items():
         assert analysis.k_expected(int(n)) == value
     assert table["rigid_kernel"]["order"] == 4
+    assert table["seed_order"]["value"] == analysis.kernel_seed_order()
 
 
 def test_concurrent_lemma_checks():

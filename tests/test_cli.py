@@ -162,6 +162,8 @@ def test_output_is_deterministic(capsys):
         (["qtable", "--n-max", "5", "--depth", "4"], 2, "n_max 5"),
         (["qtable", "--n-max", "0"], 2, "n_max must be >= 1"),
         (["export", "portrait", "ab", "--depth", "7", "--format", "dot"], 3, "depth 7"),
+        (["relators", "--max-tau", "-1"], 2, "max_tau must be >= 0"),
+        (["relators", "--max-tau", "13"], 3, "max_tau 13"),
     ],
 )
 def test_bad_arguments_exit_without_traceback(capsys, argv, code, message):

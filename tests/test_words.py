@@ -22,9 +22,31 @@ def test_free_reduce():
     assert words.free_reduce("") == ""
 
 
+def _stack_reduce(word):
+    out = []
+    for ch in word:
+        if out and out[-1] == ch:
+            out.pop()
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def test_free_reduce_matches_stack_reference():
+    assert words.free_reduce("abccba") == ""
+    assert words.free_reduce("abccbab") == "b"
+    rng = random.Random(21)
+    for _ in range(300):
+        w = "".join(rng.choice("abc") for _ in range(rng.randint(0, 40)))
+        assert words.free_reduce(w) == _stack_reduce(w), w
+
+
 def test_rejects_bad_letter():
     with pytest.raises(ValueError):
         words.free_reduce("abd")
+    for check in (words.check_word, words.free_reduce, words.tau):
+        with pytest.raises(ValueError, match="'d'"):
+            check("abdx")
 
 
 def test_inverse_word_is_reversal():
@@ -36,6 +58,32 @@ def test_word_states_examples():
     assert words.word_states("bcba") == (("ca", "b", "b"), Perm.identity(3))
     states, root = words.word_states("a")
     assert states == ("a", "", "") and root == Perm.from_cycles(3, [(2, 3)])
+
+
+def test_step_table_matches_perm_walk():
+    assert len(set(words._S3)) == 6
+    assert words._S3[0].is_identity()
+    assert len(words._STEP) == 6
+    for s, row in enumerate(words._STEP):
+        root = words._S3[s]
+        assert set(row) == set("abc")
+        for letter, (coordinate, after) in row.items():
+            assert coordinate + 1 == root.inverse().apply(words._HOME[letter])
+            assert words._S3[after] == root * words.ROOT_PERMS[letter]
+
+
+def test_evaluate_matches_independent_leaf_action():
+    rng = random.Random(22)
+    samples = []
+    while len(samples) < 12:
+        w = "".join(rng.choice("abc") for _ in range(rng.randint(2, 300)))
+        if any(ch * 2 in w for ch in "abc"):
+            samples.append(w)
+    for base in words.RELATORS.values():
+        samples.extend(words.tau_power(base, k) for k in range(4))
+    for w in samples:
+        expected = Perm(_brute.word_leaf_tuple(w, 4))
+        assert leaf_permutation(words.evaluate(w, 4), 4) == expected, w
 
 
 def test_word_states_reconstructs_evaluation():
@@ -53,6 +101,16 @@ def test_tau():
     assert words.tau("b") == "cbc"
     assert words.tau("") == ""
     assert words.tau("ab") == "acbc"
+
+
+def test_tau_of_unreduced_word_matches_substitution():
+    table = {"a": "a", "b": "cbc", "c": "bcb"}
+    assert words.tau("bb") == ""
+    rng = random.Random(23)
+    for _ in range(200):
+        w = "".join(rng.choice("abc") for _ in range(rng.randint(0, 30)))
+        expected = _stack_reduce("".join(table[ch] for ch in w))
+        assert words.tau(w) == expected, w
 
 
 def test_commutator_and_conjugate():
