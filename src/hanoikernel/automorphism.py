@@ -90,14 +90,21 @@ class Portrait:
         return node.root
 
     def labels(self) -> dict[Vertex, Perm]:
-        """All internal-vertex labels, keyed by vertex."""
+        """The labels that are not the identity, keyed by vertex; from_labels
+        rebuilds the portrait from them.
+
+        Identity subtrees are not entered, so the walk visits the vertices
+        where the portrait moves something and their siblings, not all
+        d^depth of them.
+        """
         out: dict[Vertex, Perm] = {}
         stack: list[tuple[Vertex, Portrait]] = [((), self)]
         while stack:
             vertex, node = stack.pop()
-            if node.root is None:
+            if node._is_identity:
                 continue
-            out[vertex] = node.root
+            if not node.root.is_identity():
+                out[vertex] = node.root
             for i, child in enumerate(node.children):
                 stack.append((vertex + (i + 1,), child))
         return out
@@ -254,7 +261,6 @@ def to_json_dict(g: Portrait) -> dict:
     labels = {
         ",".join(map(str, v)): list(p.one_based())
         for v, p in sorted(g.labels().items())
-        if not p.is_identity()
     }
     return {"arity": g.arity, "depth": g.depth, "labels": labels}
 

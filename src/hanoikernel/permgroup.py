@@ -16,13 +16,20 @@ padded with fixed points to length 256, and p then q is p.translate(q);
 above 256 it is a tuple, and p then q is operator.itemgetter(*p)(q). Both
 are sequences of ints, so the algorithm reads them alike. Perm images are
 packed where they enter a chain and unpacked, sliced to the degree, where
-chain data leaves as a Perm; the encoding never leaves this module.
+chain data leaves as a Perm; the encoding never leaves this module. A bytes
+element is inverted by bytes.maketrans(p, identity), one C call; a tuple by
+a Python loop, which beat sorted, map and itemgetter at degree 729.
+
+Schreier-Sims skips the sift of a Schreier generator that equals its strong
+generator s: s then fixes the level's base, so it is a strong generator of
+the next level too, and it sifts to the identity there (_Chain._drain has
+the proof). The chain is the same with or without the skip; in the depth-5
+kernel report it removes about nine in ten sifts.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
 from collections import deque
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
@@ -52,6 +59,9 @@ def _mult_tuples(p: _Tuple, q: _Tuple) -> _Tuple:
 
 
 def _inv(p: _Elem) -> _Elem:
+    if type(p) is bytes:
+        # the table that maps p[i] to i; p is padded, so it is all of it
+        return bytes.maketrans(p, _BYTES_IDENTITY)
     out = [0] * len(p)
     for i, j in enumerate(p):
         out[j] = i
@@ -87,6 +97,10 @@ class _Chain:
     strong_generators returns them; everything else holds the encoding of
     the module docstring.
     """
+
+    # Schreier generators formed, skipped as equal to their generator and
+    # sifted, and strong generators adjoined; read by the build log line
+    formed = skipped = sifted = adjoined = 0
 
     def __init__(
         self, degree: int, forced_base: Sequence[int] = (), block_size: int = 1
@@ -174,6 +188,7 @@ class _Chain:
         existing bases when hi opens a new level), so it belongs to every
         stabilizer set from lo down to hi.
         """
+        self.adjoined += 1
         if hi == len(self.levels):
             base = next(i for i, j in enumerate(h) if i != j)
             self._new_level(base)
@@ -192,11 +207,15 @@ class _Chain:
     def _drain(self) -> None:
         """Process pending Schreier pairs, deepest level first."""
         identity, mult = self.identity, self.mult
+        formed = skipped = sifted = 0
         while True:
             l = len(self.levels) - 1
             while l >= 0 and not self._pending[l]:
                 l -= 1
             if l < 0:
+                self.formed += formed
+                self.skipped += skipped
+                self.sifted += sifted
                 return
             level = self.levels[l]
             size = level.size
@@ -206,8 +225,21 @@ class _Chain:
                 u = level.transversal[point]
                 image = s[point * size] // size
                 schreier = mult(mult(u, s), level.inverse_transversal[image])
+                formed += 1
                 if schreier == identity:
                     continue
+                # A Schreier generator equal to s sifts to the identity, so
+                # it is skipped. _adjoin(h, lo, hi) installed s on levels
+                # lo..hi, and h moves level hi's base. A Schreier generator
+                # of level l fixes level l's base, so s does, so l < hi and
+                # s is a generator of level l + 1 too. The deeper queues are
+                # empty while level l drains, so levels l + 1.. are a base
+                # and strong generating set of the group their generators
+                # make, and s sifts through them to the identity.
+                if schreier == s:
+                    skipped += 1
+                    continue
+                sifted += 1
                 residue, stuck = self.sift(schreier, l + 1)
                 if residue != identity:
                     self._adjoin(residue, l + 1, stuck)
@@ -265,28 +297,19 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(gens)
         # a finished chain, or else a function that makes one on first use;
-        # with neither, Schreier-Sims runs on the generators
+        # with neither, Schreier-Sims runs on the generators. Two threads
+        # may both build it; either chain is correct, and one is kept.
         self._chain = _chain
         self._make_chain = _make_chain
-        self._lock = threading.Lock()
 
     # -- chain -------------------------------------------------------------
 
     def _get_chain(self) -> _Chain:
-        with self._lock:
-            if self._chain is None and self._make_chain is not None:
-                self._chain = self._make_chain()
-            elif self._chain is None:
-                chain = _Chain(self.degree)
-                for g in self.generators:
-                    chain.add_generator(g.images)
-                self._chain = chain
-                logger.info(
-                    "built chain: degree=%d gens=%d order=%d levels=%d",
-                    self.degree, len(self.generators), chain.order(),
-                    len(chain.levels),
-                )
-            return self._chain
+        if self._chain is None and self._make_chain is not None:
+            self._chain = self._make_chain()
+        elif self._chain is None:
+            self._chain = _build_chain(_Chain(self.degree), self.generators)
+        return self._chain
 
     def order(self) -> int:
         return self._get_chain().order()
@@ -340,6 +363,25 @@ class PermGroup:
         return f"<PermGroup degree={self.degree} gens={len(self.generators)}>"
 
 
+def _build_chain(chain: _Chain, generators: Sequence[Perm]) -> _Chain:
+    """Add the generators to the chain, and log what it took."""
+    for g in generators:
+        chain.add_generator(g.images)
+    _log_built(chain, len(generators))
+    return chain
+
+
+def _log_built(chain: _Chain, generator_count: int) -> None:
+    if logger.isEnabledFor(logging.INFO):
+        logger.info(
+            "built chain: degree=%d gens=%d order=%d levels=%d forced=%d"
+            " schreier=%d skipped=%d sifted=%d strong=%d",
+            chain.degree, generator_count, chain.order(), len(chain.levels),
+            chain.forced, chain.formed, chain.skipped, chain.sifted,
+            chain.adjoined,
+        )
+
+
 # -- module-level operations -------------------------------------------------
 
 
@@ -387,6 +429,7 @@ def normal_closure(group: PermGroup, seeds: Sequence[Perm]) -> PermGroup:
         gens.append(candidate)
         for g_inv, g in conjugators:
             queue.append(g_inv * candidate * g)
+    _log_built(chain, len(gens))
     return PermGroup(group.degree, gens, _chain=chain)
 
 
@@ -478,9 +521,7 @@ def _forced_base_tail(group: PermGroup, bases: Sequence[int], size: int) -> Perm
     Its chain is the tail, shared and not copied, of a chain whose base
     starts with those vertices.
     """
-    chain = _Chain(group.degree, bases, size)
-    for g in group.generators:
-        chain.add_generator(g.images)
+    chain = _build_chain(_Chain(group.degree, bases, size), group.generators)
     gens = [Perm(t) for t in chain.strong_generators(chain.forced)]
     tail = _Chain._from_levels(group.degree, chain.levels[chain.forced :])
     return PermGroup(group.degree, gens, _chain=tail)
@@ -515,9 +556,7 @@ def vertex_stabilizers(group: PermGroup, level: int) -> dict[int, PermGroup]:
     """
     size = _block_size(group.degree, level, 3)
     _check_blocks(group, size)
-    chain = _Chain(group.degree, [0], size)
-    for g in group.generators:
-        chain.add_generator(g.images)
+    chain = _build_chain(_Chain(group.degree, [0], size), group.generators)
     stab_gens = [Perm(s) for s in chain.strong_generators(1)]
     first = chain.levels[0]
     out: dict[int, PermGroup] = {}

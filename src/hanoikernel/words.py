@@ -63,6 +63,11 @@ LEVEL1_STABILIZER_WORDS = ("acab", "abac", "bcba", "babc")
 # Each tau step about triples a relator's length, and the cost of checking it.
 MAX_TAU = 12
 
+# Evaluation recurses once per level, and each level of _evaluate_reduced
+# takes three of the 1000 frames Python allows by default: the function, its
+# generator expression and the lru_cache call. Depth 330 exceeds them.
+MAX_DEPTH = 250
+
 _OUTSIDE_ALPHABET = re.compile(f"[^{ALPHABET}]").search
 _DOUBLED = tuple(ch + ch for ch in ALPHABET)
 _TAU = str.maketrans({"b": "cbc", "c": "bcb"})
@@ -156,6 +161,8 @@ def evaluate(word: str, depth: int) -> Portrait:
     """The depth-N portrait of the group element spelled by the word."""
     if depth < 0:
         raise ShapeError("depth must be >= 0")
+    if depth > MAX_DEPTH:
+        raise ResourceLimitError(f"depth {depth} exceeds the cap {MAX_DEPTH}")
     return _evaluate_reduced(free_reduce(word), depth)
 
 

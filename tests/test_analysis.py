@@ -230,6 +230,11 @@ def test_expected_table_is_consistent_with_formulas():
         assert analysis.gamma_expected(int(n)) == value
     for n, value in table["kernel_step_order"]["values"].items():
         assert analysis.k_expected(int(n)) == value
+    for n, value in table["quotient_order"]["values"].items():
+        assert analysis.quotient_order(int(n)) == value
+    dim_u = table["level1_stabilizer_space_dim"]["value"]
+    assert dim_u == f2.level1_stabilizer_space().dim()
+    assert 2**dim_u == table["gamma_order"]["values"]["1"] == analysis.gamma1_order()
     assert table["rigid_kernel"]["order"] == 4
     assert table["seed_order"]["value"] == analysis.kernel_seed_order()
 
@@ -243,3 +248,33 @@ def test_concurrent_lemma_checks():
     with ThreadPoolExecutor(max_workers=6) as pool:
         reports = list(pool.map(lambda l: analysis.verify_lemma(l, depth=3), lemmas))
     assert all(r.passed for r in reports)
+
+
+def test_unlocked_caches_keep_one_value_per_key():
+    # racing misses may each build a quotient, but setdefault stores the
+    # first one, and every thread gets that one back
+    import sys
+    import threading
+
+    analysis.clear_caches()
+    results = []
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def work():
+            quotient = analysis.build_quotient(3)
+            results.append((quotient, analysis.stab(quotient, 1), quotient.group.order()))
+
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert len(results) == 8
+    assert len({id(q) for q, _, _ in results}) == 1
+    assert len({id(s) for _, s, _ in results}) == 1
+    assert {order for _, _, order in results} == {analysis.quotient_order(3)}
+    assert results[0][1].group.order() == analysis.quotient_order(3) // 6

@@ -190,6 +190,29 @@ def test_json_format_fields():
     assert "2" not in d["labels"]  # identity labels omitted
 
 
+def test_json_labels_match_walk_of_every_vertex():
+    """The export enters no identity subtree; it must list the same labels,
+    in the same order, as a walk over every internal vertex."""
+    rng = random.Random(12)
+    samples = ["a", "ab", "acab", "abcab", "acbcacbc"] + [
+        random_word(rng, 30) for _ in range(6)
+    ]
+    for word in samples:
+        for depth in range(1, 8):
+            g = words.evaluate(word, depth)
+            vertices = sorted(
+                v for level in range(depth) for v in am.level_vertices(level)
+            )
+            expected = {
+                ",".join(map(str, v)): list(g.label(v).one_based())
+                for v in vertices
+                if not g.label(v).is_identity()
+            }
+            labels = am.to_json_dict(g)["labels"]
+            assert list(labels.items()) == list(expected.items())
+            assert am.from_labels(depth, g.labels()) == g
+
+
 def test_dot_export_contains_labels():
     g = words.evaluate("a", 2)
     dot = am.to_dot(g)

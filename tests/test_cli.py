@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hanoikernel import cli
+from hanoikernel import cli, words
 
 
 def run(capsys, *argv):
@@ -122,6 +122,19 @@ def test_export_json(capsys):
     }
 
 
+def test_depth_cap_is_reachable(capsys):
+    # abcab never reduces to the identity along its deepest path, so its
+    # evaluation recurses through every level
+    cap = str(words.MAX_DEPTH)
+    code, report, _ = run_json(capsys, "relators", "--max-tau", "1", "--depth", cap)
+    assert code == 0 and report["pass"] is True
+    code, data, _ = run_json(capsys, "export", "portrait", "abcab", "--depth", cap)
+    assert code == 0 and data["depth"] == words.MAX_DEPTH
+    above = str(words.MAX_DEPTH + 1)
+    code, out, err = run(capsys, "export", "portrait", "abcab", "--depth", above)
+    assert code == 3 and out == "" and f"depth {above}" in err
+
+
 def test_export_dot(capsys):
     code, out, _ = run(capsys, "export", "portrait", "a", "--depth", "1", "--format", "dot")
     assert code == 0
@@ -164,6 +177,8 @@ def test_output_is_deterministic(capsys):
         (["export", "portrait", "ab", "--depth", "7", "--format", "dot"], 3, "depth 7"),
         (["relators", "--max-tau", "-1"], 2, "max_tau must be >= 0"),
         (["relators", "--max-tau", "13"], 3, "max_tau 13"),
+        (["relators", "--max-tau", "1", "--depth", "2000"], 3, "depth 2000"),
+        (["export", "portrait", "ab", "--depth", "2000"], 3, "depth 2000"),
     ],
 )
 def test_bad_arguments_exit_without_traceback(capsys, argv, code, message):

@@ -5,6 +5,7 @@ import pytest
 
 from hanoikernel import permgroup as pg
 from hanoikernel import words
+from hanoikernel.analysis import quotient_order
 from hanoikernel.automorphism import leaf_permutation
 from hanoikernel.errors import (
     InvalidBlocksError,
@@ -580,3 +581,114 @@ def test_vertex_bases_at_degree_729():
             assert stab.order() == len(members)
             for e in sorted(elements)[::7]:
                 assert stab.contains(Perm(e)) == fixes(e, n, [vertex - 1])
+
+
+# -- the Schreier generators skipped in _drain --------------------------------
+
+
+class UnskippedChain(pg._Chain):
+    """A chain whose _drain sifts every nontrivial Schreier generator, the
+    body without the skip. It records whether each Schreier generator that
+    equals its generator s, one the skip leaves out, sifted to the identity."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.equal_to_s: list[bool] = []
+
+    def _drain(self) -> None:
+        identity, mult = self.identity, self.mult
+        while True:
+            l = len(self.levels) - 1
+            while l >= 0 and not self._pending[l]:
+                l -= 1
+            if l < 0:
+                return
+            level = self.levels[l]
+            size = level.size
+            queue = self._pending[l]
+            while queue:
+                point, s = queue.popleft()
+                u = level.transversal[point]
+                image = s[point * size] // size
+                schreier = mult(mult(u, s), level.inverse_transversal[image])
+                if schreier == identity:
+                    continue
+                residue, stuck = self.sift(schreier, l + 1)
+                if schreier == s:
+                    self.equal_to_s.append(residue == identity)
+                if residue != identity:
+                    self._adjoin(residue, l + 1, stuck)
+                    if stuck > l:
+                        break
+
+
+def chain_snapshot(chain):
+    return [
+        (
+            level.base,
+            level.size,
+            level.gens,
+            level.transversal,
+            level.inverse_transversal,
+        )
+        for level in chain.levels
+    ]
+
+
+def forced_prefixes(depth):
+    """(bases, block size) of the plain chain and of every chain the
+    program forces at depth N: all level-n vertices for kernels of level
+    actions, and vertex 0 of level 1 or 2 for vertex stabilizers."""
+    yield (), 1
+    for n in range(1, depth):
+        size = 3 ** (depth - n)
+        yield range(3**n), size
+        if n <= 2:
+            yield [0], size
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4, 5])
+def test_skipped_schreier_generators_leave_the_chain_unchanged(depth):
+    gens = quotient_group(depth).generators
+    for bases, size in forced_prefixes(depth):
+        chains = []
+        for cls in (pg._Chain, UnskippedChain):
+            chain = cls(3**depth, bases, size)
+            for g in gens:
+                chain.add_generator(g.images)
+            chains.append(chain)
+        fast, oracle = chains
+        assert chain_snapshot(fast) == chain_snapshot(oracle)
+        assert fast.order() == quotient_order(depth)
+        # every skipped generator sifts to the identity from level l + 1
+        assert oracle.equal_to_s == [True] * fast.skipped
+        assert fast.skipped > 0 and fast.sifted > 0
+        assert fast.formed > fast.skipped + fast.sifted
+        # each _adjoin call adds one new strong generator
+        assert fast.adjoined == len({g for level in fast.levels for g in level.gens})
+
+
+def test_skipped_schreier_generators_leave_normal_closures_unchanged(monkeypatch):
+    g = quotient_group(3)
+    fast = pg.derived_subgroup(g)._get_chain()
+    monkeypatch.setattr(pg, "_Chain", UnskippedChain)
+    oracle = pg.derived_subgroup(g)._get_chain()
+    assert type(oracle) is UnskippedChain
+    assert chain_snapshot(fast) == chain_snapshot(oracle)
+    assert fast.order() == g.order() // 2
+    assert oracle.equal_to_s == [True] * fast.skipped
+    assert fast.skipped > 0
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 243, 255, 256, 257, 729])
+def test_chain_inverse_matches_loop(degree):
+    rng = random.Random(degree)
+    for _ in range(5):
+        images = list(range(degree))
+        rng.shuffle(images)
+        p = pg._pack(images, degree)
+        inverse = pg._inv(p)
+        assert type(inverse) is type(p) is (bytes if degree <= 256 else tuple)
+        assert tuple(inverse) == _brute.inv(tuple(p))
+        # the padding past the degree stays fixed
+        assert tuple(inverse[degree:]) == tuple(range(degree, len(p)))
