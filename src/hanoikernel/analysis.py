@@ -326,10 +326,14 @@ def _elementary_abelian_quotient(
     quotient: TruncatedQuotient, n: int, slow: bool = False
 ) -> bool:
     """Whether the level-n stabilizer image is elementary abelian 2 over the
-    rigid-stabilizer image: generator squares and commutators sift in."""
+    rigid-stabilizer image: the squares and commutators of the generators
+    outside the rigid-stabilizer image sift in."""
     stabilizer = stab(quotient, n, slow).group
     rist = rist_image(quotient, n, slow).group
-    gens = stabilizer.generators
+    # Rist(n) is normal in Stab(n), which the quotient already needs to be
+    # a group. So a generator inside Rist(n) is trivial in the quotient,
+    # and the others still generate it.
+    gens = [g for g in stabilizer.generators if not rist.contains(g)]
     inverses = [g.inverse() for g in gens]
     for i, g in enumerate(gens):
         if not rist.contains(g * g):

@@ -24,7 +24,11 @@ Schreier-Sims skips the sift of a Schreier generator that equals its strong
 generator s: s then fixes the level's base, so it is a strong generator of
 the next level too, and it sifts to the identity there (_Chain._drain has
 the proof). The chain is the same with or without the skip; in the depth-5
-kernel report it removes about nine in ten sifts.
+kernel report it removes about nine in ten sifts. The pair of a level's
+base and a new strong generator that fixes it always forms that generator,
+so _adjoin does not queue it and counts it as formed and skipped. A chain
+that would need more levels than its degree allows raises AssertionError:
+only broken invariants get there, and without the check they loop forever.
 """
 
 from __future__ import annotations
@@ -190,6 +194,14 @@ class _Chain:
         """
         self.adjoined += 1
         if hi == len(self.levels):
+            # h fixes every base, so the point it first moves is a new one:
+            # a chain has at most `degree` bases besides the forced ones. A
+            # broken chain would open levels forever instead of failing.
+            if hi - self.forced >= self.degree:
+                raise AssertionError(
+                    f"chain of degree {self.degree} needs more than"
+                    f" {hi} levels; its invariants are broken"
+                )
             base = next(i for i, j in enumerate(h) if i != j)
             self._new_level(base)
         for l in range(lo, hi + 1):
@@ -198,8 +210,18 @@ class _Chain:
             old_points = list(level.transversal)
             new_points = self._extend_orbit(level, h)
             queue = self._pending[l]
+            # Below level hi, h fixes the level's base, so the pair
+            # (base, h) forms identity * h * identity = h, which _drain
+            # skips as equal to its generator. It is counted here instead
+            # of queued.
+            skip = None
+            if l < hi:
+                skip = level.base
+                self.formed += 1
+                self.skipped += 1
             for pt in old_points:
-                queue.append((pt, h))
+                if pt != skip:
+                    queue.append((pt, h))
             for pt in new_points:
                 for s in level.gens:
                     queue.append((pt, s))

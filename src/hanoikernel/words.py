@@ -8,6 +8,19 @@ so each letter keeps a single nontrivial first-level state (itself) and
 permutes the other two subtrees. Every letter is an involution, hence words
 never need formal inverses: the inverse of a word is its reversal, and the
 only rewriting ever applied is free cancellation xx -> empty.
+
+Evaluation splits each distinct word once: a private memo of word_states,
+keyed by the word alone, serves every depth _evaluate_reduced asks for.
+word_states itself walks a short word letter by letter. A word longer than
+four 64-letter chunks is read chunk by chunk through a per-call cache keyed
+by the root label and the chunk, which holds the chunk's three unreduced
+state pieces and the label after it; the tau-iterates of the relators are
+morphic words whose chunks repeat. If the first chunks mostly miss, the
+word goes back to the letter loop. The concatenated pieces are reduced by
+splicing: cut between equal adjacent letters, each piece is reduced, and a
+stack cancels each piece against the one before along their longest common
+reversed prefix, found by binary search on slices. tau is three
+str.replace calls, and relator_family applies it once per step.
 """
 
 from __future__ import annotations
@@ -70,7 +83,6 @@ MAX_DEPTH = 250
 
 _OUTSIDE_ALPHABET = re.compile(f"[^{ALPHABET}]").search
 _DOUBLED = tuple(ch + ch for ch in ALPHABET)
-_TAU = str.maketrans({"b": "cbc", "c": "bcb"})
 
 
 def check_word(word: str) -> str:
@@ -111,7 +123,9 @@ def commutator(x: str, y: str) -> str:
 
 def tau(word: str) -> str:
     """The substitution endomorphism a -> a, b -> cbc, c -> bcb."""
-    return free_reduce(check_word(word).translate(_TAU))
+    # b is parked on a letter outside the alphabet while c is substituted
+    substituted = check_word(word).replace("b", "_").replace("c", "bcb")
+    return free_reduce(substituted.replace("_", "cbc"))
 
 
 def tau_power(word: str, n: int) -> str:
@@ -132,11 +146,17 @@ def word_states(word: str) -> tuple[tuple[str, str, str], Perm]:
     Returns the three state words (freely reduced) and the root permutation.
     Each letter lands in the single state whose current image is the letter's
     home coordinate, then multiplies the running root permutation; both come
-    from one lookup in the step table of the six root labels.
+    from one lookup in the step table of the six root labels. A word longer
+    than _CHUNKED_MIN letters is split by chunks instead (_chunked_states).
     """
+    check_word(word)
+    if len(word) > _CHUNKED_MIN:
+        split = _chunked_states(word)
+        if split is not None:
+            return split
     states: tuple[list[str], ...] = ([], [], [])
     s = 0
-    for ch in check_word(word):
+    for ch in word:
         coordinate, s = _STEP[s][ch]
         bucket = states[coordinate]
         if bucket and bucket[-1] == ch:
@@ -146,13 +166,130 @@ def word_states(word: str) -> tuple[tuple[str, str, str], Perm]:
     return tuple("".join(b) for b in states), _S3[s]  # type: ignore[return-value]
 
 
+# A long word is split in chunks of _CHUNK letters. The tau-iterates of the
+# relators are morphic words, so their chunks repeat: the 20 words of
+# `relators --max-tau 8` split by chunks have 11,001 chunks, of which 240
+# miss the per-word cache. Words of at most four chunks keep the letter
+# loop: on slices of tau^8(w4) the chunks win only from about four chunks
+# on (256 letters: 17 against 25 us), and on random words, which miss every
+# chunk, they cost up to twice the loop.
+_CHUNK = 64
+_CHUNKED_MIN = 4 * _CHUNK
+# The chunks are given up for the letter loop once more than _CHUNK_MISSES
+# of them, and more than half of those read so far, missed. On 20 random
+# words of 20,000 letters word_states then costs the same as the letter
+# loop alone, on 2,000 letters 1.1 times as much, and on 300 to 1,000
+# letters, which give up late or never, 1.3 to 1.8 times.
+_CHUNK_MISSES = 8
+# Above one doubled letter per _SPLICE_SPAN letters, a raw state is reduced
+# by free_reduce's letter stack instead of splicing. On 30,000-letter
+# reduced words with a doubled letter every 32 letters splicing took 1.5
+# times as long as free_reduce, every 64 the same, every 128 less. The
+# relators' raw states have 176 doubled letters in 703,334.
+_SPLICE_SPAN = 64
+
+
+def _chunked_states(word: str) -> tuple[tuple[str, str, str], Perm] | None:
+    """word_states of a long word, by chunks; None once too many miss.
+
+    A chunk read from root label s always sends the same letters to the same
+    coordinates and ends at the same label, so the pair (s, chunk) keys its
+    three raw state pieces and the label after it. Each state is the
+    concatenation of its pieces, reduced once at the end.
+    """
+    seen: dict[tuple[int, str], tuple[str, str, str, int]] = {}
+    first: list[str] = []
+    second: list[str] = []
+    third: list[str] = []
+    s = misses = 0
+    for count, start in enumerate(range(0, len(word), _CHUNK), 1):
+        key = (s, word[start : start + _CHUNK])
+        entry = seen.get(key)
+        if entry is None:
+            misses += 1
+            if misses > _CHUNK_MISSES and 2 * misses > count:
+                return None
+            entry = seen[key] = _raw_pieces(*key)
+        first.append(entry[0])
+        second.append(entry[1])
+        third.append(entry[2])
+        s = entry[3]
+    states = tuple(_splice_reduce("".join(p)) for p in (first, second, third))
+    return states, _S3[s]  # type: ignore[return-value]
+
+
+def _raw_pieces(s: int, chunk: str) -> tuple[str, str, str, int]:
+    """The letters of the chunk in each coordinate, read from root label s,
+    with no cancellation, and the label after the chunk."""
+    buckets: tuple[list[str], ...] = ([], [], [])
+    for ch in chunk:
+        coordinate, s = _STEP[s][ch]
+        buckets[coordinate].append(ch)
+    return "".join(buckets[0]), "".join(buckets[1]), "".join(buckets[2]), s
+
+
+def _splice_reduce(raw: str) -> str:
+    """free_reduce of a word, by splicing where it has few doubled letters.
+
+    Cut between every two equal adjacent letters, the word falls into pieces
+    that are each reduced. A stack holds reduced pieces whose concatenation
+    is reduced; the next piece cancels against the top along the longest
+    common prefix of the reversed top and itself, and goes on to the piece
+    below only if the whole top cancelled.
+    """
+    doubled = sum(raw.count(pair) for pair in _DOUBLED)
+    if not doubled:
+        return raw
+    if doubled * _SPLICE_SPAN > len(raw):
+        return free_reduce(raw)
+    # str.replace does not overlap its matches, so one pass leaves a doubled
+    # letter in each run of three or more equal letters; a second cuts it
+    for _ in range(2):
+        for pair in _DOUBLED:
+            raw = raw.replace(pair, f"{pair[0]}|{pair[0]}")
+    stack: list[str] = []
+    for piece in raw.split("|"):
+        while stack and piece:
+            top = stack[-1]
+            k = _cancel_length(top, piece)
+            piece = piece[k:]
+            if k < len(top):
+                stack[-1] = top[: len(top) - k]
+                break
+            stack.pop()
+        if piece:
+            stack.append(piece)
+    return "".join(stack)
+
+
+def _cancel_length(top: str, piece: str) -> int:
+    """Length of the longest common prefix of reversed top and the piece."""
+    lo, hi = 0, min(len(top), len(piece))
+    end = len(top)
+    # a prefix of a common prefix is common, so binary search finds the longest
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if top[end - mid :][::-1] == piece[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+# The distinct words _evaluate_reduced splits, each once: `relators
+# --max-tau 8 --depth 8` asks for 176 splits of 36 words. Every state word
+# it holds is a key of _evaluate_reduced's cache too. word_states itself
+# stays uncached, so that timing it times work.
+_memo_word_states = functools.lru_cache(maxsize=None)(word_states)
+
+
 @functools.lru_cache(maxsize=None)
 def _evaluate_reduced(word: str, depth: int) -> Portrait:
     if depth == 0:
         return automorphism.identity(0)
     if not word:
         return automorphism.identity(depth)
-    states, root = word_states(word)
+    states, root = _memo_word_states(word)
     children = tuple(_evaluate_reduced(s, depth - 1) for s in states)
     return Portrait(root, children)
 
@@ -207,9 +344,10 @@ def relator_family(max_tau: int) -> dict[str, str]:
         raise ResourceLimitError(f"max_tau {max_tau} exceeds the cap {MAX_TAU}")
     out = {f"{w[0]}^2": w for w in INVOLUTION_RELATORS}
     for name, word in RELATORS.items():
-        for n in range(max_tau + 1):
-            key = name if n == 0 else f"tau^{n}({name})"
-            out[key] = tau_power(word, n)
+        out[name] = word
+        for n in range(1, max_tau + 1):
+            word = tau(word)
+            out[f"tau^{n}({name})"] = word
     return out
 
 

@@ -35,6 +35,31 @@ def act_word(word: str, vertex: tuple[int, ...]) -> tuple[int, ...]:
     return vertex
 
 
+def word_states(word: str) -> tuple[tuple[str, str, str], tuple[int, int, int]]:
+    """First-level states of a word, freely reduced, and the image of each
+    first-level digit.
+
+    A letter acts on a sequence starting with digit h by its root map and,
+    when h is its home digit, on the rest by itself. So the state at h is
+    the word of the letters read while the digit, followed from h through
+    the root maps, sits at their home.
+    """
+    states = []
+    images = []
+    for digit in (1, 2, 3):
+        stack: list[str] = []
+        for letter in word:
+            if digit == _HOME[letter]:
+                if stack and stack[-1] == letter:
+                    stack.pop()
+                else:
+                    stack.append(letter)
+            digit = _ROOT[letter][digit]
+        states.append("".join(stack))
+        images.append(digit)
+    return tuple(states), tuple(images)  # type: ignore[return-value]
+
+
 def vertices(n: int):
     """All level-n digit sequences in lexicographic order."""
     if n == 0:

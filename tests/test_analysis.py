@@ -278,3 +278,50 @@ def test_unlocked_caches_keep_one_value_per_key():
     assert len({id(s) for _, s, _ in results}) == 1
     assert {order for _, _, order in results} == {analysis.quotient_order(3)}
     assert results[0][1].group.order() == analysis.quotient_order(3) // 6
+
+
+def unpruned_elementary_abelian_quotient(quotient, n, slow):
+    """The flag's check over every Stab(n) generator, none dropped."""
+    gens = analysis.stab(quotient, n, slow).group.generators
+    rist = analysis.rist_image(quotient, n, slow).group
+    for i, g in enumerate(gens):
+        if not rist.contains(g * g):
+            return False
+        for h in gens[i + 1 :]:
+            if not rist.contains(permgroup.perm_commutator(g, h)):
+                return False
+    return True
+
+
+def test_elementary_abelian_flags_match_unpruned_check():
+    for big_n in range(2, 6):
+        quotient = analysis.build_quotient(big_n, slow=True)
+        for n in range(1, big_n):
+            flag = analysis._elementary_abelian_quotient(quotient, n, True)
+            assert flag == unpruned_elementary_abelian_quotient(quotient, n, True)
+            assert flag, (n, big_n)
+
+
+def test_elementary_abelian_flags_fail_over_too_small_subgroups(monkeypatch):
+    # The trivial group contains no generator, so none is dropped; Stab(n+1)
+    # is normal and contains one Stab(2) generator of G_4, which is dropped.
+    def trivial(quotient, n, slow=False):
+        group = permgroup.PermGroup(quotient.group.degree)
+        return analysis.SubgroupHandle(quotient, group, "trivial")
+
+    def next_stab(quotient, n, slow=False):
+        return analysis.stab(quotient, n + 1, slow)
+
+    quotients = [analysis.build_quotient(big_n) for big_n in (2, 3, 4)]
+    for fake in (trivial, next_stab):
+        monkeypatch.setattr(analysis, "rist_image", fake)
+        for quotient in quotients:
+            for n in range(1, quotient.depth):
+                assert not analysis._elementary_abelian_quotient(quotient, n)
+                assert not unpruned_elementary_abelian_quotient(quotient, n, False)
+    inside = [
+        g
+        for g in analysis.stab(quotients[2], 2).group.generators
+        if next_stab(quotients[2], 2).group.contains(g)
+    ]
+    assert len(inside) == 1

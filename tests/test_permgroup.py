@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -587,13 +590,31 @@ def test_vertex_bases_at_degree_729():
 
 
 class UnskippedChain(pg._Chain):
-    """A chain whose _drain sifts every nontrivial Schreier generator, the
-    body without the skip. It records whether each Schreier generator that
-    equals its generator s, one the skip leaves out, sifted to the identity."""
+    """A chain whose _adjoin queues every Schreier pair and whose _drain
+    sifts every nontrivial Schreier generator, the bodies without the skips.
+    It records whether each Schreier generator that equals its generator s,
+    one the skips leave out, sifted to the identity, and counts every
+    Schreier generator it forms."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.equal_to_s: list[bool] = []
+
+    def _adjoin(self, h, lo, hi):
+        if hi == len(self.levels):
+            base = next(i for i, j in enumerate(h) if i != j)
+            self._new_level(base)
+        for l in range(lo, hi + 1):
+            level = self.levels[l]
+            level.gens.append(h)
+            old_points = list(level.transversal)
+            new_points = self._extend_orbit(level, h)
+            queue = self._pending[l]
+            for pt in old_points:
+                queue.append((pt, h))
+            for pt in new_points:
+                for s in level.gens:
+                    queue.append((pt, s))
 
     def _drain(self) -> None:
         identity, mult = self.identity, self.mult
@@ -611,6 +632,7 @@ class UnskippedChain(pg._Chain):
                 u = level.transversal[point]
                 image = s[point * size] // size
                 schreier = mult(mult(u, s), level.inverse_transversal[image])
+                self.formed += 1
                 if schreier == identity:
                     continue
                 residue, stuck = self.sift(schreier, l + 1)
@@ -662,6 +684,8 @@ def test_skipped_schreier_generators_leave_the_chain_unchanged(depth):
         assert fast.order() == quotient_order(depth)
         # every skipped generator sifts to the identity from level l + 1
         assert oracle.equal_to_s == [True] * fast.skipped
+        # the skipped pairs count as formed, so the build log is unchanged
+        assert fast.formed == oracle.formed
         assert fast.skipped > 0 and fast.sifted > 0
         assert fast.formed > fast.skipped + fast.sifted
         # each _adjoin call adds one new strong generator
@@ -677,6 +701,7 @@ def test_skipped_schreier_generators_leave_normal_closures_unchanged(monkeypatch
     assert chain_snapshot(fast) == chain_snapshot(oracle)
     assert fast.order() == g.order() // 2
     assert oracle.equal_to_s == [True] * fast.skipped
+    assert fast.formed == oracle.formed
     assert fast.skipped > 0
 
 
@@ -692,3 +717,28 @@ def test_chain_inverse_matches_loop(degree):
         assert tuple(inverse) == _brute.inv(tuple(p))
         # the padding past the degree stays fixed
         assert tuple(inverse[degree:]) == tuple(range(degree, len(p)))
+
+
+# A G_3 build whose chain inverses are wrong: maketrans with its arguments
+# swapped returns the element itself, not its inverse.
+BROKEN_INVERSE_BUILD = """
+from hanoikernel import permgroup as pg, words
+from hanoikernel.automorphism import leaf_permutation
+pg._inv = lambda p: bytes.maketrans(pg._BYTES_IDENTITY, p)
+gens = [leaf_permutation(words.evaluate(x, 3), 3) for x in "abc"]
+print(pg.PermGroup(27, gens).order())
+"""
+
+
+def test_broken_chain_fails_instead_of_hanging():
+    src = os.path.dirname(os.path.dirname(pg.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", BROKEN_INVERSE_BUILD],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert result.returncode == 1
+    assert "AssertionError: chain of degree 27 needs more than 27 levels" in result.stderr
+    assert result.stdout == ""

@@ -234,3 +234,174 @@ def test_relator_family_keys():
     family = words.relator_family(2)
     assert "a^2" in family and "w1" in family and "tau^2(w4)" in family
     assert len(family) == 3 + 4 * 3
+
+
+# -- the chunked split and splicing reduction of long words -------------------
+
+
+def assert_states_match_brute(w):
+    states, root = words.word_states(w)
+    expected_states, images = _brute.word_states(w)
+    assert states == expected_states, w[:40]
+    assert tuple(root.apply(h) for h in (1, 2, 3)) == images, w[:40]
+
+
+def random_word(rng, length):
+    return "".join(rng.choice("abc") for _ in range(length))
+
+
+def random_reduced_word(rng, length):
+    out = []
+    while len(out) < length:
+        ch = rng.choice("abc")
+        if not out or out[-1] != ch:
+            out.append(ch)
+    return "".join(out)
+
+
+def test_relator_family_matches_tau_powers():
+    family = words.relator_family(9)
+    for name, base in words.RELATORS.items():
+        for n in range(10):
+            key = name if n == 0 else f"tau^{n}({name})"
+            assert family[key] == words.tau_power(base, n), key
+
+
+def test_word_states_of_relator_family_match_brute():
+    family = words.relator_family(9)
+    assert max(map(len, family.values())) > 400_000
+    chunked = 0
+    for w in family.values():
+        assert_states_match_brute(w)
+        if len(w) > words._CHUNKED_MIN:
+            chunked += words._chunked_states(w) is not None
+    # all but the shortest few long ones are split by chunks
+    assert chunked >= 24
+
+
+def test_word_states_of_unreduced_words_match_brute():
+    rng = random.Random(31)
+    for length in (0, 1, 2, 63, 64, 65, 255, 256, 257, 600, 3000):
+        for _ in range(3):
+            assert_states_match_brute(random_word(rng, length))
+    # runs of equal letters, and a tau-iterate with letters doubled
+    assert_states_match_brute("aaabbbbccccc" * 40)
+    w = words.tau_power(words.RELATORS["w2"], 5)
+    assert_states_match_brute("".join(ch * rng.randint(1, 3) for ch in w))
+
+
+def test_word_states_around_chunk_thresholds_match_brute():
+    rng = random.Random(32)
+    lengths = [63, 64, 65, 255, 256, 257, 511, 512, 513, 5000]
+    lengths += [rng.randint(0, 5000) for _ in range(20)]
+    for length in lengths:
+        assert_states_match_brute(random_reduced_word(rng, length))
+        # the same lengths cut from a tau-iterate, whose chunks repeat
+        w = words.tau_power(words.RELATORS["w3"], 6)
+        start = rng.randint(0, len(w) - length)
+        assert_states_match_brute(w[start : start + length])
+
+
+def test_word_states_with_deep_cancellation_match_brute():
+    rng = random.Random(33)
+    morphic = words.tau_power(words.RELATORS["w1"], 6)
+    for length in (100, 257, 1000, 4000):
+        for u in (random_reduced_word(rng, length), morphic[:length]):
+            v = random_reduced_word(rng, rng.randint(1, 50))
+            for w in (u + u[::-1], u + v + u[::-1], u + v + v[::-1] + u[::-1]):
+                assert_states_match_brute(w)
+    # u * reverse(u) is the identity, so every state cancels to nothing
+    u = morphic[:3000]
+    assert words._chunked_states(u + u[::-1]) == (("", "", ""), words._S3[0])
+
+
+def test_word_states_of_repeated_blocks_match_brute():
+    rng = random.Random(34)
+    for block_length in (1, 5, 63, 64, 65, 128, 192, 200):
+        block = random_word(rng, block_length)
+        w = block * (6000 // block_length)
+        assert_states_match_brute(w)
+        assert_states_match_brute(w + w[::-1])
+    # a 64-letter block repeats as a chunk, read from up to six root labels
+    block = random_reduced_word(rng, 64)
+    assert words._chunked_states(block * 60) is not None
+
+
+def identity_chunks(rng, count):
+    """Distinct 64-letter words u + reverse(u): each returns the root label
+    to the identity, so every chunk is read from the same label."""
+    out = set()
+    while len(out) < count:
+        u = random_reduced_word(rng, 32)
+        out.add(u + u[::-1])
+    return sorted(out)
+
+
+def test_chunks_fall_back_to_the_letter_loop_after_many_misses():
+    rng = random.Random(35)
+    first, *rest = identity_chunks(rng, 9)
+    # eight misses never fall back, even as the first eight chunks
+    w = first + "".join(rest[:7]) + first * 3
+    assert words._chunked_states(w) is not None
+    assert_states_match_brute(w)
+    # the ninth miss falls back when it is more than half the chunks read
+    for repeats, falls_back in ((9, True), (10, False)):
+        w = first * repeats + "".join(rest)
+        assert (words._chunked_states(w) is None) is falls_back, repeats
+        assert_states_match_brute(w)
+    # random words miss from the start
+    w = random_reduced_word(rng, 20_000)
+    assert words._chunked_states(w) is None
+    assert_states_match_brute(w)
+
+
+def test_only_words_longer_than_four_chunks_are_chunked(monkeypatch):
+    calls = []
+    chunked_states = words._chunked_states
+    monkeypatch.setattr(
+        words, "_chunked_states", lambda w: calls.append(len(w)) or chunked_states(w)
+    )
+    w = words.tau_power(words.RELATORS["w4"], 4)
+    for length in (words._CHUNKED_MIN, words._CHUNKED_MIN + 1):
+        assert_states_match_brute(w[:length])
+    assert calls == [words._CHUNKED_MIN + 1]
+
+
+def test_splice_reduce_matches_stack_reference():
+    rng = random.Random(36)
+    samples = ["", "a", "aa", "aaa", "aaaa", "abccba", "abccbab", "abcabccbacba"]
+    for _ in range(300):
+        u = random_reduced_word(rng, rng.randint(0, 200))
+        v = random_reduced_word(rng, rng.randint(0, 200))
+        samples += [u + v, u + u[::-1] + v, u + v + v[::-1][: rng.randint(0, len(v))]]
+        # nested palindromes with a few doubled letters
+        samples.append(u + v + v[::-1] + u[::-1] + v)
+    for w in samples:
+        assert words._splice_reduce(w) == _stack_reduce(w), w
+
+
+def test_splice_reduce_gives_dense_doubled_letters_to_free_reduce(monkeypatch):
+    calls = []
+    free_reduce = words.free_reduce
+    monkeypatch.setattr(words, "free_reduce", lambda w: calls.append(w) or free_reduce(w))
+    rng = random.Random(37)
+    u = random_reduced_word(rng, words._SPLICE_SPAN - 1)
+    # one doubled letter in _SPLICE_SPAN letters is spliced, one in fewer is not
+    at_threshold = u + u[-1]
+    above = u[1:] + u[-1]
+    assert (len(at_threshold), len(above)) == (words._SPLICE_SPAN, words._SPLICE_SPAN - 1)
+    for w, delegated in ((at_threshold, False), (above, True)):
+        calls.clear()
+        assert words._splice_reduce(w) == _stack_reduce(w)
+        assert bool(calls) is delegated
+
+
+def test_public_word_states_stays_uncached():
+    assert not hasattr(words.word_states, "cache_info")
+    words._evaluate_reduced.cache_clear()
+    words._memo_word_states.cache_clear()
+    word = words.tau_power(words.RELATORS["w1"], 3)
+    assert words.check_relator(word, 3)
+    assert words.check_relator(word, 4)
+    info = words._memo_word_states.cache_info()
+    assert info.hits > 0 and info.misses > 0
