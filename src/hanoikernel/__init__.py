@@ -5,7 +5,6 @@ from .analysis import (
     KernelReport,
     LemmaReport,
     LEMMA_IDS,
-    SubgroupHandle,
     TruncatedQuotient,
     build_quotient,
     h_subspace,
@@ -31,7 +30,6 @@ from .perm import Perm
 from .permgroup import (
     PermGroup,
     derived_subgroup,
-    group_order,
     is_elementary_abelian,
     kernel_of_level_action,
     normal_closure,
@@ -60,7 +58,6 @@ __all__ = [
     "PermGroup",
     "Portrait",
     "RELATORS",
-    "SubgroupHandle",
     "TruncatedQuotient",
     "apply",
     "apply_move",
@@ -73,7 +70,6 @@ __all__ = [
     "derived_subgroup",
     "embed",
     "evaluate",
-    "group_order",
     "h_subspace",
     "identity",
     "intersect",

@@ -7,6 +7,13 @@ inverse-system bookkeeping: Q orders from truncations, K and the seed order
 from the exact GF(2)^9 data, and the Gamma orders from the exact-sequence
 recurrence, never from truncated indices (the truncated index is exactly the
 Q order; the kernel itself is the part truncations cannot see).
+
+stabquot and rist read orders and memberships off the cached chains of G_N,
+G_n and G'_n. G_N acts on level n as G_n, so |Stab(n)/Stab(n+1)| is
+|G_(n+1)|/|G_n|, and |G'_(n+1)|/|G'_n| inside the derived subgroup; a
+Rist(n) generator lies in Stab(n) when it lies in G_N and fixes every
+level-n vertex. The depth cap is checked where a depth enters; everything
+behind those entry points builds through _quotient.
 """
 
 from __future__ import annotations
@@ -112,20 +119,11 @@ class TruncatedQuotient:
     generator_map: dict[str, Perm]
 
 
-@dataclass
-class SubgroupHandle:
-    """A subgroup of a truncated quotient with its provenance."""
-
-    parent: TruncatedQuotient
-    group: PermGroup
-    provenance: str
-
-
 # Under the GIL dict.get and dict.setdefault are atomic: threads that miss
 # together compute the same value, and the first one stored is kept.
 _quotients: dict[int, TruncatedQuotient] = {}
-_stabs: dict[tuple[int, int], SubgroupHandle] = {}
-_rists: dict[tuple[int, int], SubgroupHandle] = {}
+_stabs: dict[tuple[int, int], PermGroup] = {}
+_rists: dict[tuple[int, int], PermGroup] = {}
 _derived: dict[int, PermGroup] = {}
 
 
@@ -139,6 +137,11 @@ def clear_caches() -> None:
 def build_quotient(depth: int, slow: bool = False) -> TruncatedQuotient:
     """The group generated by the leaf permutations of a, b, c at depth N."""
     _require_depth(depth, slow)
+    return _quotient(depth)
+
+
+def _quotient(depth: int) -> TruncatedQuotient:
+    """build_quotient without the depth cap, which the caller has checked."""
     cached = _quotients.get(depth)
     if cached is not None:
         return cached
@@ -153,7 +156,7 @@ def build_quotient(depth: int, slow: bool = False) -> TruncatedQuotient:
     return _quotients.setdefault(depth, quotient)
 
 
-def stab(quotient: TruncatedQuotient, n: int, slow: bool = False) -> SubgroupHandle:
+def stab(quotient: TruncatedQuotient, n: int) -> PermGroup:
     """Image of the level-n stabilizer: the kernel of the level-n action."""
     if not 0 <= n <= quotient.depth:
         raise DepthError(f"level {n} outside 0..{quotient.depth}")
@@ -162,21 +165,20 @@ def stab(quotient: TruncatedQuotient, n: int, slow: bool = False) -> SubgroupHan
     if cached is not None:
         return cached
     group = permgroup.kernel_of_level_action(quotient.group, n)
-    handle = SubgroupHandle(quotient, group, f"stab({n})")
-    return _stabs.setdefault(key, handle)
+    return _stabs.setdefault(key, group)
 
 
-def derived_of_quotient(depth: int, slow: bool = False) -> PermGroup:
+def derived_of_quotient(quotient: TruncatedQuotient) -> PermGroup:
     """Derived subgroup of the depth-N quotient; the image of the derived
     subgroup of the full group."""
-    cached = _derived.get(depth)
+    cached = _derived.get(quotient.depth)
     if cached is not None:
         return cached
-    group = permgroup.derived_subgroup(build_quotient(depth, slow).group)
-    return _derived.setdefault(depth, group)
+    group = permgroup.derived_subgroup(quotient.group)
+    return _derived.setdefault(quotient.depth, group)
 
 
-def rist_image(quotient: TruncatedQuotient, n: int, slow: bool = False) -> SubgroupHandle:
+def rist_image(quotient: TruncatedQuotient, n: int) -> PermGroup:
     """Image of the level-n rigid stabilizer: one embedded copy of the
     derived subgroup of G_(N-n) per level-n subtree."""
     if not 1 <= n < quotient.depth:
@@ -185,11 +187,8 @@ def rist_image(quotient: TruncatedQuotient, n: int, slow: bool = False) -> Subgr
     cached = _rists.get(key)
     if cached is not None:
         return cached
-    inner = derived_of_quotient(quotient.depth - n, slow)
-    handle = SubgroupHandle(
-        quotient, permgroup.direct_power(inner, 3**n), f"rist({n})"
-    )
-    return _rists.setdefault(key, handle)
+    inner = derived_of_quotient(_quotient(quotient.depth - n))
+    return _rists.setdefault(key, permgroup.direct_power(inner, 3**n))
 
 
 def q_order(depth: int, n: int, slow: bool = False) -> int:
@@ -197,10 +196,13 @@ def q_order(depth: int, n: int, slow: bool = False) -> int:
     level-stabilizer image of the depth-N truncation."""
     if not 1 <= n < depth:
         raise DepthError(f"level {n} outside 1..{depth - 1}")
-    quotient = build_quotient(depth, slow)
-    return permgroup.subgroup_index(
-        stab(quotient, n, slow).group, rist_image(quotient, n, slow).group
-    )
+    _require_depth(depth, slow)
+    return _q_order(depth, n)
+
+
+def _q_order(depth: int, n: int) -> int:
+    quotient = _quotient(depth)
+    return permgroup.subgroup_index(stab(quotient, n), rist_image(quotient, n))
 
 
 def q_table(n_max: int, depth: int, slow: bool = False) -> dict[tuple[int, int], int]:
@@ -212,7 +214,7 @@ def q_table(n_max: int, depth: int, slow: bool = False) -> dict[tuple[int, int],
         raise ShapeError(f"depth {depth} must exceed n_max {n_max}")
     _require_depth(depth, slow)
     return {
-        (n, big_n): q_order(big_n, n, slow)
+        (n, big_n): _q_order(big_n, n)
         for n in range(1, n_max + 1)
         for big_n in range(n + 1, depth + 1)
     }
@@ -322,14 +324,12 @@ class KernelReport:
         }
 
 
-def _elementary_abelian_quotient(
-    quotient: TruncatedQuotient, n: int, slow: bool = False
-) -> bool:
+def _elementary_abelian_quotient(quotient: TruncatedQuotient, n: int) -> bool:
     """Whether the level-n stabilizer image is elementary abelian 2 over the
     rigid-stabilizer image: the squares and commutators of the generators
     outside the rigid-stabilizer image sift in."""
-    stabilizer = stab(quotient, n, slow).group
-    rist = rist_image(quotient, n, slow).group
+    stabilizer = stab(quotient, n)
+    rist = rist_image(quotient, n)
     # Rist(n) is normal in Stab(n), which the quotient already needs to be
     # a group. So a generator inside Rist(n) is trivial in the quotient,
     # and the others still generate it.
@@ -367,8 +367,8 @@ def kernel_report(n_max: int = 2, depth_budget: int = 4, slow: bool = False) -> 
     failed_at: str | None = None
     gamma = gamma1
     for n in range(1, n_max + 1):
-        q1 = q_order(n + 1, n, slow)
-        q2 = q_order(n + 2, n, slow)
+        q1 = _q_order(n + 1, n)
+        q2 = _q_order(n + 2, n)
         stable = q1 == q2
         k = seed ** (3**n)
         gamma_next, remainder = divmod(gamma * k, q1)
@@ -380,12 +380,8 @@ def kernel_report(n_max: int = 2, depth_budget: int = 4, slow: bool = False) -> 
             raise AssertionError("exact sequence arithmetic is inconsistent")
         h = gamma_next // k
         flags = {
-            f"Q({n},{n + 1})": _elementary_abelian_quotient(
-                build_quotient(n + 1, slow), n, slow
-            ),
-            f"Q({n},{n + 2})": _elementary_abelian_quotient(
-                build_quotient(n + 2, slow), n, slow
-            ),
+            f"Q({n},{n + 1})": _elementary_abelian_quotient(_quotient(n + 1), n),
+            f"Q({n},{n + 2})": _elementary_abelian_quotient(_quotient(n + 2), n),
         }
         row_pass = (
             stable
@@ -438,7 +434,7 @@ class LemmaReport:
         }
 
 
-def _check_selfsim(depth: int, slow: bool) -> LemmaReport:
+def _check_selfsim(depth: int) -> LemmaReport:
     computed = {}
     ok = True
     for letter in words.ALPHABET:
@@ -451,9 +447,8 @@ def _check_selfsim(depth: int, slow: bool) -> LemmaReport:
     return LemmaReport("selfsim", depth, computed, expected, ok)
 
 
-def _check_transitive(depth: int, slow: bool) -> LemmaReport:
-    quotient = build_quotient(depth, slow)
-    orbit = quotient.group.orbit(1)
+def _check_transitive(depth: int) -> LemmaReport:
+    orbit = _quotient(depth).group.orbit(1)
     computed = {"orbit_size": len(orbit)}
     expected = {"orbit_size": 3**depth}
     return LemmaReport(
@@ -461,7 +456,7 @@ def _check_transitive(depth: int, slow: bool) -> LemmaReport:
     )
 
 
-def _check_branching(depth: int, slow: bool) -> LemmaReport:
+def _check_branching(depth: int) -> LemmaReport:
     if depth < 2:
         raise DepthError("branching identities need depth >= 2")
     identities = {
@@ -484,12 +479,12 @@ def _check_branching(depth: int, slow: bool) -> LemmaReport:
     return LemmaReport("branching", depth, computed, expected, ok)
 
 
-def _check_stab12(depth: int, slow: bool) -> LemmaReport:
+def _check_stab12(depth: int) -> LemmaReport:
     if depth < 2:
         raise DepthError("the level-2 data needs depth >= 2")
-    g1 = build_quotient(1)
-    s = stab(build_quotient(2), 1)
-    order = s.group.order()
+    g1 = _quotient(1)
+    s = stab(_quotient(2), 1)
+    order = s.order()
 
     # the four generator images in the level-1-to-2 labels
     triples = {}
@@ -518,7 +513,7 @@ def _check_stab12(depth: int, slow: bool) -> LemmaReport:
         "stab1_mod_stab2_order": order,
         "label_triples": triples,
         "generated_by_four_words": span.order(),
-        "sign_sum_kernel": all(sign_sum_even(g) for g in s.group.generators),
+        "sign_sum_kernel": all(sign_sum_even(g) for g in s.generators),
     }
     table = load_expected_table()
     stab12_order = table["stabilizer_quotient_order"]["values"]["1"]
@@ -532,7 +527,7 @@ def _check_stab12(depth: int, slow: bool) -> LemmaReport:
     return LemmaReport("stab12", depth, computed, expected, computed == expected)
 
 
-def _check_index(depth: int, slow: bool) -> LemmaReport:
+def _check_index(depth: int) -> LemmaReport:
     vectors = {w: list(f2.stab1_vector(w)) for w in words.LEVEL1_STABILIZER_WORDS}
     u = f2.level1_stabilizer_space()
     uz = f2.intersect(u, f2.even_letter_sum_space())
@@ -559,18 +554,21 @@ def _check_index(depth: int, slow: bool) -> LemmaReport:
     return LemmaReport("index", depth, computed, expected, computed == expected)
 
 
-def _check_rist(depth: int, slow: bool) -> LemmaReport:
+def _check_rist(depth: int) -> LemmaReport:
     if depth < 2:
         raise DepthError("rigid stabilizer containment needs depth >= 2")
     u = f2.level1_stabilizer_space()
     w = f2.first_subtree_space()
     containments = {}
-    quotient = build_quotient(depth, slow)
+    quotient = _quotient(depth)
     for n in range(1, depth):
-        stabilizer = stab(quotient, n, slow).group
-        rist = rist_image(quotient, n, slow).group
+        # G_N maps vertices to vertices, so a vertex's first leaf shows
+        # where the vertex goes
+        size = 3 ** (depth - n)
         containments[f"rist({n}) <= stab({n})"] = all(
-            stabilizer.contains(g) for g in rist.generators
+            quotient.group.contains(g)
+            and all(g.images[v * size] // size == v for v in range(3**n))
+            for g in rist_image(quotient, n).generators
         )
     computed = {
         "vectors": {x: list(f2.stab1_vector(x)) for x in words.LEVEL1_STABILIZER_WORDS},
@@ -587,38 +585,34 @@ def _check_rist(depth: int, slow: bool) -> LemmaReport:
     return LemmaReport("rist", depth, computed, expected, computed == expected)
 
 
-def _check_ristquot(depth: int, slow: bool) -> LemmaReport:
+def _check_ristquot(depth: int) -> LemmaReport:
     if depth < 2:
         raise DepthError("rigid stabilizer quotients need depth >= 2")
     computed = {}
     expected = {}
     for n in range(1, depth):
-        handle = rist_image(build_quotient(n + 1, slow), n, slow)
+        rist = rist_image(_quotient(n + 1), n)
         computed[f"n={n}"] = {
-            "order": handle.group.order(),
-            "elementary_abelian_3": permgroup.is_elementary_abelian(handle.group, 3),
+            "order": rist.order(),
+            "elementary_abelian_3": permgroup.is_elementary_abelian(rist, 3),
         }
         expected[f"n={n}"] = {"order": 3 ** (3**n), "elementary_abelian_3": True}
     return LemmaReport("ristquot", depth, computed, expected, computed == expected)
 
 
-def _check_stabquot(depth: int, slow: bool) -> LemmaReport:
+def _check_stabquot(depth: int) -> LemmaReport:
     if depth < 2:
         raise DepthError("stabilizer quotients need depth >= 2")
-    quotient = build_quotient(depth, slow)
     computed = {}
     expected = {}
     for n in range(1, depth):
-        whole = stab(quotient, n, slow).group.order()
-        deeper = stab(quotient, n + 1, slow).group.order()
-        row = {"stab_quotient": whole // deeper}
-        # the same quotient computed inside the derived subgroup, exact at
-        # depth n+1 because the deeper stabilizer is trivial there
-        derived = derived_of_quotient(n + 1, slow)
-        row["derived_stab_quotient"] = permgroup.kernel_of_level_action(
-            derived, n
-        ).order()
-        computed[f"n={n}"] = row
+        # Stab(n)/Stab(n+1) is the kernel of G_(n+1) -> G_n
+        lower, upper = _quotient(n), _quotient(n + 1)
+        computed[f"n={n}"] = {
+            "stab_quotient": upper.group.order() // lower.group.order(),
+            "derived_stab_quotient": derived_of_quotient(upper).order()
+            // derived_of_quotient(lower).order(),
+        }
         expected[f"n={n}"] = {
             "stab_quotient": stab_quotient_order(n),
             "derived_stab_quotient": stab_quotient_order(n),
@@ -626,7 +620,7 @@ def _check_stabquot(depth: int, slow: bool) -> LemmaReport:
     return LemmaReport("stabquot", depth, computed, expected, computed == expected)
 
 
-def _check_elab(depth: int, slow: bool) -> LemmaReport:
+def _check_elab(depth: int) -> LemmaReport:
     if depth < 2:
         raise DepthError("the quotient structure needs depth >= 2")
     computed = {}
@@ -634,16 +628,16 @@ def _check_elab(depth: int, slow: bool) -> LemmaReport:
         for big_n in (n + 1, n + 2):
             if big_n > depth:
                 continue
-            flag = _elementary_abelian_quotient(build_quotient(big_n, slow), n, slow)
+            flag = _elementary_abelian_quotient(_quotient(big_n), n)
             computed[f"Q({n},{big_n})"] = flag
     expected = {key: True for key in computed}
     return LemmaReport("elab", depth, computed, expected, computed == expected)
 
 
-def _check_transrec(depth: int, slow: bool) -> LemmaReport:
+def _check_transrec(depth: int) -> LemmaReport:
     if depth < 2:
         raise DepthError("self-replication needs depth >= 2")
-    quotient = build_quotient(depth, slow)
+    quotient = _quotient(depth)
     computed = {}
     expected = {}
     computed["level_0"] = {"vertices": 1, "orders": [quotient.group.order()]}
@@ -700,6 +694,6 @@ def verify_lemma(lemma: str, depth: int = 4, slow: bool = False) -> LemmaReport:
     if lemma not in _LEMMA_CHECKS:
         raise KeyError(f"unknown lemma id {lemma!r}; known: {', '.join(LEMMA_IDS)}")
     _require_depth(depth, slow)
-    report = _LEMMA_CHECKS[lemma](depth, slow)
+    report = _LEMMA_CHECKS[lemma](depth)
     logger.info("lemma %s at depth %d: %s", lemma, depth, "pass" if report.passed else "FAIL")
     return report

@@ -68,13 +68,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+def _write(text: str, out_path: str | None) -> bool:
+    """Write text and a newline to the --out file, or else to stdout.
+
+    Returns False, after one error line, when the file cannot be opened.
+    """
+    if not out_path:
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # The reader has gone. Point stdout at the null device, so that
+            # the flush at exit does not fail again, and finish the run.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return True
+    try:
+        handle = open(out_path, "w")
+    except OSError as err:
+        print(f"error: cannot write {out_path}: {err.strerror}", file=sys.stderr)
+        return False
+    with handle:
+        handle.write(text + "\n")
+    return True
+
+
+def _emit(report: dict, out_path: str | None) -> bool:
+    return _write(json.dumps(report, indent=2, sort_keys=True), out_path)
 
 
 def _summary(results: list[dict]) -> None:
@@ -94,8 +112,8 @@ def _report(command: str, params: dict, results: list[dict]) -> dict:
 
 def _run_verify(args) -> tuple[dict | None, int]:
     if args.list:
-        for lemma in analysis.LEMMA_IDS:
-            print(f"{lemma:11s} {analysis.LEMMA_STATEMENTS[lemma]}")
+        lines = [f"{i:11s} {analysis.LEMMA_STATEMENTS[i]}" for i in analysis.LEMMA_IDS]
+        _write("\n".join(lines), None)
         return None, EXIT_PASS
     ids = list(args.ids)
     if not ids:
@@ -235,20 +253,17 @@ def _run_export(args) -> tuple[dict | None, int]:
         )
     portrait = words.evaluate(args.word, args.depth)
     if args.format == "dot":
-        text = automorphism.to_dot(portrait)
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(text + "\n")
-        else:
-            print(text)
-        return None, EXIT_PASS
-    _emit(automorphism.to_json_dict(portrait), args.out)
-    return None, EXIT_PASS
+        written = _write(automorphism.to_dot(portrait), args.out)
+    else:
+        written = _emit(automorphism.to_json_dict(portrait), args.out)
+    return None, EXIT_PASS if written else EXIT_USAGE
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("LOGLEVEL", "error").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.ERROR))
+    # getLevelName maps a level's name to its number, and any other string
+    # to a string
+    level = logging.getLevelName(os.environ.get("LOGLEVEL", "error").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.ERROR)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -273,7 +288,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     if report is None:
         return code
-    _emit(report, args.out)
+    if not _emit(report, args.out):
+        return EXIT_USAGE
     _summary(report["results"])
     return EXIT_PASS if report["pass"] else EXIT_FAIL
 

@@ -407,16 +407,6 @@ def _log_built(chain: _Chain, generator_count: int) -> None:
 # -- module-level operations -------------------------------------------------
 
 
-def group_order(group: PermGroup) -> int:
-    """Exact order of the generated group."""
-    return group.order()
-
-
-def contains(group: PermGroup, g: Perm) -> bool:
-    """Membership via sifting through the stabilizer chain."""
-    return group.contains(g)
-
-
 def subgroup_index(group: PermGroup, subgroup: PermGroup) -> int:
     """Index of a verified subgroup; exact integer."""
     if subgroup.degree != group.degree:
@@ -656,11 +646,3 @@ def _shifted_levels(inner: _Chain, offset: int, identity: _Elem) -> list[_Level]
         }
         levels.append(level)
     return levels
-
-
-def group_to_json_dict(group: PermGroup) -> dict:
-    return {
-        "degree": group.degree,
-        "generators": [list(g.one_based()) for g in group.generators],
-        "order": group.order(),
-    }

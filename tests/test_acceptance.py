@@ -27,8 +27,8 @@ def test_criterion_1_quotient_orders():
     brute = len(_brute.closure([g.images for g in g2_group.generators]))
     g3 = analysis.build_quotient(3).group.order()
     quotient_12 = (
-        analysis.stab(analysis.build_quotient(2), 1).group.order()
-        // analysis.stab(analysis.build_quotient(2), 2).group.order()
+        analysis.stab(analysis.build_quotient(2), 1).order()
+        // analysis.stab(analysis.build_quotient(2), 2).order()
     )
     ok = (
         g1 == 6
@@ -76,8 +76,8 @@ def test_criterion_2_gf2_suite():
 
 
 def test_criterion_3_rigid_stabilizer_structure():
-    r21 = analysis.rist_image(analysis.build_quotient(2), 1).group
-    r32 = analysis.rist_image(analysis.build_quotient(3), 2).group
+    r21 = analysis.rist_image(analysis.build_quotient(2), 1)
+    r32 = analysis.rist_image(analysis.build_quotient(3), 2)
     ok = (
         r21.order() == 27
         and permgroup.is_elementary_abelian(r21, 3)

@@ -1,6 +1,7 @@
 import pytest
 
 from hanoikernel import analysis, f2, permgroup
+from hanoikernel.perm import Perm
 from hanoikernel.errors import DepthError, ResourceLimitError, ShapeError
 
 
@@ -49,11 +50,11 @@ def test_block_action_compatibility_across_depths():
 def test_stab_examples():
     g2 = analysis.build_quotient(2)
     s = analysis.stab(g2, 1)
-    assert permgroup.subgroup_index(g2.group, s.group) == 6
-    assert analysis.stab(g2, 0).group is g2.group
-    assert analysis.stab(g2, 2).group.order() == 1
+    assert permgroup.subgroup_index(g2.group, s) == 6
+    assert analysis.stab(g2, 0) is g2.group
+    assert analysis.stab(g2, 2).order() == 1
     g3 = analysis.build_quotient(3)
-    assert analysis.stab(g3, 1).group.order() == 816_293_376 // 6
+    assert analysis.stab(g3, 1).order() == 816_293_376 // 6
 
 
 def test_stab_depth_error():
@@ -64,13 +65,13 @@ def test_stab_depth_error():
 def test_rist_image_examples():
     g2 = analysis.build_quotient(2)
     r = analysis.rist_image(g2, 1)
-    assert r.group.order() == 27
-    assert permgroup.is_elementary_abelian(r.group, 3)
+    assert r.order() == 27
+    assert permgroup.is_elementary_abelian(r, 3)
     g3 = analysis.build_quotient(3)
-    assert analysis.rist_image(g3, 2).group.order() == 19_683
+    assert analysis.rist_image(g3, 2).order() == 19_683
     # rigid stabilizer sits inside the level stabilizer
     s = analysis.stab(g3, 2)
-    assert all(s.group.contains(g) for g in analysis.rist_image(g3, 2).group.generators)
+    assert all(s.contains(g) for g in analysis.rist_image(g3, 2).generators)
 
 
 def test_rist_image_depth_errors():
@@ -89,8 +90,8 @@ def test_q_orders_small():
 
 def test_level_stabilizer_quotient_orders():
     g3 = analysis.build_quotient(3)
-    s1 = analysis.stab(g3, 1).group.order()
-    s2 = analysis.stab(g3, 2).group.order()
+    s1 = analysis.stab(g3, 1).order()
+    s2 = analysis.stab(g3, 2).order()
     assert s1 // s2 == analysis.stab_quotient_order(1) == 108
     assert s2 == analysis.stab_quotient_order(2) == 1_259_712
 
@@ -99,7 +100,7 @@ def test_derived_quotient_orders():
     # index 2 at every depth: letter parities die in the truncations
     for depth in (1, 2, 3):
         q = analysis.build_quotient(depth)
-        d = analysis.derived_of_quotient(depth)
+        d = analysis.derived_of_quotient(q)
         assert q.group.order() == 2 * d.order()
 
 
@@ -109,10 +110,10 @@ def test_level_identity_inside_rigid_product():
     cases = [(2, 1, 1), (3, 1, 1), (3, 2, 1)]
     for big_n, n, m in cases:
         quotient = analysis.build_quotient(big_n)
-        rist = analysis.rist_image(quotient, n).group
+        rist = analysis.rist_image(quotient, n)
         inside = permgroup.kernel_of_level_action(rist, n + m)
         inner = permgroup.kernel_of_level_action(
-            analysis.derived_of_quotient(big_n - n), m
+            analysis.derived_of_quotient(analysis.build_quotient(big_n - n)), m
         )
         gens = [
             permgroup.embed_in_block(g, block, 3**n)
@@ -121,6 +122,32 @@ def test_level_identity_inside_rigid_product():
         ]
         product = permgroup.PermGroup(3**big_n, gens)
         assert inside.same_subgroup_as(product)
+
+
+@pytest.mark.parametrize("extra", ["leaf transposition", "generator a"])
+def test_rist_check_fails_when_rist_leaves_stab(monkeypatch, extra):
+    # a transposition of two leaves fixes every level-n vertex but lies
+    # outside G_N; a lies in G_N but moves the level-n vertices
+    real = analysis.rist_image
+
+    def extra_perm(quotient):
+        if extra == "generator a":
+            return quotient.generator_map["a"]
+        degree = quotient.group.degree
+        return Perm([1, 0, *range(2, degree)])
+
+    def fake(quotient, n):
+        group = real(quotient, n)
+        gens = [*group.generators, extra_perm(quotient)]
+        return permgroup.PermGroup(group.degree, gens)
+
+    monkeypatch.setattr(analysis, "rist_image", fake)
+    for depth in (2, 3, 4):
+        quotient = analysis.build_quotient(depth)
+        assert quotient.group.contains(extra_perm(quotient)) == (extra == "generator a")
+        report = analysis.verify_lemma("rist", depth=depth)
+        assert not report.passed
+        assert not any(report.computed["containments"].values())
 
 
 def test_gamma1_and_seed_orders():
@@ -277,13 +304,13 @@ def test_unlocked_caches_keep_one_value_per_key():
     assert len({id(q) for q, _, _ in results}) == 1
     assert len({id(s) for _, s, _ in results}) == 1
     assert {order for _, _, order in results} == {analysis.quotient_order(3)}
-    assert results[0][1].group.order() == analysis.quotient_order(3) // 6
+    assert results[0][1].order() == analysis.quotient_order(3) // 6
 
 
-def unpruned_elementary_abelian_quotient(quotient, n, slow):
+def unpruned_elementary_abelian_quotient(quotient, n):
     """The flag's check over every Stab(n) generator, none dropped."""
-    gens = analysis.stab(quotient, n, slow).group.generators
-    rist = analysis.rist_image(quotient, n, slow).group
+    gens = analysis.stab(quotient, n).generators
+    rist = analysis.rist_image(quotient, n)
     for i, g in enumerate(gens):
         if not rist.contains(g * g):
             return False
@@ -297,20 +324,19 @@ def test_elementary_abelian_flags_match_unpruned_check():
     for big_n in range(2, 6):
         quotient = analysis.build_quotient(big_n, slow=True)
         for n in range(1, big_n):
-            flag = analysis._elementary_abelian_quotient(quotient, n, True)
-            assert flag == unpruned_elementary_abelian_quotient(quotient, n, True)
+            flag = analysis._elementary_abelian_quotient(quotient, n)
+            assert flag == unpruned_elementary_abelian_quotient(quotient, n)
             assert flag, (n, big_n)
 
 
 def test_elementary_abelian_flags_fail_over_too_small_subgroups(monkeypatch):
     # The trivial group contains no generator, so none is dropped; Stab(n+1)
     # is normal and contains one Stab(2) generator of G_4, which is dropped.
-    def trivial(quotient, n, slow=False):
-        group = permgroup.PermGroup(quotient.group.degree)
-        return analysis.SubgroupHandle(quotient, group, "trivial")
+    def trivial(quotient, n):
+        return permgroup.PermGroup(quotient.group.degree)
 
-    def next_stab(quotient, n, slow=False):
-        return analysis.stab(quotient, n + 1, slow)
+    def next_stab(quotient, n):
+        return analysis.stab(quotient, n + 1)
 
     quotients = [analysis.build_quotient(big_n) for big_n in (2, 3, 4)]
     for fake in (trivial, next_stab):
@@ -318,10 +344,10 @@ def test_elementary_abelian_flags_fail_over_too_small_subgroups(monkeypatch):
         for quotient in quotients:
             for n in range(1, quotient.depth):
                 assert not analysis._elementary_abelian_quotient(quotient, n)
-                assert not unpruned_elementary_abelian_quotient(quotient, n, False)
+                assert not unpruned_elementary_abelian_quotient(quotient, n)
     inside = [
         g
-        for g in analysis.stab(quotients[2], 2).group.generators
-        if next_stab(quotients[2], 2).group.contains(g)
+        for g in analysis.stab(quotients[2], 2).generators
+        if next_stab(quotients[2], 2).contains(g)
     ]
     assert len(inside) == 1

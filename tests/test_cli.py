@@ -1,14 +1,34 @@
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
 from hanoikernel import cli, words
+
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
+COMMAND = [sys.executable, "-m", "hanoikernel.cli"]
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child(*argv, env):
+    """The CLI in a process of its own, for what happens around main: the
+    logging set-up, which holds for the whole process, and the last flush."""
+    result = subprocess.run(
+        COMMAND + list(argv),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=SRC, **env),
+    )
+    return result.returncode, result.stdout, result.stderr
 
 
 def run_json(capsys, *argv):
@@ -179,12 +199,42 @@ def test_output_is_deterministic(capsys):
         (["relators", "--max-tau", "13"], 3, "max_tau 13"),
         (["relators", "--max-tau", "1", "--depth", "2000"], 3, "depth 2000"),
         (["export", "portrait", "ab", "--depth", "2000"], 3, "depth 2000"),
+        (["--out", "/nonexistent/x.json", "verify", "selfsim", "--depth", "2"], 2,
+         "cannot write /nonexistent/x.json"),
+        (["--out", "/nonexistent/x.dot", "export", "portrait", "a", "--format", "dot"], 2,
+         "cannot write /nonexistent/x.dot"),
+        (["LOGLEVEL=basic_format", "verify", "all", "--depth", "0"], 2, "depth must be >= 1"),
     ],
 )
 def test_bad_arguments_exit_without_traceback(capsys, argv, code, message):
-    got, out, err = run(capsys, *argv)
+    # leading NAME=value items set the environment, as in a shell
+    env = {}
+    while argv and re.fullmatch(r"[A-Z]+=.*", argv[0]):
+        name, value = argv[0].split("=", 1)
+        env[name] = value
+        argv = argv[1:]
+    if env:
+        got, out, err = run_child(*argv, env=env)
+    else:
+        got, out, err = run(capsys, *argv)
     assert got == code
     assert out == ""
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert message in err
+
+
+def test_closed_stdout_keeps_the_exit_code():
+    # the reader closes the pipe before the report is written
+    child = subprocess.Popen(
+        COMMAND + ["verify", "selfsim", "--depth", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 0
+    assert err == "pass  selfsim\n"

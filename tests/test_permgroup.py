@@ -272,13 +272,6 @@ def test_generator_dedup_and_identity_filter():
     assert len(g.generators) == 1
 
 
-def test_group_to_json():
-    g = quotient_group(1)
-    data = pg.group_to_json_dict(g)
-    assert data["degree"] == 3 and data["order"] == 6
-    assert [1, 3, 2] in data["generators"]
-
-
 def test_pointwise_stabilizer_matches_enumeration():
     rng = random.Random(77)
     built = 0

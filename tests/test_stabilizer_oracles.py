@@ -59,13 +59,13 @@ def assert_matches_fresh_chain(group: permgroup.PermGroup, depth: int, seed: int
 
 @pytest.mark.parametrize("depth, n", STAB_PAIRS)
 def test_stab_matches_fresh_chain(depth, n):
-    group = analysis.stab(analysis.build_quotient(depth), n).group
+    group = analysis.stab(analysis.build_quotient(depth), n)
     assert_matches_fresh_chain(group, depth, seed=100 * depth + n)
 
 
 @pytest.mark.parametrize("depth, n", RIST_PAIRS)
 def test_rist_image_matches_fresh_chain(depth, n):
-    group = analysis.rist_image(analysis.build_quotient(depth), n).group
+    group = analysis.rist_image(analysis.build_quotient(depth), n)
     assert_matches_fresh_chain(group, depth, seed=200 * depth + n)
 
 
@@ -93,6 +93,24 @@ def test_vertex_stabilizers_match_fresh_chain(depth, n):
         assert True in answers and False in answers
 
 
+@pytest.mark.parametrize("depth", [2, 3, 4])
+def test_stabquot_rows_match_stabilizer_chains(depth):
+    """stabquot reads its rows off the orders of G_n and G'_n; the level
+    stabilizers of G_N and the level-n kernel of G'_(n+1) give each row."""
+    quotient = analysis.build_quotient(depth)
+    report = analysis.verify_lemma("stabquot", depth=depth)
+    assert sorted(report.computed) == [f"n={n}" for n in range(1, depth)]
+    for n in range(1, depth):
+        derived = analysis.derived_of_quotient(analysis.build_quotient(n + 1))
+        assert report.computed[f"n={n}"] == {
+            "stab_quotient": analysis.stab(quotient, n).order()
+            // analysis.stab(quotient, n + 1).order(),
+            "derived_stab_quotient": permgroup.kernel_of_level_action(
+                derived, n
+            ).order(),
+        }
+
+
 def _g2_elements() -> set:
     gens = analysis.build_quotient(2).group.generators
     return _brute.closure([g.images for g in gens])
@@ -114,7 +132,7 @@ def assert_same_set(group: permgroup.PermGroup, members: set, others: set):
 def test_stab_depth2_matches_enumeration(n):
     elements = _g2_elements()
     members = {e for e in elements if _fixes_blocks(e, 3 ** (2 - n))}
-    group = analysis.stab(analysis.build_quotient(2), n).group
+    group = analysis.stab(analysis.build_quotient(2), n)
     assert_same_set(group, members, elements)
 
 
@@ -126,7 +144,7 @@ def test_rist_image_depth2_matches_enumeration():
         for parts in itertools.product(a3, repeat=3)
     }
     elements = _g2_elements()
-    group = analysis.rist_image(analysis.build_quotient(2), 1).group
+    group = analysis.rist_image(analysis.build_quotient(2), 1)
     assert len(members) == 27
     # the non-members tried: all of G_2 and every product of three
     # permutations of the blocks' points
