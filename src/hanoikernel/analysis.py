@@ -12,8 +12,10 @@ stabquot and rist read orders and memberships off the cached chains of G_N,
 G_n and G'_n. G_N acts on level n as G_n, so |Stab(n)/Stab(n+1)| is
 |G_(n+1)|/|G_n|, and |G'_(n+1)|/|G'_n| inside the derived subgroup; a
 Rist(n) generator lies in Stab(n) when it lies in G_N and fixes every
-level-n vertex. The depth cap is checked where a depth enters; everything
-behind those entry points builds through _quotient.
+level-n vertex. transrec reads each vertex's section off the states of
+its stabilizer's Reidemeister-Schreier words, at the subtree's degree. The
+depth cap is checked where a depth enters; everything behind those entry
+points builds through _quotient.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import f2, permgroup, words
-from .automorphism import embed, leaf_permutation
+from .automorphism import embed, leaf_permutation, state_at
 from .errors import DepthError, ResourceLimitError, ShapeError
 from .f2 import F2Subspace
 from .perm import Perm
@@ -634,6 +636,22 @@ def _check_elab(depth: int) -> LemmaReport:
     return LemmaReport("elab", depth, computed, expected, computed == expected)
 
 
+def _vertex_section(vertex: tuple[int, ...], depth: int) -> PermGroup:
+    """The states at the vertex of the elements of G_depth that fix it, as
+    permutations of its leaves: taking the state is a homomorphism on the
+    vertex's stabilizer in G, so the states of Reidemeister-Schreier words
+    for that stabilizer generate them."""
+    stabilizer_words, _ = words.schreier_generators(
+        list(words.ALPHABET), words.vertex_image, (), vertex
+    )
+    below = depth - len(vertex)
+    states = [
+        leaf_permutation(state_at(words.evaluate(w, depth), vertex), below)
+        for w in stabilizer_words
+    ]
+    return PermGroup(3**below, states)
+
+
 def _check_transrec(depth: int) -> LemmaReport:
     if depth < 2:
         raise DepthError("self-replication needs depth >= 2")
@@ -645,15 +663,11 @@ def _check_transrec(depth: int) -> LemmaReport:
         "vertices": 1,
         "orders": [quotient_order(depth)],
     }
-    for level in (1, 2):
-        if level > min(2, depth - 1):
-            continue
-        block_size = 3 ** (depth - level)
-        stabilizers = permgroup.vertex_stabilizers(quotient.group, level)
-        orders = []
-        for vertex, stabilizer in stabilizers.items():
-            leaves = range((vertex - 1) * block_size + 1, vertex * block_size + 1)
-            orders.append(permgroup.restrict(stabilizer, leaves).order())
+    for level in range(1, min(3, depth)):
+        _, orbit = words.schreier_generators(
+            list(words.ALPHABET), words.vertex_image, (), (1,) * level
+        )
+        orders = [_vertex_section(vertex, depth).order() for vertex in sorted(orbit)]
         computed[f"level_{level}"] = {"vertices": len(orders), "orders": orders}
         expected[f"level_{level}"] = {
             "vertices": 3**level,

@@ -8,6 +8,7 @@ failed, 2 usage error, 3 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
 import os
@@ -89,6 +90,19 @@ def _write(text: str, out_path: str | None) -> bool:
     with handle:
         handle.write(text + "\n")
     return True
+
+
+def _out_error(out_path: str) -> str | None:
+    """Why the --out file cannot be written, or None; checked before a run
+    without creating or truncating the file."""
+    if os.path.isdir(out_path):
+        return os.strerror(errno.EISDIR)
+    if os.path.exists(out_path):
+        return None if os.access(out_path, os.W_OK) else os.strerror(errno.EACCES)
+    folder = os.path.dirname(out_path) or "."
+    if not os.path.isdir(folder):
+        return os.strerror(errno.ENOENT)
+    return None if os.access(folder, os.W_OK | os.X_OK) else os.strerror(errno.EACCES)
 
 
 def _emit(report: dict, out_path: str | None) -> bool:
@@ -269,6 +283,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_PASS
+
+    if args.out and (reason := _out_error(args.out)):
+        print(f"error: cannot write {args.out}: {reason}", file=sys.stderr)
+        return EXIT_USAGE
 
     runners = {
         "verify": _run_verify,

@@ -486,33 +486,18 @@ def embed_in_block(p: Perm, block: int, block_count: int) -> Perm:
     return Perm(images)
 
 
-def restrict(group: PermGroup, points: Sequence[int]) -> PermGroup:
-    """Restriction to an invariant set of 1-based points, renumbered 1..k."""
-    index = {p - 1: i for i, p in enumerate(points)}
-    gens = []
-    for g in group.generators:
-        images = [0] * len(points)
-        for old, new in index.items():
-            image = g.images[old]
-            if image not in index:
-                raise ShapeError(f"point set not invariant under {g!r}")
-            images[new] = index[image]
-        gens.append(Perm(images))
-    return PermGroup(len(points), gens)
-
-
-def _block_size(degree: int, n: int, arity: int) -> int:
-    """Leaves per level-n vertex of the arity-ary tree with `degree` leaves."""
+def _block_size(degree: int, n: int) -> int:
+    """Leaves per level-n vertex of the ternary tree with `degree` leaves."""
     total = 1
     big_n = 0
     while total < degree:
-        total *= arity
+        total *= 3
         big_n += 1
     if total != degree:
-        raise ShapeError(f"degree {degree} is not a power of {arity}")
+        raise ShapeError(f"degree {degree} is not a power of 3")
     if not 0 <= n <= big_n:
         raise ShapeError(f"level {n} outside 0..{big_n}")
-    return arity ** (big_n - n)
+    return 3 ** (big_n - n)
 
 
 def _check_blocks(group: PermGroup, size: int) -> None:
@@ -539,44 +524,23 @@ def _forced_base_tail(group: PermGroup, bases: Sequence[int], size: int) -> Perm
     return PermGroup(group.degree, gens, _chain=tail)
 
 
-def kernel_of_level_action(group: PermGroup, n: int, arity: int = 3) -> PermGroup:
+def kernel_of_level_action(group: PermGroup, n: int) -> PermGroup:
     """Kernel of the induced action on the level-n vertices.
 
-    The group must act on arity**N points, lex-indexed leaves, so level-n
-    vertex v is the block of arity**(N-n) consecutive leaves from leaf
-    v*arity**(N-n), and every generator must map blocks to blocks. The
+    The group must act on 3**N points, lex-indexed leaves, so level-n
+    vertex v is the block of 3**(N-n) consecutive leaves from leaf
+    v*3**(N-n), and every generator must map blocks to blocks. The
     kernel is the pointwise stabilizer of the level-n vertices; its chain is
     the tail of a chain with them forced to the front of the base, and every
     level of that tail has a leaf as base.
     """
-    size = _block_size(group.degree, n, arity)
+    size = _block_size(group.degree, n)
     if n == 0:
         return group
     if size == 1:
         return PermGroup(group.degree)
     _check_blocks(group, size)
-    return _forced_base_tail(group, range(arity**n), size)
-
-
-def vertex_stabilizers(group: PermGroup, level: int) -> dict[int, PermGroup]:
-    """Stabilizer of each vertex of the given level of the ternary tree in
-    the orbit of vertex 1, keyed by 1-based vertex number; vertices are
-    numbered as in kernel_of_level_action.
-
-    One chain is built with vertex 1 as first base; the other stabilizers
-    are its conjugates by transversal elements.
-    """
-    size = _block_size(group.degree, level, 3)
-    _check_blocks(group, size)
-    chain = _build_chain(_Chain(group.degree, [0], size), group.generators)
-    stab_gens = [Perm(s) for s in chain.strong_generators(1)]
-    first = chain.levels[0]
-    out: dict[int, PermGroup] = {}
-    for vertex in sorted(first.transversal):
-        t = Perm(chain.unpack(first.transversal[vertex]))
-        t_inv = Perm(chain.unpack(first.inverse_transversal[vertex]))
-        out[vertex + 1] = PermGroup(group.degree, [t_inv * s * t for s in stab_gens])
-    return out
+    return _forced_base_tail(group, range(3**n), size)
 
 
 def direct_power(group: PermGroup, count: int) -> PermGroup:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from . import automorphism
 from .automorphism import Portrait
@@ -356,11 +356,11 @@ def relator_family(max_tau: int) -> dict[str, str]:
 
 def schreier_generators(
     generator_words: Sequence[str],
-    act: Callable[[int, str], int],
-    points: Iterable[int],
-    base_point: int,
-    transversal: dict[int, str] | None = None,
-) -> tuple[list[str], dict[int, str]]:
+    act: Callable[[Hashable, str], Hashable],
+    points: Iterable[Hashable],
+    base_point: Hashable,
+    transversal: dict[Hashable, str] | None = None,
+) -> tuple[list[str], dict[Hashable, str]]:
     """Schreier generators of the stabilizer of a point in a word action.
 
     ``act(point, word)`` must give the image of a point under a word. When no
@@ -398,11 +398,9 @@ def schreier_generators(
     return out, transversal
 
 
-def _vertex_action(point: int, word: str) -> int:
-    """Image of a first-level vertex under a word."""
-    for ch in word:
-        point = ROOT_PERMS[ch].apply(point)
-    return point
+def vertex_image(vertex: automorphism.Vertex, word: str) -> automorphism.Vertex:
+    """Image of a vertex, a tuple of digits 1..3, under a word."""
+    return automorphism.apply(evaluate(word, len(vertex)), vertex)
 
 
 def schreier_stab1_generators() -> tuple[str, ...]:
@@ -415,16 +413,16 @@ def schreier_stab1_generators() -> tuple[str, ...]:
     """
     stage1, _ = schreier_generators(
         list(ALPHABET),
-        _vertex_action,
-        points=(1, 2, 3),
-        base_point=1,
-        transversal={1: "", 2: "c", 3: "b"},
+        vertex_image,
+        points=[(1,), (2,), (3,)],
+        base_point=(1,),
+        transversal={(1,): "", (2,): "c", (3,): "b"},
     )
     stage2, _ = schreier_generators(
         stage1,
-        _vertex_action,
-        points=(2, 3),
-        base_point=2,
-        transversal={2: "", 3: "a"},
+        vertex_image,
+        points=[(2,), (3,)],
+        base_point=(2,),
+        transversal={(2,): "", (3,): "a"},
     )
     return tuple(stage2)

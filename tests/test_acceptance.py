@@ -283,3 +283,14 @@ def test_optional_depth6_quotient():
         and not group.contains(products[1] * outside)
     )
     verdict(1, ok, "|G_6| = 2^243 * 3^364 with degree-729 stabilizer chains")
+
+
+@pytest.mark.slow
+def test_optional_depth6_self_replication():
+    report = analysis.verify_lemma("transrec", 6, slow=True)
+    ok = (
+        report.passed
+        and report.computed["level_1"]["vertices"] == 3
+        and report.computed["level_2"]["vertices"] == 9
+    )
+    verdict(7, ok, "depth-6 vertex-stabilizer states generate G_5 and G_4")

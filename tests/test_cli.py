@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from hanoikernel import cli, words
+from hanoikernel import analysis, cli, words
 
 SRC = os.path.dirname(os.path.dirname(cli.__file__))
 COMMAND = [sys.executable, "-m", "hanoikernel.cli"]
@@ -222,6 +222,20 @@ def test_bad_arguments_exit_without_traceback(capsys, argv, code, message):
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert message in err
+
+
+@pytest.mark.parametrize("name", ["missing/x.json", "."])
+def test_bad_out_path_fails_before_the_run(tmp_path, capsys, monkeypatch, name):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the check ran")
+
+    monkeypatch.setattr(analysis, "verify_lemma", no_run)
+    target = tmp_path / name
+    code, out, err = run(capsys, "--out", str(target), "verify", "selfsim", "--depth", "2")
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert f"cannot write {target}" in err
+    assert sorted(tmp_path.iterdir()) == []
 
 
 def test_closed_stdout_keeps_the_exit_code():

@@ -138,8 +138,6 @@ def test_vertex_bases_reject_split_blocks():
     )
     with pytest.raises(InvalidBlocksError):
         pg.kernel_of_level_action(g, 1)
-    with pytest.raises(InvalidBlocksError):
-        pg.vertex_stabilizers(g, 1)
 
 
 def test_derived_subgroup_of_s3_is_a3():
@@ -234,28 +232,6 @@ def test_pointwise_stabilizer_orbit_factorization():
     assert stab.order() * len(g.orbit(1)) == g.order()
     for gen in stab.generators:
         assert gen.apply(1) == 1
-
-
-def test_vertex_stabilizers():
-    g = quotient_group(2)
-    for level in (1, 2):
-        size = 3 ** (2 - level)
-        stabs = pg.vertex_stabilizers(g, level)
-        assert sorted(stabs) == list(range(1, 3**level + 1))
-        expected = g.order() // 3**level
-        for vertex, stab in stabs.items():
-            assert stab.order() == expected
-            for gen in stab.generators:
-                assert gen.images[(vertex - 1) * size] // size == vertex - 1
-                assert g.contains(gen)
-
-
-def test_restrict_validates_invariance():
-    g = pg.PermGroup(4, [Perm.from_cycles(4, [(1, 2)])])
-    restricted = pg.restrict(g, [1, 2])
-    assert restricted.degree == 2 and restricted.order() == 2
-    with pytest.raises(ShapeError):
-        pg.restrict(g, [1, 3])
 
 
 def test_embed_in_block():
@@ -541,9 +517,9 @@ def test_direct_power_of_bytes_factor_has_tuple_chain():
 
 
 def test_vertex_bases_at_degree_729():
-    """Kernels of level actions and vertex stabilizers on the depth-6 tree,
-    whose chains are tuples, against enumeration of a group of order 1536:
-    a root 3-cycle and transpositions at vertices (1,) and (1, 1)."""
+    """Kernels of level actions on the depth-6 tree, whose chains are
+    tuples, against enumeration of a group of order 1536: a root 3-cycle and
+    transpositions at vertices (1,) and (1, 1)."""
     from hanoikernel import automorphism as am
 
     labels = [
@@ -569,14 +545,6 @@ def test_vertex_bases_at_degree_729():
         assert kernel.order() == len(members)
         for e in elements:
             assert kernel.contains(Perm(e)) == fixes(e, n, range(3**n))
-    for n in (1, 2):
-        stabilizers = pg.vertex_stabilizers(group, n)
-        for vertex, stab in stabilizers.items():
-            assert_perm_degrees(stab, 729)
-            members = [e for e in elements if fixes(e, n, [vertex - 1])]
-            assert stab.order() == len(members)
-            for e in sorted(elements)[::7]:
-                assert stab.contains(Perm(e)) == fixes(e, n, [vertex - 1])
 
 
 # -- the Schreier generators skipped in _drain --------------------------------

@@ -1,15 +1,17 @@
 """The level and rigid stabilizer images reuse or assemble stabilizer chains
-instead of running Schreier-Sims on their generators, and the vertex
-stabilizers come from one chain with a vertex as first base. Each is checked
-here against a group built afresh by Schreier-Sims from the same generators,
-and at depth 2 against brute-force enumeration."""
+instead of running Schreier-Sims on their generators; each is checked here
+against a group built afresh by Schreier-Sims from the same generators. A
+vertex's section, the group its stabilizer induces on its subtree, comes from
+the states of Reidemeister-Schreier words; it is checked against the
+stabilizer in G_N found by a chain with the vertex as first base. All three
+are checked at depth 2 against brute-force enumeration."""
 
 import itertools
 import random
 
 import pytest
 
-from hanoikernel import analysis, permgroup
+from hanoikernel import analysis, permgroup, words
 from hanoikernel import automorphism as am
 from hanoikernel.perm import Perm
 
@@ -69,28 +71,39 @@ def test_rist_image_matches_fresh_chain(depth, n):
     assert_matches_fresh_chain(group, depth, seed=200 * depth + n)
 
 
+def reference_sections(depth: int, level: int) -> dict:
+    """The stabilizer in G_depth of each level vertex in the orbit of vertex
+    1...1, restricted to the vertex's leaves: one chain with that vertex as
+    first base, its stabilizer conjugated by each transversal element."""
+    group = analysis.build_quotient(depth).group
+    size = 3 ** (depth - level)
+    chain = permgroup._build_chain(
+        permgroup._Chain(group.degree, [0], size), group.generators
+    )
+    stabilizer = [Perm(s) for s in chain.strong_generators(1)]
+    sections = {}
+    for v, t in chain.levels[0].transversal.items():
+        t = Perm(chain.unpack(t))
+        conjugates = [t.inverse() * s * t for s in stabilizer]
+        leaves = range(v * size, (v + 1) * size)
+        restricted = [Perm([g.images[x] - v * size for x in leaves]) for g in conjugates]
+        sections[am.vertex_of_index(v + 1, level)] = permgroup.PermGroup(size, restricted)
+    return sections
+
+
 @pytest.mark.parametrize("depth, n", VERTEX_PAIRS)
 def test_vertex_stabilizers_match_fresh_chain(depth, n):
-    """A probe lies in the stabilizer of vertex v iff it lies in G_N, by a
-    chain built from G_N's generators, and maps v's first leaf into v."""
-    quotient = analysis.build_quotient(depth).group
-    fresh = permgroup.PermGroup(quotient.degree, quotient.generators)
-    stabilizers = permgroup.vertex_stabilizers(quotient, n)
-    assert sorted(stabilizers) == list(range(1, 3**n + 1))
-    size = 3 ** (depth - n)
-    rng = random.Random(300 * depth + n)
-    # every vertex of a level with at most 9, else 9 sampled ones
-    vertices = sorted(rng.sample(sorted(stabilizers), min(9, 3**n)))
-    for vertex in vertices:
-        group = stabilizers[vertex]
-        assert group.order() == fresh.order() // 3**n
-        answers = []
-        for p in probes(quotient, depth, seed=rng.randrange(10**6)):
-            answer = group.contains(p)
-            fixes = p.images[(vertex - 1) * size] // size == vertex - 1
-            assert answer == (fresh.contains(p) and fixes)
-            answers.append(answer)
-        assert True in answers and False in answers
+    """Each vertex's section, the states of its stabilizer's Schreier words,
+    is the restriction of its stabilizer in G_N; every Schreier word fixes
+    the vertex."""
+    reference = reference_sections(depth, n)
+    assert sorted(reference) == list(am.level_vertices(n))
+    for vertex, expected in reference.items():
+        stabilizer_words, _ = words.schreier_generators(
+            list(words.ALPHABET), words.vertex_image, (), vertex
+        )
+        assert all(_brute.act_word(w, vertex) == vertex for w in stabilizer_words)
+        assert analysis._vertex_section(vertex, depth).same_subgroup_as(expected)
 
 
 @pytest.mark.parametrize("depth", [2, 3, 4])
@@ -158,11 +171,17 @@ def test_rist_image_depth2_matches_enumeration():
 
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_vertex_stabilizers_depth2_match_enumeration(n):
+    """Each vertex's section against the elements of G_2 that fix the vertex,
+    restricted to its leaves. The permutations tried are all those of a
+    vertex's leaves where it has at most three, and G_2 at the root."""
     elements = _g2_elements()
     size = 3 ** (2 - n)
-    stabilizers = permgroup.vertex_stabilizers(analysis.build_quotient(2).group, n)
-    assert sorted(stabilizers) == list(range(1, 3**n + 1))
-    for vertex, group in stabilizers.items():
-        v = vertex - 1
-        members = {e for e in elements if e[v * size] // size == v}
-        assert_same_set(group, members, elements)
+    others = set(itertools.permutations(range(size))) if size <= 3 else elements
+    for index, vertex in enumerate(am.level_vertices(n)):
+        leaves = range(index * size, (index + 1) * size)
+        members = {
+            tuple(e[x] - index * size for x in leaves)
+            for e in elements
+            if e[index * size] // size == index
+        }
+        assert_same_set(analysis._vertex_section(vertex, 2), members, others)
