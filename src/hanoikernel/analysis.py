@@ -82,7 +82,11 @@ def _table_entry(name: str) -> dict:
 
 
 def quotient_order(depth: int) -> int:
-    """6 * prod of the level-stabilizer quotient orders."""
+    """|G_depth| = 6 * prod of the level-stabilizer quotient orders; |G_0| = 1."""
+    if depth < 0:
+        raise DepthError("depth must be >= 0")
+    if depth == 0:
+        return 1
     order = 6
     for n in range(1, depth):
         order *= stab_quotient_order(n)

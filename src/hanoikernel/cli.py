@@ -203,12 +203,12 @@ def _run_kernel_report(args) -> tuple[dict | None, int]:
 
 def _run_relators(args) -> tuple[dict | None, int]:
     results = []
-    for name, word in words.relator_family(args.max_tau).items():
-        ok = words.check_relator(word, args.depth)
+    for name, (base, n) in words.relator_family(args.max_tau).items():
+        ok = words.check_relator(base, args.depth, n)
         results.append(
             {
                 "id": name,
-                "computed": {"trivial": ok, "length": len(word)},
+                "computed": {"trivial": ok, "length": len(words.tau_power(base, n))},
                 "expected": {"trivial": True},
                 "pass": ok,
             }

@@ -83,7 +83,9 @@ class _Level:
         # All strong generators fixing the bases of the shallower levels;
         # the orbit of this level's base is computed under exactly this set.
         self.gens: list[_Elem] = []
-        self.transversal: dict[int, _Elem] = {base: identity}
+        # Only a growing chain reads the forward transversal; a finished
+        # one keeps the inverses, which sift reads, and drops it (_finish).
+        self.transversal: dict[int, _Elem] | None = {base: identity}
         self.inverse_transversal: dict[int, _Elem] = {base: identity}
 
 
@@ -124,7 +126,7 @@ class _Chain:
         chain.levels = levels
         chain._pending = [deque() for _ in levels]
         chain.forced = 0
-        return chain
+        return chain._finish()
 
     def _set_degree(self, degree: int) -> None:
         self.degree = degree
@@ -140,7 +142,7 @@ class _Chain:
     def order(self) -> int:
         n = 1
         for level in self.levels:
-            n *= len(level.transversal)
+            n *= len(level.inverse_transversal)
         return n
 
     def sift(self, p: _Elem, start: int = 0) -> tuple[_Elem, int]:
@@ -180,6 +182,12 @@ class _Chain:
         return [self.unpack(g) for g in self.levels[start].gens]
 
     # -- internals ---------------------------------------------------------
+
+    def _finish(self) -> "_Chain":
+        """Drop the forward transversals; no generator is added after this."""
+        for level in self.levels:
+            level.transversal = None
+        return self
 
     def _new_level(self, base: int, size: int = 1) -> None:
         self.levels.append(_Level(base, self.identity, size))
@@ -386,11 +394,11 @@ class PermGroup:
 
 
 def _build_chain(chain: _Chain, generators: Sequence[Perm]) -> _Chain:
-    """Add the generators to the chain, and log what it took."""
+    """Add the generators to the chain, log what it took, and finish it."""
     for g in generators:
         chain.add_generator(g.images)
     _log_built(chain, len(generators))
-    return chain
+    return chain._finish()
 
 
 def _log_built(chain: _Chain, generator_count: int) -> None:
@@ -442,7 +450,7 @@ def normal_closure(group: PermGroup, seeds: Sequence[Perm]) -> PermGroup:
         for g_inv, g in conjugators:
             queue.append(g_inv * candidate * g)
     _log_built(chain, len(gens))
-    return PermGroup(group.degree, gens, _chain=chain)
+    return PermGroup(group.degree, gens, _chain=chain._finish())
 
 
 def derived_subgroup(group: PermGroup) -> PermGroup:
@@ -604,7 +612,6 @@ def _shifted_levels(inner: _Chain, offset: int, identity: _Elem) -> list[_Level]
     for source in inner.levels:
         level = _Level(source.base + offset, identity)
         level.gens = [shift(g) for g in source.gens]
-        level.transversal = {p + offset: shift(t) for p, t in source.transversal.items()}
         level.inverse_transversal = {
             p + offset: shift(t) for p, t in source.inverse_transversal.items()
         }

@@ -9,18 +9,13 @@ permutes the other two subtrees. Every letter is an involution, hence words
 never need formal inverses: the inverse of a word is its reversal, and the
 only rewriting ever applied is free cancellation xx -> empty.
 
-Evaluation splits each distinct word once: a private memo of word_states,
-keyed by the word alone, serves every depth _evaluate_reduced asks for.
-word_states itself walks a short word letter by letter. A word longer than
-four 64-letter chunks is read chunk by chunk through a per-call cache keyed
-by the root label and the chunk, which holds the chunk's three unreduced
-state pieces and the label after it; the tau-iterates of the relators are
-morphic words whose chunks repeat. If the first chunks mostly miss, the
-word goes back to the letter loop. The concatenated pieces are reduced by
-splicing: cut between equal adjacent letters, each piece is reduced, and a
-stack cancels each piece against the one before along their longest common
-reversed prefix, found by binary search on slices. tau is three
-str.replace calls, and relator_family applies it once per step.
+word_states splits a word into its first-level states letter by letter, and
+evaluation caches each portrait by word and depth. The tau-iterates of the
+relators are never spelled out to be checked: tau(u) has root (2 3)^|u| and
+states (u, beta(u), beta(u)), where beta deletes a and swaps b with c, and
+beta commutes with tau. So evaluation recurses on the pair (w, n), and
+only ever splits w, beta(w) and beta(beta(w)). tau is three str.replace
+calls.
 """
 
 from __future__ import annotations
@@ -73,7 +68,9 @@ _S3, _STEP = _s3_tables()
 # Words generating the first-level stabilizer.
 LEVEL1_STABILIZER_WORDS = ("acab", "abac", "bcba", "babc")
 
-# Each tau step about triples a relator's length, and the cost of checking it.
+# Each tau step about triples the length of a relator's iterate. Checking the
+# iterate costs no more as n grows (evaluate), but spelling it out,
+# which `relators` does to report its length, still triples.
 MAX_TAU = 12
 
 # Evaluation recurses once per level, and each level of _evaluate_reduced
@@ -83,6 +80,7 @@ MAX_DEPTH = 250
 
 _OUTSIDE_ALPHABET = re.compile(f"[^{ALPHABET}]").search
 _DOUBLED = tuple(ch + ch for ch in ALPHABET)
+_SWAP_BC = str.maketrans("bc", "cb")
 
 
 def check_word(word: str) -> str:
@@ -146,14 +144,9 @@ def word_states(word: str) -> tuple[tuple[str, str, str], Perm]:
     Returns the three state words (freely reduced) and the root permutation.
     Each letter lands in the single state whose current image is the letter's
     home coordinate, then multiplies the running root permutation; both come
-    from one lookup in the step table of the six root labels. A word longer
-    than _CHUNKED_MIN letters is split by chunks instead (_chunked_states).
+    from one lookup in the step table of the six root labels.
     """
     check_word(word)
-    if len(word) > _CHUNKED_MIN:
-        split = _chunked_states(word)
-        if split is not None:
-            return split
     states: tuple[list[str], ...] = ([], [], [])
     s = 0
     for ch in word:
@@ -166,146 +159,52 @@ def word_states(word: str) -> tuple[tuple[str, str, str], Perm]:
     return tuple("".join(b) for b in states), _S3[s]  # type: ignore[return-value]
 
 
-# A long word is split in chunks of _CHUNK letters. The tau-iterates of the
-# relators are morphic words, so their chunks repeat: the 20 words of
-# `relators --max-tau 8` split by chunks have 11,001 chunks, of which 240
-# miss the per-word cache. Words of at most four chunks keep the letter
-# loop: on slices of tau^8(w4) the chunks win only from about four chunks
-# on (256 letters: 17 against 25 us), and on random words, which miss every
-# chunk, they cost up to twice the loop.
-_CHUNK = 64
-_CHUNKED_MIN = 4 * _CHUNK
-# The chunks are given up for the letter loop once more than _CHUNK_MISSES
-# of them, and more than half of those read so far, missed. On 20 random
-# words of 20,000 letters word_states then costs the same as the letter
-# loop alone, on 2,000 letters 1.1 times as much, and on 300 to 1,000
-# letters, which give up late or never, 1.3 to 1.8 times.
-_CHUNK_MISSES = 8
-# Above one doubled letter per _SPLICE_SPAN letters, a raw state is reduced
-# by free_reduce's letter stack instead of splicing. On 30,000-letter
-# reduced words with a doubled letter every 32 letters splicing took 1.5
-# times as long as free_reduce, every 64 the same, every 128 less. The
-# relators' raw states have 176 doubled letters in 703,334.
-_SPLICE_SPAN = 64
-
-
-def _chunked_states(word: str) -> tuple[tuple[str, str, str], Perm] | None:
-    """word_states of a long word, by chunks; None once too many miss.
-
-    A chunk read from root label s always sends the same letters to the same
-    coordinates and ends at the same label, so the pair (s, chunk) keys its
-    three raw state pieces and the label after it. Each state is the
-    concatenation of its pieces, reduced once at the end.
-    """
-    seen: dict[tuple[int, str], tuple[str, str, str, int]] = {}
-    first: list[str] = []
-    second: list[str] = []
-    third: list[str] = []
-    s = misses = 0
-    for count, start in enumerate(range(0, len(word), _CHUNK), 1):
-        key = (s, word[start : start + _CHUNK])
-        entry = seen.get(key)
-        if entry is None:
-            misses += 1
-            if misses > _CHUNK_MISSES and 2 * misses > count:
-                return None
-            entry = seen[key] = _raw_pieces(*key)
-        first.append(entry[0])
-        second.append(entry[1])
-        third.append(entry[2])
-        s = entry[3]
-    states = tuple(_splice_reduce("".join(p)) for p in (first, second, third))
-    return states, _S3[s]  # type: ignore[return-value]
-
-
-def _raw_pieces(s: int, chunk: str) -> tuple[str, str, str, int]:
-    """The letters of the chunk in each coordinate, read from root label s,
-    with no cancellation, and the label after the chunk."""
-    buckets: tuple[list[str], ...] = ([], [], [])
-    for ch in chunk:
-        coordinate, s = _STEP[s][ch]
-        buckets[coordinate].append(ch)
-    return "".join(buckets[0]), "".join(buckets[1]), "".join(buckets[2]), s
-
-
-def _splice_reduce(raw: str) -> str:
-    """free_reduce of a word, by splicing where it has few doubled letters.
-
-    Cut between every two equal adjacent letters, the word falls into pieces
-    that are each reduced. A stack holds reduced pieces whose concatenation
-    is reduced; the next piece cancels against the top along the longest
-    common prefix of the reversed top and itself, and goes on to the piece
-    below only if the whole top cancelled.
-    """
-    doubled = sum(raw.count(pair) for pair in _DOUBLED)
-    if not doubled:
-        return raw
-    if doubled * _SPLICE_SPAN > len(raw):
-        return free_reduce(raw)
-    # str.replace does not overlap its matches, so one pass leaves a doubled
-    # letter in each run of three or more equal letters; a second cuts it
-    for _ in range(2):
-        for pair in _DOUBLED:
-            raw = raw.replace(pair, f"{pair[0]}|{pair[0]}")
-    stack: list[str] = []
-    for piece in raw.split("|"):
-        while stack and piece:
-            top = stack[-1]
-            k = _cancel_length(top, piece)
-            piece = piece[k:]
-            if k < len(top):
-                stack[-1] = top[: len(top) - k]
-                break
-            stack.pop()
-        if piece:
-            stack.append(piece)
-    return "".join(stack)
-
-
-def _cancel_length(top: str, piece: str) -> int:
-    """Length of the longest common prefix of reversed top and the piece."""
-    lo, hi = 0, min(len(top), len(piece))
-    end = len(top)
-    # a prefix of a common prefix is common, so binary search finds the longest
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if top[end - mid :][::-1] == piece[:mid]:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-# The distinct words _evaluate_reduced splits, each once: `relators
-# --max-tau 8 --depth 8` asks for 176 splits of 36 words. Every state word
-# it holds is a key of _evaluate_reduced's cache too. word_states itself
-# stays uncached, so that timing it times work.
-_memo_word_states = functools.lru_cache(maxsize=None)(word_states)
-
-
 @functools.lru_cache(maxsize=None)
-def _evaluate_reduced(word: str, depth: int) -> Portrait:
+def _evaluate_reduced(word: str, depth: int, n: int) -> Portrait:
     if depth == 0:
         return automorphism.identity(0)
     if not word:
         return automorphism.identity(depth)
-    states, root = _memo_word_states(word)
-    children = tuple(_evaluate_reduced(s, depth - 1) for s in states)
+    if n:
+        # the states of tau(u) are (u, beta(u), beta(u)); tau keeps the
+        # parity of a length, since each letter's image has odd length
+        root = ROOT_PERMS["a"] if len(word) % 2 else _S3[0]
+        twisted = beta(word)
+        states = (word, twisted, twisted)
+    else:
+        states, root = word_states(word)
+    children = tuple(_evaluate_reduced(s, depth - 1, n and n - 1) for s in states)
     return Portrait(root, children)
 
 
-def evaluate(word: str, depth: int) -> Portrait:
-    """The depth-N portrait of the group element spelled by the word."""
+def evaluate(word: str, depth: int, n: int = 0) -> Portrait:
+    """The depth-N portrait of the group element tau^n(word).
+
+    tau^n(word) is never spelled out: by beta's identities, tau^n(w) has
+    root (2 3)^|w| and states tau^(n-1)(w), tau^(n-1)(beta(w)) twice.
+    """
     if depth < 0:
         raise ShapeError("depth must be >= 0")
     if depth > MAX_DEPTH:
         raise ResourceLimitError(f"depth {depth} exceeds the cap {MAX_DEPTH}")
-    return _evaluate_reduced(free_reduce(word), depth)
+    if n < 0:
+        raise ShapeError("n must be >= 0")
+    return _evaluate_reduced(free_reduce(word), depth, n)
 
 
-def check_relator(word: str, depth: int) -> bool:
-    """True iff the word evaluates to the identity at the given depth."""
-    return evaluate(word, depth).is_identity()
+def beta(word: str) -> str:
+    """The substitution a -> empty, b -> c, c -> b, freely reduced.
+
+    For every word u, tau(u) has root (2 3)^|u| and states (u, beta(u),
+    beta(u)): each letter's image under tau does, and (2 3) swaps the two
+    equal states. beta(tau(u)) reduces to tau(beta(u)).
+    """
+    return free_reduce(check_word(word).replace("a", "").translate(_SWAP_BC))
+
+
+def check_relator(word: str, depth: int, n: int = 0) -> bool:
+    """True iff tau^n(word) evaluates to the identity at the given depth."""
+    return evaluate(word, depth, n).is_identity()
 
 
 # -- relators ----------------------------------------------------------------
@@ -336,18 +235,18 @@ RELATORS: dict[str, str] = {
 INVOLUTION_RELATORS = ("aa", "bb", "cc")
 
 
-def relator_family(max_tau: int) -> dict[str, str]:
-    """The involution relators plus tau-iterates of w1..w4 up to max_tau."""
+def relator_family(max_tau: int) -> dict[str, tuple[str, int]]:
+    """The involution relators plus tau-iterates of w1..w4 up to max_tau,
+    each as the pair (w, n) that stands for tau^n(w)."""
     if max_tau < 0:
         raise ShapeError("max_tau must be >= 0")
     if max_tau > MAX_TAU:
         raise ResourceLimitError(f"max_tau {max_tau} exceeds the cap {MAX_TAU}")
-    out = {f"{w[0]}^2": w for w in INVOLUTION_RELATORS}
+    out = {f"{w[0]}^2": (w, 0) for w in INVOLUTION_RELATORS}
     for name, word in RELATORS.items():
-        out[name] = word
+        out[name] = (word, 0)
         for n in range(1, max_tau + 1):
-            word = tau(word)
-            out[f"tau^{n}({name})"] = word
+            out[f"tau^{n}({name})"] = (word, n)
     return out
 
 

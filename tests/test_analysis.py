@@ -17,6 +17,14 @@ def test_quotient_order_formula_matches_table():
         assert analysis.quotient_order(int(key)) == value
 
 
+def test_quotient_order_below_depth_one():
+    # G_0 acts on the root alone, so it is trivial
+    assert analysis.quotient_order(0) == 1
+    assert analysis.quotient_order(1) == 6
+    with pytest.raises(DepthError, match="depth must be >= 0"):
+        analysis.quotient_order(-1)
+
+
 def test_quotient_generators_are_involutions():
     q = analysis.build_quotient(3)
     for perm in q.generator_map.values():

@@ -133,6 +133,20 @@ def test_relators(capsys):
     assert {"a^2", "w1", "tau^1(w4)"} <= ids
 
 
+def test_relators_split_only_short_words(capsys, monkeypatch):
+    """The tau-iterates are checked from (w, n): no word longer than the
+    relators w1..w4, at most 30 letters, is split, though the iterates are
+    spelled out to report their lengths."""
+    split = []
+    word_states = words.word_states
+    monkeypatch.setattr(words, "word_states", lambda w: split.append(w) or word_states(w))
+    words._evaluate_reduced.cache_clear()
+    code, report, _ = run_json(capsys, "relators", "--max-tau", "8", "--depth", "8")
+    assert code == 0
+    assert split and max(map(len, split)) <= 30
+    assert max(r["computed"]["length"] for r in report["results"]) > 100_000
+
+
 def test_export_json(capsys):
     code, out, _ = run(capsys, "export", "portrait", "acab", "--depth", "2")
     assert code == 0

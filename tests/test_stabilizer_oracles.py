@@ -82,8 +82,8 @@ def reference_sections(depth: int, level: int) -> dict:
     )
     stabilizer = [Perm(s) for s in chain.strong_generators(1)]
     sections = {}
-    for v, t in chain.levels[0].transversal.items():
-        t = Perm(chain.unpack(t))
+    for v, t_inv in chain.levels[0].inverse_transversal.items():
+        t = Perm(chain.unpack(t_inv)).inverse()
         conjugates = [t.inverse() * s * t for s in stabilizer]
         leaves = range(v * size, (v + 1) * size)
         restricted = [Perm([g.images[x] - v * size for x in leaves]) for g in conjugates]

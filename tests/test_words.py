@@ -5,6 +5,7 @@ import pytest
 from hanoikernel import automorphism as am
 from hanoikernel import permgroup, words
 from hanoikernel.automorphism import leaf_permutation
+from hanoikernel.errors import ResourceLimitError, ShapeError
 from hanoikernel.perm import Perm
 
 import _brute
@@ -236,7 +237,7 @@ def test_relator_family_keys():
     assert len(family) == 3 + 4 * 3
 
 
-# -- the chunked split and splicing reduction of long words -------------------
+# -- word_states of long, unreduced and repeated words ------------------------
 
 
 def assert_states_match_brute(w):
@@ -264,19 +265,14 @@ def test_relator_family_matches_tau_powers():
     for name, base in words.RELATORS.items():
         for n in range(10):
             key = name if n == 0 else f"tau^{n}({name})"
-            assert family[key] == words.tau_power(base, n), key
+            assert family[key] == (base, n), key
 
 
 def test_word_states_of_relator_family_match_brute():
-    family = words.relator_family(9)
-    assert max(map(len, family.values())) > 400_000
-    chunked = 0
-    for w in family.values():
+    family = [words.tau_power(base, n) for base, n in words.relator_family(9).values()]
+    assert max(map(len, family)) > 400_000
+    for w in family:
         assert_states_match_brute(w)
-        if len(w) > words._CHUNKED_MIN:
-            chunked += words._chunked_states(w) is not None
-    # all but the shortest few long ones are split by chunks
-    assert chunked >= 24
 
 
 def test_word_states_of_unreduced_words_match_brute():
@@ -296,7 +292,7 @@ def test_word_states_around_chunk_thresholds_match_brute():
     lengths += [rng.randint(0, 5000) for _ in range(20)]
     for length in lengths:
         assert_states_match_brute(random_reduced_word(rng, length))
-        # the same lengths cut from a tau-iterate, whose chunks repeat
+        # the same lengths cut from a tau-iterate, a morphic word
         w = words.tau_power(words.RELATORS["w3"], 6)
         start = rng.randint(0, len(w) - length)
         assert_states_match_brute(w[start : start + length])
@@ -312,7 +308,7 @@ def test_word_states_with_deep_cancellation_match_brute():
                 assert_states_match_brute(w)
     # u * reverse(u) is the identity, so every state cancels to nothing
     u = morphic[:3000]
-    assert words._chunked_states(u + u[::-1]) == (("", "", ""), words._S3[0])
+    assert words.word_states(u + u[::-1]) == (("", "", ""), Perm.identity(3))
 
 
 def test_word_states_of_repeated_blocks_match_brute():
@@ -322,86 +318,74 @@ def test_word_states_of_repeated_blocks_match_brute():
         w = block * (6000 // block_length)
         assert_states_match_brute(w)
         assert_states_match_brute(w + w[::-1])
-    # a 64-letter block repeats as a chunk, read from up to six root labels
-    block = random_reduced_word(rng, 64)
-    assert words._chunked_states(block * 60) is not None
-
-
-def identity_chunks(rng, count):
-    """Distinct 64-letter words u + reverse(u): each returns the root label
-    to the identity, so every chunk is read from the same label."""
-    out = set()
-    while len(out) < count:
-        u = random_reduced_word(rng, 32)
-        out.add(u + u[::-1])
-    return sorted(out)
-
-
-def test_chunks_fall_back_to_the_letter_loop_after_many_misses():
-    rng = random.Random(35)
-    first, *rest = identity_chunks(rng, 9)
-    # eight misses never fall back, even as the first eight chunks
-    w = first + "".join(rest[:7]) + first * 3
-    assert words._chunked_states(w) is not None
-    assert_states_match_brute(w)
-    # the ninth miss falls back when it is more than half the chunks read
-    for repeats, falls_back in ((9, True), (10, False)):
-        w = first * repeats + "".join(rest)
-        assert (words._chunked_states(w) is None) is falls_back, repeats
-        assert_states_match_brute(w)
-    # random words miss from the start
-    w = random_reduced_word(rng, 20_000)
-    assert words._chunked_states(w) is None
-    assert_states_match_brute(w)
-
-
-def test_only_words_longer_than_four_chunks_are_chunked(monkeypatch):
-    calls = []
-    chunked_states = words._chunked_states
-    monkeypatch.setattr(
-        words, "_chunked_states", lambda w: calls.append(len(w)) or chunked_states(w)
-    )
-    w = words.tau_power(words.RELATORS["w4"], 4)
-    for length in (words._CHUNKED_MIN, words._CHUNKED_MIN + 1):
-        assert_states_match_brute(w[:length])
-    assert calls == [words._CHUNKED_MIN + 1]
-
-
-def test_splice_reduce_matches_stack_reference():
-    rng = random.Random(36)
-    samples = ["", "a", "aa", "aaa", "aaaa", "abccba", "abccbab", "abcabccbacba"]
-    for _ in range(300):
-        u = random_reduced_word(rng, rng.randint(0, 200))
-        v = random_reduced_word(rng, rng.randint(0, 200))
-        samples += [u + v, u + u[::-1] + v, u + v + v[::-1][: rng.randint(0, len(v))]]
-        # nested palindromes with a few doubled letters
-        samples.append(u + v + v[::-1] + u[::-1] + v)
-    for w in samples:
-        assert words._splice_reduce(w) == _stack_reduce(w), w
-
-
-def test_splice_reduce_gives_dense_doubled_letters_to_free_reduce(monkeypatch):
-    calls = []
-    free_reduce = words.free_reduce
-    monkeypatch.setattr(words, "free_reduce", lambda w: calls.append(w) or free_reduce(w))
-    rng = random.Random(37)
-    u = random_reduced_word(rng, words._SPLICE_SPAN - 1)
-    # one doubled letter in _SPLICE_SPAN letters is spliced, one in fewer is not
-    at_threshold = u + u[-1]
-    above = u[1:] + u[-1]
-    assert (len(at_threshold), len(above)) == (words._SPLICE_SPAN, words._SPLICE_SPAN - 1)
-    for w, delegated in ((at_threshold, False), (above, True)):
-        calls.clear()
-        assert words._splice_reduce(w) == _stack_reduce(w)
-        assert bool(calls) is delegated
 
 
 def test_public_word_states_stays_uncached():
     assert not hasattr(words.word_states, "cache_info")
+
+
+# -- tau-iterates evaluated from the pair (w, n) -------------------------------
+
+
+def test_tau_states_are_u_and_beta_u():
+    """tau(u) has root (2 3)^|u| and states (u, beta(u), beta(u))."""
+    rng = random.Random(41)
+    for _ in range(1500):
+        u = random_word(rng, rng.randint(0, 40))
+        images = (1, 3, 2) if len(u) % 2 else (1, 2, 3)
+        beta_u = words.beta(u)
+        states = (words.free_reduce(u), beta_u, beta_u)
+        assert _brute.word_states(words.tau(u)) == (states, images), u
+
+
+def test_beta_commutes_with_tau():
+    rng = random.Random(42)
+    for _ in range(1500):
+        u = random_word(rng, rng.randint(0, 40))
+        assert words.free_reduce(words.beta(words.tau(u))) == words.tau(words.beta(u)), u
+
+
+def tau_power_mismatches():
+    """Cases where evaluating tau^n(w) from (w, n) differs from evaluating
+    the spelled-out iterate: w1..w4 with n, depth <= 6, and random short
+    words with n <= 3."""
+    rng = random.Random(43)
+    cases = [(w, n, d) for w in words.RELATORS.values() for n in range(7) for d in range(7)]
+    for _ in range(60):
+        w = random_word(rng, rng.randint(0, 12))
+        cases += [(w, n, rng.randint(0, 6)) for n in range(4)]
+    return [
+        (w, n, d)
+        for w, n, d in cases
+        if words.evaluate(w, d, n) != words.evaluate(words.tau_power(w, n), d)
+    ]
+
+
+def test_evaluate_of_tau_power_matches_spelled_out_iterate():
+    assert tau_power_mismatches() == []
+
+
+def test_tau_power_oracle_catches_a_beta_without_the_swap(monkeypatch):
     words._evaluate_reduced.cache_clear()
-    words._memo_word_states.cache_clear()
-    word = words.tau_power(words.RELATORS["w1"], 3)
-    assert words.check_relator(word, 3)
-    assert words.check_relator(word, 4)
-    info = words._memo_word_states.cache_info()
-    assert info.hits > 0 and info.misses > 0
+    monkeypatch.setattr(words, "beta", lambda w: words.free_reduce(w.replace("a", "")))
+    try:
+        assert tau_power_mismatches()
+    finally:
+        words._evaluate_reduced.cache_clear()
+
+
+def test_evaluate_of_tau_power_keeps_the_depth_contract():
+    with pytest.raises(ShapeError, match="depth must be >= 0"):
+        words.evaluate("ab", -1, 2)
+    with pytest.raises(ResourceLimitError, match=f"depth {words.MAX_DEPTH + 1}"):
+        words.evaluate("ab", words.MAX_DEPTH + 1, 2)
+    with pytest.raises(ShapeError, match="n must be >= 0"):
+        words.evaluate("ab", 2, -1)
+
+
+def test_relators_at_the_caps_need_no_deeper_recursion():
+    # a cold cache, so that every level is recursed into
+    words._evaluate_reduced.cache_clear()
+    for base in words.RELATORS.values():
+        assert words.check_relator(base, words.MAX_DEPTH, words.MAX_TAU)
+    assert not words.check_relator("ab", words.MAX_DEPTH, words.MAX_TAU)
