@@ -11,7 +11,6 @@ from .analysis import (
     kernel_report,
     q_order,
     rist_image,
-    stab,
     verify_lemma,
 )
 from .automorphism import (
@@ -31,9 +30,7 @@ from .permgroup import (
     PermGroup,
     derived_subgroup,
     is_elementary_abelian,
-    kernel_of_level_action,
     normal_closure,
-    subgroup_index,
 )
 from .words import (
     RELATORS,
@@ -75,7 +72,6 @@ __all__ = [
     "intersect",
     "inverse",
     "is_elementary_abelian",
-    "kernel_of_level_action",
     "kernel_report",
     "leaf_permutation",
     "normal_closure",
@@ -85,10 +81,8 @@ __all__ = [
     "schreier_stab1_generators",
     "solve",
     "span",
-    "stab",
     "stab1_vector",
     "state_at",
-    "subgroup_index",
     "sum_spaces",
     "tau",
     "verify_lemma",

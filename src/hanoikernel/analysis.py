@@ -3,19 +3,20 @@
 Builds the truncated quotients G_N acting on 3^N leaves, computes level and
 rigid stabilizer images inside them, and checks every structural statement
 the rigid-kernel computation rests on. The kernel report assembles the
-inverse-system bookkeeping: Q orders from truncations, K and the seed order
-from the exact GF(2)^9 data, and the Gamma orders from the exact-sequence
-recurrence, never from truncated indices (the truncated index is exactly the
-Q order; the kernel itself is the part truncations cannot see).
+inverse-system bookkeeping: Q orders as |G_N| / (|G_n| |Rist(n)|) from
+truncations, K and the seed order from the exact GF(2)^9 data, and the
+Gamma orders from the exact-sequence recurrence, never from truncated
+indices (the truncated index is exactly the Q order; the kernel itself is
+the part truncations cannot see).
 
-stabquot and rist read orders and memberships off the cached chains of G_N,
-G_n and G'_n. G_N acts on level n as G_n, so |Stab(n)/Stab(n+1)| is
-|G_(n+1)|/|G_n|, and |G'_(n+1)|/|G'_n| inside the derived subgroup; a
-Rist(n) generator lies in Stab(n) when it lies in G_N and fixes every
-level-n vertex. transrec reads each vertex's section off the states of
-its stabilizer's Reidemeister-Schreier words, at the subtree's degree. The
-depth cap is checked where a depth enters; everything behind those entry
-points builds through _quotient.
+No chain of a level stabilizer is built: orders and memberships come off
+the cached chains of G_N, G_n and G'_n. G_N acts on level n as G_n, so
+|Stab(n)| is |G_N|/|G_n|, and |Stab(n)/Stab(n+1)| is |G_(n+1)|/|G_n|, or
+|G'_(n+1)|/|G'_n| inside the derived subgroup; a Rist(n) generator lies in
+Stab(n) when it lies in G_N and fixes every level-n vertex. transrec reads
+each vertex's section off the states of its stabilizer's Reidemeister-
+Schreier words, at the subtree's degree. The depth cap is checked where a
+depth enters; everything behind those entry points builds through _quotient.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from importlib import resources
 
 from . import f2, permgroup, words
 from .automorphism import embed, leaf_permutation, state_at
-from .errors import DepthError, ResourceLimitError, ShapeError
+from .errors import DepthError, NotASubgroupError, ResourceLimitError, ShapeError
 from .f2 import F2Subspace
 from .perm import Perm
 from .permgroup import PermGroup
@@ -128,14 +129,12 @@ class TruncatedQuotient:
 # Under the GIL dict.get and dict.setdefault are atomic: threads that miss
 # together compute the same value, and the first one stored is kept.
 _quotients: dict[int, TruncatedQuotient] = {}
-_stabs: dict[tuple[int, int], PermGroup] = {}
 _rists: dict[tuple[int, int], PermGroup] = {}
 _derived: dict[int, PermGroup] = {}
 
 
 def clear_caches() -> None:
     _quotients.clear()
-    _stabs.clear()
     _rists.clear()
     _derived.clear()
 
@@ -158,20 +157,9 @@ def _quotient(depth: int) -> TruncatedQuotient:
     for letter, perm in gen_map.items():
         if not (perm * perm).is_identity():
             raise AssertionError(f"generator {letter} is not an involution")
-    quotient = TruncatedQuotient(depth, PermGroup(3**depth, gen_map.values()), gen_map)
+    group = permgroup.tree_group(depth, gen_map.values())
+    quotient = TruncatedQuotient(depth, group, gen_map)
     return _quotients.setdefault(depth, quotient)
-
-
-def stab(quotient: TruncatedQuotient, n: int) -> PermGroup:
-    """Image of the level-n stabilizer: the kernel of the level-n action."""
-    if not 0 <= n <= quotient.depth:
-        raise DepthError(f"level {n} outside 0..{quotient.depth}")
-    key = (quotient.depth, n)
-    cached = _stabs.get(key)
-    if cached is not None:
-        return cached
-    group = permgroup.kernel_of_level_action(quotient.group, n)
-    return _stabs.setdefault(key, group)
 
 
 def derived_of_quotient(quotient: TruncatedQuotient) -> PermGroup:
@@ -206,9 +194,37 @@ def q_order(depth: int, n: int, slow: bool = False) -> int:
     return _q_order(depth, n)
 
 
+def _rist_in_stab(quotient: TruncatedQuotient, n: int, rist: PermGroup) -> bool:
+    """Whether every generator of the rigid-stabilizer image fixes every
+    level-n vertex and lies in G_N, so that the image lies in Stab(n). G_N
+    maps vertices to vertices, so a vertex's first leaf shows where the
+    vertex goes."""
+    size = 3 ** (quotient.depth - n)
+    return all(
+        all(g.images[v * size] // size == v for v in range(3**n))
+        and quotient.group.contains(g)
+        for g in rist.generators
+    )
+
+
+def _exact_quotient(order: int, sub_order: int) -> int:
+    quotient, remainder = divmod(order, sub_order)
+    if remainder:
+        raise AssertionError(f"order {sub_order} does not divide order {order}")
+    return quotient
+
+
 def _q_order(depth: int, n: int) -> int:
+    """|Stab(n)| / |Rist(n)| in G_N, with |Stab(n)| = |G_N| / |G_n|: G_N
+    acts on level n as G_n, and Stab(n) is the kernel of that action."""
     quotient = _quotient(depth)
-    return permgroup.subgroup_index(stab(quotient, n), rist_image(quotient, n))
+    rist = rist_image(quotient, n)
+    if not _rist_in_stab(quotient, n, rist):
+        raise NotASubgroupError(f"Rist({n}) of G_{depth} is not inside Stab({n})")
+    orders = quotient.group.order(), _quotient(n).group.order(), rist.order()
+    q = _exact_quotient(_exact_quotient(orders[0], orders[1]), orders[2])
+    logger.info("Q(%d,%d) = |G_N| / (|G_n| |Rist(n)|) = %d / (%d * %d)", n, depth, *orders)
+    return q
 
 
 def q_table(n_max: int, depth: int, slow: bool = False) -> dict[tuple[int, int], int]:
@@ -331,23 +347,24 @@ class KernelReport:
 
 
 def _elementary_abelian_quotient(quotient: TruncatedQuotient, n: int) -> bool:
-    """Whether the level-n stabilizer image is elementary abelian 2 over the
-    rigid-stabilizer image: the squares and commutators of the generators
-    outside the rigid-stabilizer image sift in."""
-    stabilizer = stab(quotient, n)
+    """Whether Q(n,N) = Stab(n)/Rist(n) in G_N is elementary abelian 2,
+    from a containment and an order; no chain of Stab(n) is built.
+
+    Let k = N - n. Taking the states at the level-n vertices maps Stab(n)
+    homomorphically into (G_k)^(3^n): the states of a, b and c are a, b, c
+    or trivial (selfsim), so the states of an element of G_N lie in G_k.
+    Follow it with G_k -> G_k/G'_k on each factor. G_k is generated by
+    involutions (_quotient checks that), so G_k/G'_k is elementary abelian
+    2, and the image of Stab(n) is too. The kernel is the intersection of
+    Stab(n) with (G'_k)^(3^n), so its order is at most |G'_k|^(3^n).
+    rist_image is built as (G'_k)^(3^n) on the level-n blocks. Once its
+    generators fix level n and lie in G_N, it lies in that kernel, and when
+    its order is |G'_k|^(3^n) it is the kernel. Then Q(n,N) embeds in an
+    elementary abelian 2-group.
+    """
     rist = rist_image(quotient, n)
-    # Rist(n) is normal in Stab(n), which the quotient already needs to be
-    # a group. So a generator inside Rist(n) is trivial in the quotient,
-    # and the others still generate it.
-    gens = [g for g in stabilizer.generators if not rist.contains(g)]
-    inverses = [g.inverse() for g in gens]
-    for i, g in enumerate(gens):
-        if not rist.contains(g * g):
-            return False
-        for h, h_inv in zip(gens[i + 1 :], inverses[i + 1 :]):
-            if not rist.contains(inverses[i] * h_inv * g * h):
-                return False
-    return True
+    inner = derived_of_quotient(_quotient(quotient.depth - n))
+    return _rist_in_stab(quotient, n, rist) and rist.order() == inner.order() ** (3**n)
 
 
 def kernel_report(n_max: int = 2, depth_budget: int = 4, slow: bool = False) -> KernelReport:
@@ -488,9 +505,9 @@ def _check_branching(depth: int) -> LemmaReport:
 def _check_stab12(depth: int) -> LemmaReport:
     if depth < 2:
         raise DepthError("the level-2 data needs depth >= 2")
-    g1 = _quotient(1)
-    s = stab(_quotient(2), 1)
-    order = s.order()
+    g1 = _quotient(1).group.order()
+    # G_2 acts on level 1 as G_1, so |Stab(1)/Stab(2)| = |G_2| / |G_1|
+    order = _exact_quotient(_quotient(2).group.order(), g1)
 
     # the four generator images in the level-1-to-2 labels
     triples = {}
@@ -498,28 +515,27 @@ def _check_stab12(depth: int) -> LemmaReport:
         portrait = words.evaluate(word, 2)
         triples[word] = [portrait.label((i,)).cycle_string() for i in (1, 2, 3)]
 
-    # the four images generate the whole sign-sum kernel: they land in it
-    # (checked below on all stabilizer generators) and match its order 108
-    span = PermGroup(
-        9,
-        [leaf_permutation(words.evaluate(w, 2), 2) for w in words.LEVEL1_STABILIZER_WORDS],
-    )
+    # the four images generate all of Stab(1)/Stab(2), the sign-sum kernel:
+    # they lie in the kernel, which is inside Stab(1), and their group has
+    # the order of Stab(1)/Stab(2)
+    four = [leaf_permutation(words.evaluate(w, 2), 2) for w in words.LEVEL1_STABILIZER_WORDS]
 
-    def sign_sum_even(g: Perm) -> bool:
+    def in_sign_sum_kernel(g: Perm) -> bool:
+        """g fixes level 1 and the signs of its three labels multiply to 1."""
         total = 1
         for block in range(3):
-            local = Perm.from_one_based(
-                [g.apply(p) - 3 * block for p in range(3 * block + 1, 3 * block + 4)]
-            )
-            total *= local.sign()
+            local = [g.images[3 * block + i] - 3 * block for i in range(3)]
+            if sorted(local) != [0, 1, 2]:
+                return False
+            total *= Perm(local).sign()
         return total == 1
 
     computed = {
-        "quotient_order_level1": g1.group.order(),
+        "quotient_order_level1": g1,
         "stab1_mod_stab2_order": order,
         "label_triples": triples,
-        "generated_by_four_words": span.order(),
-        "sign_sum_kernel": all(sign_sum_even(g) for g in s.generators),
+        "generated_by_four_words": PermGroup(9, four).order(),
+        "sign_sum_kernel": all(in_sign_sum_kernel(g) for g in four),
     }
     table = load_expected_table()
     stab12_order = table["stabilizer_quotient_order"]["values"]["1"]
@@ -568,14 +584,8 @@ def _check_rist(depth: int) -> LemmaReport:
     containments = {}
     quotient = _quotient(depth)
     for n in range(1, depth):
-        # G_N maps vertices to vertices, so a vertex's first leaf shows
-        # where the vertex goes
-        size = 3 ** (depth - n)
-        containments[f"rist({n}) <= stab({n})"] = all(
-            quotient.group.contains(g)
-            and all(g.images[v * size] // size == v for v in range(3**n))
-            for g in rist_image(quotient, n).generators
-        )
+        rist = rist_image(quotient, n)
+        containments[f"rist({n}) <= stab({n})"] = _rist_in_stab(quotient, n, rist)
     computed = {
         "vectors": {x: list(f2.stab1_vector(x)) for x in words.LEVEL1_STABILIZER_WORDS},
         "dim_u": u.dim(),

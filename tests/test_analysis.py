@@ -2,7 +2,14 @@ import pytest
 
 from hanoikernel import analysis, f2, permgroup
 from hanoikernel.perm import Perm
-from hanoikernel.errors import DepthError, ResourceLimitError, ShapeError
+from hanoikernel.errors import (
+    DepthError,
+    NotASubgroupError,
+    ResourceLimitError,
+    ShapeError,
+)
+
+import _chain_oracles as oracles
 
 
 def test_quotient_orders():
@@ -57,17 +64,21 @@ def test_block_action_compatibility_across_depths():
 
 def test_stab_examples():
     g2 = analysis.build_quotient(2)
-    s = analysis.stab(g2, 1)
-    assert permgroup.subgroup_index(g2.group, s) == 6
-    assert analysis.stab(g2, 0) is g2.group
-    assert analysis.stab(g2, 2).order() == 1
+    s = oracles.stab(g2, 1)
+    assert oracles.subgroup_index(g2.group, s) == 6
+    assert oracles.stab(g2, 0) is g2.group
+    assert oracles.stab(g2, 2).order() == 1
     g3 = analysis.build_quotient(3)
-    assert analysis.stab(g3, 1).order() == 816_293_376 // 6
+    assert oracles.stab(g3, 1).order() == 816_293_376 // 6
 
 
 def test_stab_depth_error():
     with pytest.raises(DepthError):
-        analysis.stab(analysis.build_quotient(2), 3)
+        oracles.stab(analysis.build_quotient(2), 3)
+    # Q(n,N) is defined for 1 <= n < N only
+    for n in (0, 2):
+        with pytest.raises(DepthError):
+            analysis.q_order(2, n)
 
 
 def test_rist_image_examples():
@@ -78,7 +89,7 @@ def test_rist_image_examples():
     g3 = analysis.build_quotient(3)
     assert analysis.rist_image(g3, 2).order() == 19_683
     # rigid stabilizer sits inside the level stabilizer
-    s = analysis.stab(g3, 2)
+    s = oracles.stab(g3, 2)
     assert all(s.contains(g) for g in analysis.rist_image(g3, 2).generators)
 
 
@@ -98,8 +109,8 @@ def test_q_orders_small():
 
 def test_level_stabilizer_quotient_orders():
     g3 = analysis.build_quotient(3)
-    s1 = analysis.stab(g3, 1).order()
-    s2 = analysis.stab(g3, 2).order()
+    s1 = oracles.stab(g3, 1).order()
+    s2 = oracles.stab(g3, 2).order()
     assert s1 // s2 == analysis.stab_quotient_order(1) == 108
     assert s2 == analysis.stab_quotient_order(2) == 1_259_712
 
@@ -119,8 +130,8 @@ def test_level_identity_inside_rigid_product():
     for big_n, n, m in cases:
         quotient = analysis.build_quotient(big_n)
         rist = analysis.rist_image(quotient, n)
-        inside = permgroup.kernel_of_level_action(rist, n + m)
-        inner = permgroup.kernel_of_level_action(
+        inside = oracles.kernel_of_level_action(rist, n + m)
+        inner = oracles.kernel_of_level_action(
             analysis.derived_of_quotient(analysis.build_quotient(big_n - n)), m
         )
         gens = [
@@ -156,6 +167,11 @@ def test_rist_check_fails_when_rist_leaves_stab(monkeypatch, extra):
         report = analysis.verify_lemma("rist", depth=depth)
         assert not report.passed
         assert not any(report.computed["containments"].values())
+        # Q(n,N) and its flag rest on the same containment
+        for n in range(1, depth):
+            with pytest.raises(NotASubgroupError):
+                analysis.q_order(depth, n)
+            assert not analysis._elementary_abelian_quotient(quotient, n)
 
 
 def test_gamma1_and_seed_orders():
@@ -298,7 +314,8 @@ def test_unlocked_caches_keep_one_value_per_key():
     try:
         def work():
             quotient = analysis.build_quotient(3)
-            results.append((quotient, analysis.stab(quotient, 1), quotient.group.order()))
+            rist = analysis.rist_image(quotient, 1)
+            results.append((quotient, rist, quotient.group.order()))
 
         threads = [threading.Thread(target=work) for _ in range(8)]
         for t in threads:
@@ -312,12 +329,13 @@ def test_unlocked_caches_keep_one_value_per_key():
     assert len({id(q) for q, _, _ in results}) == 1
     assert len({id(s) for _, s, _ in results}) == 1
     assert {order for _, _, order in results} == {analysis.quotient_order(3)}
-    assert results[0][1].order() == analysis.quotient_order(3) // 6
+    # |G'_2|^3, half of |G_2| in each of the three level-1 subtrees
+    assert results[0][1].order() == (analysis.quotient_order(2) // 2) ** 3
 
 
 def unpruned_elementary_abelian_quotient(quotient, n):
     """The flag's check over every Stab(n) generator, none dropped."""
-    gens = analysis.stab(quotient, n).generators
+    gens = oracles.stab(quotient, n).generators
     rist = analysis.rist_image(quotient, n)
     for i, g in enumerate(gens):
         if not rist.contains(g * g):
@@ -329,22 +347,26 @@ def unpruned_elementary_abelian_quotient(quotient, n):
 
 
 def test_elementary_abelian_flags_match_unpruned_check():
+    # the flag from orders against the sift checks over Stab(n) generators
     for big_n in range(2, 6):
         quotient = analysis.build_quotient(big_n, slow=True)
         for n in range(1, big_n):
             flag = analysis._elementary_abelian_quotient(quotient, n)
+            assert flag == oracles.elementary_abelian_quotient(quotient, n)
             assert flag == unpruned_elementary_abelian_quotient(quotient, n)
             assert flag, (n, big_n)
 
 
 def test_elementary_abelian_flags_fail_over_too_small_subgroups(monkeypatch):
-    # The trivial group contains no generator, so none is dropped; Stab(n+1)
-    # is normal and contains one Stab(2) generator of G_4, which is dropped.
+    # Both fakes lie in Stab(n) and are smaller than (G'_(N-n))^(3^n), so
+    # the flag's order check fails them. In the sift oracles, the trivial
+    # group contains no generator, so none is dropped; Stab(n+1) is normal
+    # and contains one Stab(2) generator of G_4, which is dropped.
     def trivial(quotient, n):
         return permgroup.PermGroup(quotient.group.degree)
 
     def next_stab(quotient, n):
-        return analysis.stab(quotient, n + 1)
+        return oracles.stab(quotient, n + 1)
 
     quotients = [analysis.build_quotient(big_n) for big_n in (2, 3, 4)]
     for fake in (trivial, next_stab):
@@ -352,10 +374,11 @@ def test_elementary_abelian_flags_fail_over_too_small_subgroups(monkeypatch):
         for quotient in quotients:
             for n in range(1, quotient.depth):
                 assert not analysis._elementary_abelian_quotient(quotient, n)
+                assert not oracles.elementary_abelian_quotient(quotient, n)
                 assert not unpruned_elementary_abelian_quotient(quotient, n)
     inside = [
         g
-        for g in analysis.stab(quotients[2], 2).generators
+        for g in oracles.stab(quotients[2], 2).generators
         if next_stab(quotients[2], 2).contains(g)
     ]
     assert len(inside) == 1

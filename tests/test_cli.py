@@ -12,6 +12,16 @@ SRC = os.path.dirname(os.path.dirname(cli.__file__))
 COMMAND = [sys.executable, "-m", "hanoikernel.cli"]
 
 
+GOLDEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "golden")
+# bench/run.py's commands whose stdout and exit code bench/golden holds
+GOLDEN_COMMANDS = {
+    "kernel-d5": ["kernel-report", "--n-max", "3", "--depth", "5", "--slow"],
+    "verify-d4": ["verify", "all", "--depth", "4"],
+    "relators-d8": ["relators", "--max-tau", "8", "--depth", "8"],
+    "verify-list": ["verify", "--list"],
+}
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -34,6 +44,19 @@ def run_child(*argv, env):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, json.loads(out), err
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_output_matches_benchmark_golden(capsys, name):
+    """The benchmark refuses a checkout whose output differs from these
+    files by a byte."""
+    with open(os.path.join(GOLDEN, "exit_codes.json")) as handle:
+        expected_code = json.load(handle)[name]
+    with open(os.path.join(GOLDEN, f"{name}.stdout"), "rb") as handle:
+        expected = handle.read()
+    code, out, _ = run(capsys, *GOLDEN_COMMANDS[name])
+    assert code == expected_code
+    assert out.encode() == expected
 
 
 def test_verify_single_lemma(capsys):

@@ -18,6 +18,7 @@ from hanoikernel.errors import (
 from hanoikernel.perm import Perm
 
 import _brute
+import _chain_oracles as oracles
 
 
 def quotient_group(n):
@@ -106,13 +107,13 @@ def test_commutator_image_is_three_cycle():
 
 def test_kernel_of_level_action_boundaries():
     g = quotient_group(2)
-    assert pg.kernel_of_level_action(g, 0) is g
-    assert pg.kernel_of_level_action(g, 2).order() == 1
+    assert oracles.kernel_of_level_action(g, 0) is g
+    assert oracles.kernel_of_level_action(g, 2).order() == 1
 
 
 def test_kernel_of_level_action_level1():
     g = quotient_group(2)
-    kernel = pg.kernel_of_level_action(g, 1)
+    kernel = oracles.kernel_of_level_action(g, 1)
     assert kernel.order() == 108
     # normal in g: conjugates of kernel generators stay inside
     for k in kernel.generators:
@@ -127,7 +128,7 @@ def test_kernel_of_level_action_level1():
 
 def test_kernel_rejects_bad_degree():
     with pytest.raises(ShapeError):
-        pg.kernel_of_level_action(pg.PermGroup(10), 1)
+        oracles.kernel_of_level_action(pg.PermGroup(10), 1)
 
 
 def test_vertex_bases_reject_split_blocks():
@@ -137,7 +138,9 @@ def test_vertex_bases_reject_split_blocks():
         9, [Perm.from_cycles(9, [(1, 4), (2, 5), (3, 6)]), Perm.from_cycles(9, [(3, 4)])]
     )
     with pytest.raises(InvalidBlocksError):
-        pg.kernel_of_level_action(g, 1)
+        oracles.kernel_of_level_action(g, 1)
+    with pytest.raises(InvalidBlocksError):
+        pg.tree_group(2, g.generators)
 
 
 def test_derived_subgroup_of_s3_is_a3():
@@ -211,19 +214,19 @@ def test_is_elementary_abelian():
 
 def test_subgroup_index():
     g = quotient_group(2)
-    assert pg.subgroup_index(g, g) == 1
-    kernel = pg.kernel_of_level_action(g, 1)
-    assert pg.subgroup_index(g, kernel) == 6
+    assert oracles.subgroup_index(g, g) == 1
+    kernel = oracles.kernel_of_level_action(g, 1)
+    assert oracles.subgroup_index(g, kernel) == 6
     with pytest.raises(NotASubgroupError):
-        pg.subgroup_index(
+        oracles.subgroup_index(
             pg.PermGroup(9, [Perm.from_cycles(9, [(1, 2, 3)])]), quotient_group(2)
         )
 
 
 def test_order_times_index_identity():
     g = quotient_group(2)
-    for subgroup in (pg.kernel_of_level_action(g, 1), pg.derived_subgroup(g)):
-        assert subgroup.order() * pg.subgroup_index(g, subgroup) == g.order()
+    for subgroup in (oracles.kernel_of_level_action(g, 1), pg.derived_subgroup(g)):
+        assert subgroup.order() * oracles.subgroup_index(g, subgroup) == g.order()
 
 
 def test_pointwise_stabilizer_orbit_factorization():
@@ -282,7 +285,7 @@ def test_kernel_of_level_action_matches_enumeration():
         for e in elements
         if all(e[3 * block] // 3 == block for block in range(3))
     ]
-    kernel = pg.kernel_of_level_action(g, 1)
+    kernel = oracles.kernel_of_level_action(g, 1)
     assert kernel.order() == len(trivial_blocks) == 108
     for e in trivial_blocks[::9]:
         assert kernel.contains(Perm(e))
@@ -353,7 +356,7 @@ def test_kernel_of_level_action_chain_is_cut_to_leaves(monkeypatch):
     g = quotient_group(3)
     for n in (1, 2):
         built.clear()
-        kernel = pg.kernel_of_level_action(g, n)
+        kernel = oracles.kernel_of_level_action(g, n)
         (chain,) = built
         assert_chain_is_bsgs(chain)
         forced = chain.levels[: chain.forced]
@@ -368,6 +371,59 @@ def test_kernel_of_level_action_chain_is_cut_to_leaves(monkeypatch):
         assert all(a is b for a, b in zip(tail, chain.levels[chain.forced :], strict=True))
         assert all(level.size == 1 for level in tail)
         assert kernel.order() == pg.PermGroup(27, kernel.generators).order()
+
+
+def child_swap(depth, rng):
+    """Leaf permutation swapping two child subtrees of a random vertex."""
+    from hanoikernel import automorphism as am
+
+    vertex = tuple(rng.randint(1, 3) for _ in range(rng.randrange(depth)))
+    i, j = rng.sample((1, 2, 3), 2)
+    labels = {vertex: Perm.from_cycles(3, [(i, j)])}
+    return am.leaf_permutation(am.from_labels(depth, labels), depth)
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4, 5])
+def test_tree_group_matches_plain_chain(depth):
+    """G_N on a chain whose base starts with the level-(N // 2) vertices
+    against G_N on a leaf-only chain: order, members, and members times one
+    child swap, which lie outside G_N (the sibling sign invariant of
+    bench/queries.py); at depth 2 also against enumeration."""
+    gens = quotient_group(depth).generators
+    tree = pg.tree_group(depth, gens)
+    plain = pg.PermGroup(3**depth, gens)
+    chain = tree._get_chain()
+    if depth <= 4:
+        assert_chain_is_bsgs(chain)
+    level = depth // 2
+    forced = chain.levels[: chain.forced]
+    assert [lv.base for lv in forced] == list(range(3**level))
+    assert {lv.size for lv in forced} == {3 ** (depth - level)}
+    # the first orbit is all of level k; a leaf orbit stays in one block
+    assert len(forced[0].inverse_transversal) == 3**level
+    assert max(len(lv.inverse_transversal) for lv in chain.levels) <= 3 ** (
+        depth - level
+    )
+    assert tree.order() == plain.order() == quotient_order(depth)
+    rng = random.Random(depth)
+    members = random_words(plain, rng, 40)
+    near = [p * child_swap(depth, rng) for p in members]
+    for p in members:
+        assert tree.contains(p) and plain.contains(p)
+    for q in near:
+        assert not tree.contains(q) and not plain.contains(q)
+    if depth == 2:
+        elements = _brute.closure([g.images for g in gens])
+        for e in elements:
+            assert tree.contains(Perm(e))
+        assert not any(q.images in elements for q in near)
+
+
+def test_tree_group_of_depth_one_has_no_forced_base():
+    # level 0 is the root alone, which every permutation fixes
+    tree = pg.tree_group(1, quotient_group(1).generators)
+    assert tree._get_chain().forced == 0
+    assert tree.order() == 6
 
 
 def test_direct_power_matches_fresh_chain():
@@ -540,7 +596,7 @@ def test_vertex_bases_at_degree_729():
         return all(e[v * size] // size == v for v in vertices)
 
     for n in (1, 2, 3):
-        kernel = pg.kernel_of_level_action(group, n)
+        kernel = oracles.kernel_of_level_action(group, n)
         assert_perm_degrees(kernel, 729)
         members = [e for e in elements if fixes(e, n, range(3**n))]
         assert kernel.order() == len(members)
@@ -620,9 +676,10 @@ def chain_snapshot(chain):
 
 
 def forced_prefixes(depth):
-    """(bases, block size) of the plain chain and of every chain the
-    program forces at depth N: all level-n vertices for kernels of level
-    actions, and vertex 0 of level 1 or 2 for vertex stabilizers."""
+    """(bases, block size) of the plain chain and of every chain forced at
+    depth N: all level-n vertices for kernels of level actions and, at
+    n = N // 2, for the chain of G_N itself (tree_group), and vertex 0 of
+    level 1 or 2 for vertex stabilizers."""
     yield (), 1
     for n in range(1, depth):
         size = 3 ** (depth - n)

@@ -1,10 +1,13 @@
-"""The level and rigid stabilizer images reuse or assemble stabilizer chains
-instead of running Schreier-Sims on their generators; each is checked here
-against a group built afresh by Schreier-Sims from the same generators. A
-vertex's section, the group its stabilizer induces on its subtree, comes from
-the states of Reidemeister-Schreier words; it is checked against the
-stabilizer in G_N found by a chain with the vertex as first base. All three
-are checked at depth 2 against brute-force enumeration."""
+"""The rigid stabilizer images are assembled as direct powers, and the level
+stabilizers of the test oracles (_chain_oracles) reuse the tail of a chain
+with the level's vertices as first bases; each is checked here against a
+group built afresh by Schreier-Sims from the same generators. A vertex's
+section, the group its stabilizer induces on its subtree, comes from the
+states of Reidemeister-Schreier words; it is checked against the stabilizer
+in G_N found by a chain with the vertex as first base. All three are checked
+at depth 2 against brute-force enumeration. The package reads Q(n,N) off
+chain orders, which is checked against the index of Rist(n) in the oracle's
+Stab(n)."""
 
 import itertools
 import random
@@ -16,6 +19,7 @@ from hanoikernel import automorphism as am
 from hanoikernel.perm import Perm
 
 import _brute
+import _chain_oracles as oracles
 
 STAB_PAIRS = [(depth, n) for depth in (2, 3, 4) for n in range(depth + 1)]
 RIST_PAIRS = [(depth, n) for depth in (2, 3, 4) for n in range(1, depth)]
@@ -61,7 +65,7 @@ def assert_matches_fresh_chain(group: permgroup.PermGroup, depth: int, seed: int
 
 @pytest.mark.parametrize("depth, n", STAB_PAIRS)
 def test_stab_matches_fresh_chain(depth, n):
-    group = analysis.stab(analysis.build_quotient(depth), n)
+    group = oracles.stab(analysis.build_quotient(depth), n)
     assert_matches_fresh_chain(group, depth, seed=100 * depth + n)
 
 
@@ -69,6 +73,22 @@ def test_stab_matches_fresh_chain(depth, n):
 def test_rist_image_matches_fresh_chain(depth, n):
     group = analysis.rist_image(analysis.build_quotient(depth), n)
     assert_matches_fresh_chain(group, depth, seed=200 * depth + n)
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4, 5])
+def test_q_orders_match_index_in_stab_chain(depth):
+    quotient = analysis.build_quotient(depth, slow=True)
+    for n in range(1, depth):
+        q = analysis.q_order(depth, n, slow=True)
+        assert q == oracles.q_order(quotient, n) == analysis.q_expected(n)
+
+
+@pytest.mark.slow
+def test_depth6_q_orders_match_index_in_stab_chain():
+    quotient = analysis.build_quotient(6, slow=True)
+    for n in range(1, 5):
+        q = analysis.q_order(6, n, slow=True)
+        assert q == oracles.q_order(quotient, n) == analysis.q_expected(n)
 
 
 def reference_sections(depth: int, level: int) -> dict:
@@ -116,9 +136,9 @@ def test_stabquot_rows_match_stabilizer_chains(depth):
     for n in range(1, depth):
         derived = analysis.derived_of_quotient(analysis.build_quotient(n + 1))
         assert report.computed[f"n={n}"] == {
-            "stab_quotient": analysis.stab(quotient, n).order()
-            // analysis.stab(quotient, n + 1).order(),
-            "derived_stab_quotient": permgroup.kernel_of_level_action(
+            "stab_quotient": oracles.stab(quotient, n).order()
+            // oracles.stab(quotient, n + 1).order(),
+            "derived_stab_quotient": oracles.kernel_of_level_action(
                 derived, n
             ).order(),
         }
@@ -145,7 +165,7 @@ def assert_same_set(group: permgroup.PermGroup, members: set, others: set):
 def test_stab_depth2_matches_enumeration(n):
     elements = _g2_elements()
     members = {e for e in elements if _fixes_blocks(e, 3 ** (2 - n))}
-    group = analysis.stab(analysis.build_quotient(2), n)
+    group = oracles.stab(analysis.build_quotient(2), n)
     assert_same_set(group, members, elements)
 
 

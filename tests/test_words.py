@@ -231,6 +231,20 @@ def test_schreier_generators_reject_uncovered_points():
         )
 
 
+def test_tau_power_length_matches_spelled_out_iterate():
+    words_to_check = list(words.RELATORS.values())
+    for base in words_to_check:
+        w = base
+        for n in range(11):
+            assert words.tau_power_length(base, n) == len(w), (base, n)
+            w = words.tau(w)
+    # unreduced words: tau_power keeps them as they are at n = 0 only
+    rng = random.Random(5)
+    for w in ["aa", "abba", "", *(random_word(rng, 12) for _ in range(200))]:
+        for n in range(4):
+            assert words.tau_power_length(w, n) == len(words.tau_power(w, n)), (w, n)
+
+
 def test_relator_family_keys():
     family = words.relator_family(2)
     assert "a^2" in family and "w1" in family and "tau^2(w4)" in family
