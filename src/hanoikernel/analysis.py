@@ -3,20 +3,22 @@
 Builds the truncated quotients G_N acting on 3^N leaves, computes level and
 rigid stabilizer images inside them, and checks every structural statement
 the rigid-kernel computation rests on. The kernel report assembles the
-inverse-system bookkeeping: Q orders as |G_N| / (|G_n| |Rist(n)|) from
+inverse-system bookkeeping: Q orders as |G_N| / (|G_n| |Rist(n)|) in the
 truncations, K and the seed order from the exact GF(2)^9 data, and the
 Gamma orders from the exact-sequence recurrence, never from truncated
 indices (the truncated index is exactly the Q order; the kernel itself is
 the part truncations cannot see).
 
-No chain of a level stabilizer is built: orders and memberships come off
-the cached chains of G_N, G_n and G'_n. G_N acts on level n as G_n, so
-|Stab(n)| is |G_N|/|G_n|, and |Stab(n)/Stab(n+1)| is |G_(n+1)|/|G_n|, or
-|G'_(n+1)|/|G'_n| inside the derived subgroup; a Rist(n) generator lies in
-Stab(n) when it lies in G_N and fixes every level-n vertex. transrec reads
-each vertex's section off the states of its stabilizer's Reidemeister-
-Schreier words, at the subtree's degree. The depth cap is checked where a
-depth enters; everything behind those entry points builds through _quotient.
+|G_N| and |G'_N| come from the branch recursion and membership in G_N from
+the depth-2 patterns (branch), with no chain of G_N and no chain of a level
+stabilizer. G_N acts on level n as G_n, so |Stab(n)| is |G_N|/|G_n|, and
+|Stab(n)/Stab(n+1)| is |G_(n+1)|/|G_n|, or |G'_(n+1)|/|G'_n| inside the
+derived subgroup; a Rist(n) generator lies in Stab(n) when it lies in G_N
+and fixes every level-n vertex. The rigid stabilizer images are direct
+powers of the chains of G'_k, and transrec reads each vertex's section off
+the states of its stabilizer's Reidemeister-Schreier words, at the subtree's
+degree. The depth cap is checked where a depth enters; everything behind
+those entry points builds through _quotient and _rist_image.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import logging
 from dataclasses import dataclass
 from importlib import resources
 
-from . import f2, permgroup, words
+from . import branch, f2, permgroup, words
 from .automorphism import embed, leaf_permutation, state_at
 from .errors import DepthError, NotASubgroupError, ResourceLimitError, ShapeError
 from .f2 import F2Subspace
@@ -172,16 +174,22 @@ def derived_of_quotient(quotient: TruncatedQuotient) -> PermGroup:
     return _derived.setdefault(quotient.depth, group)
 
 
-def rist_image(quotient: TruncatedQuotient, n: int) -> PermGroup:
-    """Image of the level-n rigid stabilizer: one embedded copy of the
-    derived subgroup of G_(N-n) per level-n subtree."""
-    if not 1 <= n < quotient.depth:
-        raise DepthError(f"level {n} outside 1..{quotient.depth - 1}")
-    key = (quotient.depth, n)
+def rist_image(depth: int, n: int, slow: bool = False) -> PermGroup:
+    """Image of the level-n rigid stabilizer in G_depth: one embedded copy of
+    the derived subgroup of G_(N-n) per level-n subtree."""
+    if not 1 <= n < depth:
+        raise DepthError(f"level {n} outside 1..{depth - 1}")
+    _require_depth(depth, slow)
+    return _rist_image(depth, n)
+
+
+def _rist_image(depth: int, n: int) -> PermGroup:
+    """rist_image without the checks, which the caller has made."""
+    key = (depth, n)
     cached = _rists.get(key)
     if cached is not None:
         return cached
-    inner = derived_of_quotient(_quotient(quotient.depth - n))
+    inner = derived_of_quotient(_quotient(depth - n))
     return _rists.setdefault(key, permgroup.direct_power(inner, 3**n))
 
 
@@ -194,16 +202,16 @@ def q_order(depth: int, n: int, slow: bool = False) -> int:
     return _q_order(depth, n)
 
 
-def _rist_in_stab(quotient: TruncatedQuotient, n: int, rist: PermGroup) -> bool:
+def _rist_in_stab(depth: int, n: int) -> bool:
     """Whether every generator of the rigid-stabilizer image fixes every
     level-n vertex and lies in G_N, so that the image lies in Stab(n). G_N
     maps vertices to vertices, so a vertex's first leaf shows where the
     vertex goes."""
-    size = 3 ** (quotient.depth - n)
+    size = 3 ** (depth - n)
     return all(
         all(g.images[v * size] // size == v for v in range(3**n))
-        and quotient.group.contains(g)
-        for g in rist.generators
+        and branch.contains(g.images, depth)
+        for g in _rist_image(depth, n).generators
     )
 
 
@@ -217,13 +225,15 @@ def _exact_quotient(order: int, sub_order: int) -> int:
 def _q_order(depth: int, n: int) -> int:
     """|Stab(n)| / |Rist(n)| in G_N, with |Stab(n)| = |G_N| / |G_n|: G_N
     acts on level n as G_n, and Stab(n) is the kernel of that action."""
-    quotient = _quotient(depth)
-    rist = rist_image(quotient, n)
-    if not _rist_in_stab(quotient, n, rist):
+    if not _rist_in_stab(depth, n):
         raise NotASubgroupError(f"Rist({n}) of G_{depth} is not inside Stab({n})")
-    orders = quotient.group.order(), _quotient(n).group.order(), rist.order()
+    orders = branch.orders(depth)[0], branch.orders(n)[0], _rist_image(depth, n).order()
     q = _exact_quotient(_exact_quotient(orders[0], orders[1]), orders[2])
-    logger.info("Q(%d,%d) = |G_N| / (|G_n| |Rist(n)|) = %d / (%d * %d)", n, depth, *orders)
+    logger.info(
+        "Q(%d,%d) = |G_N| / (|G_n| |Rist(n)|) = %d / (%d * %d),"
+        " |G_N| and |G_n| from the branch recursion",
+        n, depth, *orders,
+    )
     return q
 
 
@@ -346,7 +356,7 @@ class KernelReport:
         }
 
 
-def _elementary_abelian_quotient(quotient: TruncatedQuotient, n: int) -> bool:
+def _elementary_abelian_quotient(depth: int, n: int) -> bool:
     """Whether Q(n,N) = Stab(n)/Rist(n) in G_N is elementary abelian 2,
     from a containment and an order; no chain of Stab(n) is built.
 
@@ -359,12 +369,15 @@ def _elementary_abelian_quotient(quotient: TruncatedQuotient, n: int) -> bool:
     Stab(n) with (G'_k)^(3^n), so its order is at most |G'_k|^(3^n).
     rist_image is built as (G'_k)^(3^n) on the level-n blocks. Once its
     generators fix level n and lie in G_N, it lies in that kernel, and when
-    its order is |G'_k|^(3^n) it is the kernel. Then Q(n,N) embeds in an
-    elementary abelian 2-group.
+    its order is |G'_k|^(3^n), with |G'_k| from the branch recursion, it is
+    the kernel. Then Q(n,N) embeds in an elementary abelian 2-group.
     """
-    rist = rist_image(quotient, n)
-    inner = derived_of_quotient(_quotient(quotient.depth - n))
-    return _rist_in_stab(quotient, n, rist) and rist.order() == inner.order() ** (3**n)
+    return _rist_in_stab(depth, n) and _rist_is_kernel(depth, n)
+
+
+def _rist_is_kernel(depth: int, n: int) -> bool:
+    """The order half of _elementary_abelian_quotient."""
+    return _rist_image(depth, n).order() == branch.orders(depth - n)[1] ** (3**n)
 
 
 def kernel_report(n_max: int = 2, depth_budget: int = 4, slow: bool = False) -> KernelReport:
@@ -373,8 +386,10 @@ def kernel_report(n_max: int = 2, depth_budget: int = 4, slow: bool = False) -> 
     Gamma orders are never read off a truncation; they follow from the
     GF(2)^9 seed values and the exact sequence
     1 -> K(n,n+1) -> Gamma(n+1) -> Gamma(n) -> Q(n,n+1) -> 1,
-    with the Q orders taken from truncations (legitimate because they
-    stabilize, which is itself checked here).
+    with the Q orders those of the truncations (legitimate because they
+    stabilize, which is itself checked here): |G_N| and |G_n| from the
+    branch recursion, |Rist(n)| from its direct-power chain. Each Rist(n)
+    containment in G_N is tested once, for Q and the flag together.
     """
     if n_max < 1:
         raise ShapeError("n_max must be >= 1")
@@ -402,9 +417,11 @@ def kernel_report(n_max: int = 2, depth_budget: int = 4, slow: bool = False) -> 
         if gamma_next * q1 != gamma * k:
             raise AssertionError("exact sequence arithmetic is inconsistent")
         h = gamma_next // k
+        # _q_order raised unless Rist(n) lies in Stab(n), so each flag is
+        # its order check alone
         flags = {
-            f"Q({n},{n + 1})": _elementary_abelian_quotient(_quotient(n + 1), n),
-            f"Q({n},{n + 2})": _elementary_abelian_quotient(_quotient(n + 2), n),
+            f"Q({n},{n + 1})": _rist_is_kernel(n + 1, n),
+            f"Q({n},{n + 2})": _rist_is_kernel(n + 2, n),
         }
         row_pass = (
             stable
@@ -505,9 +522,9 @@ def _check_branching(depth: int) -> LemmaReport:
 def _check_stab12(depth: int) -> LemmaReport:
     if depth < 2:
         raise DepthError("the level-2 data needs depth >= 2")
-    g1 = _quotient(1).group.order()
+    g1 = branch.orders(1)[0]
     # G_2 acts on level 1 as G_1, so |Stab(1)/Stab(2)| = |G_2| / |G_1|
-    order = _exact_quotient(_quotient(2).group.order(), g1)
+    order = _exact_quotient(branch.orders(2)[0], g1)
 
     # the four generator images in the level-1-to-2 labels
     triples = {}
@@ -582,10 +599,8 @@ def _check_rist(depth: int) -> LemmaReport:
     u = f2.level1_stabilizer_space()
     w = f2.first_subtree_space()
     containments = {}
-    quotient = _quotient(depth)
     for n in range(1, depth):
-        rist = rist_image(quotient, n)
-        containments[f"rist({n}) <= stab({n})"] = _rist_in_stab(quotient, n, rist)
+        containments[f"rist({n}) <= stab({n})"] = _rist_in_stab(depth, n)
     computed = {
         "vectors": {x: list(f2.stab1_vector(x)) for x in words.LEVEL1_STABILIZER_WORDS},
         "dim_u": u.dim(),
@@ -607,7 +622,7 @@ def _check_ristquot(depth: int) -> LemmaReport:
     computed = {}
     expected = {}
     for n in range(1, depth):
-        rist = rist_image(_quotient(n + 1), n)
+        rist = _rist_image(n + 1, n)
         computed[f"n={n}"] = {
             "order": rist.order(),
             "elementary_abelian_3": permgroup.is_elementary_abelian(rist, 3),
@@ -623,11 +638,10 @@ def _check_stabquot(depth: int) -> LemmaReport:
     expected = {}
     for n in range(1, depth):
         # Stab(n)/Stab(n+1) is the kernel of G_(n+1) -> G_n
-        lower, upper = _quotient(n), _quotient(n + 1)
+        (lower, lower_derived), (upper, upper_derived) = branch.orders(n), branch.orders(n + 1)
         computed[f"n={n}"] = {
-            "stab_quotient": upper.group.order() // lower.group.order(),
-            "derived_stab_quotient": derived_of_quotient(upper).order()
-            // derived_of_quotient(lower).order(),
+            "stab_quotient": upper // lower,
+            "derived_stab_quotient": upper_derived // lower_derived,
         }
         expected[f"n={n}"] = {
             "stab_quotient": stab_quotient_order(n),
@@ -644,7 +658,7 @@ def _check_elab(depth: int) -> LemmaReport:
         for big_n in (n + 1, n + 2):
             if big_n > depth:
                 continue
-            flag = _elementary_abelian_quotient(_quotient(big_n), n)
+            flag = _elementary_abelian_quotient(big_n, n)
             computed[f"Q({n},{big_n})"] = flag
     expected = {key: True for key in computed}
     return LemmaReport("elab", depth, computed, expected, computed == expected)
@@ -669,10 +683,9 @@ def _vertex_section(vertex: tuple[int, ...], depth: int) -> PermGroup:
 def _check_transrec(depth: int) -> LemmaReport:
     if depth < 2:
         raise DepthError("self-replication needs depth >= 2")
-    quotient = _quotient(depth)
     computed = {}
     expected = {}
-    computed["level_0"] = {"vertices": 1, "orders": [quotient.group.order()]}
+    computed["level_0"] = {"vertices": 1, "orders": [branch.orders(depth)[0]]}
     expected["level_0"] = {
         "vertices": 1,
         "orders": [quotient_order(depth)],

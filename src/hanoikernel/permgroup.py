@@ -454,16 +454,19 @@ def derived_subgroup(group: PermGroup) -> PermGroup:
 
 
 def is_elementary_abelian(group: PermGroup, p: int) -> bool:
-    """True iff the group is abelian with every generator of order dividing p."""
+    """True iff the group is abelian with every generator of order dividing
+    p. Generators with disjoint supports commute, so only the pairs whose
+    supports meet are multiplied."""
     gens = group.generators
+    supports = [{i for i, j in enumerate(g.images) if i != j} for g in gens]
     for i, g in enumerate(gens):
         power = g
         for _ in range(p - 1):
             power = power * g
         if not power.is_identity():
             return False
-        for h in gens[i + 1 :]:
-            if g * h != h * g:
+        for h, support in zip(gens[i + 1 :], supports[i + 1 :]):
+            if not supports[i].isdisjoint(support) and g * h != h * g:
                 return False
     return True
 

@@ -109,14 +109,18 @@ def closure(gens: list[tuple[int, ...]], cap: int = 100_000) -> set[tuple[int, .
     return elements
 
 
-def commutator_closure(elements: set[tuple[int, ...]], cap: int = 100_000):
-    """The subgroup generated by all commutators of the given elements."""
-    seeds = set()
-    elems = sorted(elements)
-    for x in elems:
-        for y in elems:
-            seeds.add(mult(mult(mult(inv(x), inv(y)), x), y))
-    seeds.discard(tuple(range(len(elems[0]))))
+def commutator_closure(
+    elements: set[tuple[int, ...]], generators: list[tuple[int, ...]], cap: int = 100_000
+):
+    """The derived subgroup of the group with these elements and generators:
+    the subgroup of the commutators [x, s], x an element and s a generator.
+    It is normal, since [x, s]^h = [xh, s][h, s]^-1, and it holds every
+    [s, t], so it is the normal closure of those: the derived subgroup."""
+    identity = tuple(range(len(generators[0])))
+    seeds = {
+        mult(mult(mult(inv(x), inv(s)), x), s) for x in sorted(elements) for s in generators
+    }
+    seeds.discard(identity)
     if not seeds:
-        return {tuple(range(len(elems[0])))}
+        return {identity}
     return closure(sorted(seeds), cap)

@@ -1,10 +1,12 @@
-"""Level-stabilizer chains, kept as oracles for the order-based paths.
+"""Stabilizer chains, kept as oracles for the chain-free paths.
 
 The package reads |Stab(n)|, |Q(n,N)| and the elementary-abelian flags off
-the orders of the G_N, G_n and G'_(N-n) chains and never builds a chain for
-Stab(n). The functions here build that chain, with the level-n vertices
-forced to the front of the base, and answer the same questions by index and
-by sifting, as the package did before.
+the branch recursion for |G_N| and |G'_N| and tests membership in G_N by
+depth-2 patterns (hanoikernel.branch); it builds no chain for G_N or for
+Stab(n). The functions here answer the same questions from chains: by the
+orders of the G_N, G_n and G'_(N-n) chains and sifting into G_N, and by index
+and sifting in a Stab(n) chain with the level-n vertices forced to the front
+of the base.
 """
 
 from __future__ import annotations
@@ -69,7 +71,8 @@ def subgroup_index(group: PermGroup, subgroup: PermGroup) -> int:
 
 def q_order(quotient: analysis.TruncatedQuotient, n: int) -> int:
     """|Q(n,N)| as the index of the rigid-stabilizer image in Stab(n)."""
-    return subgroup_index(stab(quotient, n), analysis.rist_image(quotient, n))
+    rist = analysis.rist_image(quotient.depth, n, slow=True)
+    return subgroup_index(stab(quotient, n), rist)
 
 
 def elementary_abelian_quotient(quotient: analysis.TruncatedQuotient, n: int) -> bool:
@@ -77,7 +80,7 @@ def elementary_abelian_quotient(quotient: analysis.TruncatedQuotient, n: int) ->
     image: the squares and commutators of the Stab(n) generators outside
     the rigid-stabilizer image sift in."""
     stabilizer = stab(quotient, n)
-    rist = analysis.rist_image(quotient, n)
+    rist = analysis.rist_image(quotient.depth, n, slow=True)
     # Rist(n) is normal in Stab(n), which the quotient already needs to be
     # a group. So a generator inside Rist(n) is trivial in the quotient,
     # and the others still generate it.
@@ -90,3 +93,35 @@ def elementary_abelian_quotient(quotient: analysis.TruncatedQuotient, n: int) ->
             if not rist.contains(inverses[i] * h_inv * g * h):
                 return False
     return True
+
+
+def rist_in_stab(quotient: analysis.TruncatedQuotient, n: int) -> bool:
+    """Whether every rigid-stabilizer generator fixes level n and sifts into
+    the G_N chain."""
+    size = 3 ** (quotient.depth - n)
+    return all(
+        all(g.images[v * size] // size == v for v in range(3**n))
+        and quotient.group.contains(g)
+        for g in analysis.rist_image(quotient.depth, n, slow=True).generators
+    )
+
+
+def chain_q_order(quotient: analysis.TruncatedQuotient, n: int) -> int:
+    """|Q(n,N)| = |G_N| / (|G_n| |Rist(n)|) from chain orders, after the
+    containment by sifting."""
+    if not rist_in_stab(quotient, n):
+        raise NotASubgroupError(f"Rist({n}) of G_{quotient.depth} is not inside Stab({n})")
+    lower = analysis.build_quotient(n, slow=True).group.order()
+    rist = analysis.rist_image(quotient.depth, n, slow=True).order()
+    index, remainder = divmod(quotient.group.order(), lower * rist)
+    if remainder:
+        raise AssertionError("|G_n| |Rist(n)| does not divide |G_N|")
+    return index
+
+
+def chain_elementary_abelian_quotient(quotient: analysis.TruncatedQuotient, n: int) -> bool:
+    """The containment by sifting, and |Rist(n)| = |G'_k|^(3^n) with |G'_k|
+    from the chain of the derived subgroup of G_k, k = N - n."""
+    inner = analysis.derived_of_quotient(analysis.build_quotient(quotient.depth - n, slow=True))
+    rist = analysis.rist_image(quotient.depth, n, slow=True)
+    return rist_in_stab(quotient, n) and rist.order() == inner.order() ** (3**n)

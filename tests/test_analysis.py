@@ -1,6 +1,6 @@
 import pytest
 
-from hanoikernel import analysis, f2, permgroup
+from hanoikernel import analysis, branch, f2, permgroup
 from hanoikernel.perm import Perm
 from hanoikernel.errors import (
     DepthError,
@@ -82,23 +82,25 @@ def test_stab_depth_error():
 
 
 def test_rist_image_examples():
-    g2 = analysis.build_quotient(2)
-    r = analysis.rist_image(g2, 1)
+    r = analysis.rist_image(2, 1)
     assert r.order() == 27
     assert permgroup.is_elementary_abelian(r, 3)
-    g3 = analysis.build_quotient(3)
-    assert analysis.rist_image(g3, 2).order() == 19_683
+    assert analysis.rist_image(3, 2).order() == 19_683
     # rigid stabilizer sits inside the level stabilizer
-    s = oracles.stab(g3, 2)
-    assert all(s.contains(g) for g in analysis.rist_image(g3, 2).generators)
+    s = oracles.stab(analysis.build_quotient(3), 2)
+    assert all(s.contains(g) for g in analysis.rist_image(3, 2).generators)
 
 
 def test_rist_image_depth_errors():
-    g2 = analysis.build_quotient(2)
     with pytest.raises(DepthError):
-        analysis.rist_image(g2, 2)
+        analysis.rist_image(2, 2)
     with pytest.raises(DepthError):
-        analysis.rist_image(g2, 0)
+        analysis.rist_image(2, 0)
+    # the depth cap holds as for build_quotient
+    with pytest.raises(ResourceLimitError):
+        analysis.rist_image(5, 1)
+    with pytest.raises(ResourceLimitError):
+        analysis.rist_image(7, 6, slow=True)
 
 
 def test_q_orders_small():
@@ -128,8 +130,7 @@ def test_level_identity_inside_rigid_product():
     # product over level-n subtrees of embedded level-m stabilizers
     cases = [(2, 1, 1), (3, 1, 1), (3, 2, 1)]
     for big_n, n, m in cases:
-        quotient = analysis.build_quotient(big_n)
-        rist = analysis.rist_image(quotient, n)
+        rist = analysis.rist_image(big_n, n)
         inside = oracles.kernel_of_level_action(rist, n + m)
         inner = oracles.kernel_of_level_action(
             analysis.derived_of_quotient(analysis.build_quotient(big_n - n)), m
@@ -147,23 +148,24 @@ def test_level_identity_inside_rigid_product():
 def test_rist_check_fails_when_rist_leaves_stab(monkeypatch, extra):
     # a transposition of two leaves fixes every level-n vertex but lies
     # outside G_N; a lies in G_N but moves the level-n vertices
-    real = analysis.rist_image
+    real = analysis._rist_image
 
-    def extra_perm(quotient):
+    def extra_perm(depth):
         if extra == "generator a":
-            return quotient.generator_map["a"]
-        degree = quotient.group.degree
-        return Perm([1, 0, *range(2, degree)])
+            return analysis.build_quotient(depth).generator_map["a"]
+        return Perm([1, 0, *range(2, 3**depth)])
 
-    def fake(quotient, n):
-        group = real(quotient, n)
-        gens = [*group.generators, extra_perm(quotient)]
+    def fake(depth, n):
+        group = real(depth, n)
+        gens = [*group.generators, extra_perm(depth)]
         return permgroup.PermGroup(group.degree, gens)
 
-    monkeypatch.setattr(analysis, "rist_image", fake)
+    monkeypatch.setattr(analysis, "_rist_image", fake)
     for depth in (2, 3, 4):
         quotient = analysis.build_quotient(depth)
-        assert quotient.group.contains(extra_perm(quotient)) == (extra == "generator a")
+        member = extra == "generator a"
+        assert quotient.group.contains(extra_perm(depth)) == member
+        assert branch.contains(extra_perm(depth).images, depth) == member
         report = analysis.verify_lemma("rist", depth=depth)
         assert not report.passed
         assert not any(report.computed["containments"].values())
@@ -171,7 +173,7 @@ def test_rist_check_fails_when_rist_leaves_stab(monkeypatch, extra):
         for n in range(1, depth):
             with pytest.raises(NotASubgroupError):
                 analysis.q_order(depth, n)
-            assert not analysis._elementary_abelian_quotient(quotient, n)
+            assert not analysis._elementary_abelian_quotient(depth, n)
 
 
 def test_gamma1_and_seed_orders():
@@ -314,7 +316,7 @@ def test_unlocked_caches_keep_one_value_per_key():
     try:
         def work():
             quotient = analysis.build_quotient(3)
-            rist = analysis.rist_image(quotient, 1)
+            rist = analysis.rist_image(3, 1)
             results.append((quotient, rist, quotient.group.order()))
 
         threads = [threading.Thread(target=work) for _ in range(8)]
@@ -336,7 +338,7 @@ def test_unlocked_caches_keep_one_value_per_key():
 def unpruned_elementary_abelian_quotient(quotient, n):
     """The flag's check over every Stab(n) generator, none dropped."""
     gens = oracles.stab(quotient, n).generators
-    rist = analysis.rist_image(quotient, n)
+    rist = analysis.rist_image(quotient.depth, n, slow=True)
     for i, g in enumerate(gens):
         if not rist.contains(g * g):
             return False
@@ -347,11 +349,13 @@ def unpruned_elementary_abelian_quotient(quotient, n):
 
 
 def test_elementary_abelian_flags_match_unpruned_check():
-    # the flag from orders against the sift checks over Stab(n) generators
+    # the flag from orders against the flag from chain orders and the sift
+    # checks over Stab(n) generators
     for big_n in range(2, 6):
         quotient = analysis.build_quotient(big_n, slow=True)
         for n in range(1, big_n):
-            flag = analysis._elementary_abelian_quotient(quotient, n)
+            flag = analysis._elementary_abelian_quotient(big_n, n)
+            assert flag == oracles.chain_elementary_abelian_quotient(quotient, n)
             assert flag == oracles.elementary_abelian_quotient(quotient, n)
             assert flag == unpruned_elementary_abelian_quotient(quotient, n)
             assert flag, (n, big_n)
@@ -362,23 +366,33 @@ def test_elementary_abelian_flags_fail_over_too_small_subgroups(monkeypatch):
     # the flag's order check fails them. In the sift oracles, the trivial
     # group contains no generator, so none is dropped; Stab(n+1) is normal
     # and contains one Stab(2) generator of G_4, which is dropped.
-    def trivial(quotient, n):
-        return permgroup.PermGroup(quotient.group.degree)
+    def trivial(depth, n):
+        return permgroup.PermGroup(3**depth)
 
-    def next_stab(quotient, n):
-        return oracles.stab(quotient, n + 1)
+    def next_stab(depth, n):
+        return oracles.stab(analysis.build_quotient(depth), n + 1)
 
     quotients = [analysis.build_quotient(big_n) for big_n in (2, 3, 4)]
     for fake in (trivial, next_stab):
-        monkeypatch.setattr(analysis, "rist_image", fake)
+        monkeypatch.setattr(analysis, "_rist_image", fake)
         for quotient in quotients:
             for n in range(1, quotient.depth):
-                assert not analysis._elementary_abelian_quotient(quotient, n)
+                assert not analysis._elementary_abelian_quotient(quotient.depth, n)
+                assert not oracles.chain_elementary_abelian_quotient(quotient, n)
                 assert not oracles.elementary_abelian_quotient(quotient, n)
                 assert not unpruned_elementary_abelian_quotient(quotient, n)
     inside = [
         g
         for g in oracles.stab(quotients[2], 2).generators
-        if next_stab(quotients[2], 2).contains(g)
+        if next_stab(4, 2).contains(g)
     ]
     assert len(inside) == 1
+
+
+def test_q_order_logs_its_orders_and_their_source(caplog):
+    with caplog.at_level("INFO", logger="hanoikernel.analysis"):
+        assert analysis.q_order(3, 1) == 4
+    assert (
+        "Q(1,3) = |G_N| / (|G_n| |Rist(n)|) = 816293376 / (6 * 34012224),"
+        " |G_N| and |G_n| from the branch recursion"
+    ) in caplog.text

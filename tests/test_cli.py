@@ -22,6 +22,17 @@ GOLDEN_COMMANDS = {
 }
 
 
+# depth-6 commands whose stdout and exit code, as the package printed them
+# when G_6 and G'_6 were read off Schreier-Sims chains, tests/golden_depth6
+# holds
+DEPTH6 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_depth6")
+DEPTH6_COMMANDS = {
+    "verify-all-d6": ["verify", "all", "--depth", "6", "--slow"],
+    "qtable-d6": ["qtable", "--n-max", "4", "--depth", "6", "--slow"],
+    "kernel-d6": ["kernel-report", "--n-max", "4", "--depth", "6", "--slow"],
+}
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -46,17 +57,31 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+def assert_output_matches_recorded(capsys, directory, name, argv):
+    """stdout bytes and exit code against directory/name.stdout and the
+    name's entry in directory/exit_codes.json."""
+    with open(os.path.join(directory, "exit_codes.json")) as handle:
+        expected_code = json.load(handle)[name]
+    with open(os.path.join(directory, f"{name}.stdout"), "rb") as handle:
+        expected = handle.read()
+    code, out, _ = run(capsys, *argv)
+    assert code == expected_code
+    assert out.encode() == expected
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
 def test_output_matches_benchmark_golden(capsys, name):
     """The benchmark refuses a checkout whose output differs from these
     files by a byte."""
-    with open(os.path.join(GOLDEN, "exit_codes.json")) as handle:
-        expected_code = json.load(handle)[name]
-    with open(os.path.join(GOLDEN, f"{name}.stdout"), "rb") as handle:
-        expected = handle.read()
-    code, out, _ = run(capsys, *GOLDEN_COMMANDS[name])
-    assert code == expected_code
-    assert out.encode() == expected
+    assert_output_matches_recorded(capsys, GOLDEN, name, GOLDEN_COMMANDS[name])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(DEPTH6_COMMANDS))
+def test_depth6_output_matches_chain_era_output(capsys, name):
+    """The branch recursion and the depth-2 pattern test leave every byte of
+    the depth-6 reports as the chains of G_6 and G'_6 gave them."""
+    assert_output_matches_recorded(capsys, DEPTH6, name, DEPTH6_COMMANDS[name])
 
 
 def test_verify_single_lemma(capsys):

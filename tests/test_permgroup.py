@@ -155,8 +155,9 @@ def test_derived_subgroup_of_trivial_group():
 
 def test_derived_subgroup_matches_brute_force_abelianization():
     g = quotient_group(2)
-    elements = _brute.closure([gen.images for gen in g.generators])
-    brute_derived = _brute.commutator_closure(elements)
+    gens = [gen.images for gen in g.generators]
+    elements = _brute.closure(gens)
+    brute_derived = _brute.commutator_closure(elements, gens)
     chain_derived = pg.derived_subgroup(g)
     assert chain_derived.order() == len(brute_derived) == 324
     assert g.order() // chain_derived.order() == 2
@@ -210,6 +211,19 @@ def test_is_elementary_abelian():
     )
     assert pg.is_elementary_abelian(klein, 2)
     assert not pg.is_elementary_abelian(klein, 3)
+
+
+def test_is_elementary_abelian_multiplies_pairs_whose_supports_meet():
+    def group(*cycles):
+        return pg.PermGroup(9, [Perm.from_cycles(9, [c]) for c in cycles])
+
+    # disjoint supports commute without a product
+    assert pg.is_elementary_abelian(group((1, 2, 3), (4, 5, 6), (7, 8, 9)), 3)
+    # supports that meet: a 3-cycle and its inverse commute, two 3-cycles
+    # sharing one point do not, also with a disjoint generator between them
+    assert pg.is_elementary_abelian(group((1, 2, 3), (1, 3, 2)), 3)
+    assert not pg.is_elementary_abelian(group((1, 2, 3), (3, 4, 5)), 3)
+    assert not pg.is_elementary_abelian(group((1, 2, 3), (7, 8, 9), (3, 4, 5)), 3)
 
 
 def test_subgroup_index():
@@ -516,7 +530,8 @@ def test_encoding_boundary_matches_enumeration(degree):
 
     derived = pg.derived_subgroup(group)
     assert_perm_degrees(derived, degree)
-    assert derived.order() == len(_brute.commutator_closure(elements)) == 12
+    gens = [g.images for g in group.generators]
+    assert derived.order() == len(_brute.commutator_closure(elements, gens)) == 12
     for p in random_words(group, rng, 10):
         assert derived.contains(p) == (p.sign() == 1)
 

@@ -6,8 +6,8 @@ section, the group its stabilizer induces on its subtree, comes from the
 states of Reidemeister-Schreier words; it is checked against the stabilizer
 in G_N found by a chain with the vertex as first base. All three are checked
 at depth 2 against brute-force enumeration. The package reads Q(n,N) off
-chain orders, which is checked against the index of Rist(n) in the oracle's
-Stab(n)."""
+the branch orders, which is checked against the same formula on chain
+orders and against the index of Rist(n) in the oracle's Stab(n)."""
 
 import itertools
 import random
@@ -71,24 +71,28 @@ def test_stab_matches_fresh_chain(depth, n):
 
 @pytest.mark.parametrize("depth, n", RIST_PAIRS)
 def test_rist_image_matches_fresh_chain(depth, n):
-    group = analysis.rist_image(analysis.build_quotient(depth), n)
+    group = analysis.rist_image(depth, n)
     assert_matches_fresh_chain(group, depth, seed=200 * depth + n)
+
+
+def assert_q_orders_match_chains(depth: int, n_max: int):
+    """Q(n,N) from the branch orders against the same formula on chain
+    orders and against the index of Rist(n) in a Stab(n) chain."""
+    quotient = analysis.build_quotient(depth, slow=True)
+    for n in range(1, n_max + 1):
+        q = analysis.q_order(depth, n, slow=True)
+        assert q == oracles.chain_q_order(quotient, n) == analysis.q_expected(n)
+        assert q == oracles.q_order(quotient, n)
 
 
 @pytest.mark.parametrize("depth", [2, 3, 4, 5])
 def test_q_orders_match_index_in_stab_chain(depth):
-    quotient = analysis.build_quotient(depth, slow=True)
-    for n in range(1, depth):
-        q = analysis.q_order(depth, n, slow=True)
-        assert q == oracles.q_order(quotient, n) == analysis.q_expected(n)
+    assert_q_orders_match_chains(depth, depth - 1)
 
 
 @pytest.mark.slow
 def test_depth6_q_orders_match_index_in_stab_chain():
-    quotient = analysis.build_quotient(6, slow=True)
-    for n in range(1, 5):
-        q = analysis.q_order(6, n, slow=True)
-        assert q == oracles.q_order(quotient, n) == analysis.q_expected(n)
+    assert_q_orders_match_chains(6, 4)
 
 
 def reference_sections(depth: int, level: int) -> dict:
@@ -170,14 +174,14 @@ def test_stab_depth2_matches_enumeration(n):
 
 
 def test_rist_image_depth2_matches_enumeration():
-    g1 = analysis.build_quotient(1).group.generators
-    a3 = sorted(_brute.commutator_closure(_brute.closure([g.images for g in g1])))
+    g1 = [g.images for g in analysis.build_quotient(1).group.generators]
+    a3 = sorted(_brute.commutator_closure(_brute.closure(g1), g1))
     members = {
         tuple(3 * b + x for b, part in enumerate(parts) for x in part)
         for parts in itertools.product(a3, repeat=3)
     }
     elements = _g2_elements()
-    group = analysis.rist_image(analysis.build_quotient(2), 1)
+    group = analysis.rist_image(2, 1)
     assert len(members) == 27
     # the non-members tried: all of G_2 and every product of three
     # permutations of the blocks' points
