@@ -14,11 +14,11 @@ the depth-2 patterns (branch), with no chain of G_N and no chain of a level
 stabilizer. G_N acts on level n as G_n, so |Stab(n)| is |G_N|/|G_n|, and
 |Stab(n)/Stab(n+1)| is |G_(n+1)|/|G_n|, or |G'_(n+1)|/|G'_n| inside the
 derived subgroup; a Rist(n) generator lies in Stab(n) when it lies in G_N
-and fixes every level-n vertex. The rigid stabilizer images are direct
-powers of the chains of G'_k, and transrec reads each vertex's section off
-the states of its stabilizer's Reidemeister-Schreier words, at the subtree's
-degree. The depth cap is checked where a depth enters; everything behind
-those entry points builds through _quotient and _rist_image.
+and fixes every level-n vertex. Rist(n) in G_N is (G'_k)^(3^n), k = N - n,
+and its order is read off the chain of G'_k; transrec reads each vertex's
+section off the states of its stabilizer's Reidemeister-Schreier words, at
+the subtree's degree. The depth cap is checked where a depth enters;
+everything behind those entry points builds through _quotient.
 """
 
 from __future__ import annotations
@@ -131,13 +131,11 @@ class TruncatedQuotient:
 # Under the GIL dict.get and dict.setdefault are atomic: threads that miss
 # together compute the same value, and the first one stored is kept.
 _quotients: dict[int, TruncatedQuotient] = {}
-_rists: dict[tuple[int, int], PermGroup] = {}
 _derived: dict[int, PermGroup] = {}
 
 
 def clear_caches() -> None:
     _quotients.clear()
-    _rists.clear()
     _derived.clear()
 
 
@@ -183,14 +181,24 @@ def rist_image(depth: int, n: int, slow: bool = False) -> PermGroup:
     return _rist_image(depth, n)
 
 
+def _rist_factor(depth: int, n: int) -> PermGroup:
+    """G'_k, k = N - n, one copy of which on each level-n subtree makes
+    Rist(n) in G_N: the one source of its generators and its order."""
+    return derived_of_quotient(_quotient(depth - n))
+
+
 def _rist_image(depth: int, n: int) -> PermGroup:
-    """rist_image without the checks, which the caller has made."""
-    key = (depth, n)
-    cached = _rists.get(key)
-    if cached is not None:
-        return cached
-    inner = derived_of_quotient(_quotient(depth - n))
-    return _rists.setdefault(key, permgroup.direct_power(inner, 3**n))
+    """rist_image without the checks, which the caller has made. The package
+    reads only its generators."""
+    return permgroup.direct_power(_rist_factor(depth, n), 3**n)
+
+
+def _rist_order(depth: int, n: int) -> int:
+    """|Rist(n)| in G_N: |G'_k|^(3^n), k = N - n, with |G'_k| off the chain
+    of G'_k. The 3^n copies of G'_k act on disjoint blocks of leaves, so
+    they commute and meet trivially, and the group they generate is their
+    direct product."""
+    return _rist_factor(depth, n).order() ** 3**n
 
 
 def q_order(depth: int, n: int, slow: bool = False) -> int:
@@ -227,11 +235,12 @@ def _q_order(depth: int, n: int) -> int:
     acts on level n as G_n, and Stab(n) is the kernel of that action."""
     if not _rist_in_stab(depth, n):
         raise NotASubgroupError(f"Rist({n}) of G_{depth} is not inside Stab({n})")
-    orders = branch.orders(depth)[0], branch.orders(n)[0], _rist_image(depth, n).order()
+    orders = branch.orders(depth)[0], branch.orders(n)[0], _rist_order(depth, n)
     q = _exact_quotient(_exact_quotient(orders[0], orders[1]), orders[2])
     logger.info(
         "Q(%d,%d) = |G_N| / (|G_n| |Rist(n)|) = %d / (%d * %d),"
-        " |G_N| and |G_n| from the branch recursion",
+        " |G_N| and |G_n| from the branch recursion,"
+        " |Rist(n)| = |G'_k|^(3^n) from the chain of G'_k",
         n, depth, *orders,
     )
     return q
@@ -367,17 +376,19 @@ def _elementary_abelian_quotient(depth: int, n: int) -> bool:
     involutions (_quotient checks that), so G_k/G'_k is elementary abelian
     2, and the image of Stab(n) is too. The kernel is the intersection of
     Stab(n) with (G'_k)^(3^n), so its order is at most |G'_k|^(3^n).
-    rist_image is built as (G'_k)^(3^n) on the level-n blocks. Once its
-    generators fix level n and lie in G_N, it lies in that kernel, and when
-    its order is |G'_k|^(3^n), with |G'_k| from the branch recursion, it is
-    the kernel. Then Q(n,N) embeds in an elementary abelian 2-group.
+    rist_image is (G'_k)^(3^n) on the level-n blocks, with G'_k from its
+    chain (_rist_order). Once its generators fix level n and lie in G_N, it
+    lies in that kernel, and when that chain's order is |G'_k| from the
+    branch recursion, it is the kernel. Then Q(n,N) embeds in an elementary
+    abelian 2-group. Reading |Rist(n)| from the branch recursion instead
+    would make the order check a tautology.
     """
     return _rist_in_stab(depth, n) and _rist_is_kernel(depth, n)
 
 
 def _rist_is_kernel(depth: int, n: int) -> bool:
     """The order half of _elementary_abelian_quotient."""
-    return _rist_image(depth, n).order() == branch.orders(depth - n)[1] ** (3**n)
+    return _rist_order(depth, n) == branch.orders(depth - n)[1] ** (3**n)
 
 
 def kernel_report(n_max: int = 2, depth_budget: int = 4, slow: bool = False) -> KernelReport:
@@ -388,8 +399,9 @@ def kernel_report(n_max: int = 2, depth_budget: int = 4, slow: bool = False) -> 
     1 -> K(n,n+1) -> Gamma(n+1) -> Gamma(n) -> Q(n,n+1) -> 1,
     with the Q orders those of the truncations (legitimate because they
     stabilize, which is itself checked here): |G_N| and |G_n| from the
-    branch recursion, |Rist(n)| from its direct-power chain. Each Rist(n)
-    containment in G_N is tested once, for Q and the flag together.
+    branch recursion, |Rist(n)| as |G'_(N-n)|^(3^n) from the chain of
+    G'_(N-n). Each Rist(n) containment in G_N is tested once, for Q and the
+    flag together.
     """
     if n_max < 1:
         raise ShapeError("n_max must be >= 1")
@@ -622,10 +634,9 @@ def _check_ristquot(depth: int) -> LemmaReport:
     computed = {}
     expected = {}
     for n in range(1, depth):
-        rist = _rist_image(n + 1, n)
         computed[f"n={n}"] = {
-            "order": rist.order(),
-            "elementary_abelian_3": permgroup.is_elementary_abelian(rist, 3),
+            "order": _rist_order(n + 1, n),
+            "elementary_abelian_3": permgroup.is_elementary_abelian(_rist_image(n + 1, n), 3),
         }
         expected[f"n={n}"] = {"order": 3 ** (3**n), "elementary_abelian_3": True}
     return LemmaReport("ristquot", depth, computed, expected, computed == expected)

@@ -14,7 +14,7 @@ import random
 from collections import deque
 
 from . import automorphism, words
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, ShapeError
 
 GameState = tuple[int, ...]
 
@@ -80,8 +80,10 @@ def consistency_check(n: int, rng: random.Random | None = None) -> bool:
 
 def solve(n: int) -> str:
     """A shortest move word from all disks on peg 1 to all on peg 3."""
-    if not 1 <= n <= SOLVE_DISK_CAP:
-        raise ResourceLimitError(f"disk count {n} outside 1..{SOLVE_DISK_CAP}")
+    if n < 1:
+        raise ShapeError(f"disk count {n} must be >= 1")
+    if n > SOLVE_DISK_CAP:
+        raise ResourceLimitError(f"disk count {n} exceeds the cap {SOLVE_DISK_CAP}")
     start = (1,) * n
     goal = (3,) * n
     seen: dict[GameState, str] = {start: ""}

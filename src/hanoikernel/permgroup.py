@@ -9,8 +9,7 @@ p[v*size] // size. tree_group forces the 3^k vertices of level k = N // 2
 of a group on 3^N leaves: their orbit has at most 3^k points, and a leaf
 orbit inside the level-k stabilizer stays in one block of 3^(N-k) leaves,
 where a leaf-only base starts with an orbit of all 3^N leaves. That halves
-the chain-build time of G_5 and G_6. Direct powers get their chain by repeating the
-factor's chain once per block, without Schreier-Sims.
+the chain-build time of G_5 and G_6.
 
 A chain stores its permutations in an encoding chosen from its degree, so
 that a product is one C call. Up to degree 256 an element is a bytes object
@@ -528,67 +527,14 @@ def _forced_base_tail(group: PermGroup, bases: Sequence[int], size: int) -> Perm
 
 def direct_power(group: PermGroup, count: int) -> PermGroup:
     """The direct product of `count` copies of the group, copy k acting on
-    the k-th of `count` consecutive blocks of group.degree points.
-
-    Its chain is the group's chain repeated block by block, each copy
-    shifted into its block; a base and strong generating set of a direct
-    product is the concatenation of those of its factors, so no
-    Schreier-Sims is run. The chain is made on first use.
+    the k-th of `count` consecutive blocks of group.degree points, generated
+    by the copies of the group's generators. Its order is the group's order
+    to the power `count`; a chain, when asked for, comes from Schreier-Sims
+    on the copies.
     """
     gens = [
         embed_in_block(g, block, count)
         for block in range(count)
         for g in group.generators
     ]
-    return PermGroup(
-        group.degree * count,
-        gens,
-        _make_chain=lambda: _direct_power_chain(group._get_chain(), count),
-    )
-
-
-def _direct_power_chain(inner: _Chain, count: int) -> _Chain:
-    degree = inner.degree * count
-    identity = _pack(range(degree), degree)
-    blocks = [
-        _shifted_levels(inner, block * inner.degree, identity)
-        for block in range(count)
-    ]
-    # The strong generators of the later blocks fix every base of this one,
-    # so they belong to each of its levels' generator sets.
-    later: list[_Elem] = []
-    for block_levels in reversed(blocks):
-        for level in block_levels:
-            level.gens += later
-        if block_levels:
-            later = block_levels[0].gens
-    return _Chain._from_levels(degree, [level for b in blocks for level in b])
-
-
-def _shifted_levels(inner: _Chain, offset: int, identity: _Elem) -> list[_Level]:
-    """Copies of inner's levels acting on points offset.. of `identity`,
-    with one shifted element per inner element, shared across the levels.
-
-    The copies take the encoding of `identity`, which may differ from
-    inner's: a factor of degree <= 256 has a power of larger degree.
-    """
-    head, rest = identity[:offset], identity[offset + inner.degree :]
-    encode = type(identity)
-    shifted: dict[int, _Elem] = {id(inner.identity): identity}
-
-    def shift(t: _Elem) -> _Elem:
-        hit = shifted.get(id(t))
-        if hit is None:
-            middle = encode([x + offset for x in t[: inner.degree]])
-            hit = shifted[id(t)] = head + middle + rest
-        return hit
-
-    levels = []
-    for source in inner.levels:
-        level = _Level(source.base + offset, identity)
-        level.gens = [shift(g) for g in source.gens]
-        level.inverse_transversal = {
-            p + offset: shift(t) for p, t in source.inverse_transversal.items()
-        }
-        levels.append(level)
-    return levels
+    return PermGroup(group.degree * count, gens)

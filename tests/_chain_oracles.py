@@ -3,10 +3,12 @@
 The package reads |Stab(n)|, |Q(n,N)| and the elementary-abelian flags off
 the branch recursion for |G_N| and |G'_N| and tests membership in G_N by
 depth-2 patterns (hanoikernel.branch); it builds no chain for G_N or for
-Stab(n). The functions here answer the same questions from chains: by the
-orders of the G_N, G_n and G'_(N-n) chains and sifting into G_N, and by index
-and sifting in a Stab(n) chain with the level-n vertices forced to the front
-of the base.
+Stab(n), and it reads |Rist(n)| as |G'_k|^(3^n), k = N - n. The functions
+here answer the same questions from chains: by the orders of the G_N, G_n
+and G'_k chains, the order of a chain of the Rist(n) image, and sifting into
+G_N, and by index and sifting in a Stab(n) chain with the level-n vertices
+forced to the front of the base. Each takes the Rist(n) image as `rist`, so
+that a caller builds its chain, at degree 3^N, once for all of them.
 """
 
 from __future__ import annotations
@@ -69,18 +71,18 @@ def subgroup_index(group: PermGroup, subgroup: PermGroup) -> int:
     return quotient
 
 
-def q_order(quotient: analysis.TruncatedQuotient, n: int) -> int:
+def q_order(quotient: analysis.TruncatedQuotient, n: int, rist: PermGroup) -> int:
     """|Q(n,N)| as the index of the rigid-stabilizer image in Stab(n)."""
-    rist = analysis.rist_image(quotient.depth, n, slow=True)
     return subgroup_index(stab(quotient, n), rist)
 
 
-def elementary_abelian_quotient(quotient: analysis.TruncatedQuotient, n: int) -> bool:
+def elementary_abelian_quotient(
+    quotient: analysis.TruncatedQuotient, n: int, rist: PermGroup
+) -> bool:
     """Whether Stab(n) is elementary abelian 2 over the rigid-stabilizer
     image: the squares and commutators of the Stab(n) generators outside
     the rigid-stabilizer image sift in."""
     stabilizer = stab(quotient, n)
-    rist = analysis.rist_image(quotient.depth, n, slow=True)
     # Rist(n) is normal in Stab(n), which the quotient already needs to be
     # a group. So a generator inside Rist(n) is trivial in the quotient,
     # and the others still generate it.
@@ -95,33 +97,34 @@ def elementary_abelian_quotient(quotient: analysis.TruncatedQuotient, n: int) ->
     return True
 
 
-def rist_in_stab(quotient: analysis.TruncatedQuotient, n: int) -> bool:
+def rist_in_stab(quotient: analysis.TruncatedQuotient, n: int, rist: PermGroup) -> bool:
     """Whether every rigid-stabilizer generator fixes level n and sifts into
     the G_N chain."""
     size = 3 ** (quotient.depth - n)
     return all(
         all(g.images[v * size] // size == v for v in range(3**n))
         and quotient.group.contains(g)
-        for g in analysis.rist_image(quotient.depth, n, slow=True).generators
+        for g in rist.generators
     )
 
 
-def chain_q_order(quotient: analysis.TruncatedQuotient, n: int) -> int:
+def chain_q_order(quotient: analysis.TruncatedQuotient, n: int, rist: PermGroup) -> int:
     """|Q(n,N)| = |G_N| / (|G_n| |Rist(n)|) from chain orders, after the
     containment by sifting."""
-    if not rist_in_stab(quotient, n):
+    if not rist_in_stab(quotient, n, rist):
         raise NotASubgroupError(f"Rist({n}) of G_{quotient.depth} is not inside Stab({n})")
     lower = analysis.build_quotient(n, slow=True).group.order()
-    rist = analysis.rist_image(quotient.depth, n, slow=True).order()
-    index, remainder = divmod(quotient.group.order(), lower * rist)
+    index, remainder = divmod(quotient.group.order(), lower * rist.order())
     if remainder:
         raise AssertionError("|G_n| |Rist(n)| does not divide |G_N|")
     return index
 
 
-def chain_elementary_abelian_quotient(quotient: analysis.TruncatedQuotient, n: int) -> bool:
-    """The containment by sifting, and |Rist(n)| = |G'_k|^(3^n) with |G'_k|
-    from the chain of the derived subgroup of G_k, k = N - n."""
+def chain_elementary_abelian_quotient(
+    quotient: analysis.TruncatedQuotient, n: int, rist: PermGroup
+) -> bool:
+    """The containment by sifting, and |Rist(n)| from the chain of the
+    image equal to |G'_k|^(3^n) with |G'_k| from the chain of the derived
+    subgroup of G_k, k = N - n."""
     inner = analysis.derived_of_quotient(analysis.build_quotient(quotient.depth - n, slow=True))
-    rist = analysis.rist_image(quotient.depth, n, slow=True)
-    return rist_in_stab(quotient, n) and rist.order() == inner.order() ** (3**n)
+    return rist_in_stab(quotient, n, rist) and rist.order() == inner.order() ** (3**n)

@@ -305,7 +305,8 @@ def test_concurrent_lemma_checks():
 
 def test_unlocked_caches_keep_one_value_per_key():
     # racing misses may each build a quotient, but setdefault stores the
-    # first one, and every thread gets that one back
+    # first one, and every thread gets that one back; Rist images are not
+    # cached, so each thread builds its own
     import sys
     import threading
 
@@ -329,16 +330,14 @@ def test_unlocked_caches_keep_one_value_per_key():
         sys.setswitchinterval(old_interval)
     assert len(results) == 8
     assert len({id(q) for q, _, _ in results}) == 1
-    assert len({id(s) for _, s, _ in results}) == 1
     assert {order for _, _, order in results} == {analysis.quotient_order(3)}
     # |G'_2|^3, half of |G_2| in each of the three level-1 subtrees
     assert results[0][1].order() == (analysis.quotient_order(2) // 2) ** 3
 
 
-def unpruned_elementary_abelian_quotient(quotient, n):
+def unpruned_elementary_abelian_quotient(quotient, n, rist):
     """The flag's check over every Stab(n) generator, none dropped."""
     gens = oracles.stab(quotient, n).generators
-    rist = analysis.rist_image(quotient.depth, n, slow=True)
     for i, g in enumerate(gens):
         if not rist.contains(g * g):
             return False
@@ -355,37 +354,46 @@ def test_elementary_abelian_flags_match_unpruned_check():
         quotient = analysis.build_quotient(big_n, slow=True)
         for n in range(1, big_n):
             flag = analysis._elementary_abelian_quotient(big_n, n)
-            assert flag == oracles.chain_elementary_abelian_quotient(quotient, n)
-            assert flag == oracles.elementary_abelian_quotient(quotient, n)
-            assert flag == unpruned_elementary_abelian_quotient(quotient, n)
+            rist = analysis.rist_image(big_n, n, slow=True)
+            assert flag == oracles.chain_elementary_abelian_quotient(quotient, n, rist)
+            assert flag == oracles.elementary_abelian_quotient(quotient, n, rist)
+            assert flag == unpruned_elementary_abelian_quotient(quotient, n, rist)
             assert flag, (n, big_n)
 
 
 def test_elementary_abelian_flags_fail_over_too_small_subgroups(monkeypatch):
-    # Both fakes lie in Stab(n) and are smaller than (G'_(N-n))^(3^n), so
-    # the flag's order check fails them. In the sift oracles, the trivial
-    # group contains no generator, so none is dropped; Stab(n+1) is normal
-    # and contains one Stab(2) generator of G_4, which is dropped.
-    def trivial(depth, n):
-        return permgroup.PermGroup(3**depth)
+    # Each fake factor is a subgroup of G'_k, k = N - n, smaller than G'_k,
+    # so its copies lie in Stab(n) and generate less than (G'_k)^(3^n): the
+    # flag's order check fails them, and so do the three oracles. The flag
+    # compares the order of the factor's chain with |G'_k| from the branch
+    # recursion, so it fails only while it reads the patched factor. In the
+    # sift oracles, the trivial group contains no generator, so none is
+    # dropped; the level-1 kernel of G'_2 makes a normal subgroup that
+    # contains one Stab(2) generator of G_4, which is dropped.
+    real = analysis._rist_factor
 
-    def next_stab(depth, n):
-        return oracles.stab(analysis.build_quotient(depth), n + 1)
+    def trivial(depth, n):
+        return permgroup.PermGroup(3 ** (depth - n))
+
+    def level1_kernel(depth, n):
+        return oracles.kernel_of_level_action(real(depth, n), 1)
 
     quotients = [analysis.build_quotient(big_n) for big_n in (2, 3, 4)]
-    for fake in (trivial, next_stab):
-        monkeypatch.setattr(analysis, "_rist_image", fake)
+    for quotient in quotients:
+        for n in range(1, quotient.depth):
+            # G'_k acts on level 1 as A_3
+            assert 3 * level1_kernel(quotient.depth, n).order() == real(quotient.depth, n).order()
+    for fake in (trivial, level1_kernel):
+        monkeypatch.setattr(analysis, "_rist_factor", fake)
         for quotient in quotients:
             for n in range(1, quotient.depth):
+                rist = analysis.rist_image(quotient.depth, n)
                 assert not analysis._elementary_abelian_quotient(quotient.depth, n)
-                assert not oracles.chain_elementary_abelian_quotient(quotient, n)
-                assert not oracles.elementary_abelian_quotient(quotient, n)
-                assert not unpruned_elementary_abelian_quotient(quotient, n)
-    inside = [
-        g
-        for g in oracles.stab(quotients[2], 2).generators
-        if next_stab(4, 2).contains(g)
-    ]
+                assert not oracles.chain_elementary_abelian_quotient(quotient, n, rist)
+                assert not oracles.elementary_abelian_quotient(quotient, n, rist)
+                assert not unpruned_elementary_abelian_quotient(quotient, n, rist)
+    rist = analysis.rist_image(4, 2)
+    inside = [g for g in oracles.stab(quotients[2], 2).generators if rist.contains(g)]
     assert len(inside) == 1
 
 
@@ -394,5 +402,6 @@ def test_q_order_logs_its_orders_and_their_source(caplog):
         assert analysis.q_order(3, 1) == 4
     assert (
         "Q(1,3) = |G_N| / (|G_n| |Rist(n)|) = 816293376 / (6 * 34012224),"
-        " |G_N| and |G_n| from the branch recursion"
+        " |G_N| and |G_n| from the branch recursion,"
+        " |Rist(n)| = |G'_k|^(3^n) from the chain of G'_k"
     ) in caplog.text

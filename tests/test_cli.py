@@ -266,6 +266,9 @@ def test_output_is_deterministic(capsys):
         (["--out", "/nonexistent/x.dot", "export", "portrait", "a", "--format", "dot"], 2,
          "cannot write /nonexistent/x.dot"),
         (["LOGLEVEL=basic_format", "verify", "all", "--depth", "0"], 2, "depth must be >= 1"),
+        (["game", "solve", "--disks", "0"], 2, "disk count 0"),
+        (["game", "solve", "--disks", "-3"], 2, "disk count -3"),
+        (["game", "solve", "--disks", "13"], 3, "disk count 13"),
     ],
 )
 def test_bad_arguments_exit_without_traceback(capsys, argv, code, message):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hanoikernel import game
-from hanoikernel.errors import ResourceLimitError
+from hanoikernel.errors import ResourceLimitError, ShapeError
 
 import _brute
 
@@ -86,8 +86,13 @@ def test_solution_reaches_goal():
 def test_solve_cap():
     with pytest.raises(ResourceLimitError):
         game.solve(13)
-    with pytest.raises(ResourceLimitError):
-        game.solve(0)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_solve_rejects_fewer_than_one_disk(n):
+    # a bad argument, not a resource cap: the CLI exits 2 on it
+    with pytest.raises(ShapeError):
+        game.solve(n)
 
 
 def test_state_graph_connected():

@@ -441,13 +441,25 @@ def test_tree_group_of_depth_one_has_no_forced_base():
 
 
 def test_direct_power_matches_fresh_chain():
+    """The copies of the generators generate the direct power: a chain on
+    them has the power's order and takes a permutation exactly when each
+    block's restriction lies in the factor."""
     rng = random.Random(5)
     for inner, count in ((symmetric_group(3), 4), (quotient_group(2), 3)):
         power = pg.direct_power(inner, count)
         assert power.degree == inner.degree * count
         assert power.order() == inner.order() ** count
         assert_chain_is_bsgs(power._get_chain())
-        fresh = pg.PermGroup(power.degree, power.generators)
+        size = inner.degree
+
+        def blockwise(q):
+            blocks = [q.images[b * size : (b + 1) * size] for b in range(count)]
+            return all(
+                {x // size for x in block} == {b}
+                and inner.contains(Perm([x - b * size for x in block]))
+                for b, block in enumerate(blocks)
+            )
+
         gens = list(power.generators)
         for _ in range(30):
             p = Perm.identity(power.degree)
@@ -456,7 +468,7 @@ def test_direct_power_matches_fresh_chain():
             images = list(range(power.degree))
             rng.shuffle(images)
             for q in (p, p * Perm(images), p * Perm.transposition(power.degree, 1, 2)):
-                assert power.contains(q) == fresh.contains(q)
+                assert power.contains(q) == blockwise(q)
 
 
 def test_direct_power_rejects_block_crossing():
@@ -542,30 +554,28 @@ def test_direct_power_at_degree_256():
     chain = power._get_chain()
     assert type(chain.identity) is bytes and len(chain.identity) == 256
     assert_perm_degrees(power, 256)
-    fresh = pg.PermGroup(256, power.generators)
-    assert power.order() == fresh.order() == 24**64
+    assert power.order() == 24**64
     rng = random.Random(256)
     # (4 5) crosses two blocks, (253 256) stays in the last one
     swaps = [Perm.from_cycles(256, [c]) for c in [(4, 5), (253, 256)]]
     for p in random_words(power, rng, 20):
         for q in [p] + [p * s for s in swaps]:
             keeps_blocks = all(q.images[i] // 4 == i // 4 for i in range(256))
-            assert power.contains(q) == fresh.contains(q) == keeps_blocks
+            assert power.contains(q) == keeps_blocks
     stab = power.pointwise_stabilizer([1, 256])
     assert_perm_degrees(stab, 256)
-    assert stab.order() == fresh.pointwise_stabilizer([1, 256]).order() == 6**2 * 24**62
+    assert stab.order() == 6**2 * 24**62
 
 
 def test_direct_power_of_bytes_factor_has_tuple_chain():
     """G_2 has degree 9 and a bytes chain; 29 copies of it have degree 261
-    and a tuple chain made by shifting the factor's chain."""
+    and a tuple chain."""
     inner = quotient_group(2)
     power = pg.direct_power(inner, 29)
     assert type(inner._get_chain().identity) is bytes
     assert type(power._get_chain().identity) is tuple
     assert_perm_degrees(power, 261)
-    fresh = pg.PermGroup(261, power.generators)
-    assert power.order() == fresh.order() == 648**29
+    assert power.order() == 648**29
     elements = _brute.closure([g.images for g in inner.generators])
 
     def in_power(q):
@@ -580,12 +590,12 @@ def test_direct_power_of_bytes_factor_has_tuple_chain():
     for p in random_words(power, rng, 20):
         for q in [p] + [p * s for s in swaps]:
             answer = power.contains(q)
-            assert answer == fresh.contains(q) == in_power(q)
+            assert answer == in_power(q)
             answers.append(answer)
     assert True in answers and False in answers
     stab = power.pointwise_stabilizer([1, 261])
     assert_perm_degrees(stab, 261)
-    assert stab.order() == fresh.pointwise_stabilizer([1, 261]).order() == 72**2 * 648**27
+    assert stab.order() == 72**2 * 648**27
 
 
 def test_vertex_bases_at_degree_729():

@@ -1,7 +1,10 @@
-"""The rigid stabilizer images are assembled as direct powers, and the level
-stabilizers of the test oracles (_chain_oracles) reuse the tail of a chain
-with the level's vertices as first bases; each is checked here against a
-group built afresh by Schreier-Sims from the same generators. A vertex's
+"""The package reads the order of a rigid stabilizer image Rist(n) in G_N as
+|G'_k|^(3^n), k = N - n, off the chain of G'_k; it is checked here against a
+chain built by Schreier-Sims on the image's generators, whose members are
+checked block by block against the chain of G'_k. The level stabilizers of
+the test oracles (_chain_oracles) reuse the tail of a chain with the level's
+vertices as first bases; each is checked against a group built afresh by
+Schreier-Sims from the same generators. A vertex's
 section, the group its stabilizer induces on its subtree, comes from the
 states of Reidemeister-Schreier words; it is checked against the stabilizer
 in G_N found by a chain with the vertex as first base. All three are checked
@@ -71,8 +74,27 @@ def test_stab_matches_fresh_chain(depth, n):
 
 @pytest.mark.parametrize("depth, n", RIST_PAIRS)
 def test_rist_image_matches_fresh_chain(depth, n):
+    """|Rist(n)| = |G'_k|^(3^n) is the order of a chain on the image's
+    generators, and that chain takes a probe exactly when the probe keeps
+    every level-n block and restricts on each to a member of G'_k."""
     group = analysis.rist_image(depth, n)
-    assert_matches_fresh_chain(group, depth, seed=200 * depth + n)
+    fresh = permgroup.PermGroup(group.degree, group.generators)
+    assert analysis._rist_order(depth, n) == fresh.order()
+    factor = analysis.derived_of_quotient(analysis.build_quotient(depth - n))
+    size = factor.degree
+
+    def blockwise(p: Perm) -> bool:
+        return _fixes_blocks(p.images, size) and all(
+            factor.contains(Perm([x - b * size for x in p.images[b * size : (b + 1) * size]]))
+            for b in range(3**n)
+        )
+
+    answers = []
+    for p in probes(group, depth, seed=200 * depth + n):
+        answer = fresh.contains(p)
+        assert answer == blockwise(p)
+        answers.append(answer)
+    assert True in answers and False in answers
 
 
 def assert_q_orders_match_chains(depth: int, n_max: int):
@@ -81,8 +103,10 @@ def assert_q_orders_match_chains(depth: int, n_max: int):
     quotient = analysis.build_quotient(depth, slow=True)
     for n in range(1, n_max + 1):
         q = analysis.q_order(depth, n, slow=True)
-        assert q == oracles.chain_q_order(quotient, n) == analysis.q_expected(n)
-        assert q == oracles.q_order(quotient, n)
+        # one chain of the image serves both oracles
+        rist = analysis.rist_image(depth, n, slow=True)
+        assert q == oracles.chain_q_order(quotient, n, rist) == analysis.q_expected(n)
+        assert q == oracles.q_order(quotient, n, rist)
 
 
 @pytest.mark.parametrize("depth", [2, 3, 4, 5])
@@ -182,7 +206,7 @@ def test_rist_image_depth2_matches_enumeration():
     }
     elements = _g2_elements()
     group = analysis.rist_image(2, 1)
-    assert len(members) == 27
+    assert len(members) == analysis._rist_order(2, 1) == 27
     # the non-members tried: all of G_2 and every product of three
     # permutations of the blocks' points
     s3 = list(itertools.permutations(range(3)))
