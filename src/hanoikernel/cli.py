@@ -14,7 +14,7 @@ import logging
 import os
 import sys
 
-from . import analysis, automorphism, game, words
+from . import analysis, automorphism, words
 from .errors import DepthError, ResourceLimitError, ShapeError
 
 EXIT_PASS = 0
@@ -218,6 +218,8 @@ def _run_relators(args) -> tuple[dict | None, int]:
 
 
 def _run_game(args) -> tuple[dict | None, int]:
+    from . import game
+
     if args.game_command == "act":
         try:
             state = tuple(int(s) for s in args.state.split(","))

@@ -317,3 +317,37 @@ def test_closed_stdout_keeps_the_exit_code():
     child.stderr.close()
     assert child.wait(timeout=120) == 0
     assert err == "pass  selfsim\n"
+
+
+FOOTPRINT = """
+import json, sys
+preloaded = "dataclasses" in sys.modules
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("hanoikernel."))
+import hanoikernel
+seen = {"root": loaded()}
+from hanoikernel import cli
+cli.main(["relators", "--max-tau", "1", "--depth", "2"])
+seen["relators"] = loaded()
+cli.main(["verify", "stab12", "--depth", "2"])
+seen["verify"] = loaded()
+seen["dataclasses"] = preloaded or "dataclasses" not in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_import_footprint():
+    """A CLI pass compiles every package module it imports, so the root
+    imports none, and no command but game imports the game module."""
+    result = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert result.returncode == 0, result.stderr
+    seen = json.loads(result.stdout.splitlines()[-1])
+    assert seen["root"] == []
+    assert "hanoikernel.game" not in seen["relators"]
+    assert "hanoikernel.game" not in seen["verify"]
+    assert seen["dataclasses"], "the package imported dataclasses"
