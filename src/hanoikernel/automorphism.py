@@ -247,10 +247,24 @@ def leaf_permutation(g: Portrait, n: int) -> Perm:
     """The permutation of lex indices 1..d^n induced on level-n vertices."""
     if n > g.depth:
         raise DepthError(f"level {n} exceeds portrait depth {g.depth}")
-    images = [0] * (g.arity**n)
-    for v in level_vertices(n, g.arity):
-        images[lex_index(v, g.arity) - 1] = lex_index(apply(g, v), g.arity) - 1
-    return Perm(images)
+    return Perm(_leaf_images(g, n))
+
+
+def _leaf_images(g: Portrait, n: int) -> list[int]:
+    """0-based leaf_permutation images, read off the portrait.
+
+    Vertex (i, rest) goes to (root(i), state_i(rest)), so the block of d^(n-1)
+    indices under child i is child i's images shifted to the block of
+    root(i). An identity subtree fixes every index.
+    """
+    if n == 0 or g._is_identity:
+        return list(range(g.arity**n))
+    size = g.arity ** (n - 1)
+    out: list[int] = []
+    for i, child in enumerate(g.children):
+        offset = g.root.images[i] * size
+        out += [offset + x for x in _leaf_images(child, n - 1)]
+    return out
 
 
 # -- serialization ---------------------------------------------------------

@@ -3,12 +3,21 @@
 Composition follows action order: ``p * q`` means "apply p, then q", matching
 the right action used for tree automorphisms throughout the package. Points
 are 1-based at the API; the internal image tuple is 0-based.
+
+The constructor checks its images with C-level calls. Up to degree 256 they
+are packed with bytes(), and deleting them from bytes(range(n)) must leave
+nothing: n images that cover all of 0..n-1 are a bijection. Above that they
+are sorted and compared with range(n). Either way a non-integer image, a
+duplicate or a point outside 0..n-1 raises ValueError.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterable, Sequence
+
+# the points 0..255, sliced to the degree by the bytes check
+_IDENTITY_BYTES = bytes(range(256))
 
 
 class Perm:
@@ -21,8 +30,18 @@ class Perm:
     def __init__(self, images: Sequence[int]):
         # 0-based images: images[i] is the image of point i.
         imgs = tuple(images)
-        if sorted(imgs) != list(range(len(imgs))):
-            raise ValueError(f"not a permutation of 0..{len(imgs) - 1}: {imgs!r}")
+        n = len(imgs)
+        try:
+            if n <= len(_IDENTITY_BYTES):
+                # bytes() raises TypeError on a non-integer, ValueError
+                # outside 0..255
+                ok = not _IDENTITY_BYTES[:n].translate(None, bytes(imgs))
+            else:
+                ok = sorted(map(index, imgs)) == list(range(n))
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ValueError(f"not a permutation of 0..{n - 1}: {imgs!r}")
         object.__setattr__(self, "images", imgs)
 
     def __setattr__(self, name, value):
@@ -69,7 +88,7 @@ class Perm:
         return self.apply(point)
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def one_based(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in self.images)

@@ -9,7 +9,12 @@ p[v*size] // size. tree_group forces the 3^k vertices of level k = N // 2
 of a group on 3^N leaves: their orbit has at most 3^k points, and a leaf
 orbit inside the level-k stabilizer stays in one block of 3^(N-k) leaves,
 where a leaf-only base starts with an orbit of all 3^N leaves. That halves
-the chain-build time of G_5 and G_6.
+the chain-build time of G_5 and G_6. A sift pays for it: sifting a member
+of G_5 takes about 54 products against 26 through a leaf-only chain, and
+about 47 against 33 us, while the build takes 45-48 against 88-94 ms
+(members among 2000 seeded sift-d5 queries, in-process, 2-vCPU VM). The
+build saving outweighs the sifts up to about 3000 member sifts per chain,
+more than the 2000 of the sift-d5 benchmark, so the prefix is kept.
 
 A chain stores its permutations in an encoding chosen from its degree, so
 that a product is one C call. Up to degree 256 an element is a bytes object

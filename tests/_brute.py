@@ -60,13 +60,13 @@ def word_states(word: str) -> tuple[tuple[str, str, str], tuple[int, int, int]]:
     return tuple(states), tuple(images)  # type: ignore[return-value]
 
 
-def vertices(n: int):
+def vertices(n: int, arity: int = 3):
     """All level-n digit sequences in lexicographic order."""
     if n == 0:
         yield ()
         return
-    for prefix in vertices(n - 1):
-        for digit in (1, 2, 3):
+    for prefix in vertices(n - 1, arity):
+        for digit in range(1, arity + 1):
             yield prefix + (digit,)
 
 
@@ -75,6 +75,22 @@ def word_leaf_tuple(word: str, n: int) -> tuple[int, ...]:
     order = list(vertices(n))
     index = {v: i for i, v in enumerate(order)}
     return tuple(index[act_word(word, v)] for v in order)
+
+
+def portrait_leaf_tuple(g, n: int) -> tuple[int, ...]:
+    """0-based image tuple of a portrait's action on level-n vertices, one
+    vertex at a time: each digit goes through the label of the vertex above
+    it, read from the portrait's root labels and children."""
+    order = list(vertices(n, g.arity))
+    index = {v: i for i, v in enumerate(order)}
+    out = []
+    for v in order:
+        node, image = g, []
+        for digit in v:
+            image.append(node.root.images[digit - 1] + 1)
+            node = node.children[digit - 1]
+        out.append(index[tuple(image)])
+    return tuple(out)
 
 
 def mult(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:

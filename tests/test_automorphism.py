@@ -157,6 +157,34 @@ def test_leaf_permutation_against_independent_action():
         assert am.leaf_permutation(words.evaluate(word, n), n) == expected
 
 
+def random_portrait(rng, depth, arity, density):
+    """A from_labels portrait labelling each internal vertex with the given
+    probability, so that sparse ones have identity subtrees."""
+    labels = {
+        v: Perm(rng.sample(range(arity), arity))
+        for level in range(depth)
+        for v in am.level_vertices(level, arity)
+        if rng.random() < density
+    }
+    return am.from_labels(depth, labels, arity)
+
+
+def test_leaf_permutation_matches_vertex_by_vertex_oracle():
+    rng = random.Random(16)
+    identity_subtrees = 0
+    for arity in (2, 3):
+        for depth in range(6):
+            for density in (0.0, 0.15, 0.4, 1.0):
+                for _ in range(3):
+                    g = random_portrait(rng, depth, arity, density)
+                    if not g.is_identity() and any(c.is_identity() for c in g.children):
+                        identity_subtrees += 1
+                    for n in range(depth + 1):
+                        expected = _brute.portrait_leaf_tuple(g, n)
+                        assert am.leaf_permutation(g, n).images == expected
+    assert identity_subtrees > 10
+
+
 def test_leaf_permutation_is_homomorphism():
     rng = random.Random(5)
     for _ in range(40):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hanoikernel.automorphism import from_json_dict
 from hanoikernel.perm import Perm
 
 
@@ -44,6 +45,45 @@ def test_one_based_round_trip():
 def test_rejects_non_bijection():
     with pytest.raises(ValueError):
         Perm([0, 0, 1])
+
+
+@pytest.mark.parametrize("degree", [3, 255, 256, 257, 729])
+@pytest.mark.parametrize(
+    "bad",
+    ["duplicate", "too large", "just too large", "negative", "float", "string"],
+)
+def test_rejects_every_non_permutation(degree, bad):
+    # both sides of the switch from the bytes check to the sorted one
+    images = list(range(degree))
+    if bad == "duplicate":
+        images[-1] = 0
+    elif bad == "too large":
+        images[-1] = degree + 2  # [0, 1, 5] at degree 3 still fits in a byte
+    elif bad == "just too large":
+        images[-1] = degree
+    elif bad == "negative":
+        images[-1] = -1
+    elif bad == "float":
+        images = [float(i) for i in images]
+    else:
+        images[1] = "a"
+    with pytest.raises(ValueError):
+        Perm(images)
+
+
+def test_rejects_float_images_from_json():
+    with pytest.raises(ValueError):
+        from_json_dict({"arity": 3, "depth": 1, "labels": {"": [2.0, 1.0, 3.0]}})
+
+
+@pytest.mark.parametrize("degree", [0, 1, 256, 257])
+def test_accepts_permutations_at_every_degree(degree):
+    images = list(range(degree))
+    random.Random(degree).shuffle(images)
+    p = Perm(images)
+    assert p.images == tuple(images)
+    assert p.is_identity() == (images == list(range(degree)))
+    assert Perm.identity(degree).is_identity()
 
 
 def test_degree_mismatch():
