@@ -15,7 +15,9 @@ stabilizer. G_N acts on level n as G_n, so |Stab(n)| is |G_N|/|G_n|, and
 |Stab(n)/Stab(n+1)| is |G_(n+1)|/|G_n|, or |G'_(n+1)|/|G'_n| inside the
 derived subgroup; a Rist(n) generator lies in Stab(n) when it lies in G_N
 and fixes every level-n vertex. Rist(n) in G_N is (G'_k)^(3^n), k = N - n,
-and its order is read off the chain of G'_k; transrec reads each vertex's
+and its order is read off the chain of G'_k. G'_k is generated by the leaf
+permutations of fixed words for Gamma' (words.parity_kernel_words), so no
+normal closure and no chain of G_k is needed; transrec reads each vertex's
 section off the states of its stabilizer's Reidemeister-Schreier words, at
 the subtree's degree. The depth cap is checked where a depth enters;
 everything behind those entry points builds through _quotient.
@@ -162,13 +164,23 @@ def _quotient(depth: int) -> TruncatedQuotient:
 
 
 def derived_of_quotient(quotient: TruncatedQuotient) -> PermGroup:
-    """Derived subgroup of the depth-N quotient; the image of the derived
-    subgroup of the full group."""
-    cached = _derived.get(quotient.depth)
+    """Derived subgroup G'_N of the depth-N quotient, generated by the leaf
+    permutations of the Gamma' words (words.parity_kernel_words): those
+    words generate the derived subgroup of the free product C2*C2*C2, which
+    maps onto G_N, so their images generate G'_N. Its chain is leaf-only,
+    built from the words alone; its order is never read from branch. No
+    chain of G_N is built. The quotient argument attests that the depth
+    cap was checked."""
+    depth = quotient.depth
+    cached = _derived.get(depth)
     if cached is not None:
         return cached
-    group = permgroup.derived_subgroup(quotient.group)
-    return _derived.setdefault(quotient.depth, group)
+    perms = [
+        leaf_permutation(words.evaluate(w, depth), depth)
+        for w in words.parity_kernel_words()
+    ]
+    group = permgroup.generated(3**depth, perms)
+    return _derived.setdefault(depth, group)
 
 
 def rist_image(depth: int, n: int, slow: bool = False) -> PermGroup:
@@ -187,7 +199,9 @@ def rist_image(depth: int, n: int, slow: bool = False) -> PermGroup:
 
 def _rist_factor(depth: int, n: int) -> PermGroup:
     """G'_k, k = N - n, one copy of which on each level-n subtree makes
-    Rist(n) in G_N: the one source of its generators and its order."""
+    Rist(n) in G_N: the one source of its generators and its order. The
+    generators are the leaf permutations of words in Gamma', and the order
+    comes from their chain, never from branch."""
     return derived_of_quotient(_quotient(depth - n))
 
 
@@ -378,12 +392,14 @@ def _elementary_abelian_quotient(depth: int, n: int) -> bool:
     involutions (_quotient checks that), so G_k/G'_k is elementary abelian
     2, and the image of Stab(n) is too. The kernel is the intersection of
     Stab(n) with (G'_k)^(3^n), so its order is at most |G'_k|^(3^n).
-    rist_image is (G'_k)^(3^n) on the level-n blocks, with G'_k from its
-    chain (_rist_order). Once its generators fix level n and lie in G_N, it
-    lies in that kernel, and when that chain's order is |G'_k| from the
-    branch recursion, it is the kernel. Then Q(n,N) embeds in an elementary
-    abelian 2-group. Reading |Rist(n)| from the branch recursion instead
-    would make the order check a tautology.
+    rist_image is (G'_k)^(3^n) on the level-n blocks. G'_k is generated by
+    the leaf permutations of words in Gamma' (derived_of_quotient), and its
+    order comes from their chain (_rist_order). Once its generators fix
+    level n and lie in G_N, it lies in that kernel, and when that chain's
+    order is |G'_k| from the branch recursion, it is the kernel. Then
+    Q(n,N) embeds in an elementary abelian 2-group. The flag stays
+    independent of branch: reading |Rist(n)| from the branch recursion
+    instead would make the order check a tautology.
     """
     return _rist_in_stab(depth, n) and _rist_is_kernel(depth, n)
 

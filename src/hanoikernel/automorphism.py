@@ -222,27 +222,6 @@ def level_vertices(n: int, arity: int = 3) -> Iterator[Vertex]:
             yield prefix + (digit,)
 
 
-def lex_index(v: Vertex, arity: int = 3) -> int:
-    """1-based lexicographic index of a vertex among its level."""
-    idx = 0
-    for digit in v:
-        _check_digit(digit, arity)
-        idx = idx * arity + (digit - 1)
-    return idx + 1
-
-
-def vertex_of_index(index: int, level: int, arity: int = 3) -> Vertex:
-    """Inverse of lex_index at a fixed level."""
-    if not 1 <= index <= arity**level:
-        raise ValueError(f"index {index} outside 1..{arity**level}")
-    rem = index - 1
-    digits = []
-    for _ in range(level):
-        rem, d = divmod(rem, arity)
-        digits.append(d + 1)
-    return tuple(reversed(digits))
-
-
 def leaf_permutation(g: Portrait, n: int) -> Perm:
     """The permutation of lex indices 1..d^n induced on level-n vertices."""
     if n > g.depth:

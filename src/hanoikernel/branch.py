@@ -53,7 +53,6 @@ from . import words
 from .automorphism import leaf_permutation
 from .errors import DepthError, ShapeError
 from .perm import Perm
-from .permgroup import perm_commutator
 
 logger = logging.getLogger(__name__)
 
@@ -74,6 +73,10 @@ def _closure(gens: set[_Images]) -> set[_Images]:
         frontier = {itemgetter(*x)(g) for x in frontier for g in gens} - elements
         elements |= frontier
     return elements
+
+
+def perm_commutator(p: Perm, q: Perm) -> Perm:
+    return p.inverse() * q.inverse() * p * q
 
 
 def _derived(group: set[_Images], gens: set[_Images]) -> set[_Images]:

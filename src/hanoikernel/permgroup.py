@@ -1,11 +1,10 @@
 """Permutation groups via deterministic Schreier-Sims stabilizer chains.
 
 Orders are exact big integers; membership is by sifting. Base points can be
-forced, which makes pointwise stabilizers of a chosen point set fall out of
-the chain: the levels after the forced prefix are their chain, reused as is.
-A forced base point may be a tree vertex, the block of `size` consecutive
-leaves starting at leaf v*size, whose image under a leaf permutation p is
-p[v*size] // size. tree_group forces the 3^k vertices of level k = N // 2
+forced to the front of the base. A forced base point may be a tree vertex,
+the block of `size` consecutive leaves starting at leaf v*size, whose image
+under a leaf permutation p is p[v*size] // size. tree_group forces the 3^k
+vertices of level k = N // 2
 of a group on 3^N leaves: their orbit has at most 3^k points, and a leaf
 orbit inside the level-k stabilizer stays in one block of 3^(N-k) leaves,
 where a leaf-only base starts with an orbit of all 3^N leaves. That halves
@@ -44,7 +43,7 @@ from collections import deque
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .errors import InvalidBlocksError, NotASubgroupError, ShapeError
+from .errors import InvalidBlocksError, ShapeError
 from .perm import Perm
 
 logger = logging.getLogger(__name__)
@@ -117,30 +116,18 @@ class _Chain:
     def __init__(
         self, degree: int, forced_base: Sequence[int] = (), block_size: int = 1
     ):
-        self._set_degree(degree)
-        self.levels: list[_Level] = []
-        self._pending: list[deque] = []
-        for b in forced_base:
-            self._new_level(b, block_size)
-        self.forced = len(self.levels)
-
-    @classmethod
-    def _from_levels(cls, degree: int, levels: list[_Level]) -> "_Chain":
-        """A finished chain on ready-made levels; nothing is sifted."""
-        chain = cls.__new__(cls)
-        chain._set_degree(degree)
-        chain.levels = levels
-        chain._pending = [deque() for _ in levels]
-        chain.forced = 0
-        return chain._finish()
-
-    def _set_degree(self, degree: int) -> None:
         self.degree = degree
         self.identity = _pack(range(degree), degree)
         # apply p, then q
         self.mult: Callable[[_Elem, _Elem], _Elem] = (
             bytes.translate if degree <= _BYTES_MAX else _mult_tuples
         )
+        self.levels: list[_Level] = []
+        self._pending: list[deque] = []
+        for b in forced_base:
+            self._new_level(b, block_size)
+        self.forced = len(self.levels)
+
 
     def unpack(self, p: _Elem) -> _Tuple:
         return tuple(p[: self.degree])
@@ -344,7 +331,7 @@ class PermGroup:
         if self._chain is None and self._make_chain is not None:
             self._chain = self._make_chain()
         elif self._chain is None:
-            self._chain = _build_chain(_Chain(self.degree), self.generators)
+            self._chain, _ = _build_chain(_Chain(self.degree), self.generators)
         return self._chain
 
     def order(self) -> int:
@@ -357,27 +344,6 @@ class PermGroup:
         if g.degree != self.degree:
             raise ShapeError(f"degree mismatch: {g.degree} != {self.degree}")
         return self._get_chain().contains(g.images)
-
-    def same_subgroup_as(self, other: "PermGroup") -> bool:
-        """Equality as subgroups of the symmetric group on the same points."""
-        if self.degree != other.degree:
-            raise ShapeError("degree mismatch")
-        return (
-            all(self.contains(g) for g in other.generators)
-            and self.order() == other.order()
-        )
-
-    def pointwise_stabilizer(self, points: Sequence[int]) -> "PermGroup":
-        """Subgroup fixing every listed 1-based point.
-
-        Its chain is the tail of a chain with the points forced to the front
-        of the base, so it needs no second Schreier-Sims run.
-        """
-        zero_based = [p - 1 for p in points]
-        for p in zero_based:
-            if not 0 <= p < self.degree:
-                raise ShapeError(f"point outside 1..{self.degree}")
-        return _forced_base_tail(self, zero_based, 1)
 
     def orbit(self, point: int) -> list[int]:
         """Sorted orbit of a 1-based point under the generators."""
@@ -399,62 +365,32 @@ class PermGroup:
         return f"<PermGroup degree={self.degree} gens={len(self.generators)}>"
 
 
-def _build_chain(chain: _Chain, generators: Sequence[Perm]) -> _Chain:
-    """Add the generators to the chain, log what it took, and finish it."""
-    for g in generators:
-        chain.add_generator(g.images)
-    _log_built(chain, len(generators))
-    return chain._finish()
-
-
-def _log_built(chain: _Chain, generator_count: int) -> None:
+def _build_chain(
+    chain: _Chain, generators: Sequence[Perm]
+) -> tuple[_Chain, list[Perm]]:
+    """Add the generators to the chain, log what it took, and finish it;
+    also returns the generators that enlarged it."""
+    enlarging = [g for g in generators if chain.add_generator(g.images)]
     if logger.isEnabledFor(logging.INFO):
         logger.info(
             "built chain: degree=%d gens=%d order=%d levels=%d forced=%d"
             " schreier=%d skipped=%d sifted=%d strong=%d",
-            chain.degree, generator_count, chain.order(), len(chain.levels),
+            chain.degree, len(generators), chain.order(), len(chain.levels),
             chain.forced, chain.formed, chain.skipped, chain.sifted,
             chain.adjoined,
         )
+    return chain._finish(), enlarging
 
 
 # -- module-level operations -------------------------------------------------
 
 
-def perm_commutator(p: Perm, q: Perm) -> Perm:
-    return p.inverse() * q.inverse() * p * q
-
-
-def normal_closure(group: PermGroup, seeds: Sequence[Perm]) -> PermGroup:
-    """Smallest normal subgroup of the group containing the seeds."""
-    for s in seeds:
-        if not group.contains(s):
-            raise NotASubgroupError(f"seed {s!r} lies outside the group")
-    chain = _Chain(group.degree)
-    gens: list[Perm] = []
-    queue = deque(s for s in seeds if not s.is_identity())
-    conjugators = [(g.inverse(), g) for g in group.generators]
-    while queue:
-        candidate = queue.popleft()
-        if not chain.add_generator(candidate.images):
-            continue
-        gens.append(candidate)
-        for g_inv, g in conjugators:
-            queue.append(g_inv * candidate * g)
-    _log_built(chain, len(gens))
-    return PermGroup(group.degree, gens, _chain=chain._finish())
-
-
-def derived_subgroup(group: PermGroup) -> PermGroup:
-    """Normal closure of the commutators of the generators."""
-    gens = group.generators
-    inverses = [g.inverse() for g in gens]
-    seeds = [
-        inverses[i] * inverses[j] * gens[i] * gens[j]
-        for i in range(len(gens))
-        for j in range(i + 1, len(gens))
-    ]
-    return normal_closure(group, seeds)
+def generated(degree: int, candidates: Sequence[Perm]) -> PermGroup:
+    """The group the candidates generate, with a leaf-only chain built now.
+    Its generators are the candidates that enlarged the chain, in order, so
+    each lies outside the group of those before it."""
+    chain, enlarging = _build_chain(_Chain(degree), candidates)
+    return PermGroup(degree, enlarging, _chain=chain)
 
 
 def is_elementary_abelian(group: PermGroup, p: int) -> bool:
@@ -511,23 +447,11 @@ def tree_group(depth: int, generators: Iterable[Perm]) -> PermGroup:
     # level 0 is the root alone, which every permutation fixes
     bases = range(3**level) if level else ()
     def make() -> _Chain:
-        return _build_chain(_Chain(3**depth, bases, size), group.generators)
+        return _build_chain(_Chain(3**depth, bases, size), group.generators)[0]
 
     group = PermGroup(3**depth, generators, _make_chain=make)
     _check_blocks(group, size)
     return group
-
-
-def _forced_base_tail(group: PermGroup, bases: Sequence[int], size: int) -> PermGroup:
-    """Subgroup fixing every listed 0-based vertex of `size` leaves.
-
-    Its chain is the tail, shared and not copied, of a chain whose base
-    starts with those vertices.
-    """
-    chain = _build_chain(_Chain(group.degree, bases, size), group.generators)
-    gens = [Perm(t) for t in chain.strong_generators(chain.forced)]
-    tail = _Chain._from_levels(group.degree, chain.levels[chain.forced :])
-    return PermGroup(group.degree, gens, _chain=tail)
 
 
 def direct_power(group: PermGroup, count: int) -> PermGroup:

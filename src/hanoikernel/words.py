@@ -336,3 +336,19 @@ def schreier_stab1_generators() -> tuple[str, ...]:
         transversal={(2,): "", (3,): "a"},
     )
     return tuple(stage2)
+
+
+def parity_kernel_words() -> tuple[str, ...]:
+    """Words generating the derived subgroup Gamma'.
+
+    Reidemeister-Schreier for the kernel of the letter-parity map onto
+    F_2^3, whose cosets are the 8 parity vectors. That kernel is the derived
+    subgroup of C2*C2*C2, the free product on a, b and c, since its
+    abelianization is F_2^3; so the words generate the derived subgroup of
+    every quotient of it, Gamma and each G_N included.
+    """
+    def act(point: tuple[int, ...], word: str) -> tuple[int, ...]:
+        return tuple(x ^ y for x, y in zip(point, parity_vector(word)))
+
+    generators, _ = schreier_generators(list(ALPHABET), act, (), (0, 0, 0))
+    return tuple(generators)

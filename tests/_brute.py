@@ -70,6 +70,16 @@ def vertices(n: int, arity: int = 3):
             yield prefix + (digit,)
 
 
+def vertex_of_index(index: int, level: int, arity: int = 3) -> tuple[int, ...]:
+    """The level vertex at 0-based position `index` in lexicographic order:
+    the base-arity digits of the index, each plus one."""
+    digits = []
+    for _ in range(level):
+        index, digit = divmod(index, arity)
+        digits.append(digit + 1)
+    return tuple(reversed(digits))
+
+
 def word_leaf_tuple(word: str, n: int) -> tuple[int, ...]:
     """0-based image tuple of the word's action on level-n vertices."""
     order = list(vertices(n))

@@ -3,19 +3,91 @@
 The package reads |Stab(n)|, |Q(n,N)| and the elementary-abelian flags off
 the branch recursion for |G_N| and |G'_N| and tests membership in G_N by
 depth-2 patterns (hanoikernel.branch); it builds no chain for G_N or for
-Stab(n), and it reads |Rist(n)| as |G'_k|^(3^n), k = N - n. The functions
-here answer the same questions from chains: by the orders of the G_N, G_n
-and G'_k chains, the order of a chain of the Rist(n) image, and sifting into
+Stab(n), and it reads |Rist(n)| as |G'_k|^(3^n), k = N - n, with G'_k
+generated by the images of fixed words for Gamma'. The functions here
+answer the same questions from chains: by the orders of the G_N, G_n and
+G'_k chains, the order of a chain of the Rist(n) image, and sifting into
 G_N, and by index and sifting in a Stab(n) chain with the level-n vertices
 forced to the front of the base. Each takes the Rist(n) image as `rist`, so
 that a caller builds its chain, at degree 3^N, once for all of them.
+
+They also hold the chain routines that only tests use: the derived subgroup
+as the normal closure of the commutators of the generators, which needs no
+words for Gamma'; pointwise stabilizers, from the strong generators behind
+a forced base prefix, run afresh through Schreier-Sims; and subgroup
+equality.
 """
 
 from __future__ import annotations
 
-from hanoikernel import analysis, permgroup
+from collections import deque
+from typing import Sequence
+
+from hanoikernel import analysis, branch, permgroup
 from hanoikernel.errors import DepthError, NotASubgroupError, ShapeError
+from hanoikernel.perm import Perm
 from hanoikernel.permgroup import PermGroup
+
+
+def same_subgroup_as(group: PermGroup, other: PermGroup) -> bool:
+    """Equality as subgroups of the symmetric group on the same points."""
+    if group.degree != other.degree:
+        raise ShapeError("degree mismatch")
+    return (
+        all(group.contains(g) for g in other.generators)
+        and group.order() == other.order()
+    )
+
+
+def normal_closure(group: PermGroup, seeds: Sequence[Perm]) -> PermGroup:
+    """Smallest normal subgroup of the group containing the seeds."""
+    for s in seeds:
+        if not group.contains(s):
+            raise NotASubgroupError(f"seed {s!r} lies outside the group")
+    # looked up on the module, so that a test may swap the chain class
+    chain = permgroup._Chain(group.degree)
+    gens: list[Perm] = []
+    queue = deque(s for s in seeds if not s.is_identity())
+    conjugators = [(g.inverse(), g) for g in group.generators]
+    while queue:
+        candidate = queue.popleft()
+        if not chain.add_generator(candidate.images):
+            continue
+        gens.append(candidate)
+        for g_inv, g in conjugators:
+            queue.append(g_inv * candidate * g)
+    return PermGroup(group.degree, gens, _chain=chain._finish())
+
+
+def derived_subgroup(group: PermGroup) -> PermGroup:
+    """Normal closure of the commutators of the generators."""
+    gens = group.generators
+    seeds = [
+        branch.perm_commutator(gens[i], gens[j])
+        for i in range(len(gens))
+        for j in range(i + 1, len(gens))
+    ]
+    return normal_closure(group, seeds)
+
+
+def forced_base_tail(group: PermGroup, bases: Sequence[int], size: int) -> PermGroup:
+    """Subgroup fixing every listed 0-based vertex of `size` leaves: the
+    strong generators behind those vertices, forced to the front of a
+    chain's base. Its own chain comes from a fresh Schreier-Sims run."""
+    chain, _ = permgroup._build_chain(
+        permgroup._Chain(group.degree, bases, size), group.generators
+    )
+    gens = [Perm(t) for t in chain.strong_generators(chain.forced)]
+    return PermGroup(group.degree, gens)
+
+
+def pointwise_stabilizer(group: PermGroup, points: Sequence[int]) -> PermGroup:
+    """Subgroup fixing every listed 1-based point."""
+    zero_based = [p - 1 for p in points]
+    for p in zero_based:
+        if not 0 <= p < group.degree:
+            raise ShapeError(f"point outside 1..{group.degree}")
+    return forced_base_tail(group, zero_based, 1)
 
 
 def block_size(degree: int, n: int) -> int:
@@ -38,9 +110,8 @@ def kernel_of_level_action(group: PermGroup, n: int) -> PermGroup:
     The group must act on 3**N points, lex-indexed leaves, so level-n
     vertex v is the block of 3**(N-n) consecutive leaves from leaf
     v*3**(N-n), and every generator must map blocks to blocks. The
-    kernel is the pointwise stabilizer of the level-n vertices; its chain is
-    the tail of a chain with them forced to the front of the base, and every
-    level of that tail has a leaf as base.
+    kernel is the pointwise stabilizer of the level-n vertices
+    (forced_base_tail).
     """
     size = block_size(group.degree, n)
     if n == 0:
@@ -48,7 +119,7 @@ def kernel_of_level_action(group: PermGroup, n: int) -> PermGroup:
     if size == 1:
         return PermGroup(group.degree)
     permgroup._check_blocks(group, size)
-    return permgroup._forced_base_tail(group, range(3**n), size)
+    return forced_base_tail(group, range(3**n), size)
 
 
 def stab(quotient: analysis.TruncatedQuotient, n: int) -> PermGroup:
@@ -124,7 +195,7 @@ def chain_elementary_abelian_quotient(
     quotient: analysis.TruncatedQuotient, n: int, rist: PermGroup
 ) -> bool:
     """The containment by sifting, and |Rist(n)| from the chain of the
-    image equal to |G'_k|^(3^n) with |G'_k| from the chain of the derived
-    subgroup of G_k, k = N - n."""
-    inner = analysis.derived_of_quotient(analysis.build_quotient(quotient.depth - n, slow=True))
+    image equal to |G'_k|^(3^n) with |G'_k| from the chain of the normal
+    closure of the commutators of G_k's generators, k = N - n."""
+    inner = derived_subgroup(analysis.build_quotient(quotient.depth - n, slow=True).group)
     return rist_in_stab(quotient, n, rist) and rist.order() == inner.order() ** (3**n)

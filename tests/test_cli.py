@@ -325,6 +325,8 @@ preloaded = "dataclasses" in sys.modules
 loaded = lambda: sorted(m for m in sys.modules if m.startswith("hanoikernel."))
 import hanoikernel
 seen = {"root": loaded()}
+import hanoikernel.branch
+seen["branch"] = loaded()
 from hanoikernel import cli
 cli.main(["relators", "--max-tau", "1", "--depth", "2"])
 seen["relators"] = loaded()
@@ -337,7 +339,8 @@ print(json.dumps(seen))
 
 def test_import_footprint():
     """A CLI pass compiles every package module it imports, so the root
-    imports none, and no command but game imports the game module."""
+    imports none, branch imports no permgroup, and no command but game
+    imports the game module."""
     result = subprocess.run(
         [sys.executable, "-c", FOOTPRINT],
         capture_output=True,
@@ -348,6 +351,7 @@ def test_import_footprint():
     assert result.returncode == 0, result.stderr
     seen = json.loads(result.stdout.splitlines()[-1])
     assert seen["root"] == []
+    assert "hanoikernel.permgroup" not in seen["branch"]
     assert "hanoikernel.game" not in seen["relators"]
     assert "hanoikernel.game" not in seen["verify"]
     assert seen["dataclasses"], "the package imported dataclasses"

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from hanoikernel import permgroup as pg
-from hanoikernel import words
+from hanoikernel import branch, words
 from hanoikernel.analysis import quotient_order
 from hanoikernel.automorphism import leaf_permutation
 from hanoikernel.errors import (
@@ -94,13 +94,13 @@ def test_contains_degree_mismatch():
 
 def test_commutator_image_is_three_cycle():
     g1 = quotient_group(1)
-    comm = pg.perm_commutator(
+    comm = branch.perm_commutator(
         leaf_permutation(words.evaluate("a", 1), 1),
         leaf_permutation(words.evaluate("b", 1), 1),
     )
     assert g1.contains(comm)
     assert comm.cycle_string() in ("(1 2 3)", "(1 3 2)")
-    a3 = pg.derived_subgroup(g1)
+    a3 = oracles.derived_subgroup(g1)
     assert a3.order() == 3
     assert not a3.contains(Perm.from_cycles(3, [(1, 2)]))
 
@@ -144,13 +144,13 @@ def test_vertex_bases_reject_split_blocks():
 
 
 def test_derived_subgroup_of_s3_is_a3():
-    d = pg.derived_subgroup(symmetric_group(3))
+    d = oracles.derived_subgroup(symmetric_group(3))
     assert d.order() == 3
     assert pg.is_elementary_abelian(d, 3)
 
 
 def test_derived_subgroup_of_trivial_group():
-    assert pg.derived_subgroup(pg.PermGroup(4)).order() == 1
+    assert oracles.derived_subgroup(pg.PermGroup(4)).order() == 1
 
 
 def test_derived_subgroup_matches_brute_force_abelianization():
@@ -158,7 +158,7 @@ def test_derived_subgroup_matches_brute_force_abelianization():
     gens = [gen.images for gen in g.generators]
     elements = _brute.closure(gens)
     brute_derived = _brute.commutator_closure(elements, gens)
-    chain_derived = pg.derived_subgroup(g)
+    chain_derived = oracles.derived_subgroup(g)
     assert chain_derived.order() == len(brute_derived) == 324
     assert g.order() // chain_derived.order() == 2
     for t in sorted(brute_derived)[::41]:
@@ -170,7 +170,7 @@ def test_derived_subgroup_inside_abelian_kernels():
     # abelian group; two such maps: the 9-point sign, and the product of the
     # three within-block signs
     g = quotient_group(2)
-    d = pg.derived_subgroup(g)
+    d = oracles.derived_subgroup(g)
     for gen in d.generators:
         assert gen.sign() == 1
         block_perm = Perm([gen.images[3 * block] // 3 for block in range(3)])
@@ -179,11 +179,11 @@ def test_derived_subgroup_inside_abelian_kernels():
 
 def test_normal_closure_examples():
     g = symmetric_group(3)
-    assert pg.normal_closure(g, [Perm.identity(3)]).order() == 1
-    closure = pg.normal_closure(g, [Perm.from_cycles(3, [(1, 2, 3)])])
+    assert oracles.normal_closure(g, [Perm.identity(3)]).order() == 1
+    closure = oracles.normal_closure(g, [Perm.from_cycles(3, [(1, 2, 3)])])
     assert closure.order() == 3
     with pytest.raises(NotASubgroupError):
-        pg.normal_closure(
+        oracles.normal_closure(
             pg.PermGroup(3, [Perm.from_cycles(3, [(1, 2, 3)])]),
             [Perm.from_cycles(3, [(1, 2)])],
         )
@@ -192,13 +192,13 @@ def test_normal_closure_examples():
 def test_normal_closure_of_generator_commutators_is_derived():
     g = quotient_group(2)
     seeds = [
-        pg.perm_commutator(p, q)
+        branch.perm_commutator(p, q)
         for i, p in enumerate(g.generators)
         for q in g.generators[i + 1 :]
     ]
-    closure = pg.normal_closure(g, seeds)
-    derived = pg.derived_subgroup(g)
-    assert closure.same_subgroup_as(derived)
+    closure = oracles.normal_closure(g, seeds)
+    derived = oracles.derived_subgroup(g)
+    assert oracles.same_subgroup_as(closure, derived)
 
 
 def test_is_elementary_abelian():
@@ -239,13 +239,13 @@ def test_subgroup_index():
 
 def test_order_times_index_identity():
     g = quotient_group(2)
-    for subgroup in (oracles.kernel_of_level_action(g, 1), pg.derived_subgroup(g)):
+    for subgroup in (oracles.kernel_of_level_action(g, 1), oracles.derived_subgroup(g)):
         assert subgroup.order() * oracles.subgroup_index(g, subgroup) == g.order()
 
 
 def test_pointwise_stabilizer_orbit_factorization():
     g = quotient_group(2)
-    stab = g.pointwise_stabilizer([1])
+    stab = oracles.pointwise_stabilizer(g, [1])
     assert stab.order() * len(g.orbit(1)) == g.order()
     for gen in stab.generators:
         assert gen.apply(1) == 1
@@ -282,7 +282,7 @@ def test_pointwise_stabilizer_matches_enumeration():
         built += 1
         group = pg.PermGroup(degree, [Perm(g) for g in gens])
         points = rng.sample(range(1, degree + 1), rng.randint(1, degree - 1))
-        stab = group.pointwise_stabilizer(points)
+        stab = oracles.pointwise_stabilizer(group, points)
         fixing = [
             e for e in elements if all(e[p - 1] == p - 1 for p in points)
         ]
@@ -348,14 +348,24 @@ def assert_chain_is_bsgs(chain):
         assert regenerated.order() == expected
 
 
-def test_pointwise_stabilizer_reuses_chain_tail():
+def test_pointwise_stabilizer_is_the_forced_chain_tail():
+    """The stabilizer is generated by the strong generators behind the
+    forced points; its fresh chain has the order of that tail, the product
+    of the tail's orbit sizes, and takes exactly the elements of the group
+    that fix the points."""
     g = quotient_group(3)
-    stab = g.pointwise_stabilizer([1, 5, 27])
+    stab = oracles.pointwise_stabilizer(g, [1, 5, 27])
     assert_chain_is_bsgs(stab._get_chain())
-    fresh = pg.PermGroup(27, stab.generators)
-    assert stab.order() == fresh.order()
-    for gen in g.generators:
-        assert stab.contains(gen) == fresh.contains(gen)
+    forced, _ = pg._build_chain(pg._Chain(27, [0, 4, 26]), g.generators)
+    tail = forced.levels[forced.forced :]
+    assert [g.images for g in stab.generators] == forced.strong_generators(forced.forced)
+    assert stab.order() == math.prod(len(level.inverse_transversal) for level in tail)
+    assert stab.order() * math.prod(
+        len(level.inverse_transversal) for level in forced.levels[: forced.forced]
+    ) == g.order()
+    rng = random.Random(27)
+    for p in random_words(g, rng, 40) + random_words(stab, rng, 20):
+        assert stab.contains(p) == all(p.images[x] == x for x in (0, 4, 26))
 
 
 def test_kernel_of_level_action_chain_is_cut_to_leaves(monkeypatch):
@@ -380,11 +390,13 @@ def test_kernel_of_level_action_chain_is_cut_to_leaves(monkeypatch):
         assert math.prod(len(level.inverse_transversal) for level in forced) == (
             quotient_group(n).order()
         )
-        # the kernel's chain is the tail itself, and its bases are leaves
-        tail = kernel._get_chain().levels
-        assert all(a is b for a, b in zip(tail, chain.levels[chain.forced :], strict=True))
+        # the kernel is generated by the tail's strong generators, and its
+        # chain, built afresh from them, has the tail's order and leaf bases
+        tail = chain.levels[chain.forced :]
+        assert [g.images for g in kernel.generators] == chain.strong_generators(chain.forced)
         assert all(level.size == 1 for level in tail)
-        assert kernel.order() == pg.PermGroup(27, kernel.generators).order()
+        assert all(level.size == 1 for level in kernel._get_chain().levels)
+        assert kernel.order() == math.prod(len(level.inverse_transversal) for level in tail)
 
 
 def child_swap(depth, rng):
@@ -532,7 +544,7 @@ def test_encoding_boundary_matches_enumeration(degree):
             assert outside not in elements
             assert not group.contains(Perm(outside))
 
-    stab = group.pointwise_stabilizer([degree])
+    stab = oracles.pointwise_stabilizer(group, [degree])
     assert_perm_degrees(stab, degree)
     assert_chain_is_bsgs(stab._get_chain())
     fixing = [e for e in elements if e[degree - 1] == degree - 1]
@@ -540,7 +552,7 @@ def test_encoding_boundary_matches_enumeration(degree):
     for e in elements:
         assert stab.contains(Perm(e)) == (e in fixing)
 
-    derived = pg.derived_subgroup(group)
+    derived = oracles.derived_subgroup(group)
     assert_perm_degrees(derived, degree)
     gens = [g.images for g in group.generators]
     assert derived.order() == len(_brute.commutator_closure(elements, gens)) == 12
@@ -562,7 +574,7 @@ def test_direct_power_at_degree_256():
         for q in [p] + [p * s for s in swaps]:
             keeps_blocks = all(q.images[i] // 4 == i // 4 for i in range(256))
             assert power.contains(q) == keeps_blocks
-    stab = power.pointwise_stabilizer([1, 256])
+    stab = oracles.pointwise_stabilizer(power, [1, 256])
     assert_perm_degrees(stab, 256)
     assert stab.order() == 6**2 * 24**62
 
@@ -593,7 +605,7 @@ def test_direct_power_of_bytes_factor_has_tuple_chain():
             assert answer == in_power(q)
             answers.append(answer)
     assert True in answers and False in answers
-    stab = power.pointwise_stabilizer([1, 261])
+    stab = oracles.pointwise_stabilizer(power, [1, 261])
     assert_perm_degrees(stab, 261)
     assert stab.order() == 72**2 * 648**27
 
@@ -738,9 +750,9 @@ def test_skipped_schreier_generators_leave_the_chain_unchanged(depth):
 
 def test_skipped_schreier_generators_leave_normal_closures_unchanged(monkeypatch):
     g = quotient_group(3)
-    fast = pg.derived_subgroup(g)._get_chain()
+    fast = oracles.derived_subgroup(g)._get_chain()
     monkeypatch.setattr(pg, "_Chain", UnskippedChain)
-    oracle = pg.derived_subgroup(g)._get_chain()
+    oracle = oracles.derived_subgroup(g)._get_chain()
     assert type(oracle) is UnskippedChain
     assert chain_snapshot(fast) == chain_snapshot(oracle)
     assert fast.order() == g.order() // 2

@@ -2,10 +2,10 @@
 |G'_k|^(3^n), k = N - n, off the chain of G'_k; it is checked here against a
 chain built by Schreier-Sims on the image's generators, whose members are
 checked block by block against the chain of G'_k. The level stabilizers of
-the test oracles (_chain_oracles) reuse the tail of a chain with the level's
-vertices as first bases; each is checked against a group built afresh by
-Schreier-Sims from the same generators. A vertex's
-section, the group its stabilizer induces on its subtree, comes from the
+the test oracles (_chain_oracles) are generated by the strong generators
+behind the level's vertices, forced to the front of a chain's base; each is
+checked against its order |G_N| / |G_n| and against sifting into G_N. A
+vertex's section, the group its stabilizer induces on its subtree, comes from the
 states of Reidemeister-Schreier words; it is checked against the stabilizer
 in G_N found by a chain with the vertex as first base. All three are checked
 at depth 2 against brute-force enumeration. The package reads Q(n,N) off
@@ -55,21 +55,22 @@ def probes(group: permgroup.PermGroup, depth: int, seed: int) -> list[Perm]:
     return members + [m * child_swap(depth, rng) for m in members]
 
 
-def assert_matches_fresh_chain(group: permgroup.PermGroup, depth: int, seed: int):
-    fresh = permgroup.PermGroup(group.degree, group.generators)
-    assert group.order() == fresh.order()
-    answers = []
-    for p in probes(group, depth, seed):
-        answer = group.contains(p)
-        assert answer == fresh.contains(p)
-        answers.append(answer)
-    assert True in answers and False in answers
-
-
 @pytest.mark.parametrize("depth, n", STAB_PAIRS)
 def test_stab_matches_fresh_chain(depth, n):
-    group = oracles.stab(analysis.build_quotient(depth), n)
-    assert_matches_fresh_chain(group, depth, seed=100 * depth + n)
+    """The oracle's Stab(n), a fresh chain on the strong generators behind
+    the forced level-n vertices, has order |G_N| / |G_n| and takes a probe
+    exactly when the probe fixes every level-n vertex and sifts into the
+    chain of G_N."""
+    quotient = analysis.build_quotient(depth)
+    group = oracles.stab(quotient, n)
+    assert group.order() * analysis.quotient_order(n) == quotient.group.order()
+    size = 3 ** (depth - n)
+    answers = []
+    for p in probes(group, depth, seed=100 * depth + n):
+        answer = group.contains(p)
+        assert answer == (_fixes_blocks(p.images, size) and quotient.group.contains(p))
+        answers.append(answer)
+    assert True in answers and False in answers
 
 
 @pytest.mark.parametrize("depth, n", RIST_PAIRS)
@@ -125,7 +126,7 @@ def reference_sections(depth: int, level: int) -> dict:
     first base, its stabilizer conjugated by each transversal element."""
     group = analysis.build_quotient(depth).group
     size = 3 ** (depth - level)
-    chain = permgroup._build_chain(
+    chain, _ = permgroup._build_chain(
         permgroup._Chain(group.degree, [0], size), group.generators
     )
     stabilizer = [Perm(s) for s in chain.strong_generators(1)]
@@ -135,7 +136,7 @@ def reference_sections(depth: int, level: int) -> dict:
         conjugates = [t.inverse() * s * t for s in stabilizer]
         leaves = range(v * size, (v + 1) * size)
         restricted = [Perm([g.images[x] - v * size for x in leaves]) for g in conjugates]
-        sections[am.vertex_of_index(v + 1, level)] = permgroup.PermGroup(size, restricted)
+        sections[_brute.vertex_of_index(v, level)] = permgroup.PermGroup(size, restricted)
     return sections
 
 
@@ -151,7 +152,7 @@ def test_vertex_stabilizers_match_fresh_chain(depth, n):
             list(words.ALPHABET), words.vertex_image, (), vertex
         )
         assert all(_brute.act_word(w, vertex) == vertex for w in stabilizer_words)
-        assert analysis._vertex_section(vertex, depth).same_subgroup_as(expected)
+        assert oracles.same_subgroup_as(analysis._vertex_section(vertex, depth), expected)
 
 
 @pytest.mark.parametrize("depth", [2, 3, 4])

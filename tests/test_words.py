@@ -9,6 +9,7 @@ from hanoikernel.errors import ResourceLimitError, ShapeError
 from hanoikernel.perm import Perm
 
 import _brute
+import _chain_oracles as oracles
 
 
 def quotient_group(n):
@@ -192,6 +193,16 @@ def test_stab1_words_fix_level_one():
         assert root.is_identity()
 
 
+def test_parity_kernel_words_have_zero_letter_parity():
+    found = words.parity_kernel_words()
+    assert found == (
+        "caca", "cbcb", "baba", "bcacba", "bcbc",
+        "acac", "acbcba", "abab", "abcacb", "abcbca",
+    )
+    for w in found:
+        assert words.parity_vector(w) == (0, 0, 0)
+
+
 def test_schreier_stab1_generators_fix_level_one():
     for w in words.schreier_stab1_generators():
         _, root = words.word_states(w)
@@ -209,7 +220,7 @@ def test_schreier_generators_match_known_set_semantically(depth):
 
     ours = image(words.schreier_stab1_generators())
     known = image(words.LEVEL1_STABILIZER_WORDS)
-    assert ours.same_subgroup_as(known)
+    assert oracles.same_subgroup_as(ours, known)
     # both give the index-6 level stabilizer
     assert group.order() == 6 * ours.order()
 
