@@ -9,11 +9,12 @@ of a group on 3^N leaves: their orbit has at most 3^k points, and a leaf
 orbit inside the level-k stabilizer stays in one block of 3^(N-k) leaves,
 where a leaf-only base starts with an orbit of all 3^N leaves. That halves
 the chain-build time of G_5 and G_6. A sift pays for it: sifting a member
-of G_5 takes about 54 products against 26 through a leaf-only chain, and
-about 47 against 33 us, while the build takes 45-48 against 88-94 ms
-(members among 2000 seeded sift-d5 queries, in-process, 2-vCPU VM). The
-build saving outweighs the sifts up to about 3000 member sifts per chain,
-more than the 2000 of the sift-d5 benchmark, so the prefix is kept.
+of G_5 takes about 53 products against 25 through a leaf-only chain, and
+about 21 against 13 us, while the build takes 23 against 40 ms (the 1000
+members among 2000 seeded sift-d5 queries, in-process, 2-vCPU VM; the
+host's speed varied twofold between runs, the ratios less). The build
+saving outweighs the sifts up to about 2200-3700 member sifts per chain,
+more than the 1000 of the sift-d5 benchmark, so the prefix is kept.
 
 A chain stores its permutations in an encoding chosen from its degree, so
 that a product is one C call. Up to degree 256 an element is a bytes object
@@ -58,7 +59,8 @@ _BYTES_IDENTITY = bytes(range(_BYTES_MAX))
 
 def _pack(images: Iterable[int], degree: int) -> _Elem:
     if degree <= _BYTES_MAX:
-        return bytes(images) + _BYTES_IDENTITY[degree:]
+        # bytearray() reads a tuple faster than bytes() does at degree 243
+        return bytes(bytearray(images)) + _BYTES_IDENTITY[degree:]
     return tuple(images)
 
 
@@ -104,9 +106,20 @@ class _Chain:
 
     The forced bases are vertices of one block size, which every generator
     must map to vertices of that size; every other level has a leaf as base.
-    add_generator and contains take image tuples of length `degree`, and
-    strong_generators returns them; everything else holds the encoding of
-    the module docstring.
+    add_generator and contains take image tuples of length `degree`;
+    everything else holds the encoding of the module docstring.
+
+    sift reads each level as one flat step that shares the level's inverse
+    transversal: (first leaf, vertex, inverse transversal) for a forced
+    level, whose base point under p is p[first leaf] // block size, and
+    (leaf, inverse transversal) for the others. _finish keeps, as the
+    member steps, the steps whose orbit has more than the base, and
+    contains strips a finished chain's element through those alone. That
+    decides membership: a level whose orbit is its base alone leaves an
+    element that moves its base stuck, and the full sift stops there. Every
+    deeper level fixes that base, as a vertex if it is one, so a residue
+    that moves it moves it still after the deeper steps, and it never
+    reaches the identity, which is the one comparison contains makes.
     """
 
     # Schreier generators formed, skipped as equal to their generator and
@@ -124,10 +137,15 @@ class _Chain:
         )
         self.levels: list[_Level] = []
         self._pending: list[deque] = []
+        self.block_size = block_size
+        self._forced_steps: list[tuple[int, int, dict[int, _Elem]]] = []
+        self._leaf_steps: list[tuple[int, dict[int, _Elem]]] = []
+        # the forced and the leaf steps whose orbit has more than the base,
+        # set by _finish; contains sifts through every level until then
+        self._member_steps: tuple[list, list] | None = None
+        self.forced = len(forced_base)
         for b in forced_base:
             self._new_level(b, block_size)
-        self.forced = len(self.levels)
-
 
     def unpack(self, p: _Elem) -> _Tuple:
         return tuple(p[: self.degree])
@@ -139,22 +157,28 @@ class _Chain:
         return n
 
     def sift(self, p: _Elem, start: int = 0) -> tuple[_Elem, int]:
-        """Strip p through the chain; returns (residue, stuck level index)."""
-        mult = self.mult
-        for i in range(start, len(self.levels)):
-            level = self.levels[i]
-            base, size = level.base, level.size
-            point = p[base * size] // size
-            if point == base:
-                continue
-            u_inv = level.inverse_transversal.get(point)
-            if u_inv is None:
-                return p, i
-            p = mult(p, u_inv)
-        return p, len(self.levels)
+        """Strip p through the levels from `start` on; returns (residue,
+        stuck level index), the index len(levels) if p got through."""
+        forced = self.forced
+        forced_steps, leaf_steps = self._forced_steps, self._leaf_steps
+        p, stuck = self._strip(
+            p,
+            forced_steps[start:] if start else forced_steps,
+            leaf_steps[start - forced :] if start > forced else leaf_steps,
+        )
+        if stuck is None:
+            return p, len(self.levels)
+        return p, next(
+            i for i, level in enumerate(self.levels)
+            if level.inverse_transversal is stuck
+        )
 
     def contains(self, images: _Tuple) -> bool:
-        residue, _ = self.sift(_pack(images, self.degree))
+        p = _pack(images, self.degree)
+        if self._member_steps is None:
+            residue, _ = self.sift(p)
+        else:
+            residue, _ = self._strip(p, *self._member_steps)
         return residue == self.identity
 
     def add_generator(self, images: _Tuple) -> bool:
@@ -166,24 +190,51 @@ class _Chain:
         self._drain()
         return True
 
-    def strong_generators(self, start: int = 0) -> list[_Tuple]:
-        """Generators of the pointwise stabilizer of the first `start` bases."""
-        if start >= len(self.levels):
-            return []
-        # levels[start].gens is exactly the strong generators fixing the
-        # bases of all shallower levels
-        return [self.unpack(g) for g in self.levels[start].gens]
-
     # -- internals ---------------------------------------------------------
 
+    def _strip(
+        self, p: _Elem, forced_steps: list, leaf_steps: list
+    ) -> tuple[_Elem, dict[int, _Elem] | None]:
+        """Strip p through the steps; returns the residue and the inverse
+        transversal of the level it is stuck at, or None if it got through."""
+        mult, size = self.mult, self.block_size
+        for first, vertex, inverses in forced_steps:
+            point = p[first] // size
+            if point != vertex:
+                u_inv = inverses.get(point)
+                if u_inv is None:
+                    return p, inverses
+                p = mult(p, u_inv)
+        for base, inverses in leaf_steps:
+            point = p[base]
+            if point != base:
+                u_inv = inverses.get(point)
+                if u_inv is None:
+                    return p, inverses
+                p = mult(p, u_inv)
+        return p, None
+
     def _finish(self) -> "_Chain":
-        """Drop the forward transversals; no generator is added after this."""
+        """Drop the forward transversals and keep the member steps; no
+        generator is added after this."""
         for level in self.levels:
             level.transversal = None
+        forced = [s for s in self._forced_steps if len(s[2]) > 1]
+        leaves = [s for s in self._leaf_steps if len(s[1]) > 1]
+        self._member_steps = (forced, leaves)
+        # the levels contains walks; read by the build log line
+        self.member_levels = len(forced) + len(leaves)
         return self
 
     def _new_level(self, base: int, size: int = 1) -> None:
-        self.levels.append(_Level(base, self.identity, size))
+        level = _Level(base, self.identity, size)
+        if len(self.levels) < self.forced:
+            self._forced_steps.append(
+                (base * size, base, level.inverse_transversal)
+            )
+        else:
+            self._leaf_steps.append((base, level.inverse_transversal))
+        self.levels.append(level)
         self._pending.append(deque())
 
     def _adjoin(self, h: _Elem, lo: int, hi: int) -> None:
@@ -337,9 +388,6 @@ class PermGroup:
     def order(self) -> int:
         return self._get_chain().order()
 
-    def is_trivial(self) -> bool:
-        return not self.generators
-
     def contains(self, g: Perm) -> bool:
         if g.degree != self.degree:
             raise ShapeError(f"degree mismatch: {g.degree} != {self.degree}")
@@ -347,6 +395,8 @@ class PermGroup:
 
     def orbit(self, point: int) -> list[int]:
         """Sorted orbit of a 1-based point under the generators."""
+        if not 1 <= point <= self.degree:
+            raise ValueError(f"point {point} outside 1..{self.degree}")
         seen = {point - 1}
         frontier = [point - 1]
         images = [g.images for g in self.generators]
@@ -371,15 +421,16 @@ def _build_chain(
     """Add the generators to the chain, log what it took, and finish it;
     also returns the generators that enlarged it."""
     enlarging = [g for g in generators if chain.add_generator(g.images)]
+    chain._finish()
     if logger.isEnabledFor(logging.INFO):
         logger.info(
             "built chain: degree=%d gens=%d order=%d levels=%d forced=%d"
-            " schreier=%d skipped=%d sifted=%d strong=%d",
+            " member_levels=%d schreier=%d skipped=%d sifted=%d strong=%d",
             chain.degree, len(generators), chain.order(), len(chain.levels),
-            chain.forced, chain.formed, chain.skipped, chain.sifted,
-            chain.adjoined,
+            chain.forced, chain.member_levels, chain.formed,
+            chain.skipped, chain.sifted, chain.adjoined,
         )
-    return chain._finish(), enlarging
+    return chain, enlarging
 
 
 # -- module-level operations -------------------------------------------------

@@ -14,8 +14,8 @@ that a caller builds its chain, at degree 3^N, once for all of them.
 They also hold the chain routines that only tests use: the derived subgroup
 as the normal closure of the commutators of the generators, which needs no
 words for Gamma'; pointwise stabilizers, from the strong generators behind
-a forced base prefix, run afresh through Schreier-Sims; and subgroup
-equality.
+a forced base prefix, run afresh through Schreier-Sims; the strong
+generators of a chain level; subgroup equality; and triviality.
 """
 
 from __future__ import annotations
@@ -27,6 +27,20 @@ from hanoikernel import analysis, branch, permgroup
 from hanoikernel.errors import DepthError, NotASubgroupError, ShapeError
 from hanoikernel.perm import Perm
 from hanoikernel.permgroup import PermGroup
+
+
+def is_trivial(group: PermGroup) -> bool:
+    """Whether the group has no generator; PermGroup drops identities."""
+    return not group.generators
+
+
+def strong_generators(chain: permgroup._Chain, start: int = 0) -> list[tuple[int, ...]]:
+    """Image tuples of the generators of the pointwise stabilizer of the
+    chain's first `start` bases: levels[start].gens is exactly the strong
+    generators fixing the bases of all shallower levels."""
+    if start >= len(chain.levels):
+        return []
+    return [chain.unpack(g) for g in chain.levels[start].gens]
 
 
 def same_subgroup_as(group: PermGroup, other: PermGroup) -> bool:
@@ -77,7 +91,7 @@ def forced_base_tail(group: PermGroup, bases: Sequence[int], size: int) -> PermG
     chain, _ = permgroup._build_chain(
         permgroup._Chain(group.degree, bases, size), group.generators
     )
-    gens = [Perm(t) for t in chain.strong_generators(chain.forced)]
+    gens = [Perm(t) for t in strong_generators(chain, chain.forced)]
     return PermGroup(group.degree, gens)
 
 

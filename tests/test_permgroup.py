@@ -34,7 +34,7 @@ def symmetric_group(n):
 def test_empty_group():
     g = pg.PermGroup(5)
     assert g.order() == 1
-    assert g.is_trivial()
+    assert oracles.is_trivial(g)
     assert g.contains(Perm.identity(5))
 
 
@@ -358,7 +358,7 @@ def test_pointwise_stabilizer_is_the_forced_chain_tail():
     assert_chain_is_bsgs(stab._get_chain())
     forced, _ = pg._build_chain(pg._Chain(27, [0, 4, 26]), g.generators)
     tail = forced.levels[forced.forced :]
-    assert [g.images for g in stab.generators] == forced.strong_generators(forced.forced)
+    assert [g.images for g in stab.generators] == oracles.strong_generators(forced, forced.forced)
     assert stab.order() == math.prod(len(level.inverse_transversal) for level in tail)
     assert stab.order() * math.prod(
         len(level.inverse_transversal) for level in forced.levels[: forced.forced]
@@ -393,7 +393,7 @@ def test_kernel_of_level_action_chain_is_cut_to_leaves(monkeypatch):
         # the kernel is generated by the tail's strong generators, and its
         # chain, built afresh from them, has the tail's order and leaf bases
         tail = chain.levels[chain.forced :]
-        assert [g.images for g in kernel.generators] == chain.strong_generators(chain.forced)
+        assert [g.images for g in kernel.generators] == oracles.strong_generators(chain, chain.forced)
         assert all(level.size == 1 for level in tail)
         assert all(level.size == 1 for level in kernel._get_chain().levels)
         assert kernel.order() == math.prod(len(level.inverse_transversal) for level in tail)
@@ -493,7 +493,7 @@ def test_direct_power_rejects_block_crossing():
 def test_direct_power_of_trivial_group():
     power = pg.direct_power(pg.PermGroup(3), 3)
     assert power.order() == 1
-    assert power.is_trivial()
+    assert oracles.is_trivial(power)
 
 
 # -- chain encodings: padded bytes up to degree 256, tuples above -------------
@@ -798,3 +798,160 @@ def test_broken_chain_fails_instead_of_hanging():
     assert result.returncode == 1
     assert "AssertionError: chain of degree 27 needs more than 27 levels" in result.stderr
     assert result.stdout == ""
+
+
+# -- member steps: a finished chain sifts only its nontrivial levels ----------
+
+
+def test_orbit_rejects_points_outside_the_degree():
+    g = pg.PermGroup(4, [Perm.transposition(4, 1, 2)])
+    assert g.orbit(1) == [1, 2]
+    assert g.orbit(4) == [4]
+    for point in (-1, 0, 5, 9):
+        with pytest.raises(ValueError, match=f"point {point} outside 1..4"):
+            g.orbit(point)
+
+
+def reference_sift(chain, p, start=0):
+    """The level-by-level sift: (residue, stuck level index)."""
+    for i, level in enumerate(chain.levels[start:], start):
+        point = p[level.base * level.size] // level.size
+        if point == level.base:
+            continue
+        u_inv = level.inverse_transversal.get(point)
+        if u_inv is None:
+            return p, i
+        p = chain.mult(p, u_inv)
+    return p, len(chain.levels)
+
+
+def base_fixing_swap(chain):
+    """A transposition of two leaves that are neither a leaf base nor the
+    first leaf of a vertex base. For t of it and p of the group, t * p
+    strips like p through every level and leaves t: a non-member that no
+    level stops."""
+    bases = {level.base * level.size for level in chain.levels}
+    i, j = [x for x in range(chain.degree) if x not in bases][-2:]
+    return Perm.transposition(chain.degree, i + 1, j + 1)
+
+
+def membership_queries(group, depth, rng, count):
+    """Seeded members, members times a child swap, and members after a
+    base-fixing swap."""
+    swap = base_fixing_swap(group._get_chain())
+    members = random_words(group, rng, count)
+    return (
+        members
+        + [p * child_swap(depth, rng) for p in members]
+        + [swap * p for p in members[: count // 4]]
+    )
+
+
+def assert_member_steps_decide(chain, queries, truth):
+    """contains, through the member steps, against the full sift from level
+    0, the level-by-level sift from every level, and the truth."""
+    assert chain._member_steps is not None
+    assert chain.member_levels == sum(
+        len(level.inverse_transversal) > 1 for level in chain.levels
+    )
+    answers = []
+    for q in queries:
+        p = pg._pack(q.images, chain.degree)
+        full, stuck = chain.sift(p)
+        assert (full, stuck) == reference_sift(chain, p)
+        for start in (1, chain.forced, chain.forced + 1, len(chain.levels) - 1):
+            assert chain.sift(p, start) == reference_sift(chain, p, start)
+        answer = chain.contains(q.images)
+        assert answer == (full == chain.identity) == truth(q)
+        answers.append(answer)
+    # both answers occur, and some non-member gets through every level
+    assert True in answers and False in answers
+    swap = base_fixing_swap(chain)
+    assert chain.sift(pg._pack(swap.images, chain.degree)) == (
+        pg._pack(swap.images, chain.degree), len(chain.levels)
+    )
+    assert not chain.contains(swap.images)
+
+
+def test_member_steps_match_enumeration():
+    depth = 2
+    gens = quotient_group(depth).generators
+    elements = _brute.closure([g.images for g in gens])
+    for group in (pg.tree_group(depth, gens), pg.PermGroup(3**depth, gens)):
+        rng = random.Random(depth)
+        queries = membership_queries(group, depth, rng, 40)
+        queries += [Perm(e) for e in sorted(elements)[::7]]
+        assert_member_steps_decide(
+            group._get_chain(), queries, lambda q: q.images in elements
+        )
+
+
+@pytest.mark.parametrize("depth", [3, 4, 5])
+def test_member_steps_match_branch_membership(depth):
+    """G_N on its vertex-prefixed chain and on a leaf-only chain, against
+    branch.contains, which reads depth-2 patterns and builds no chain."""
+    gens = quotient_group(depth).generators
+    groups = [pg.tree_group(depth, gens)]
+    if depth < 5:
+        groups.append(pg.PermGroup(3**depth, gens))
+    for group in groups:
+        rng = random.Random(depth)
+        queries = membership_queries(group, depth, rng, 24)
+        assert_member_steps_decide(
+            group._get_chain(), queries, lambda q: branch.contains(q.images, depth)
+        )
+
+
+def test_member_steps_skip_the_one_point_forced_levels_of_g5(caplog):
+    with caplog.at_level("INFO", logger="hanoikernel.permgroup"):
+        chain = pg.tree_group(5, quotient_group(5).generators)._get_chain()
+    assert "levels=144 forced=9 member_levels=140 " in caplog.text
+    forced = chain.levels[: chain.forced]
+    orbits = [len(level.inverse_transversal) for level in forced]
+    assert (len(chain.levels), chain.forced, orbits.count(1)) == (144, 9, 4)
+    member_forced, member_leaves = chain._member_steps
+    assert [vertex for _, vertex, _ in member_forced] == [
+        level.base for level in forced if len(level.inverse_transversal) > 1
+    ]
+    assert len(member_leaves) == len(chain.levels) - chain.forced
+    # the member steps share the levels' inverse transversals
+    assert all(
+        step[-1] is level.inverse_transversal
+        for step, level in zip(
+            chain._forced_steps + chain._leaf_steps, chain.levels, strict=True
+        )
+    )
+
+
+def test_member_steps_with_forced_leaf_bases():
+    """Forced leaves, block size 1: after leaves 0 and 1 the group fixes
+    their sibling 2, so that forced level has an orbit of one point. The
+    chain of the forced_base_tail oracle is forced the same way."""
+    g = quotient_group(3)
+    chain, _ = pg._build_chain(pg._Chain(27, [0, 1, 2, 13]), g.generators)
+    assert len(chain._forced_steps) == chain.forced == 4
+    assert len(chain.levels[2].inverse_transversal) == 1
+    assert chain.member_levels == len(chain.levels) - 1
+    assert_chain_is_bsgs(chain)
+    rng = random.Random(13)
+    queries = membership_queries(g, 3, rng, 24)
+    assert_member_steps_decide(chain, queries, lambda q: branch.contains(q.images, 3))
+    tail = oracles.pointwise_stabilizer(g, [1, 2, 3, 14])
+    fixes = lambda q: all(q.images[x] == x for x in (0, 1, 2, 13))
+    for q in queries + random_words(tail, rng, 12):
+        assert tail.contains(q) == (branch.contains(q.images, 3) and fixes(q))
+
+
+def test_unfinished_chain_contains_through_every_level():
+    """A chain still growing has no member steps, so contains sifts through
+    every level; its answers equal those of the finished chain."""
+    g = quotient_group(3)
+    chain = pg._Chain(27, range(3), 9)
+    for gen in g.generators:
+        chain.add_generator(gen.images)
+    assert chain._member_steps is None
+    queries = membership_queries(g, 3, random.Random(3), 24)
+    growing = [chain.contains(q.images) for q in queries]
+    assert growing == [branch.contains(q.images, 3) for q in queries]
+    chain._finish()
+    assert [chain.contains(q.images) for q in queries] == growing

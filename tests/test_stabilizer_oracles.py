@@ -129,7 +129,7 @@ def reference_sections(depth: int, level: int) -> dict:
     chain, _ = permgroup._build_chain(
         permgroup._Chain(group.degree, [0], size), group.generators
     )
-    stabilizer = [Perm(s) for s in chain.strong_generators(1)]
+    stabilizer = [Perm(s) for s in oracles.strong_generators(chain, 1)]
     sections = {}
     for v, t_inv in chain.levels[0].inverse_transversal.items():
         t = Perm(chain.unpack(t_inv)).inverse()
