@@ -15,12 +15,15 @@ stabilizer. G_N acts on level n as G_n, so |Stab(n)| is |G_N|/|G_n|, and
 |Stab(n)/Stab(n+1)| is |G_(n+1)|/|G_n|, or |G'_(n+1)|/|G'_n| inside the
 derived subgroup; a Rist(n) generator lies in Stab(n) when it lies in G_N
 and fixes every level-n vertex. Rist(n) in G_N is (G'_k)^(3^n), k = N - n,
-and its order is read off the chain of G'_k. G'_k is generated by the leaf
-permutations of fixed words for Gamma' (words.parity_kernel_words), so no
-normal closure and no chain of G_k is needed; transrec reads each vertex's
-section off the states of its stabilizer's Reidemeister-Schreier words, at
-the subtree's degree. The depth cap is checked where a depth enters;
-everything behind those entry points builds through _quotient.
+and G'_k is the only Rist(n) object built: its order is read off the chain
+of G'_k, and Rist(n)'s generators are the leaf images of G'_k's generators
+copied onto each level-n block (_rist_generators). G'_k is generated by the
+leaf permutations of fixed words for Gamma' (words.parity_kernel_words), so
+no normal closure and no chain of G_k is needed; transrec reads each
+vertex's section off the states of its stabilizer's Reidemeister-Schreier
+words, at the subtree's degree. The depth cap is checked where a depth
+enters; everything behind those entry points builds through _quotient and
+_derived_subgroup.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import json
 import logging
 from importlib import resources
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import branch, f2, permgroup, words
 from .automorphism import embed, leaf_permutation, state_at
@@ -41,19 +44,6 @@ logger = logging.getLogger(__name__)
 
 DEPTH_FREE = 4  # degree 81; anything deeper needs the slow flag
 DEPTH_SLOW = 6  # degree 729, stabilizer computations only
-
-LEMMA_IDS = (
-    "branching",
-    "elab",
-    "index",
-    "rist",
-    "ristquot",
-    "selfsim",
-    "stab12",
-    "stabquot",
-    "transitive",
-    "transrec",
-)
 
 
 def _require_depth(depth: int, slow: bool) -> None:
@@ -164,37 +154,26 @@ def _quotient(depth: int) -> TruncatedQuotient:
 
 
 def derived_of_quotient(quotient: TruncatedQuotient) -> PermGroup:
-    """Derived subgroup G'_N of the depth-N quotient, generated by the leaf
-    permutations of the Gamma' words (words.parity_kernel_words): those
-    words generate the derived subgroup of the free product C2*C2*C2, which
-    maps onto G_N, so their images generate G'_N. Its chain is leaf-only,
-    built from the words alone; its order is never read from branch. No
-    chain of G_N is built. The quotient argument attests that the depth
-    cap was checked."""
-    depth = quotient.depth
-    cached = _derived.get(depth)
+    """Derived subgroup G'_N of the depth-N quotient. The quotient argument
+    attests that the depth cap was checked."""
+    return _derived_subgroup(quotient.depth)
+
+
+def _derived_subgroup(k: int) -> PermGroup:
+    """G'_k, generated by the leaf permutations of the Gamma' words
+    (words.parity_kernel_words): those words generate the derived subgroup
+    of the free product C2*C2*C2, which maps onto G_k, so their images
+    generate G'_k. Its chain is leaf-only, built from the words alone; its
+    order is never read from branch. No chain of G_k is built."""
+    cached = _derived.get(k)
     if cached is not None:
         return cached
     perms = [
-        leaf_permutation(words.evaluate(w, depth), depth)
+        leaf_permutation(words.evaluate(w, k), k)
         for w in words.parity_kernel_words()
     ]
-    group = permgroup.generated(3**depth, perms)
-    return _derived.setdefault(depth, group)
-
-
-def rist_image(depth: int, n: int, slow: bool = False) -> PermGroup:
-    """Image of the level-n rigid stabilizer in G_depth: one embedded copy of
-    the derived subgroup of G_(N-n) per level-n subtree.
-
-    Its .order() runs plain Schreier-Sims at degree 3^N, 5.2 s of CPU for
-    rist_image(6, 1). The package reads |Rist(n)| = |G'_k|^(3^n), k = N - n,
-    off the chain of G'_k instead (_rist_order); the tests take this
-    group's own order as an independent check of that one."""
-    if not 1 <= n < depth:
-        raise DepthError(f"level {n} outside 1..{depth - 1}")
-    _require_depth(depth, slow)
-    return _rist_image(depth, n)
+    group = permgroup.generated(3**k, perms)
+    return _derived.setdefault(k, group)
 
 
 def _rist_factor(depth: int, n: int) -> PermGroup:
@@ -202,13 +181,21 @@ def _rist_factor(depth: int, n: int) -> PermGroup:
     Rist(n) in G_N: the one source of its generators and its order. The
     generators are the leaf permutations of words in Gamma', and the order
     comes from their chain, never from branch."""
-    return derived_of_quotient(_quotient(depth - n))
+    return _derived_subgroup(depth - n)
 
 
-def _rist_image(depth: int, n: int) -> PermGroup:
-    """rist_image without the checks, which the caller has made. The package
-    reads only its generators."""
-    return permgroup.direct_power(_rist_factor(depth, n), 3**n)
+def _rist_generators(depth: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The leaf images of Rist(n)'s generators in G_N: each generator of
+    _rist_factor placed on level-n block v, for v in 0..3^n - 1, and the
+    identity on every other leaf. No Perm and no group of degree 3^N is
+    built for them."""
+    size = 3 ** (depth - n)
+    identity = tuple(range(3**depth))
+    factor = _rist_factor(depth, n).generators
+    for v in range(3**n):
+        start, stop = v * size, (v + 1) * size
+        for g in factor:
+            yield identity[:start] + tuple(start + x for x in g.images) + identity[stop:]
 
 
 def _rist_order(depth: int, n: int) -> int:
@@ -235,9 +222,9 @@ def _rist_in_stab(depth: int, n: int) -> bool:
     vertex goes."""
     size = 3 ** (depth - n)
     return all(
-        all(g.images[v * size] // size == v for v in range(3**n))
-        and branch.contains(g.images, depth)
-        for g in _rist_image(depth, n).generators
+        all(g[v * size] // size == v for v in range(3**n))
+        and branch.contains(g, depth)
+        for g in _rist_generators(depth, n)
     )
 
 
@@ -294,20 +281,17 @@ def kernel_seed_order() -> int:
     return 2 ** space.dim()
 
 
-def h_subspace(depth: int = 2) -> F2Subspace:
+def h_subspace() -> F2Subspace:
     """Image of the level-2 stabilizer in GF(2)^9: the explicit witness for
     the order-4 image of Gamma_2 in Gamma_1.
 
     Generators of the level-2 stabilizer are produced by Reidemeister-
     Schreier over the right-multiplication action of the four level-1
     stabilizer generators on their depth-2 image (108 cosets); each
-    generator word is then mapped by its per-subtree letter parities. Any
-    requested depth gives the same subspace because the coset space of the
-    level-2 stabilizer only sees depth-2 data, so the action is always
-    evaluated there.
+    generator word is then mapped by its per-subtree letter parities. The
+    coset space of the level-2 stabilizer only sees depth-2 data, so the
+    action is evaluated there.
     """
-    if depth < 2:
-        raise DepthError("the coset action needs depth >= 2")
     gen_perms = {
         w: leaf_permutation(words.evaluate(w, 2), 2)
         for w in words.LEVEL1_STABILIZER_WORDS
@@ -392,12 +376,13 @@ def _elementary_abelian_quotient(depth: int, n: int) -> bool:
     involutions (_quotient checks that), so G_k/G'_k is elementary abelian
     2, and the image of Stab(n) is too. The kernel is the intersection of
     Stab(n) with (G'_k)^(3^n), so its order is at most |G'_k|^(3^n).
-    rist_image is (G'_k)^(3^n) on the level-n blocks. G'_k is generated by
-    the leaf permutations of words in Gamma' (derived_of_quotient), and its
-    order comes from their chain (_rist_order). Once its generators fix
-    level n and lie in G_N, it lies in that kernel, and when that chain's
-    order is |G'_k| from the branch recursion, it is the kernel. Then
-    Q(n,N) embeds in an elementary abelian 2-group. The flag stays
+    Rist(n) is (G'_k)^(3^n) on the level-n blocks (_rist_generators). G'_k
+    is generated by the leaf permutations of words in Gamma'
+    (_rist_factor), and its order comes from their chain (_rist_order).
+    Once the copies of its generators fix level n and lie in G_N, Rist(n)
+    lies in that kernel, and when that chain's order is |G'_k| from the
+    branch recursion, it is the kernel. Then Q(n,N) embeds in an
+    elementary abelian 2-group. The flag stays
     independent of branch: reading |Rist(n)| from the branch recursion
     instead would make the order check a tautology.
     """
@@ -646,6 +631,10 @@ def _check_rist(depth: int) -> LemmaReport:
 
 
 def _check_ristquot(depth: int) -> LemmaReport:
+    """Rist(n) in G_(n+1) is (G'_1)^(3^n), one copy of G'_1 on each level-n
+    block. Copies on disjoint blocks commute, so the power is elementary
+    abelian 3 exactly when G'_1 is, and the check reads the generators of
+    G'_1 alone."""
     if depth < 2:
         raise DepthError("rigid stabilizer quotients need depth >= 2")
     computed = {}
@@ -653,7 +642,7 @@ def _check_ristquot(depth: int) -> LemmaReport:
     for n in range(1, depth):
         computed[f"n={n}"] = {
             "order": _rist_order(n + 1, n),
-            "elementary_abelian_3": permgroup.is_elementary_abelian(_rist_image(n + 1, n), 3),
+            "elementary_abelian_3": permgroup.is_elementary_abelian(_rist_factor(n + 1, n), 3),
         }
         expected[f"n={n}"] = {"order": 3 ** (3**n), "elementary_abelian_3": True}
     return LemmaReport("ristquot", depth, computed, expected, computed == expected)
@@ -743,6 +732,8 @@ _LEMMA_CHECKS = {
     "transitive": _check_transitive,
     "transrec": _check_transrec,
 }
+
+LEMMA_IDS = tuple(_LEMMA_CHECKS)
 
 LEMMA_STATEMENTS = {
     "branching": "the squared four-letter words place commutators in the first subtree",

@@ -1,7 +1,7 @@
-"""Finite-depth automorphisms of the rooted d-ary tree, stored as portraits.
+"""Finite-depth automorphisms of the rooted ternary tree, stored as portraits.
 
 A depth-N portrait carries one permutation label per internal vertex (levels
-0..N-1). A vertex of level n is a tuple of n digits in 1..d, the empty tuple
+0..N-1). A vertex of level n is a tuple of n digits in 1..3, the empty tuple
 being the root. The action on a vertex applies, at each step, the label of
 the original prefix to the next digit:
 
@@ -27,33 +27,30 @@ class Portrait:
     """An immutable depth-N tree automorphism.
 
     Depth-0 portraits exist and form the trivial group. Deeper portraits are
-    a root label plus d child portraits, the states at the first level.
+    a root label plus three child portraits, the states at the first level.
     """
 
-    __slots__ = ("arity", "depth", "root", "children", "_hash", "_is_identity")
+    __slots__ = ("depth", "root", "children", "_hash", "_is_identity")
 
-    def __init__(self, root: Perm | None, children: tuple["Portrait", ...], arity: int = 3):
+    def __init__(self, root: Perm | None, children: tuple["Portrait", ...]):
         if root is None:
             if children:
                 raise ShapeError("depth-0 portrait cannot have children")
             depth = 0
             is_id = True
         else:
-            if root.degree != arity or len(children) != arity:
-                raise ShapeError("root label and child count must match arity")
+            if root.degree != 3 or len(children) != 3:
+                raise ShapeError("a portrait needs a degree-3 root label and three children")
             depths = {c.depth for c in children}
             if len(depths) != 1:
                 raise ShapeError("children must share one depth")
-            if any(c.arity != arity for c in children):
-                raise ShapeError("children must share the arity")
             depth = children[0].depth + 1
             is_id = root.is_identity() and all(c._is_identity for c in children)
-        object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "children", children)
         object.__setattr__(self, "_is_identity", is_id)
-        object.__setattr__(self, "_hash", hash((arity, depth, root, children)))
+        object.__setattr__(self, "_hash", hash((depth, root, children)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Portrait is immutable")
@@ -67,7 +64,6 @@ class Portrait:
         return (
             isinstance(other, Portrait)
             and self._hash == other._hash
-            and self.arity == other.arity
             and self.depth == other.depth
             and self.root == other.root
             and self.children == other.children
@@ -77,13 +73,13 @@ class Portrait:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"<Portrait arity={self.arity} depth={self.depth} id={self._is_identity}>"
+        return f"<Portrait depth={self.depth} id={self._is_identity}>"
 
     def label(self, vertex: Vertex) -> Perm:
         """Label of an internal vertex (level < depth)."""
         node = self
         for digit in vertex:
-            _check_digit(digit, self.arity)
+            _check_digit(digit)
             node = node.children[digit - 1]
         if node.root is None:
             raise DepthError(f"vertex {vertex} has level {len(vertex)} >= depth {self.depth}")
@@ -95,7 +91,7 @@ class Portrait:
 
         Identity subtrees are not entered, so the walk visits the vertices
         where the portrait moves something and their siblings, not all
-        d^depth of them.
+        3^depth of them.
         """
         out: dict[Vertex, Perm] = {}
         stack: list[tuple[Vertex, Portrait]] = [((), self)]
@@ -111,17 +107,17 @@ class Portrait:
 
 
 @functools.lru_cache(maxsize=None)
-def identity(depth: int, arity: int = 3) -> Portrait:
+def identity(depth: int) -> Portrait:
     """The identity portrait of the given depth."""
     if depth < 0:
         raise DepthError("depth must be >= 0")
     if depth == 0:
-        return Portrait(None, (), arity)
-    child = identity(depth - 1, arity)
-    return Portrait(Perm.identity(arity), (child,) * arity, arity)
+        return Portrait(None, ())
+    child = identity(depth - 1)
+    return Portrait(Perm.identity(3), (child,) * 3)
 
 
-def from_labels(depth: int, labels: Mapping[Vertex, Perm], arity: int = 3) -> Portrait:
+def from_labels(depth: int, labels: Mapping[Vertex, Perm]) -> Portrait:
     """Build a portrait from a map of internal-vertex labels.
 
     Vertices absent from the map get the identity label.
@@ -130,21 +126,21 @@ def from_labels(depth: int, labels: Mapping[Vertex, Perm], arity: int = 3) -> Po
         if len(v) >= depth:
             raise DepthError(f"label at {v} lies at level >= depth {depth}")
         for digit in v:
-            _check_digit(digit, arity)
+            _check_digit(digit)
 
     def build(vertex: Vertex, d: int) -> Portrait:
         if d == 0:
-            return identity(0, arity)
-        root = labels.get(vertex, Perm.identity(arity))
-        children = tuple(build(vertex + (i,), d - 1) for i in range(1, arity + 1))
-        return Portrait(root, children, arity)
+            return identity(0)
+        root = labels.get(vertex, Perm.identity(3))
+        children = tuple(build(vertex + (i,), d - 1) for i in (1, 2, 3))
+        return Portrait(root, children)
 
     return build((), depth)
 
 
-def _check_digit(digit: int, arity: int) -> None:
-    if not 1 <= digit <= arity:
-        raise ShapeError(f"digit {digit} outside 1..{arity}")
+def _check_digit(digit: int) -> None:
+    if not 1 <= digit <= 3:
+        raise ShapeError(f"digit {digit} outside 1..3")
 
 
 def apply(g: Portrait, v: Vertex) -> Vertex:
@@ -154,7 +150,7 @@ def apply(g: Portrait, v: Vertex) -> Vertex:
     node = g
     out = []
     for digit in v:
-        _check_digit(digit, g.arity)
+        _check_digit(digit)
         out.append(node.root.apply(digit))
         node = node.children[digit - 1]
     return tuple(out)
@@ -162,8 +158,8 @@ def apply(g: Portrait, v: Vertex) -> Vertex:
 
 def compose(g: Portrait, h: Portrait) -> Portrait:
     """The automorphism "g then h"."""
-    if g.arity != h.arity or g.depth != h.depth:
-        raise ShapeError("portraits must share arity and depth")
+    if g.depth != h.depth:
+        raise ShapeError("portraits must share their depth")
     if g.depth == 0:
         return g
     if g._is_identity:
@@ -174,9 +170,9 @@ def compose(g: Portrait, h: Portrait) -> Portrait:
     root = g.root * h.root
     children = tuple(
         compose(g.children[i - 1], h.children[g.root.apply(i) - 1])
-        for i in range(1, g.arity + 1)
+        for i in (1, 2, 3)
     )
-    return Portrait(root, children, g.arity)
+    return Portrait(root, children)
 
 
 def inverse(g: Portrait) -> Portrait:
@@ -185,9 +181,9 @@ def inverse(g: Portrait) -> Portrait:
         return g
     root = g.root.inverse()
     children = tuple(
-        inverse(g.children[root.apply(j) - 1]) for j in range(1, g.arity + 1)
+        inverse(g.children[root.apply(j) - 1]) for j in (1, 2, 3)
     )
-    return Portrait(root, children, g.arity)
+    return Portrait(root, children)
 
 
 def state_at(g: Portrait, u: Vertex) -> Portrait:
@@ -196,7 +192,7 @@ def state_at(g: Portrait, u: Vertex) -> Portrait:
         raise DepthError(f"vertex level {len(u)} exceeds portrait depth {g.depth}")
     node = g
     for digit in u:
-        _check_digit(digit, g.arity)
+        _check_digit(digit)
         node = node.children[digit - 1]
     return node
 
@@ -205,25 +201,25 @@ def embed(u: Vertex, g: Portrait) -> Portrait:
     """The automorphism acting as g on the subtree at u and trivially outside."""
     if not u:
         return g
-    _check_digit(u[0], g.arity)
+    _check_digit(u[0])
     sub = embed(u[1:], g)
-    trivial = identity(sub.depth, g.arity)
-    children = tuple(sub if i == u[0] else trivial for i in range(1, g.arity + 1))
-    return Portrait(Perm.identity(g.arity), children, g.arity)
+    trivial = identity(sub.depth)
+    children = tuple(sub if i == u[0] else trivial for i in (1, 2, 3))
+    return Portrait(Perm.identity(3), children)
 
 
-def level_vertices(n: int, arity: int = 3) -> Iterator[Vertex]:
+def level_vertices(n: int) -> Iterator[Vertex]:
     """All level-n vertices in lexicographic order."""
     if n == 0:
         yield ()
         return
-    for prefix in level_vertices(n - 1, arity):
-        for digit in range(1, arity + 1):
+    for prefix in level_vertices(n - 1):
+        for digit in (1, 2, 3):
             yield prefix + (digit,)
 
 
 def leaf_permutation(g: Portrait, n: int) -> Perm:
-    """The permutation of lex indices 1..d^n induced on level-n vertices."""
+    """The permutation of lex indices 1..3^n induced on level-n vertices."""
     if n > g.depth:
         raise DepthError(f"level {n} exceeds portrait depth {g.depth}")
     return Perm(_leaf_images(g, n))
@@ -232,13 +228,13 @@ def leaf_permutation(g: Portrait, n: int) -> Perm:
 def _leaf_images(g: Portrait, n: int) -> list[int]:
     """0-based leaf_permutation images, read off the portrait.
 
-    Vertex (i, rest) goes to (root(i), state_i(rest)), so the block of d^(n-1)
+    Vertex (i, rest) goes to (root(i), state_i(rest)), so the block of 3^(n-1)
     indices under child i is child i's images shifted to the block of
     root(i). An identity subtree fixes every index.
     """
     if n == 0 or g._is_identity:
-        return list(range(g.arity**n))
-    size = g.arity ** (n - 1)
+        return list(range(3**n))
+    size = 3 ** (n - 1)
     out: list[int] = []
     for i, child in enumerate(g.children):
         offset = g.root.images[i] * size
@@ -255,7 +251,7 @@ def to_json_dict(g: Portrait) -> dict:
         ",".join(map(str, v)): list(p.one_based())
         for v, p in sorted(g.labels().items())
     }
-    return {"arity": g.arity, "depth": g.depth, "labels": labels}
+    return {"arity": 3, "depth": g.depth, "labels": labels}
 
 
 def to_json(g: Portrait) -> str:
@@ -263,13 +259,14 @@ def to_json(g: Portrait) -> str:
 
 
 def from_json_dict(data: Mapping) -> Portrait:
-    arity = int(data["arity"])
+    if int(data["arity"]) != 3:
+        raise ShapeError(f"arity {data['arity']} is not 3: portraits act on the ternary tree")
     depth = int(data["depth"])
     labels: dict[Vertex, Perm] = {}
     for key, images in data.get("labels", {}).items():
         vertex = tuple(int(s) for s in key.split(",")) if key else ()
         labels[vertex] = Perm.from_one_based(images)
-    return from_labels(depth, labels, arity)
+    return from_labels(depth, labels)
 
 
 def from_json(text: str) -> Portrait:
@@ -281,7 +278,7 @@ def to_dot(g: Portrait, name: str = "portrait") -> str:
     with their permutation in cycle notation."""
     lines = [f"digraph {name} {{"]
     for level in range(g.depth + 1):
-        for v in level_vertices(level, g.arity):
+        for v in level_vertices(level):
             node_id = ",".join(map(str, v)) or "root"
             if level < g.depth:
                 label = g.label(v).cycle_string()

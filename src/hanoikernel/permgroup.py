@@ -446,34 +446,21 @@ def generated(degree: int, candidates: Sequence[Perm]) -> PermGroup:
 
 def is_elementary_abelian(group: PermGroup, p: int) -> bool:
     """True iff the group is abelian with every generator of order dividing
-    p. Generators with disjoint supports commute, so only the pairs whose
-    supports meet are multiplied."""
+    p."""
     gens = group.generators
-    supports = [{i for i, j in enumerate(g.images) if i != j} for g in gens]
     for i, g in enumerate(gens):
         power = g
         for _ in range(p - 1):
             power = power * g
         if not power.is_identity():
             return False
-        for h, support in zip(gens[i + 1 :], supports[i + 1 :]):
-            if not supports[i].isdisjoint(support) and g * h != h * g:
+        for h in gens[i + 1 :]:
+            if g * h != h * g:
                 return False
     return True
 
 
 # -- block structure ---------------------------------------------------------
-
-
-def embed_in_block(p: Perm, block: int, block_count: int) -> Perm:
-    """Spread a degree-k permutation onto block `block` (0-based) of
-    block_count consecutive size-k blocks, acting trivially elsewhere."""
-    size = p.degree
-    images = list(range(size * block_count))
-    offset = block * size
-    for i in range(size):
-        images[offset + i] = offset + p.images[i]
-    return Perm(images)
 
 
 def _check_blocks(group: PermGroup, size: int) -> None:
@@ -504,17 +491,3 @@ def tree_group(depth: int, generators: Iterable[Perm]) -> PermGroup:
     _check_blocks(group, size)
     return group
 
-
-def direct_power(group: PermGroup, count: int) -> PermGroup:
-    """The direct product of `count` copies of the group, copy k acting on
-    the k-th of `count` consecutive blocks of group.degree points, generated
-    by the copies of the group's generators. Its order is the group's order
-    to the power `count`; a chain, when asked for, comes from Schreier-Sims
-    on the copies.
-    """
-    gens = [
-        embed_in_block(g, block, count)
-        for block in range(count)
-        for g in group.generators
-    ]
-    return PermGroup(group.degree * count, gens)

@@ -60,22 +60,22 @@ def word_states(word: str) -> tuple[tuple[str, str, str], tuple[int, int, int]]:
     return tuple(states), tuple(images)  # type: ignore[return-value]
 
 
-def vertices(n: int, arity: int = 3):
+def vertices(n: int):
     """All level-n digit sequences in lexicographic order."""
     if n == 0:
         yield ()
         return
-    for prefix in vertices(n - 1, arity):
-        for digit in range(1, arity + 1):
+    for prefix in vertices(n - 1):
+        for digit in (1, 2, 3):
             yield prefix + (digit,)
 
 
-def vertex_of_index(index: int, level: int, arity: int = 3) -> tuple[int, ...]:
+def vertex_of_index(index: int, level: int) -> tuple[int, ...]:
     """The level vertex at 0-based position `index` in lexicographic order:
-    the base-arity digits of the index, each plus one."""
+    the base-3 digits of the index, each plus one."""
     digits = []
     for _ in range(level):
-        index, digit = divmod(index, arity)
+        index, digit = divmod(index, 3)
         digits.append(digit + 1)
     return tuple(reversed(digits))
 
@@ -91,7 +91,7 @@ def portrait_leaf_tuple(g, n: int) -> tuple[int, ...]:
     """0-based image tuple of a portrait's action on level-n vertices, one
     vertex at a time: each digit goes through the label of the vertex above
     it, read from the portrait's root labels and children."""
-    order = list(vertices(n, g.arity))
+    order = list(vertices(n))
     index = {v: i for i, v in enumerate(order)}
     out = []
     for v in order:

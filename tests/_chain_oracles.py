@@ -4,18 +4,20 @@ The package reads |Stab(n)|, |Q(n,N)| and the elementary-abelian flags off
 the branch recursion for |G_N| and |G'_N| and tests membership in G_N by
 depth-2 patterns (hanoikernel.branch); it builds no chain for G_N or for
 Stab(n), and it reads |Rist(n)| as |G'_k|^(3^n), k = N - n, with G'_k
-generated by the images of fixed words for Gamma'. The functions here
-answer the same questions from chains: by the orders of the G_N, G_n and
-G'_k chains, the order of a chain of the Rist(n) image, and sifting into
-G_N, and by index and sifting in a Stab(n) chain with the level-n vertices
-forced to the front of the base. Each takes the Rist(n) image as `rist`, so
-that a caller builds its chain, at degree 3^N, once for all of them.
+generated by the images of fixed words for Gamma', and builds no group for
+Rist(n) itself. The functions here answer the same questions from chains:
+by the orders of the G_N, G_n and G'_k chains, the order of a chain of the
+Rist(n) image, and sifting into G_N, and by index and sifting in a Stab(n)
+chain with the level-n vertices forced to the front of the base. Each takes
+the Rist(n) image (rist_image) as `rist`, so that a caller builds its
+chain, at degree 3^N, once for all of them.
 
 They also hold the chain routines that only tests use: the derived subgroup
 as the normal closure of the commutators of the generators, which needs no
 words for Gamma'; pointwise stabilizers, from the strong generators behind
 a forced base prefix, run afresh through Schreier-Sims; the strong
-generators of a chain level; subgroup equality; and triviality.
+generators of a chain level; subgroup equality; triviality; and direct
+powers, block by block, of which the Rist(n) image is one.
 """
 
 from __future__ import annotations
@@ -134,6 +136,35 @@ def kernel_of_level_action(group: PermGroup, n: int) -> PermGroup:
         return PermGroup(group.degree)
     permgroup._check_blocks(group, size)
     return forced_base_tail(group, range(3**n), size)
+
+
+def embed_in_block(p: Perm, block: int, block_count: int) -> Perm:
+    """p on block `block` (0-based) of block_count consecutive blocks of
+    p.degree points, and the identity on the others."""
+    size = p.degree
+    images = list(range(size * block_count))
+    images[block * size : (block + 1) * size] = [block * size + x for x in p.images]
+    return Perm(images)
+
+
+def direct_power(group: PermGroup, count: int) -> PermGroup:
+    """`count` copies of the group, copy b on block b of `count` consecutive
+    blocks of group.degree points, generated by the copies of its
+    generators; its chain, when asked for, comes from Schreier-Sims on the
+    copies."""
+    gens = [
+        embed_in_block(g, block, count)
+        for block in range(count)
+        for g in group.generators
+    ]
+    return PermGroup(group.degree * count, gens)
+
+
+def rist_image(depth: int, n: int) -> PermGroup:
+    """The image of Rist(n) in G_N: a copy of the package's G'_k, k = N - n
+    (analysis._rist_factor), on each level-n block. Its order is read off a
+    fresh chain at degree 3^N."""
+    return direct_power(analysis._rist_factor(depth, n), 3**n)
 
 
 def stab(quotient: analysis.TruncatedQuotient, n: int) -> PermGroup:

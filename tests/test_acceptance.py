@@ -77,8 +77,8 @@ def test_criterion_2_gf2_suite():
 
 
 def test_criterion_3_rigid_stabilizer_structure():
-    r21 = analysis.rist_image(2, 1)
-    r32 = analysis.rist_image(3, 2)
+    r21 = oracles.rist_image(2, 1)
+    r32 = oracles.rist_image(3, 2)
     ok = (
         r21.order() == 27
         and permgroup.is_elementary_abelian(r21, 3)

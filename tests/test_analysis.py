@@ -82,25 +82,25 @@ def test_stab_depth_error():
 
 
 def test_rist_image_examples():
-    r = analysis.rist_image(2, 1)
+    r = oracles.rist_image(2, 1)
     assert r.order() == 27
     assert permgroup.is_elementary_abelian(r, 3)
-    assert analysis.rist_image(3, 2).order() == 19_683
+    assert oracles.rist_image(3, 2).order() == 19_683
     # rigid stabilizer sits inside the level stabilizer
     s = oracles.stab(analysis.build_quotient(3), 2)
-    assert all(s.contains(g) for g in analysis.rist_image(3, 2).generators)
+    assert all(s.contains(g) for g in oracles.rist_image(3, 2).generators)
 
 
-def test_rist_image_depth_errors():
-    with pytest.raises(DepthError):
-        analysis.rist_image(2, 2)
-    with pytest.raises(DepthError):
-        analysis.rist_image(2, 0)
-    # the depth cap holds as for build_quotient
-    with pytest.raises(ResourceLimitError):
-        analysis.rist_image(5, 1)
-    with pytest.raises(ResourceLimitError):
-        analysis.rist_image(7, 6, slow=True)
+@pytest.mark.parametrize("depth", [2, 3, 4])
+def test_rist_generators_match_oracle_blocks(depth):
+    """The package's Rist(n) generators are the oracle's copies of G'_k on
+    the level-n blocks, none dropped, moved or added."""
+    for n in range(1, depth):
+        images = list(analysis._rist_generators(depth, n))
+        oracle = {g.images for g in oracles.rist_image(depth, n).generators}
+        factor = analysis._rist_factor(depth, n).generators
+        assert len(images) == len(oracle) == 3**n * len(factor)
+        assert set(images) == oracle
 
 
 def test_q_orders_small():
@@ -150,8 +150,8 @@ def test_no_command_builds_a_chain_of_g_k():
     analysis.kernel_report(3, 5, slow=True)
     for lemma in analysis.LEMMA_IDS:
         assert analysis.verify_lemma(lemma, depth=4).passed
-    # G_1 to G_3 give the Rist factors, and G_4 the orbit of transitive
-    assert set(analysis._quotients) == {1, 2, 3, 4}
+    # G'_k needs no quotient G_k; only transitive builds G_4, for its orbit
+    assert set(analysis._quotients) == {4}
     for quotient in analysis._quotients.values():
         assert quotient.group._chain is None
 
@@ -161,17 +161,12 @@ def test_level_identity_inside_rigid_product():
     # product over level-n subtrees of embedded level-m stabilizers
     cases = [(2, 1, 1), (3, 1, 1), (3, 2, 1)]
     for big_n, n, m in cases:
-        rist = analysis.rist_image(big_n, n)
+        rist = oracles.rist_image(big_n, n)
         inside = oracles.kernel_of_level_action(rist, n + m)
         inner = oracles.kernel_of_level_action(
             analysis.derived_of_quotient(analysis.build_quotient(big_n - n)), m
         )
-        gens = [
-            permgroup.embed_in_block(g, block, 3**n)
-            for block in range(3**n)
-            for g in inner.generators
-        ]
-        product = permgroup.PermGroup(3**big_n, gens)
+        product = oracles.direct_power(inner, 3**n)
         assert oracles.same_subgroup_as(inside, product)
 
 
@@ -179,7 +174,7 @@ def test_level_identity_inside_rigid_product():
 def test_rist_check_fails_when_rist_leaves_stab(monkeypatch, extra):
     # a transposition of two leaves fixes every level-n vertex but lies
     # outside G_N; a lies in G_N but moves the level-n vertices
-    real = analysis._rist_image
+    real = analysis._rist_generators
 
     def extra_perm(depth):
         if extra == "generator a":
@@ -187,11 +182,10 @@ def test_rist_check_fails_when_rist_leaves_stab(monkeypatch, extra):
         return Perm([1, 0, *range(2, 3**depth)])
 
     def fake(depth, n):
-        group = real(depth, n)
-        gens = [*group.generators, extra_perm(depth)]
-        return permgroup.PermGroup(group.degree, gens)
+        yield from real(depth, n)
+        yield extra_perm(depth).images
 
-    monkeypatch.setattr(analysis, "_rist_image", fake)
+    monkeypatch.setattr(analysis, "_rist_generators", fake)
     for depth in (2, 3, 4):
         quotient = analysis.build_quotient(depth)
         member = extra == "generator a"
@@ -205,6 +199,27 @@ def test_rist_check_fails_when_rist_leaves_stab(monkeypatch, extra):
             with pytest.raises(NotASubgroupError):
                 analysis.q_order(depth, n)
             assert not analysis._elementary_abelian_quotient(depth, n)
+
+
+@pytest.mark.parametrize(
+    "cycles, flag",
+    [
+        ([(1, 2, 3), (4, 5, 6)], True),
+        # two 3-cycles sharing a point: each has order 3, and they do not commute
+        ([(1, 2, 3), (3, 4, 5)], False),
+        ([(1, 2, 3), (4, 5)], False),
+    ],
+)
+def test_ristquot_flag_reads_the_factor(monkeypatch, cycles, flag):
+    """ristquot's flag is the factor's: every generator of order 3 and every
+    pair commuting."""
+    def fake(depth, n):
+        return permgroup.PermGroup(9, [Perm.from_cycles(9, [c]) for c in cycles])
+
+    monkeypatch.setattr(analysis, "_rist_factor", fake)
+    report = analysis.verify_lemma("ristquot", depth=2)
+    assert report.computed["n=1"]["elementary_abelian_3"] is flag
+    assert not report.passed
 
 
 def test_gamma1_and_seed_orders():
@@ -226,12 +241,6 @@ def test_h_subspace():
     uz = f2.intersect(u, f2.even_letter_sum_space())
     assert f2.intersect(h, uz).dim() == 0
     assert h != uz
-
-
-def test_h_subspace_depth_validation():
-    with pytest.raises(DepthError):
-        analysis.h_subspace(1)
-    assert analysis.h_subspace(3) == analysis.h_subspace(2)
 
 
 def test_kernel_report_small():
@@ -336,8 +345,8 @@ def test_concurrent_lemma_checks():
 
 def test_unlocked_caches_keep_one_value_per_key():
     # racing misses may each build a quotient, but setdefault stores the
-    # first one, and every thread gets that one back; Rist images are not
-    # cached, so each thread builds its own
+    # first one, and every thread gets that one back; the oracle's Rist
+    # images are not cached, so each thread builds its own
     import sys
     import threading
 
@@ -348,7 +357,7 @@ def test_unlocked_caches_keep_one_value_per_key():
     try:
         def work():
             quotient = analysis.build_quotient(3)
-            rist = analysis.rist_image(3, 1)
+            rist = oracles.rist_image(3, 1)
             results.append((quotient, rist, quotient.group.order()))
 
         threads = [threading.Thread(target=work) for _ in range(8)]
@@ -385,7 +394,7 @@ def test_elementary_abelian_flags_match_unpruned_check():
         quotient = analysis.build_quotient(big_n, slow=True)
         for n in range(1, big_n):
             flag = analysis._elementary_abelian_quotient(big_n, n)
-            rist = analysis.rist_image(big_n, n, slow=True)
+            rist = oracles.rist_image(big_n, n)
             assert flag == oracles.chain_elementary_abelian_quotient(quotient, n, rist)
             assert flag == oracles.elementary_abelian_quotient(quotient, n, rist)
             assert flag == unpruned_elementary_abelian_quotient(quotient, n, rist)
@@ -418,12 +427,12 @@ def test_elementary_abelian_flags_fail_over_too_small_subgroups(monkeypatch):
         monkeypatch.setattr(analysis, "_rist_factor", fake)
         for quotient in quotients:
             for n in range(1, quotient.depth):
-                rist = analysis.rist_image(quotient.depth, n)
+                rist = oracles.rist_image(quotient.depth, n)
                 assert not analysis._elementary_abelian_quotient(quotient.depth, n)
                 assert not oracles.chain_elementary_abelian_quotient(quotient, n, rist)
                 assert not oracles.elementary_abelian_quotient(quotient, n, rist)
                 assert not unpruned_elementary_abelian_quotient(quotient, n, rist)
-    rist = analysis.rist_image(4, 2)
+    rist = oracles.rist_image(4, 2)
     inside = [g for g in oracles.stab(quotients[2], 2).generators if rist.contains(g)]
     assert len(inside) == 1
 

@@ -157,31 +157,30 @@ def test_leaf_permutation_against_independent_action():
         assert am.leaf_permutation(words.evaluate(word, n), n) == expected
 
 
-def random_portrait(rng, depth, arity, density):
+def random_portrait(rng, depth, density):
     """A from_labels portrait labelling each internal vertex with the given
     probability, so that sparse ones have identity subtrees."""
     labels = {
-        v: Perm(rng.sample(range(arity), arity))
+        v: Perm(rng.sample(range(3), 3))
         for level in range(depth)
-        for v in am.level_vertices(level, arity)
+        for v in am.level_vertices(level)
         if rng.random() < density
     }
-    return am.from_labels(depth, labels, arity)
+    return am.from_labels(depth, labels)
 
 
 def test_leaf_permutation_matches_vertex_by_vertex_oracle():
     rng = random.Random(16)
     identity_subtrees = 0
-    for arity in (2, 3):
-        for depth in range(6):
-            for density in (0.0, 0.15, 0.4, 1.0):
-                for _ in range(3):
-                    g = random_portrait(rng, depth, arity, density)
-                    if not g.is_identity() and any(c.is_identity() for c in g.children):
-                        identity_subtrees += 1
-                    for n in range(depth + 1):
-                        expected = _brute.portrait_leaf_tuple(g, n)
-                        assert am.leaf_permutation(g, n).images == expected
+    for depth in range(6):
+        for density in (0.0, 0.15, 0.4, 1.0):
+            for _ in range(3):
+                g = random_portrait(rng, depth, density)
+                if not g.is_identity() and any(c.is_identity() for c in g.children):
+                    identity_subtrees += 1
+                for n in range(depth + 1):
+                    expected = _brute.portrait_leaf_tuple(g, n)
+                    assert am.leaf_permutation(g, n).images == expected
     assert identity_subtrees > 10
 
 
@@ -215,6 +214,16 @@ def test_json_format_fields():
     assert d["labels"][""] == [1, 3, 2]
     assert d["labels"]["1"] == [1, 3, 2]
     assert "2" not in d["labels"]  # identity labels omitted
+
+
+@pytest.mark.parametrize("arity", [2, 4, "2"])
+def test_json_import_rejects_other_arities(arity):
+    data = am.to_json_dict(words.evaluate("a", 2))
+    data["arity"] = arity
+    with pytest.raises(ShapeError, match="arity"):
+        am.from_json_dict(data)
+    data["arity"] = "3"
+    assert am.from_json_dict(data) == words.evaluate("a", 2)
 
 
 def test_json_labels_match_walk_of_every_vertex():

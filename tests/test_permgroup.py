@@ -217,7 +217,7 @@ def test_is_elementary_abelian_multiplies_pairs_whose_supports_meet():
     def group(*cycles):
         return pg.PermGroup(9, [Perm.from_cycles(9, [c]) for c in cycles])
 
-    # disjoint supports commute without a product
+    # every pair is multiplied: generators with disjoint supports commute
     assert pg.is_elementary_abelian(group((1, 2, 3), (4, 5, 6), (7, 8, 9)), 3)
     # supports that meet: a 3-cycle and its inverse commute, two 3-cycles
     # sharing one point do not, also with a disjoint generator between them
@@ -253,7 +253,7 @@ def test_pointwise_stabilizer_orbit_factorization():
 
 def test_embed_in_block():
     p = Perm.from_cycles(3, [(1, 2)])
-    e = pg.embed_in_block(p, 1, 3)
+    e = oracles.embed_in_block(p, 1, 3)
     assert e.degree == 9
     assert e.apply(4) == 5 and e.apply(5) == 4
     assert all(e.apply(i) == i for i in (1, 2, 3, 7, 8, 9))
@@ -458,7 +458,7 @@ def test_direct_power_matches_fresh_chain():
     block's restriction lies in the factor."""
     rng = random.Random(5)
     for inner, count in ((symmetric_group(3), 4), (quotient_group(2), 3)):
-        power = pg.direct_power(inner, count)
+        power = oracles.direct_power(inner, count)
         assert power.degree == inner.degree * count
         assert power.order() == inner.order() ** count
         assert_chain_is_bsgs(power._get_chain())
@@ -484,14 +484,14 @@ def test_direct_power_matches_fresh_chain():
 
 
 def test_direct_power_rejects_block_crossing():
-    power = pg.direct_power(symmetric_group(3), 2)
+    power = oracles.direct_power(symmetric_group(3), 2)
     assert power.order() == 36
     assert not power.contains(Perm.from_cycles(6, [(3, 4)]))
     assert power.contains(Perm.from_cycles(6, [(1, 2), (4, 5, 6)]))
 
 
 def test_direct_power_of_trivial_group():
-    power = pg.direct_power(pg.PermGroup(3), 3)
+    power = oracles.direct_power(pg.PermGroup(3), 3)
     assert power.order() == 1
     assert oracles.is_trivial(power)
 
@@ -562,7 +562,7 @@ def test_encoding_boundary_matches_enumeration(degree):
 
 def test_direct_power_at_degree_256():
     """64 copies of S_4 fill the bytes encoding exactly: no padding."""
-    power = pg.direct_power(symmetric_group(4), 64)
+    power = oracles.direct_power(symmetric_group(4), 64)
     chain = power._get_chain()
     assert type(chain.identity) is bytes and len(chain.identity) == 256
     assert_perm_degrees(power, 256)
@@ -583,7 +583,7 @@ def test_direct_power_of_bytes_factor_has_tuple_chain():
     """G_2 has degree 9 and a bytes chain; 29 copies of it have degree 261
     and a tuple chain."""
     inner = quotient_group(2)
-    power = pg.direct_power(inner, 29)
+    power = oracles.direct_power(inner, 29)
     assert type(inner._get_chain().identity) is bytes
     assert type(power._get_chain().identity) is tuple
     assert_perm_degrees(power, 261)

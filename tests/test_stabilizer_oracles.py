@@ -1,12 +1,13 @@
 """The package reads the order of a rigid stabilizer image Rist(n) in G_N as
 |G'_k|^(3^n), k = N - n, off the chain of G'_k; it is checked here against a
-chain built by Schreier-Sims on the image's generators, whose members are
-checked block by block against the chain of G'_k. The level stabilizers of
-the test oracles (_chain_oracles) are generated by the strong generators
-behind the level's vertices, forced to the front of a chain's base; each is
-checked against its order |G_N| / |G_n| and against sifting into G_N. A
-vertex's section, the group its stabilizer induces on its subtree, comes from the
-states of Reidemeister-Schreier words; it is checked against the stabilizer
+chain built by Schreier-Sims on the oracle's copies of G'_k's generators on
+the level-n blocks, whose members are checked block by block against the
+chain of G'_k. The level stabilizers of the test oracles (_chain_oracles)
+are generated by the strong generators behind the level's vertices, forced
+to the front of a chain's base; each is checked against its order
+|G_N| / |G_n| and against sifting into G_N. A vertex's section, the group
+its stabilizer induces on its subtree, comes from the states of
+Reidemeister-Schreier words; it is checked against the stabilizer
 in G_N found by a chain with the vertex as first base. All three are checked
 at depth 2 against brute-force enumeration. The package reads Q(n,N) off
 the branch orders, which is checked against the same formula on chain
@@ -78,7 +79,7 @@ def test_rist_image_matches_fresh_chain(depth, n):
     """|Rist(n)| = |G'_k|^(3^n) is the order of a chain on the image's
     generators, and that chain takes a probe exactly when the probe keeps
     every level-n block and restricts on each to a member of G'_k."""
-    group = analysis.rist_image(depth, n)
+    group = oracles.rist_image(depth, n)
     fresh = permgroup.PermGroup(group.degree, group.generators)
     assert analysis._rist_order(depth, n) == fresh.order()
     factor = analysis.derived_of_quotient(analysis.build_quotient(depth - n))
@@ -105,7 +106,7 @@ def assert_q_orders_match_chains(depth: int, n_max: int):
     for n in range(1, n_max + 1):
         q = analysis.q_order(depth, n, slow=True)
         # one chain of the image serves both oracles
-        rist = analysis.rist_image(depth, n, slow=True)
+        rist = oracles.rist_image(depth, n)
         assert q == oracles.chain_q_order(quotient, n, rist) == analysis.q_expected(n)
         assert q == oracles.q_order(quotient, n, rist)
 
@@ -206,7 +207,7 @@ def test_rist_image_depth2_matches_enumeration():
         for parts in itertools.product(a3, repeat=3)
     }
     elements = _g2_elements()
-    group = analysis.rist_image(2, 1)
+    group = oracles.rist_image(2, 1)
     assert len(members) == analysis._rist_order(2, 1) == 27
     # the non-members tried: all of G_2 and every product of three
     # permutations of the blocks' points
