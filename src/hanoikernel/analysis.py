@@ -19,9 +19,10 @@ and G'_k is the only Rist(n) object built: its order is read off the chain
 of G'_k, and Rist(n)'s generators are the leaf images of G'_k's generators
 copied onto each level-n block (_rist_generators). G'_k is generated by the
 leaf permutations of fixed words for Gamma' (words.parity_kernel_words), so
-no normal closure and no chain of G_k is needed; transrec reads each
+no normal closure and no chain of G_k is needed. transrec reads each
 vertex's section off the states of its stabilizer's Reidemeister-Schreier
-words, at the subtree's degree. The depth cap is checked where a depth
+words: they are words in a, b and c, and once they include all three the
+section is G_k, with no group built. The depth cap is checked where a depth
 enters; everything behind those entry points builds through _quotient and
 _derived_subgroup.
 """
@@ -34,7 +35,7 @@ from importlib import resources
 from typing import Iterator, NamedTuple
 
 from . import branch, f2, permgroup, words
-from .automorphism import embed, leaf_permutation, state_at
+from .automorphism import embed, leaf_permutation
 from .errors import DepthError, NotASubgroupError, ResourceLimitError, ShapeError
 from .f2 import F2Subspace
 from .perm import Perm
@@ -424,12 +425,9 @@ def kernel_report(n_max: int = 2, depth_budget: int = 4, slow: bool = False) -> 
         q2 = _q_order(n + 2, n)
         stable = q1 == q2
         k = seed ** (3**n)
+        # the exact sequence: |Gamma_{n+1}| * |Q| == |Gamma_n| * |K|
         gamma_next, remainder = divmod(gamma * k, q1)
         if remainder:
-            raise AssertionError("exact sequence arithmetic is inconsistent")
-        # internal consistency of the exact sequence:
-        # |Gamma_{n+1}| * |Q| == |Gamma_n| * |K|
-        if gamma_next * q1 != gamma * k:
             raise AssertionError("exact sequence arithmetic is inconsistent")
         h = gamma_next // k
         # _q_order raised unless Rist(n) lies in Stab(n), so each flag is
@@ -681,23 +679,35 @@ def _check_elab(depth: int) -> LemmaReport:
     return LemmaReport("elab", depth, computed, expected, computed == expected)
 
 
-def _vertex_section(vertex: tuple[int, ...], depth: int) -> PermGroup:
-    """The states at the vertex of the elements of G_depth that fix it, as
-    permutations of its leaves: taking the state is a homomorphism on the
-    vertex's stabilizer in G, so the states of Reidemeister-Schreier words
-    for that stabilizer generate them."""
+def _section_order(vertex: tuple[int, ...], depth: int) -> int | None:
+    """|G_k|, k = depth - |vertex|, when the states at the vertex of its
+    stabilizer's Reidemeister-Schreier words include a, b and c; None when
+    they do not."""
     stabilizer_words, _ = words.schreier_generators(
         list(words.ALPHABET), words.vertex_image, (), vertex
     )
-    below = depth - len(vertex)
-    states = [
-        leaf_permutation(state_at(words.evaluate(w, depth), vertex), below)
-        for w in stabilizer_words
-    ]
-    return PermGroup(3**below, states)
+    states = {words.state_word(w, vertex) for w in stabilizer_words}
+    if set(words.ALPHABET) <= states:
+        return branch.orders(depth - len(vertex))[0]
+    return None
 
 
 def _check_transrec(depth: int) -> LemmaReport:
+    """Self-replication: at each vertex v of levels 1..min(2, N-1), the
+    elements of G_N that fix v act on v's subtree as all of G_k, k = N - |v|.
+
+    Reidemeister-Schreier over the action of a, b and c on v's level gives
+    words that generate the stabilizer of v. Taking the state at v is a
+    homomorphism on that stabilizer, so the states at v of those words
+    generate the section at v. Each state is a word in a, b and c, since
+    the states of a, b and c are a, b, c or trivial (selfsim), so the
+    section lies in G_k. When the states include the one-letter words a, b
+    and c, the section contains G_k's generators and equals G_k, and its
+    order is |G_k| from the branch recursion, as level_0's is. The states
+    are read off the words (words.state_word); no group, chain or leaf
+    permutation is built. A vertex whose states miss a letter reports None,
+    and the check fails.
+    """
     if depth < 2:
         raise DepthError("self-replication needs depth >= 2")
     computed = {}
@@ -711,7 +721,7 @@ def _check_transrec(depth: int) -> LemmaReport:
         _, orbit = words.schreier_generators(
             list(words.ALPHABET), words.vertex_image, (), (1,) * level
         )
-        orders = [_vertex_section(vertex, depth).order() for vertex in sorted(orbit)]
+        orders = [_section_order(vertex, depth) for vertex in sorted(orbit)]
         computed[f"level_{level}"] = {"vertices": len(orders), "orders": orders}
         expected[f"level_{level}"] = {
             "vertices": 3**level,

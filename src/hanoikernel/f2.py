@@ -116,23 +116,14 @@ def intersect(a: F2Subspace, b: F2Subspace) -> F2Subspace:
     """Intersection via Zassenhaus elimination on a stacked block system.
 
     Rows (x | x) for x in A and (y | 0) for y in B span {(x + y | x)};
-    eliminating with the left block in the high bits, the echelon rows whose
-    left block vanished carry exactly A-intersect-B in their right block.
+    with the left block in the high bits, the RREF rows whose left block
+    vanished are exactly the RREF of A-intersect-B.
     """
     if a.dimension_ambient != b.dimension_ambient:
         raise ShapeError("ambient dimension mismatch")
     n = a.dimension_ambient
     stacked = [(r << n) | r for r in a.rows] + [r << n for r in b.rows]
-    basis: list[int] = []
-    for row in stacked:
-        for known in basis:
-            row = min(row, row ^ known)
-        if row:
-            basis.append(row)
-            basis.sort(reverse=True)
-    right_mask = (1 << n) - 1
-    right = [row & right_mask for row in basis if (row >> n) == 0]
-    return F2Subspace(n, _rref(right))
+    return F2Subspace(n, tuple(row for row in _rref(stacked) if row >> n == 0))
 
 
 def stab1_vector(word: str) -> Bits:

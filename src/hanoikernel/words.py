@@ -170,6 +170,16 @@ def word_states(word: str) -> tuple[tuple[str, str, str], Perm]:
     return tuple("".join(b) for b in states), _S3[s]  # type: ignore[return-value]
 
 
+def state_word(word: str, vertex: automorphism.Vertex) -> str:
+    """The state of a word at a vertex, freely reduced: word_states along
+    the vertex's digits, so no portrait is evaluated."""
+    word = free_reduce(word)
+    for digit in vertex:
+        automorphism._check_digit(digit)
+        word = word_states(word)[0][digit - 1]
+    return word
+
+
 @functools.lru_cache(maxsize=None)
 def _evaluate_reduced(word: str, depth: int, n: int) -> Portrait:
     if depth == 0:
@@ -311,31 +321,6 @@ def schreier_generators(
 def vertex_image(vertex: automorphism.Vertex, word: str) -> automorphism.Vertex:
     """Image of a vertex, a tuple of digits 1..3, under a word."""
     return automorphism.apply(evaluate(word, len(vertex)), vertex)
-
-
-def schreier_stab1_generators() -> tuple[str, ...]:
-    """Words generating the first-level stabilizer.
-
-    Two Reidemeister-Schreier stages: first the stabilizer of vertex 1 with
-    transversal {empty, c, b}, then within it the stabilizer of vertex 2 with
-    transversal {empty, a}. Fixing two of the three first-level vertices
-    fixes the third, so the result stabilizes the whole level.
-    """
-    stage1, _ = schreier_generators(
-        list(ALPHABET),
-        vertex_image,
-        points=[(1,), (2,), (3,)],
-        base_point=(1,),
-        transversal={(1,): "", (2,): "c", (3,): "b"},
-    )
-    stage2, _ = schreier_generators(
-        stage1,
-        vertex_image,
-        points=[(2,), (3,)],
-        base_point=(2,),
-        transversal={(2,): "", (3,): "a"},
-    )
-    return tuple(stage2)
 
 
 def parity_kernel_words() -> tuple[str, ...]:

@@ -16,8 +16,11 @@ They also hold the chain routines that only tests use: the derived subgroup
 as the normal closure of the commutators of the generators, which needs no
 words for Gamma'; pointwise stabilizers, from the strong generators behind
 a forced base prefix, run afresh through Schreier-Sims; the strong
-generators of a chain level; subgroup equality; triviality; and direct
-powers, block by block, of which the Rist(n) image is one.
+generators of a chain level; subgroup equality; triviality; direct
+powers, block by block, of which the Rist(n) image is one; and a vertex's
+section as the group of its stabilizer words' states, whose chain gives
+the order that the package reads off the branch recursion once those
+states include a, b and c.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Sequence
 
-from hanoikernel import analysis, branch, permgroup
+from hanoikernel import analysis, branch, permgroup, words
+from hanoikernel.automorphism import leaf_permutation, state_at
 from hanoikernel.errors import DepthError, NotASubgroupError, ShapeError
 from hanoikernel.perm import Perm
 from hanoikernel.permgroup import PermGroup
@@ -244,3 +248,19 @@ def chain_elementary_abelian_quotient(
     closure of the commutators of G_k's generators, k = N - n."""
     inner = derived_subgroup(analysis.build_quotient(quotient.depth - n, slow=True).group)
     return rist_in_stab(quotient, n, rist) and rist.order() == inner.order() ** (3**n)
+
+
+def vertex_section(vertex: tuple[int, ...], depth: int) -> PermGroup:
+    """The states at the vertex of the elements of G_depth that fix it, as
+    permutations of its leaves: taking the state is a homomorphism on the
+    vertex's stabilizer in G, so the states of Reidemeister-Schreier words
+    for that stabilizer generate them."""
+    stabilizer_words, _ = words.schreier_generators(
+        list(words.ALPHABET), words.vertex_image, (), vertex
+    )
+    below = depth - len(vertex)
+    states = [
+        leaf_permutation(state_at(words.evaluate(w, depth), vertex), below)
+        for w in stabilizer_words
+    ]
+    return PermGroup(3**below, states)

@@ -286,7 +286,6 @@ def test_optional_depth6_quotient():
     verdict(1, ok, "|G_6| = 2^243 * 3^364 with degree-729 stabilizer chains")
 
 
-@pytest.mark.slow
 def test_optional_depth6_self_replication():
     report = analysis.verify_lemma("transrec", 6, slow=True)
     ok = (

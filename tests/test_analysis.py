@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from hanoikernel import analysis, branch, f2, permgroup
+from hanoikernel import analysis, automorphism, branch, f2, permgroup, words
 from hanoikernel.perm import Perm
 from hanoikernel.errors import (
     DepthError,
@@ -220,6 +222,45 @@ def test_ristquot_flag_reads_the_factor(monkeypatch, cycles, flag):
     report = analysis.verify_lemma("ristquot", depth=2)
     assert report.computed["n=1"]["elementary_abelian_3"] is flag
     assert not report.passed
+
+
+@pytest.mark.parametrize(
+    "depth, vertex, letter", [(2, (1,), "c"), (3, (2,), "b"), (4, (3, 1), "a")]
+)
+def test_transrec_fails_when_a_vertex_state_lacks_a_letter(monkeypatch, depth, vertex, letter):
+    """A vertex whose stabilizer words' states miss a generator reports null
+    for its order, and transrec fails; every other vertex keeps |G_k|."""
+    real = words.state_word
+
+    def fake(word, v):
+        state = real(word, v)
+        return "" if v == vertex and state == letter else state
+
+    monkeypatch.setattr(words, "state_word", fake)
+    report = analysis.verify_lemma("transrec", depth=depth)
+    assert not report.passed
+    key = f"level_{len(vertex)}"
+    index = list(automorphism.level_vertices(len(vertex))).index(vertex)
+    orders = json.loads(json.dumps(report.to_json_dict()))["computed"][key]["orders"]
+    assert orders[index] is None
+    expected = report.expected[key]["orders"]
+    assert orders[:index] + orders[index + 1 :] == expected[:index] + expected[index + 1 :]
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4, 5, 6])
+def test_transrec_builds_no_group(monkeypatch, depth):
+    """transrec reads each section off word states: with the chain class,
+    the group class and leaf permutations all raising, it still passes, and
+    analysis has no portrait state to take."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("transrec built a group, a chain or a leaf permutation")
+
+    monkeypatch.setattr(permgroup, "_Chain", refuse)
+    monkeypatch.setattr(permgroup.PermGroup, "__init__", refuse)
+    monkeypatch.setattr(analysis, "leaf_permutation", refuse)
+    monkeypatch.setattr(automorphism, "leaf_permutation", refuse)
+    assert analysis.verify_lemma("transrec", depth, slow=True).passed
+    assert not hasattr(analysis, "state_at")
 
 
 def test_gamma1_and_seed_orders():

@@ -5,13 +5,14 @@ the level-n blocks, whose members are checked block by block against the
 chain of G'_k. The level stabilizers of the test oracles (_chain_oracles)
 are generated by the strong generators behind the level's vertices, forced
 to the front of a chain's base; each is checked against its order
-|G_N| / |G_n| and against sifting into G_N. A vertex's section, the group
-its stabilizer induces on its subtree, comes from the states of
-Reidemeister-Schreier words; it is checked against the stabilizer
-in G_N found by a chain with the vertex as first base. All three are checked
-at depth 2 against brute-force enumeration. The package reads Q(n,N) off
-the branch orders, which is checked against the same formula on chain
-orders and against the index of Rist(n) in the oracle's Stab(n)."""
+|G_N| / |G_n| and against sifting into G_N. The oracle's section of a
+vertex, the group its stabilizer induces on its subtree, is generated by
+the states of Reidemeister-Schreier words; it is checked against the
+stabilizer in G_N found by a chain with the vertex as first base, and its
+order against the one transrec reads off the branch recursion. All three
+are checked at depth 2 against brute-force enumeration. The package reads
+Q(n,N) off the branch orders, which is checked against the same formula on
+chain orders and against the index of Rist(n) in the oracle's Stab(n)."""
 
 import itertools
 import random
@@ -153,7 +154,22 @@ def test_vertex_stabilizers_match_fresh_chain(depth, n):
             list(words.ALPHABET), words.vertex_image, (), vertex
         )
         assert all(_brute.act_word(w, vertex) == vertex for w in stabilizer_words)
-        assert oracles.same_subgroup_as(analysis._vertex_section(vertex, depth), expected)
+        assert oracles.same_subgroup_as(oracles.vertex_section(vertex, depth), expected)
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4])
+def test_transrec_orders_match_section_chains(depth):
+    """transrec reads each section's order off the branch recursion once
+    the states include a, b and c; the chain of the oracle's section, the
+    group of those states' leaf permutations, has the same order at every
+    vertex it visits."""
+    report = analysis.verify_lemma("transrec", depth=depth)
+    assert report.passed
+    for level in range(1, min(3, depth)):
+        vertices = list(am.level_vertices(level))
+        assert report.computed[f"level_{level}"]["orders"] == [
+            oracles.vertex_section(vertex, depth).order() for vertex in vertices
+        ]
 
 
 @pytest.mark.parametrize("depth", [2, 3, 4])
@@ -234,4 +250,4 @@ def test_vertex_stabilizers_depth2_match_enumeration(n):
             for e in elements
             if e[index * size] // size == index
         }
-        assert_same_set(analysis._vertex_section(vertex, 2), members, others)
+        assert_same_set(oracles.vertex_section(vertex, 2), members, others)

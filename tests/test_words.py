@@ -99,6 +99,34 @@ def test_word_states_reconstructs_evaluation():
         assert rebuilt == words.evaluate(w, 4)
 
 
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_state_word_matches_state_at(depth):
+    """For every Reidemeister-Schreier word of every vertex stabilizer, the
+    state word at the vertex is reduced and evaluates to the portrait's
+    state there."""
+    for level in range(1, depth + 1):
+        for vertex in am.level_vertices(level):
+            stabilizer_words, _ = words.schreier_generators(
+                list(words.ALPHABET), words.vertex_image, (), vertex
+            )
+            for w in stabilizer_words:
+                state = words.state_word(w, vertex)
+                assert state == words.free_reduce(state)
+                assert words.evaluate(state, depth - level) == am.state_at(
+                    words.evaluate(w, depth), vertex
+                )
+
+
+def test_state_word_edge_cases():
+    assert words.state_word("abba", ()) == ""
+    assert words.state_word("a", (1, 1, 1)) == "a"
+    assert words.state_word("a", (2,)) == ""
+    with pytest.raises(ShapeError):
+        words.state_word("a", (4,))
+    with pytest.raises(ValueError):
+        words.state_word("ad", (1,))
+
+
 def test_tau():
     assert words.tau("b") == "cbc"
     assert words.tau("") == ""
@@ -203,8 +231,33 @@ def test_parity_kernel_words_have_zero_letter_parity():
         assert words.parity_vector(w) == (0, 0, 0)
 
 
+def schreier_stab1_generators() -> tuple[str, ...]:
+    """Words generating the first-level stabilizer.
+
+    Two Reidemeister-Schreier stages: first the stabilizer of vertex 1 with
+    transversal {empty, c, b}, then within it the stabilizer of vertex 2 with
+    transversal {empty, a}. Fixing two of the three first-level vertices
+    fixes the third, so the result stabilizes the whole level.
+    """
+    stage1, _ = words.schreier_generators(
+        list(words.ALPHABET),
+        words.vertex_image,
+        points=[(1,), (2,), (3,)],
+        base_point=(1,),
+        transversal={(1,): "", (2,): "c", (3,): "b"},
+    )
+    stage2, _ = words.schreier_generators(
+        stage1,
+        words.vertex_image,
+        points=[(2,), (3,)],
+        base_point=(2,),
+        transversal={(2,): "", (3,): "a"},
+    )
+    return tuple(stage2)
+
+
 def test_schreier_stab1_generators_fix_level_one():
-    for w in words.schreier_stab1_generators():
+    for w in schreier_stab1_generators():
         _, root = words.word_states(w)
         assert root.is_identity()
 
@@ -218,7 +271,7 @@ def test_schreier_generators_match_known_set_semantically(depth):
         gens = [leaf_permutation(words.evaluate(w, depth), depth) for w in word_set]
         return permgroup.PermGroup(degree, gens)
 
-    ours = image(words.schreier_stab1_generators())
+    ours = image(schreier_stab1_generators())
     known = image(words.LEVEL1_STABILIZER_WORDS)
     assert oracles.same_subgroup_as(ours, known)
     # both give the index-6 level stabilizer
