@@ -10,11 +10,13 @@ orbit inside the level-k stabilizer stays in one block of 3^(N-k) leaves,
 where a leaf-only base starts with an orbit of all 3^N leaves. That halves
 the chain-build time of G_5 and G_6. A sift pays for it: sifting a member
 of G_5 takes about 53 products against 25 through a leaf-only chain, and
-about 21 against 13 us, while the build takes 23 against 40 ms (the 1000
-members among 2000 seeded sift-d5 queries, in-process, 2-vCPU VM; the
-host's speed varied twofold between runs, the ratios less). The build
-saving outweighs the sifts up to about 2200-3700 member sifts per chain,
-more than the 1000 of the sift-d5 benchmark, so the prefix is kept.
+about 23-32 against 15-19 us, while the build takes 17-22 against 34-44 ms
+(the 1000 members among 2000 seeded sift-d5 queries, in-process, each
+round building and sifting through both chains, 2-vCPU VM; the host's
+speed varied between runs, the ratios less). The build saving outweighs
+the sifts up to about 1200-3000 member sifts per chain (the interquartile
+range over 42 rounds), more than the 1000 of the sift-d5 benchmark, so the
+prefix is kept.
 
 A chain stores its permutations in an encoding chosen from its degree, so
 that a product is one C call. Up to degree 256 an element is a bytes object
@@ -32,15 +34,35 @@ the next level too, and it sifts to the identity there (_Chain._drain has
 the proof). The chain is the same with or without the skip; in the depth-5
 kernel report it removes about nine in ten sifts. The pair of a level's
 base and a new strong generator that fixes it always forms that generator,
-so _adjoin does not queue it and counts it as formed and skipped. A chain
-that would need more levels than its degree allows raises AssertionError:
-only broken invariants get there, and without the check they loop forever.
+so _adjoin does not queue it and counts it as formed and skipped.
+
+A level settles all of a new strong generator's pairs at once when the
+generator moves none of the points its transversal elements move; each
+level keeps those points as one int (_support). Let _adjoin(h, lo, hi) put h
+on a level l < hi, so that h fixes the level's base, and let h miss them.
+The transversal element u_pt maps the base to pt, so for pt other than the
+base it moves pt; so h fixes every orbit point and the orbit cannot grow.
+h and u_pt move disjoint sets of points, so they commute, and the pair
+(pt, h) forms u_pt h u_pt^-1 = h, the generator that _drain skips. So
+_adjoin counts each of the level's pairs with h as formed and skipped, as
+it does the base pair, queues none of them and leaves the orbit as it is;
+the chain and its counters stay the same. At a vertex base, u_pt maps the
+base's leaves onto pt's, so it moves all of them, and h fixes the vertex pt
+leaf by leaf. A level at hi is never settled: h moves its base. In the G_5
+build the levels settle 8,808 of the 12,676 pairs formed (`settled` in the
+build log line).
+
+A chain that would need more levels than its degree allows raises
+AssertionError: only broken invariants get there, and without the check
+they loop forever.
 """
 
 from __future__ import annotations
 
 import logging
+import sys
 from collections import deque
+from functools import partial
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -69,6 +91,37 @@ def _mult_tuples(p: _Tuple, q: _Tuple) -> _Tuple:
     return itemgetter(*p)(q)
 
 
+def _support(identity: _Elem) -> Callable[[_Elem], int]:
+    """The function giving the points an element of the identity's encoding
+    moves, as an int with one lane of bits per point and the lane's low bit
+    set where the element moves it. A lane is a byte of a bytes element and
+    an item of a tuple's array("I") form, read in the machine's byte order.
+    XOR with the identity leaves a lane nonzero exactly where the element
+    moves the point, and the shifts fold each lane down to its low bit,
+    which the mask keeps. Two elements of one chain move a common point
+    exactly when their ints share a bit."""
+    if type(identity) is bytes:
+        encode = bytes
+    else:
+        # array is loaded from a shared library; only tuple chains need it
+        from array import array
+
+        encode = partial(array, "I")
+    ones = encode([1] * len(identity))
+    lane = 8 * memoryview(ones).itemsize
+    shifts = [lane >> k for k in range(1, lane.bit_length())]
+    fixed = int.from_bytes(encode(identity), sys.byteorder)
+    low = int.from_bytes(ones, sys.byteorder)
+
+    def moved(p: _Elem) -> int:
+        x = int.from_bytes(encode(p), sys.byteorder) ^ fixed
+        for shift in shifts:
+            x |= x >> shift
+        return x & low
+
+    return moved
+
+
 def _inv(p: _Elem) -> _Elem:
     if type(p) is bytes:
         # the table that maps p[i] to i; p is padded, so it is all of it
@@ -80,7 +133,9 @@ def _inv(p: _Elem) -> _Elem:
 
 
 class _Level:
-    __slots__ = ("base", "size", "gens", "transversal", "inverse_transversal")
+    __slots__ = (
+        "base", "size", "gens", "transversal", "inverse_transversal", "moved"
+    )
 
     def __init__(self, base: int, identity: _Elem, size: int = 1):
         # the base is vertex `base` of `size` leaves; a leaf has size 1, and
@@ -94,6 +149,9 @@ class _Level:
         # one keeps the inverses, which sift reads, and drops it (_finish).
         self.transversal: dict[int, _Elem] | None = {base: identity}
         self.inverse_transversal: dict[int, _Elem] = {base: identity}
+        # the points the transversal elements move, as _support gives them;
+        # a growing chain reads it, and _finish drops it
+        self.moved: int | None = 0
 
 
 class _Chain:
@@ -123,8 +181,9 @@ class _Chain:
     """
 
     # Schreier generators formed, skipped as equal to their generator and
-    # sifted, and strong generators adjoined; read by the build log line
-    formed = skipped = sifted = adjoined = 0
+    # sifted, strong generators adjoined, and the formed and skipped pairs
+    # that a level settled as a whole (_adjoin); read by the build log line
+    formed = skipped = sifted = adjoined = settled = 0
 
     def __init__(
         self, degree: int, forced_base: Sequence[int] = (), block_size: int = 1
@@ -135,6 +194,7 @@ class _Chain:
         self.mult: Callable[[_Elem, _Elem], _Elem] = (
             bytes.translate if degree <= _BYTES_MAX else _mult_tuples
         )
+        self.support = _support(self.identity)
         self.levels: list[_Level] = []
         self._pending: list[deque] = []
         self.block_size = block_size
@@ -218,7 +278,7 @@ class _Chain:
         """Drop the forward transversals and keep the member steps; no
         generator is added after this."""
         for level in self.levels:
-            level.transversal = None
+            level.transversal = level.moved = None
         forced = [s for s in self._forced_steps if len(s[2]) > 1]
         leaves = [s for s in self._leaf_steps if len(s[1]) > 1]
         self._member_steps = (forced, leaves)
@@ -245,6 +305,7 @@ class _Chain:
         stabilizer set from lo down to hi.
         """
         self.adjoined += 1
+        moved = self.support(h)
         if hi == len(self.levels):
             # h fixes every base, so the point it first moves is a new one:
             # a chain has at most `degree` bases besides the forced ones. A
@@ -259,6 +320,14 @@ class _Chain:
         for l in range(lo, hi + 1):
             level = self.levels[l]
             level.gens.append(h)
+            if l < hi and not moved & level.moved:
+                # h moves no point a transversal element moves, so each pair
+                # (pt, h) forms h and the orbit stays (module docstring)
+                pairs = len(level.transversal)
+                self.formed += pairs
+                self.skipped += pairs
+                self.settled += pairs
+                continue
             old_points = list(level.transversal)
             new_points = self._extend_orbit(level, h)
             queue = self._pending[l]
@@ -324,7 +393,7 @@ class _Chain:
     def _extend_orbit(self, level: _Level, gen: _Elem) -> list[int]:
         """Grow the orbit with one extra generator; returns new points."""
         new_points: list[int] = []
-        size, mult = level.size, self.mult
+        size, mult, support = level.size, self.mult, self.support
         # The old orbit was closed under the old generators, so it suffices
         # to push the new generator across it and then close from new points.
         for point in list(level.transversal):
@@ -333,6 +402,7 @@ class _Chain:
                 t = mult(level.transversal[point], gen)
                 level.transversal[image] = t
                 level.inverse_transversal[image] = _inv(t)
+                level.moved |= support(t)
                 new_points.append(image)
         queue = list(new_points)
         while queue:
@@ -344,6 +414,7 @@ class _Chain:
                     t = mult(u, g)
                     level.transversal[image] = t
                     level.inverse_transversal[image] = _inv(t)
+                    level.moved |= support(t)
                     new_points.append(image)
                     queue.append(image)
         return new_points
@@ -425,10 +496,11 @@ def _build_chain(
     if logger.isEnabledFor(logging.INFO):
         logger.info(
             "built chain: degree=%d gens=%d order=%d levels=%d forced=%d"
-            " member_levels=%d schreier=%d skipped=%d sifted=%d strong=%d",
+            " member_levels=%d schreier=%d skipped=%d sifted=%d strong=%d"
+            " settled=%d",
             chain.degree, len(generators), chain.order(), len(chain.levels),
             chain.forced, chain.member_levels, chain.formed,
-            chain.skipped, chain.sifted, chain.adjoined,
+            chain.skipped, chain.sifted, chain.adjoined, chain.settled,
         )
     return chain, enlarging
 

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import os
 import random
 import subprocess
@@ -725,27 +727,113 @@ def forced_prefixes(depth):
             yield [0], size
 
 
+def assert_skips_leave_the_chain_unchanged(degree, gens, bases=(), size=1):
+    """The chain, with the skips and the settled levels, against the
+    UnskippedChain oracle; returns it."""
+    chains = []
+    for cls in (pg._Chain, UnskippedChain):
+        chain = cls(degree, bases, size)
+        for g in gens:
+            chain.add_generator(g.images)
+        chains.append(chain)
+    fast, oracle = chains
+    assert chain_snapshot(fast) == chain_snapshot(oracle)
+    # every skipped generator sifts to the identity from level l + 1
+    assert oracle.equal_to_s == [True] * fast.skipped
+    # the skipped and the settled pairs count as formed, so the build log
+    # is unchanged
+    assert fast.formed == oracle.formed
+    assert fast.settled <= fast.skipped
+    # each _adjoin call adds one new strong generator
+    assert fast.adjoined == len({g for level in fast.levels for g in level.gens})
+    # a level's mask holds the points its transversal elements move
+    for level in fast.levels:
+        assert level.moved == functools.reduce(
+            operator.or_, map(fast.support, level.transversal.values())
+        )
+    return fast
+
+
 @pytest.mark.parametrize("depth", [2, 3, 4, 5])
 def test_skipped_schreier_generators_leave_the_chain_unchanged(depth):
     gens = quotient_group(depth).generators
+    settled = 0
     for bases, size in forced_prefixes(depth):
-        chains = []
-        for cls in (pg._Chain, UnskippedChain):
-            chain = cls(3**depth, bases, size)
-            for g in gens:
-                chain.add_generator(g.images)
-            chains.append(chain)
-        fast, oracle = chains
-        assert chain_snapshot(fast) == chain_snapshot(oracle)
+        fast = assert_skips_leave_the_chain_unchanged(3**depth, gens, bases, size)
         assert fast.order() == quotient_order(depth)
-        # every skipped generator sifts to the identity from level l + 1
-        assert oracle.equal_to_s == [True] * fast.skipped
-        # the skipped pairs count as formed, so the build log is unchanged
-        assert fast.formed == oracle.formed
         assert fast.skipped > 0 and fast.sifted > 0
         assert fast.formed > fast.skipped + fast.sifted
-        # each _adjoin call adds one new strong generator
-        assert fast.adjoined == len({g for level in fast.levels for g in level.gens})
+        settled += fast.settled
+    assert settled > 0
+
+
+def clustered_cycles(degree, clusters, rng, bridge):
+    """Two or three seeded cycles of two to four points of each cluster,
+    and with `bridge` a transposition joining the first two clusters: a
+    group that need preserve no tree, with generators whose supports meet
+    inside a cluster and miss across clusters."""
+    gens = [
+        Perm.from_cycles(degree, [[x + 1 for x in rng.sample(c, rng.randint(2, min(4, len(c))))]])
+        for c in clusters
+        for _ in range(rng.randint(2, 3))
+    ]
+    if bridge:
+        swap = Perm.from_cycles(degree, [[rng.choice(c) + 1 for c in clusters[:2]]])
+        gens.insert(rng.randrange(len(gens)), swap)
+    return gens
+
+
+def test_skipped_schreier_generators_of_clustered_cycles():
+    """Eight seeded groups on two clusters of 8 to 12 points, each with a
+    plain chain and one forced at points 0 and 1."""
+    settling = 0
+    for seed in range(8):
+        rng = random.Random(seed)
+        degree = rng.randint(8, 12)
+        points = list(range(degree))
+        rng.shuffle(points)
+        split = rng.randint(3, degree - 3)
+        clusters = [points[:split], points[split:]]
+        gens = clustered_cycles(degree, clusters, rng, seed % 2)
+        for bases in ((), (0, 1)):
+            fast = assert_skips_leave_the_chain_unchanged(degree, gens, bases)
+            settling += fast.settled > 0
+    assert settling >= 12
+
+
+def test_skipped_schreier_generators_of_a_tuple_chain():
+    """Clustered cycles on 14 of 300 points, some past 255: a tuple chain."""
+    rng = random.Random(300)
+    points = rng.sample(range(300), 12) + [256, 299]
+    clusters = [points[:5], points[5:9], points[9:]]
+    fast = assert_skips_leave_the_chain_unchanged(
+        300, clustered_cycles(300, clusters, rng, True)
+    )
+    assert type(fast.identity) is tuple
+    assert fast.settled > 0 and fast.sifted > 0
+
+
+@pytest.mark.parametrize("degree", [3, 243, 256, 257, 729])
+def test_support_masks_meet_exactly_when_the_supports_do(degree):
+    """Cycles on a pool of up to eight points that holds the first and the
+    last, the identity, and one permutation that moves every point."""
+    rng = random.Random(degree)
+    pool = sorted({0, degree - 1, *rng.sample(range(degree), min(degree, 6))})
+    perms = [list(range(degree))]
+    for _ in range(30):
+        images = list(range(degree))
+        cycle = rng.sample(pool, rng.randint(2, min(len(pool), 4)))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a] = b
+        perms.append(images)
+    perms.append(list(range(1, degree)) + [0])
+    support = pg._Chain(degree).support
+    masks = [support(pg._pack(p, degree)) for p in perms]
+    moved = [{i for i, j in enumerate(p) if i != j} for p in perms]
+    for mask, points in zip(masks, moved):
+        assert mask.bit_count() == len(points)
+        for other_mask, other_points in zip(masks, moved):
+            assert (mask & other_mask == 0) == points.isdisjoint(other_points)
 
 
 def test_skipped_schreier_generators_leave_normal_closures_unchanged(monkeypatch):
@@ -906,6 +994,8 @@ def test_member_steps_skip_the_one_point_forced_levels_of_g5(caplog):
     with caplog.at_level("INFO", logger="hanoikernel.permgroup"):
         chain = pg.tree_group(5, quotient_group(5).generators)._get_chain()
     assert "levels=144 forced=9 member_levels=140 " in caplog.text
+    # the masks settle 8,808 of the 12,676 formed pairs as a level's whole
+    assert "schreier=12676 skipped=9542 sifted=2296 strong=183 settled=8808" in caplog.text
     forced = chain.levels[: chain.forced]
     orbits = [len(level.inverse_transversal) for level in forced]
     assert (len(chain.levels), chain.forced, orbits.count(1)) == (144, 9, 4)
