@@ -1,6 +1,6 @@
 """Finite-depth verification pipeline for the Hanoi towers group.
 
-Builds the truncated quotients G_N acting on 3^N leaves, computes level and
+Reads the truncated quotients G_N acting on 3^N leaves and the level and
 rigid stabilizer images inside them, and checks every structural statement
 the rigid-kernel computation rests on. The kernel report assembles the
 inverse-system bookkeeping: Q orders as |G_N| / (|G_n| |Rist(n)|) in the
@@ -22,9 +22,11 @@ leaf permutations of fixed words for Gamma' (words.parity_kernel_words), so
 no normal closure and no chain of G_k is needed. transrec reads each
 vertex's section off the states of its stabilizer's Reidemeister-Schreier
 words: they are words in a, b and c, and once they include all three the
-section is G_k, with no group built. The depth cap is checked where a depth
-enters; everything behind those entry points builds through _quotient and
-_derived_subgroup.
+section is G_k, with no group built. No command builds G_N: transitive takes
+the orbit of leaf 1 under the leaf permutations of a, b and c, with no chain,
+and build_quotient, which makes G_N and its chain, serves the tests and the
+benchmark. The depth cap is checked where a depth enters; everything behind
+those entry points builds through _derived_subgroup.
 """
 
 from __future__ import annotations
@@ -132,13 +134,10 @@ def clear_caches() -> None:
 
 
 def build_quotient(depth: int, slow: bool = False) -> TruncatedQuotient:
-    """The group generated by the leaf permutations of a, b, c at depth N."""
+    """The group generated by the leaf permutations of a, b, c at depth N,
+    with its vertex-prefixed chain (permgroup.tree_group). No command builds
+    it."""
     _require_depth(depth, slow)
-    return _quotient(depth)
-
-
-def _quotient(depth: int) -> TruncatedQuotient:
-    """build_quotient without the depth cap, which the caller has checked."""
     cached = _quotients.get(depth)
     if cached is not None:
         return cached
@@ -154,18 +153,13 @@ def _quotient(depth: int) -> TruncatedQuotient:
     return _quotients.setdefault(depth, quotient)
 
 
-def derived_of_quotient(quotient: TruncatedQuotient) -> PermGroup:
-    """Derived subgroup G'_N of the depth-N quotient. The quotient argument
-    attests that the depth cap was checked."""
-    return _derived_subgroup(quotient.depth)
-
-
 def _derived_subgroup(k: int) -> PermGroup:
     """G'_k, generated by the leaf permutations of the Gamma' words
     (words.parity_kernel_words): those words generate the derived subgroup
     of the free product C2*C2*C2, which maps onto G_k, so their images
     generate G'_k. Its chain is leaf-only, built from the words alone; its
-    order is never read from branch. No chain of G_k is built."""
+    order is never read from branch. No chain of G_k is built. A copy on
+    each level-n block, k = N - n, makes Rist(n) in G_N (_rist_generators)."""
     cached = _derived.get(k)
     if cached is not None:
         return cached
@@ -177,22 +171,14 @@ def _derived_subgroup(k: int) -> PermGroup:
     return _derived.setdefault(k, group)
 
 
-def _rist_factor(depth: int, n: int) -> PermGroup:
-    """G'_k, k = N - n, one copy of which on each level-n subtree makes
-    Rist(n) in G_N: the one source of its generators and its order. The
-    generators are the leaf permutations of words in Gamma', and the order
-    comes from their chain, never from branch."""
-    return _derived_subgroup(depth - n)
-
-
 def _rist_generators(depth: int, n: int) -> Iterator[tuple[int, ...]]:
     """The leaf images of Rist(n)'s generators in G_N: each generator of
-    _rist_factor placed on level-n block v, for v in 0..3^n - 1, and the
+    G'_k, k = N - n, placed on level-n block v, for v in 0..3^n - 1, and the
     identity on every other leaf. No Perm and no group of degree 3^N is
     built for them."""
     size = 3 ** (depth - n)
     identity = tuple(range(3**depth))
-    factor = _rist_factor(depth, n).generators
+    factor = _derived_subgroup(depth - n).generators
     for v in range(3**n):
         start, stop = v * size, (v + 1) * size
         for g in factor:
@@ -204,7 +190,7 @@ def _rist_order(depth: int, n: int) -> int:
     of G'_k. The 3^n copies of G'_k act on disjoint blocks of leaves, so
     they commute and meet trivially, and the group they generate is their
     direct product."""
-    return _rist_factor(depth, n).order() ** 3**n
+    return _derived_subgroup(depth - n).order() ** 3**n
 
 
 def q_order(depth: int, n: int, slow: bool = False) -> int:
@@ -374,16 +360,19 @@ def _elementary_abelian_quotient(depth: int, n: int) -> bool:
     homomorphically into (G_k)^(3^n): the states of a, b and c are a, b, c
     or trivial (selfsim), so the states of an element of G_N lie in G_k.
     Follow it with G_k -> G_k/G'_k on each factor. G_k is generated by
-    involutions (_quotient checks that), so G_k/G'_k is elementary abelian
-    2, and the image of Stab(n) is too. The kernel is the intersection of
-    Stab(n) with (G'_k)^(3^n), so its order is at most |G'_k|^(3^n).
-    Rist(n) is (G'_k)^(3^n) on the level-n blocks (_rist_generators). G'_k
-    is generated by the leaf permutations of words in Gamma'
-    (_rist_factor), and its order comes from their chain (_rist_order).
-    Once the copies of its generators fix level n and lie in G_N, Rist(n)
-    lies in that kernel, and when that chain's order is |G'_k| from the
-    branch recursion, it is the kernel. Then Q(n,N) embeds in an
-    elementary abelian 2-group. The flag stays
+    involutions: a letter x is (x, 1, 1) sigma up to coordinate order, with
+    sigma a transposition fixing x's coordinate, so x^2 = (x^2, 1, 1) up to
+    that order, and by induction x is an involution at every depth (the
+    relators a^2, b^2 and c^2 square the letters' portraits to check it,
+    words.check_relator). So G_k/G'_k is elementary abelian 2, and the image
+    of Stab(n) is too. The kernel is the intersection of Stab(n) with
+    (G'_k)^(3^n), so its order is at most |G'_k|^(3^n). Rist(n) is
+    (G'_k)^(3^n) on the level-n blocks (_rist_generators). G'_k is generated
+    by the leaf permutations of words in Gamma' (_derived_subgroup), and its
+    order comes from their chain. Once the copies of its generators fix
+    level n and lie in G_N, Rist(n) lies in that kernel, and when that
+    chain's order is |G'_k| from the branch recursion, it is the kernel.
+    Then Q(n,N) embeds in an elementary abelian 2-group. The flag stays
     independent of branch: reading |Rist(n)| from the branch recursion
     instead would make the order check a tautology.
     """
@@ -391,8 +380,12 @@ def _elementary_abelian_quotient(depth: int, n: int) -> bool:
 
 
 def _rist_is_kernel(depth: int, n: int) -> bool:
-    """The order half of _elementary_abelian_quotient."""
-    return _rist_order(depth, n) == branch.orders(depth - n)[1] ** (3**n)
+    """The order half of _elementary_abelian_quotient: |Rist(n)| is
+    |G'_k|^(3^n), k = N - n (_rist_order), so it is the kernel's order
+    exactly when the chain of G'_k has the order |G'_k| of the branch
+    recursion."""
+    k = depth - n
+    return _derived_subgroup(k).order() == branch.orders(k)[1]
 
 
 def kernel_report(n_max: int = 2, depth_budget: int = 4, slow: bool = False) -> KernelReport:
@@ -500,7 +493,13 @@ def _check_selfsim(depth: int) -> LemmaReport:
 
 
 def _check_transitive(depth: int) -> LemmaReport:
-    orbit = _quotient(depth).group.orbit(1)
+    """The orbit of leaf 1 under the leaf permutations of a, b and c at
+    depth N; an orbit needs no chain, so none is built."""
+    letters = [
+        leaf_permutation(words.evaluate(letter, depth), depth)
+        for letter in words.ALPHABET
+    ]
+    orbit = PermGroup(3**depth, letters).orbit(1)
     computed = {"orbit_size": len(orbit)}
     expected = {"orbit_size": 3**depth}
     return LemmaReport(
@@ -640,7 +639,7 @@ def _check_ristquot(depth: int) -> LemmaReport:
     for n in range(1, depth):
         computed[f"n={n}"] = {
             "order": _rist_order(n + 1, n),
-            "elementary_abelian_3": permgroup.is_elementary_abelian(_rist_factor(n + 1, n), 3),
+            "elementary_abelian_3": permgroup.is_elementary_abelian(_derived_subgroup(1), 3),
         }
         expected[f"n={n}"] = {"order": 3 ** (3**n), "elementary_abelian_3": True}
     return LemmaReport("ristquot", depth, computed, expected, computed == expected)

@@ -23,10 +23,9 @@ that a product is one C call. Up to degree 256 an element is a bytes object
 padded with fixed points to length 256, and p then q is p.translate(q);
 above 256 it is a tuple, and p then q is operator.itemgetter(*p)(q). Both
 are sequences of ints, so the algorithm reads them alike. Perm images are
-packed where they enter a chain and unpacked, sliced to the degree, where
-chain data leaves as a Perm; the encoding never leaves this module. A bytes
-element is inverted by bytes.maketrans(p, identity), one C call; a tuple by
-a Python loop, which beat sorted, map and itemgetter at degree 729.
+packed where they enter a chain, and the encoding never leaves this module.
+A bytes element is inverted by bytes.maketrans(p, identity), one C call; a
+tuple by a Python loop, which beat sorted, map and itemgetter at degree 729.
 
 Schreier-Sims skips the sift of a Schreier generator that equals its strong
 generator s: s then fixes the level's base, so it is a strong generator of
@@ -206,9 +205,6 @@ class _Chain:
         self.forced = len(forced_base)
         for b in forced_base:
             self._new_level(b, block_size)
-
-    def unpack(self, p: _Elem) -> _Tuple:
-        return tuple(p[: self.degree])
 
     def order(self) -> int:
         n = 1
@@ -428,7 +424,6 @@ class PermGroup:
         degree: int,
         generators: Iterable[Perm] = (),
         _chain: "_Chain | None" = None,
-        _make_chain: "Callable[[], _Chain] | None" = None,
     ):
         gens: list[Perm] = []
         seen: set[_Tuple] = set()
@@ -441,18 +436,15 @@ class PermGroup:
             gens.append(g)
         self.degree = degree
         self.generators = tuple(gens)
-        # a finished chain, or else a function that makes one on first use;
-        # with neither, Schreier-Sims runs on the generators. Two threads
-        # may both build it; either chain is correct, and one is kept.
+        # a finished chain, or else Schreier-Sims runs on the generators on
+        # first use. Two threads may both build it; either chain is correct,
+        # and one is kept.
         self._chain = _chain
-        self._make_chain = _make_chain
 
     # -- chain -------------------------------------------------------------
 
     def _get_chain(self) -> _Chain:
-        if self._chain is None and self._make_chain is not None:
-            self._chain = self._make_chain()
-        elif self._chain is None:
+        if self._chain is None:
             self._chain, _ = _build_chain(_Chain(self.degree), self.generators)
         return self._chain
 
@@ -549,17 +541,15 @@ def _check_blocks(group: PermGroup, size: int) -> None:
 
 def tree_group(depth: int, generators: Iterable[Perm]) -> PermGroup:
     """A group of automorphisms of the depth-N ternary tree on its 3**N
-    lex-indexed leaves, whose chain, made on first use, starts with the
+    lex-indexed leaves, with its chain built now, starting with the
     level-(N // 2) vertices (module docstring). Raises InvalidBlocksError
     unless every generator maps those vertices to vertices."""
     level = depth // 2
     size = 3 ** (depth - level)
+    group = PermGroup(3**depth, generators)
+    _check_blocks(group, size)
     # level 0 is the root alone, which every permutation fixes
     bases = range(3**level) if level else ()
-    def make() -> _Chain:
-        return _build_chain(_Chain(3**depth, bases, size), group.generators)[0]
-
-    group = PermGroup(3**depth, generators, _make_chain=make)
-    _check_blocks(group, size)
+    group._chain, _ = _build_chain(_Chain(3**depth, bases, size), group.generators)
     return group
 

@@ -224,7 +224,15 @@ def beta(word: str) -> str:
 
 
 def check_relator(word: str, depth: int, n: int = 0) -> bool:
-    """True iff tau^n(word) evaluates to the identity at the given depth."""
+    """True iff tau^n(word) evaluates to the identity at the given depth.
+
+    Evaluation reduces freely, which takes each letter to be an involution,
+    so it would read a letter's square as the identity whatever the letter
+    is. An involution relator xx is checked by composing x's portrait with
+    itself instead."""
+    if word in INVOLUTION_RELATORS:
+        letter = evaluate(word[0], depth, n)
+        return automorphism.compose(letter, letter).is_identity()
     return evaluate(word, depth, n).is_identity()
 
 

@@ -16,11 +16,11 @@ They also hold the chain routines that only tests use: the derived subgroup
 as the normal closure of the commutators of the generators, which needs no
 words for Gamma'; pointwise stabilizers, from the strong generators behind
 a forced base prefix, run afresh through Schreier-Sims; the strong
-generators of a chain level; subgroup equality; triviality; direct
-powers, block by block, of which the Rist(n) image is one; and a vertex's
-section as the group of its stabilizer words' states, whose chain gives
-the order that the package reads off the branch recursion once those
-states include a, b and c.
+generators of a chain level and the images of a chain element; subgroup
+equality; triviality; direct powers, block by block, of which the Rist(n)
+image is one; and a vertex's section as the group of its stabilizer words'
+states, whose chain gives the order that the package reads off the branch
+recursion once those states include a, b and c.
 """
 
 from __future__ import annotations
@@ -40,13 +40,19 @@ def is_trivial(group: PermGroup) -> bool:
     return not group.generators
 
 
+def unpack(chain: permgroup._Chain, p) -> tuple[int, ...]:
+    """A chain element's images, sliced to the chain's degree: an element
+    of a chain of degree up to 256 is padded bytes."""
+    return tuple(p[: chain.degree])
+
+
 def strong_generators(chain: permgroup._Chain, start: int = 0) -> list[tuple[int, ...]]:
     """Image tuples of the generators of the pointwise stabilizer of the
     chain's first `start` bases: levels[start].gens is exactly the strong
     generators fixing the bases of all shallower levels."""
     if start >= len(chain.levels):
         return []
-    return [chain.unpack(g) for g in chain.levels[start].gens]
+    return [unpack(chain, g) for g in chain.levels[start].gens]
 
 
 def same_subgroup_as(group: PermGroup, other: PermGroup) -> bool:
@@ -166,9 +172,9 @@ def direct_power(group: PermGroup, count: int) -> PermGroup:
 
 def rist_image(depth: int, n: int) -> PermGroup:
     """The image of Rist(n) in G_N: a copy of the package's G'_k, k = N - n
-    (analysis._rist_factor), on each level-n block. Its order is read off a
-    fresh chain at degree 3^N."""
-    return direct_power(analysis._rist_factor(depth, n), 3**n)
+    (analysis._derived_subgroup), on each level-n block. Its order is read
+    off a fresh chain at degree 3^N."""
+    return direct_power(analysis._derived_subgroup(depth - n), 3**n)
 
 
 def stab(quotient: analysis.TruncatedQuotient, n: int) -> PermGroup:

@@ -238,7 +238,6 @@ def test_criterion_9_property_suites():
     verdict(9, True, f"{cases} randomized property cases, fixed seed, all pass")
 
 
-@pytest.mark.slow
 def test_optional_q_table_level_3():
     values = {
         (4, 3): analysis.q_order(4, 3),
@@ -248,7 +247,6 @@ def test_optional_q_table_level_3():
     verdict(4, ok, f"slow q rows {sorted(values.items())}")
 
 
-@pytest.mark.slow
 def test_optional_kernel_report_three_rows():
     report = analysis.kernel_report(n_max=3, depth_budget=5, slow=True)
     row = report.rows[-1]

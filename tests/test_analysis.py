@@ -100,7 +100,7 @@ def test_rist_generators_match_oracle_blocks(depth):
     for n in range(1, depth):
         images = list(analysis._rist_generators(depth, n))
         oracle = {g.images for g in oracles.rist_image(depth, n).generators}
-        factor = analysis._rist_factor(depth, n).generators
+        factor = analysis._derived_subgroup(depth - n).generators
         assert len(images) == len(oracle) == 3**n * len(factor)
         assert set(images) == oracle
 
@@ -123,39 +123,74 @@ def test_derived_quotient_orders():
     # index 2 at every depth: letter parities die in the truncations
     for depth in (1, 2, 3):
         q = analysis.build_quotient(depth)
-        d = analysis.derived_of_quotient(q)
-        assert q.group.order() == 2 * d.order()
+        assert q.group.order() == 2 * analysis._derived_subgroup(depth).order()
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_derived_of_quotient_matches_normal_closure(k):
     """G'_k from the Gamma' words is the normal closure of the commutators
     of G_k's generators, and has the order of the branch recursion."""
     quotient = analysis.build_quotient(k, slow=True)
-    derived = analysis.derived_of_quotient(quotient)
+    derived = analysis._derived_subgroup(k)
     assert oracles.same_subgroup_as(derived, oracles.derived_subgroup(quotient.group))
     assert derived.order() == branch.orders(k)[1]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_derived_generators_each_enlarge_the_group(k):
-    gens = analysis.derived_of_quotient(analysis.build_quotient(k)).generators
+    gens = analysis._derived_subgroup(k).generators
     assert gens
     for i, g in enumerate(gens):
         assert not permgroup.PermGroup(3**k, gens[:i]).contains(g)
 
 
-def test_no_command_builds_a_chain_of_g_k():
-    """The kernel report and every lemma read G_N through branch and G'_k
-    through the Gamma' words, so no chain of a quotient G_k is built."""
+def test_no_command_builds_a_chain_of_g_k(monkeypatch):
+    """The kernel report and every lemma read G_N through branch, G'_k
+    through the Gamma' words and the leaf orbit through the letters' leaf
+    permutations, so no quotient G_k is built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command built a truncated quotient")
+
+    monkeypatch.setattr(permgroup, "tree_group", refuse)
+    monkeypatch.setattr(permgroup, "_check_blocks", refuse)
     analysis.clear_caches()
     analysis.kernel_report(3, 5, slow=True)
-    for lemma in analysis.LEMMA_IDS:
-        assert analysis.verify_lemma(lemma, depth=4).passed
-    # G'_k needs no quotient G_k; only transitive builds G_4, for its orbit
-    assert set(analysis._quotients) == {4}
-    for quotient in analysis._quotients.values():
-        assert quotient.group._chain is None
+    for depth in (4, 6):
+        for lemma in analysis.LEMMA_IDS:
+            assert analysis.verify_lemma(lemma, depth, slow=True).passed
+    assert not analysis._quotients
+
+
+@pytest.mark.parametrize("letters, passed", [
+    ("a", False), ("b", False), ("c", False), ("ab", True), ("ac", True), ("bc", True),
+])
+def test_transitive_reads_every_letter(monkeypatch, letters, passed):
+    """Any two of a, b and c are transitive on the leaves at depths 2-4, so
+    only a letter alone shows that the orbit reads the letters it is given:
+    a fixes leaf 1, and b and c each move it to one other leaf."""
+    monkeypatch.setattr(words, "ALPHABET", letters)
+    for depth in (2, 3, 4):
+        report = analysis.verify_lemma("transitive", depth=depth)
+        assert report.passed is passed
+        if len(letters) == 1:
+            assert report.computed["orbit_size"] == (1 if letters == "a" else 2)
+
+
+def test_transitive_fails_on_the_leaves_of_the_level_above(monkeypatch):
+    """Letters that act as at depth N - 1, on the first 3^(N-1) leaves, and
+    fix the others reach only those leaves, and transitive fails."""
+    real = analysis.leaf_permutation
+
+    def fake(portrait, depth):
+        images = real(portrait, depth).images
+        size = 3 ** (depth - 1)
+        return Perm([images[3 * v] // 3 for v in range(size)] + list(range(size, 3**depth)))
+
+    monkeypatch.setattr(analysis, "leaf_permutation", fake)
+    for depth in (2, 3, 4):
+        report = analysis.verify_lemma("transitive", depth=depth)
+        assert not report.passed
+        assert report.computed["orbit_size"] == 3 ** (depth - 1)
 
 
 def test_level_identity_inside_rigid_product():
@@ -165,9 +200,7 @@ def test_level_identity_inside_rigid_product():
     for big_n, n, m in cases:
         rist = oracles.rist_image(big_n, n)
         inside = oracles.kernel_of_level_action(rist, n + m)
-        inner = oracles.kernel_of_level_action(
-            analysis.derived_of_quotient(analysis.build_quotient(big_n - n)), m
-        )
+        inner = oracles.kernel_of_level_action(analysis._derived_subgroup(big_n - n), m)
         product = oracles.direct_power(inner, 3**n)
         assert oracles.same_subgroup_as(inside, product)
 
@@ -215,10 +248,10 @@ def test_rist_check_fails_when_rist_leaves_stab(monkeypatch, extra):
 def test_ristquot_flag_reads_the_factor(monkeypatch, cycles, flag):
     """ristquot's flag is the factor's: every generator of order 3 and every
     pair commuting."""
-    def fake(depth, n):
+    def fake(k):
         return permgroup.PermGroup(9, [Perm.from_cycles(9, [c]) for c in cycles])
 
-    monkeypatch.setattr(analysis, "_rist_factor", fake)
+    monkeypatch.setattr(analysis, "_derived_subgroup", fake)
     report = analysis.verify_lemma("ristquot", depth=2)
     assert report.computed["n=1"]["elementary_abelian_3"] is flag
     assert not report.passed
@@ -451,21 +484,20 @@ def test_elementary_abelian_flags_fail_over_too_small_subgroups(monkeypatch):
     # sift oracles, the trivial group contains no generator, so none is
     # dropped; the level-1 kernel of G'_2 makes a normal subgroup that
     # contains one Stab(2) generator of G_4, which is dropped.
-    real = analysis._rist_factor
+    real = analysis._derived_subgroup
 
-    def trivial(depth, n):
-        return permgroup.PermGroup(3 ** (depth - n))
+    def trivial(k):
+        return permgroup.PermGroup(3**k)
 
-    def level1_kernel(depth, n):
-        return oracles.kernel_of_level_action(real(depth, n), 1)
+    def level1_kernel(k):
+        return oracles.kernel_of_level_action(real(k), 1)
 
     quotients = [analysis.build_quotient(big_n) for big_n in (2, 3, 4)]
-    for quotient in quotients:
-        for n in range(1, quotient.depth):
-            # G'_k acts on level 1 as A_3
-            assert 3 * level1_kernel(quotient.depth, n).order() == real(quotient.depth, n).order()
+    for k in (1, 2, 3):
+        # G'_k acts on level 1 as A_3
+        assert 3 * level1_kernel(k).order() == real(k).order()
     for fake in (trivial, level1_kernel):
-        monkeypatch.setattr(analysis, "_rist_factor", fake)
+        monkeypatch.setattr(analysis, "_derived_subgroup", fake)
         for quotient in quotients:
             for n in range(1, quotient.depth):
                 rist = oracles.rist_image(quotient.depth, n)

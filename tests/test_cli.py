@@ -76,7 +76,6 @@ def test_output_matches_benchmark_golden(capsys, name):
     assert_output_matches_recorded(capsys, GOLDEN, name, GOLDEN_COMMANDS[name])
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(DEPTH6_COMMANDS))
 def test_depth6_output_matches_chain_era_output(capsys, name):
     """The branch recursion and the depth-2 pattern test leave every byte of

@@ -83,7 +83,7 @@ def test_rist_image_matches_fresh_chain(depth, n):
     group = oracles.rist_image(depth, n)
     fresh = permgroup.PermGroup(group.degree, group.generators)
     assert analysis._rist_order(depth, n) == fresh.order()
-    factor = analysis.derived_of_quotient(analysis.build_quotient(depth - n))
+    factor = analysis._derived_subgroup(depth - n)
     size = factor.degree
 
     def blockwise(p: Perm) -> bool:
@@ -134,7 +134,7 @@ def reference_sections(depth: int, level: int) -> dict:
     stabilizer = [Perm(s) for s in oracles.strong_generators(chain, 1)]
     sections = {}
     for v, t_inv in chain.levels[0].inverse_transversal.items():
-        t = Perm(chain.unpack(t_inv)).inverse()
+        t = Perm(oracles.unpack(chain, t_inv)).inverse()
         conjugates = [t.inverse() * s * t for s in stabilizer]
         leaves = range(v * size, (v + 1) * size)
         restricted = [Perm([g.images[x] - v * size for x in leaves]) for g in conjugates]
@@ -180,7 +180,7 @@ def test_stabquot_rows_match_stabilizer_chains(depth):
     report = analysis.verify_lemma("stabquot", depth=depth)
     assert sorted(report.computed) == [f"n={n}" for n in range(1, depth)]
     for n in range(1, depth):
-        derived = analysis.derived_of_quotient(analysis.build_quotient(n + 1))
+        derived = analysis._derived_subgroup(n + 1)
         assert report.computed[f"n={n}"] == {
             "stab_quotient": oracles.stab(quotient, n).order()
             // oracles.stab(quotient, n + 1).order(),

@@ -174,6 +174,29 @@ def test_involution_relators():
         assert words.check_relator(w, 5)
 
 
+@pytest.mark.parametrize(
+    "cycle, states",
+    [
+        # a root of order 3
+        ((1, 2, 3), ("a", "", "")),
+        # a state at a coordinate the root moves: a^2 = (a^2, b, b)
+        ((2, 3), ("a", "b", "")),
+    ],
+)
+def test_involution_relator_squares_the_letter(monkeypatch, cycle, states):
+    """a^2 is checked on a's portrait: free reduction alone reads "aa" as
+    the identity whatever a is."""
+    real = words.word_states
+    fake_a = (states, Perm.from_cycles(3, [cycle]))
+    monkeypatch.setattr(words, "word_states", lambda w: fake_a if w == "a" else real(w))
+    words._evaluate_reduced.cache_clear()
+    try:
+        assert not words.check_relator("aa", 3)
+        assert words.check_relator("bb", 3) and words.check_relator("cc", 3)
+    finally:
+        words._evaluate_reduced.cache_clear()
+
+
 def test_ab_is_not_a_relator():
     assert not words.check_relator("ab", 1)
     assert not words.check_relator("ab", 4)
