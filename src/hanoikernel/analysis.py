@@ -289,7 +289,7 @@ def h_subspace() -> F2Subspace:
 
     identity = tuple(range(9))
     generator_words, _ = words.schreier_generators(
-        list(words.LEVEL1_STABILIZER_WORDS), act, points=(), base_point=identity
+        list(words.LEVEL1_STABILIZER_WORDS), act, identity
     )
     vectors = []
     for word in generator_words:
@@ -683,7 +683,7 @@ def _section_order(vertex: tuple[int, ...], depth: int) -> int | None:
     stabilizer's Reidemeister-Schreier words include a, b and c; None when
     they do not."""
     stabilizer_words, _ = words.schreier_generators(
-        list(words.ALPHABET), words.vertex_image, (), vertex
+        list(words.ALPHABET), words.vertex_image, vertex
     )
     states = {words.state_word(w, vertex) for w in stabilizer_words}
     if set(words.ALPHABET) <= states:
@@ -718,7 +718,7 @@ def _check_transrec(depth: int) -> LemmaReport:
     }
     for level in range(1, min(3, depth)):
         _, orbit = words.schreier_generators(
-            list(words.ALPHABET), words.vertex_image, (), (1,) * level
+            list(words.ALPHABET), words.vertex_image, (1,) * level
         )
         orders = [_section_order(vertex, depth) for vertex in sorted(orbit)]
         computed[f"level_{level}"] = {"vertices": len(orders), "orders": orders}

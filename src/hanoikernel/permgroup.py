@@ -1,31 +1,33 @@
 """Permutation groups via deterministic Schreier-Sims stabilizer chains.
 
-Orders are exact big integers; membership is by sifting. Base points can be
-forced to the front of the base. A forced base point may be a tree vertex,
-the block of `size` consecutive leaves starting at leaf v*size, whose image
-under a leaf permutation p is p[v*size] // size. tree_group forces the 3^k
-vertices of level k = N // 2
-of a group on 3^N leaves: their orbit has at most 3^k points, and a leaf
-orbit inside the level-k stabilizer stays in one block of 3^(N-k) leaves,
-where a leaf-only base starts with an orbit of all 3^N leaves. That halves
-the chain-build time of G_5 and G_6. A sift pays for it: sifting a member
-of G_5 takes about 53 products against 25 through a leaf-only chain, and
-about 23-32 against 15-19 us, while the build takes 17-22 against 34-44 ms
-(the 1000 members among 2000 seeded sift-d5 queries, in-process, each
-round building and sifting through both chains, 2-vCPU VM; the host's
-speed varied between runs, the ratios less). The build saving outweighs
-the sifts up to about 1200-3000 member sifts per chain (the interquartile
-range over 42 rounds), more than the 1000 of the sift-d5 benchmark, so the
-prefix is kept.
+Orders are exact big integers; membership is by sifting. A chain of a group
+of tree automorphisms may carry the vertices of one level as points of its
+own: with a block size, vertex v, the block of `block` consecutive leaves
+from leaf v*block, is point degree + v of each element, and its image under
+a leaf permutation p is degree + p[v*block] // block. The vertex points are
+the chain's first bases, so every level is a level of one point. tree_group
+puts the 3^k vertices of level k = N // 2 of a group on 3^N leaves first:
+their orbit has at most 3^k points, and a leaf orbit inside the level-k
+stabilizer stays in one block of 3^(N-k) leaves, where a leaf-only base
+starts with an orbit of all 3^N leaves. That halves the chain-build time of
+G_5 and G_6. A sift pays for it: sifting a member of G_5 takes about 53
+products against 25 through a leaf-only chain, and about 23-32 against
+15-19 us, while the build takes 17-22 against 34-44 ms (the 1000 members
+among 2000 seeded sift-d5 queries, in-process, each round building and
+sifting through both chains, 2-vCPU VM; the host's speed varied between
+runs, the ratios less). The build saving outweighs the sifts up to about
+1200-3000 member sifts per chain (the interquartile range over 42 rounds),
+more than the 1000 of the sift-d5 benchmark, so the prefix is kept.
 
-A chain stores its permutations in an encoding chosen from its degree, so
-that a product is one C call. Up to degree 256 an element is a bytes object
-padded with fixed points to length 256, and p then q is p.translate(q);
-above 256 it is a tuple, and p then q is operator.itemgetter(*p)(q). Both
-are sequences of ints, so the algorithm reads them alike. Perm images are
-packed where they enter a chain, and the encoding never leaves this module.
-A bytes element is inverted by bytes.maketrans(p, identity), one C call; a
-tuple by a Python loop, which beat sorted, map and itemgetter at degree 729.
+A chain stores its permutations in an encoding chosen from its width, the
+leaves and the vertex points together, so that a product is one C call. Up
+to width 256 an element is a bytes object padded with fixed points to
+length 256, and p then q is p.translate(q); above 256 it is a tuple, and p
+then q is operator.itemgetter(*p)(q). Both are sequences of ints, so the
+algorithm reads them alike. Perm images are packed where they enter a chain
+(_Chain._pack), and the encoding never leaves this module. A bytes element
+is inverted by bytes.maketrans(p, identity), one C call; a tuple by a
+Python loop, which beat sorted, map and itemgetter at degree 729.
 
 Schreier-Sims skips the sift of a Schreier generator that equals its strong
 generator s: s then fixes the level's base, so it is a strong generator of
@@ -45,13 +47,14 @@ h and u_pt move disjoint sets of points, so they commute, and the pair
 (pt, h) forms u_pt h u_pt^-1 = h, the generator that _drain skips. So
 _adjoin counts each of the level's pairs with h as formed and skipped, as
 it does the base pair, queues none of them and leaves the orbit as it is;
-the chain and its counters stay the same. At a vertex base, u_pt maps the
-base's leaves onto pt's, so it moves all of them, and h fixes the vertex pt
-leaf by leaf. A level at hi is never settled: h moves its base. In the G_5
-build the levels settle 8,808 of the 12,676 pairs formed (`settled` in the
-build log line).
+the chain and its counters stay the same. A vertex point is a point like
+any other here, and an element that moves it moves all of the vertex's
+leaves, so two elements that meet on a vertex point meet on its leaves too:
+the vertex points change no level's decision. A level at hi is never
+settled: h moves its base. In the G_5 build the levels settle 8,808 of the
+12,676 pairs formed (`settled` in the build log line).
 
-A chain that would need more levels than its degree allows raises
+A chain that would need more levels than it has points raises
 AssertionError: only broken invariants get there, and without the check
 they loop forever.
 """
@@ -71,18 +74,11 @@ from .perm import Perm
 logger = logging.getLogger(__name__)
 
 _Tuple = tuple[int, ...]
-# a chain element: padded bytes up to degree _BYTES_MAX, a tuple above
+# a chain element: padded bytes up to width _BYTES_MAX, a tuple above
 _Elem = bytes | _Tuple
 
 _BYTES_MAX = 256
 _BYTES_IDENTITY = bytes(range(_BYTES_MAX))
-
-
-def _pack(images: Iterable[int], degree: int) -> _Elem:
-    if degree <= _BYTES_MAX:
-        # bytearray() reads a tuple faster than bytes() does at degree 243
-        return bytes(bytearray(images)) + _BYTES_IDENTITY[degree:]
-    return tuple(images)
 
 
 def _mult_tuples(p: _Tuple, q: _Tuple) -> _Tuple:
@@ -132,15 +128,10 @@ def _inv(p: _Elem) -> _Elem:
 
 
 class _Level:
-    __slots__ = (
-        "base", "size", "gens", "transversal", "inverse_transversal", "moved"
-    )
+    __slots__ = ("base", "gens", "transversal", "inverse_transversal", "moved")
 
-    def __init__(self, base: int, identity: _Elem, size: int = 1):
-        # the base is vertex `base` of `size` leaves; a leaf has size 1, and
-        # the transversals are keyed by vertices of that size
+    def __init__(self, base: int, identity: _Elem):
         self.base = base
-        self.size = size
         # All strong generators fixing the bases of the shallower levels;
         # the orbit of this level's base is computed under exactly this set.
         self.gens: list[_Elem] = []
@@ -161,22 +152,21 @@ class _Chain:
     level, every Schreier generator of the base orbit sifts to the identity
     through the deeper levels.
 
-    The forced bases are vertices of one block size, which every generator
-    must map to vertices of that size; every other level has a leaf as base.
-    add_generator and contains take image tuples of length `degree`;
-    everything else holds the encoding of the module docstring.
+    With a block size, the first levels have the vertex points as bases
+    (module docstring), and every generator must map blocks to blocks; the
+    levels after them have leaves as bases. add_generator and contains take
+    image tuples of length `degree`, which _pack extends by the vertex
+    points; everything else holds the encoding of the module docstring.
 
-    sift reads each level as one flat step that shares the level's inverse
-    transversal: (first leaf, vertex, inverse transversal) for a forced
-    level, whose base point under p is p[first leaf] // block size, and
-    (leaf, inverse transversal) for the others. _finish keeps, as the
+    sift reads each level as one flat step, (base, inverse transversal),
+    that shares the level's inverse transversal. _finish keeps, as the
     member steps, the steps whose orbit has more than the base, and
     contains strips a finished chain's element through those alone. That
     decides membership: a level whose orbit is its base alone leaves an
     element that moves its base stuck, and the full sift stops there. Every
-    deeper level fixes that base, as a vertex if it is one, so a residue
-    that moves it moves it still after the deeper steps, and it never
-    reaches the identity, which is the one comparison contains makes.
+    deeper level fixes that base, so a residue that moves it moves it still
+    after the deeper steps, and it never reaches the identity, which is the
+    one comparison contains makes.
     """
 
     # Schreier generators formed, skipped as equal to their generator and
@@ -184,27 +174,32 @@ class _Chain:
     # that a level settled as a whole (_adjoin); read by the build log line
     formed = skipped = sifted = adjoined = settled = 0
 
-    def __init__(
-        self, degree: int, forced_base: Sequence[int] = (), block_size: int = 1
-    ):
+    def __init__(self, degree: int, block: int = 0):
         self.degree = degree
-        self.identity = _pack(range(degree), degree)
-        # apply p, then q
-        self.mult: Callable[[_Elem, _Elem], _Elem] = (
-            bytes.translate if degree <= _BYTES_MAX else _mult_tuples
-        )
+        self.block = block
+        # the vertex points degree + v, opened as the first levels below
+        self.vertices = degree // block if block else 0
+        # the vertex point of each leaf, which _pack reads by C-level calls
+        vertex_of = [degree + x // block for x in range(degree)] if block else []
+        if degree + self.vertices <= _BYTES_MAX:
+            self.identity: _Elem = _BYTES_IDENTITY
+            # apply p, then q
+            self.mult: Callable[[_Elem, _Elem], _Elem] = bytes.translate
+            # a translate table; the bytes past the degree are never read
+            self._vertex_of: _Elem = bytes(vertex_of).ljust(_BYTES_MAX, b"\0")
+        else:
+            self.identity = tuple(range(degree + self.vertices))
+            self.mult = _mult_tuples
+            self._vertex_of = tuple(vertex_of)
         self.support = _support(self.identity)
         self.levels: list[_Level] = []
         self._pending: list[deque] = []
-        self.block_size = block_size
-        self._forced_steps: list[tuple[int, int, dict[int, _Elem]]] = []
-        self._leaf_steps: list[tuple[int, dict[int, _Elem]]] = []
-        # the forced and the leaf steps whose orbit has more than the base,
-        # set by _finish; contains sifts through every level until then
-        self._member_steps: tuple[list, list] | None = None
-        self.forced = len(forced_base)
-        for b in forced_base:
-            self._new_level(b, block_size)
+        self._steps: list[tuple[int, dict[int, _Elem]]] = []
+        # the steps whose orbit has more than the base, set by _finish;
+        # contains sifts through every level until then
+        self._member_steps: list[tuple[int, dict[int, _Elem]]] | None = None
+        for v in range(self.vertices):
+            self._new_level(degree + v)
 
     def order(self) -> int:
         n = 1
@@ -215,13 +210,7 @@ class _Chain:
     def sift(self, p: _Elem, start: int = 0) -> tuple[_Elem, int]:
         """Strip p through the levels from `start` on; returns (residue,
         stuck level index), the index len(levels) if p got through."""
-        forced = self.forced
-        forced_steps, leaf_steps = self._forced_steps, self._leaf_steps
-        p, stuck = self._strip(
-            p,
-            forced_steps[start:] if start else forced_steps,
-            leaf_steps[start - forced :] if start > forced else leaf_steps,
-        )
+        p, stuck = self._strip(p, self._steps[start:] if start else self._steps)
         if stuck is None:
             return p, len(self.levels)
         return p, next(
@@ -230,16 +219,16 @@ class _Chain:
         )
 
     def contains(self, images: _Tuple) -> bool:
-        p = _pack(images, self.degree)
+        p = self._pack(images)
         if self._member_steps is None:
             residue, _ = self.sift(p)
         else:
-            residue, _ = self._strip(p, *self._member_steps)
+            residue, _ = self._strip(p, self._member_steps)
         return residue == self.identity
 
     def add_generator(self, images: _Tuple) -> bool:
         """Add a generator; returns False if it was already a member."""
-        residue, stuck = self.sift(_pack(images, self.degree))
+        residue, stuck = self.sift(self._pack(images))
         if residue == self.identity:
             return False
         self._adjoin(residue, 0, stuck)
@@ -248,20 +237,31 @@ class _Chain:
 
     # -- internals ---------------------------------------------------------
 
+    def _pack(self, images: Sequence[int]) -> _Elem:
+        """The chain element of leaf images. With a block size, the vertex
+        points follow the leaves: point degree + v has the image
+        degree + images[v*block] // block, the vertex of the image of vertex
+        v's first leaf, read off the table _vertex_of."""
+        block = self.block
+        if type(self.identity) is bytes:
+            # bytearray() reads a tuple faster than bytes() does at degree 243
+            packed = bytearray(images)
+            if block:
+                packed += packed[::block].translate(self._vertex_of)
+            packed += _BYTES_IDENTITY[len(packed) :]
+            return bytes(packed)
+        packed = tuple(images)
+        if block:
+            packed += tuple(map(self._vertex_of.__getitem__, packed[::block]))
+        return packed
+
     def _strip(
-        self, p: _Elem, forced_steps: list, leaf_steps: list
+        self, p: _Elem, steps: list[tuple[int, dict[int, _Elem]]]
     ) -> tuple[_Elem, dict[int, _Elem] | None]:
         """Strip p through the steps; returns the residue and the inverse
         transversal of the level it is stuck at, or None if it got through."""
-        mult, size = self.mult, self.block_size
-        for first, vertex, inverses in forced_steps:
-            point = p[first] // size
-            if point != vertex:
-                u_inv = inverses.get(point)
-                if u_inv is None:
-                    return p, inverses
-                p = mult(p, u_inv)
-        for base, inverses in leaf_steps:
+        mult = self.mult
+        for base, inverses in steps:
             point = p[base]
             if point != base:
                 u_inv = inverses.get(point)
@@ -275,21 +275,14 @@ class _Chain:
         generator is added after this."""
         for level in self.levels:
             level.transversal = level.moved = None
-        forced = [s for s in self._forced_steps if len(s[2]) > 1]
-        leaves = [s for s in self._leaf_steps if len(s[1]) > 1]
-        self._member_steps = (forced, leaves)
+        self._member_steps = [s for s in self._steps if len(s[1]) > 1]
         # the levels contains walks; read by the build log line
-        self.member_levels = len(forced) + len(leaves)
+        self.member_levels = len(self._member_steps)
         return self
 
-    def _new_level(self, base: int, size: int = 1) -> None:
-        level = _Level(base, self.identity, size)
-        if len(self.levels) < self.forced:
-            self._forced_steps.append(
-                (base * size, base, level.inverse_transversal)
-            )
-        else:
-            self._leaf_steps.append((base, level.inverse_transversal))
+    def _new_level(self, base: int) -> None:
+        level = _Level(base, self.identity)
+        self._steps.append((base, level.inverse_transversal))
         self.levels.append(level)
         self._pending.append(deque())
 
@@ -304,9 +297,9 @@ class _Chain:
         moved = self.support(h)
         if hi == len(self.levels):
             # h fixes every base, so the point it first moves is a new one:
-            # a chain has at most `degree` bases besides the forced ones. A
-            # broken chain would open levels forever instead of failing.
-            if hi - self.forced >= self.degree:
+            # a chain has at most one level per point. A broken chain would
+            # open levels forever instead of failing.
+            if hi >= self.degree + self.vertices:
                 raise AssertionError(
                     f"chain of degree {self.degree} needs more than"
                     f" {hi} levels; its invariants are broken"
@@ -357,13 +350,11 @@ class _Chain:
                 self.sifted += sifted
                 return
             level = self.levels[l]
-            size = level.size
             queue = self._pending[l]
             while queue:
                 point, s = queue.popleft()
                 u = level.transversal[point]
-                image = s[point * size] // size
-                schreier = mult(mult(u, s), level.inverse_transversal[image])
+                schreier = mult(mult(u, s), level.inverse_transversal[s[point]])
                 formed += 1
                 if schreier == identity:
                     continue
@@ -389,11 +380,11 @@ class _Chain:
     def _extend_orbit(self, level: _Level, gen: _Elem) -> list[int]:
         """Grow the orbit with one extra generator; returns new points."""
         new_points: list[int] = []
-        size, mult, support = level.size, self.mult, self.support
+        mult, support = self.mult, self.support
         # The old orbit was closed under the old generators, so it suffices
         # to push the new generator across it and then close from new points.
         for point in list(level.transversal):
-            image = gen[point * size] // size
+            image = gen[point]
             if image not in level.transversal:
                 t = mult(level.transversal[point], gen)
                 level.transversal[image] = t
@@ -405,7 +396,7 @@ class _Chain:
             point = queue.pop()
             u = level.transversal[point]
             for g in level.gens:
-                image = g[point * size] // size
+                image = g[point]
                 if image not in level.transversal:
                     t = mult(u, g)
                     level.transversal[image] = t
@@ -487,11 +478,11 @@ def _build_chain(
     chain._finish()
     if logger.isEnabledFor(logging.INFO):
         logger.info(
-            "built chain: degree=%d gens=%d order=%d levels=%d forced=%d"
+            "built chain: degree=%d gens=%d order=%d levels=%d vertices=%d"
             " member_levels=%d schreier=%d skipped=%d sifted=%d strong=%d"
             " settled=%d",
             chain.degree, len(generators), chain.order(), len(chain.levels),
-            chain.forced, chain.member_levels, chain.formed,
+            chain.vertices, chain.member_levels, chain.formed,
             chain.skipped, chain.sifted, chain.adjoined, chain.settled,
         )
     return chain, enlarging
@@ -542,14 +533,15 @@ def _check_blocks(group: PermGroup, size: int) -> None:
 def tree_group(depth: int, generators: Iterable[Perm]) -> PermGroup:
     """A group of automorphisms of the depth-N ternary tree on its 3**N
     lex-indexed leaves, with its chain built now, starting with the
-    level-(N // 2) vertices (module docstring). Raises InvalidBlocksError
-    unless every generator maps those vertices to vertices."""
+    level-(N // 2) vertices as points (module docstring). Raises
+    InvalidBlocksError unless every generator maps those vertices to
+    vertices."""
     level = depth // 2
     size = 3 ** (depth - level)
     group = PermGroup(3**depth, generators)
     _check_blocks(group, size)
     # level 0 is the root alone, which every permutation fixes
-    bases = range(3**level) if level else ()
-    group._chain, _ = _build_chain(_Chain(3**depth, bases, size), group.generators)
+    chain = _Chain(3**depth, size if level else 0)
+    group._chain, _ = _build_chain(chain, group.generators)
     return group
 

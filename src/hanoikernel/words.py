@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Sequence
 
 from . import automorphism
 from .automorphism import Portrait
-from .errors import ResourceLimitError, ShapeError
+from .errors import DepthError, ResourceLimitError, ShapeError
 from .perm import Perm
 
 ALPHABET = "abc"
@@ -229,7 +229,12 @@ def check_relator(word: str, depth: int, n: int = 0) -> bool:
     Evaluation reduces freely, which takes each letter to be an involution,
     so it would read a letter's square as the identity whatever the letter
     is. An involution relator xx is checked by composing x's portrait with
-    itself instead."""
+    itself instead.
+
+    Every depth-0 portrait is the identity, so depth 0 would pass any word
+    and raises DepthError; evaluate refuses a negative depth."""
+    if depth == 0:
+        raise DepthError("depth must be >= 1")
     if word in INVOLUTION_RELATORS:
         letter = evaluate(word[0], depth, n)
         return automorphism.compose(letter, letter).is_identity()
@@ -285,33 +290,27 @@ def relator_family(max_tau: int) -> dict[str, tuple[str, int]]:
 def schreier_generators(
     generator_words: Sequence[str],
     act: Callable[[Hashable, str], Hashable],
-    points: Iterable[Hashable],
     base_point: Hashable,
-    transversal: dict[Hashable, str] | None = None,
 ) -> tuple[list[str], dict[Hashable, str]]:
-    """Schreier generators of the stabilizer of a point in a word action.
+    """Schreier generators of the stabilizer of a point in a word action,
+    and the transversal, whose keys are the base point's orbit.
 
-    ``act(point, word)`` must give the image of a point under a word. When no
-    transversal is supplied, one is grown breadth-first from the base point
-    in the given generator order. Generators are freely reduced (xx -> empty
-    only); trivial ones are dropped, duplicates kept out, order deterministic.
+    ``act(point, word)`` must give the image of a point under a word. The
+    transversal is grown breadth-first from the base point in the given
+    generator order. Generators are freely reduced (xx -> empty only);
+    trivial ones are dropped, duplicates kept out, order deterministic.
     """
-    points = list(points)
-    if transversal is None:
-        transversal = {base_point: ""}
-        frontier = [base_point]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for gen in generator_words:
-                    q = act(p, gen)
-                    if q not in transversal:
-                        transversal[q] = free_reduce(transversal[p] + gen)
-                        nxt.append(q)
-            frontier = nxt
-    reachable = set(transversal)
-    if set(points) - reachable:
-        raise ValueError("transversal does not cover the orbit")
+    transversal = {base_point: ""}
+    frontier = [base_point]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for gen in generator_words:
+                q = act(p, gen)
+                if q not in transversal:
+                    transversal[q] = free_reduce(transversal[p] + gen)
+                    nxt.append(q)
+        frontier = nxt
 
     out: list[str] = []
     seen: set[str] = set()
@@ -343,5 +342,5 @@ def parity_kernel_words() -> tuple[str, ...]:
     def act(point: tuple[int, ...], word: str) -> tuple[int, ...]:
         return tuple(x ^ y for x, y in zip(point, parity_vector(word)))
 
-    generators, _ = schreier_generators(list(ALPHABET), act, (), (0, 0, 0))
+    generators, _ = schreier_generators(list(ALPHABET), act, (0, 0, 0))
     return tuple(generators)

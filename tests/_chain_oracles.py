@@ -8,14 +8,14 @@ generated by the images of fixed words for Gamma', and builds no group for
 Rist(n) itself. The functions here answer the same questions from chains:
 by the orders of the G_N, G_n and G'_k chains, the order of a chain of the
 Rist(n) image, and sifting into G_N, and by index and sifting in a Stab(n)
-chain with the level-n vertices forced to the front of the base. Each takes
+chain whose first bases are the level-n vertices as points. Each takes
 the Rist(n) image (rist_image) as `rist`, so that a caller builds its
 chain, at degree 3^N, once for all of them.
 
 They also hold the chain routines that only tests use: the derived subgroup
 as the normal closure of the commutators of the generators, which needs no
 words for Gamma'; pointwise stabilizers, from the strong generators behind
-a forced base prefix, run afresh through Schreier-Sims; the strong
+a chain's first bases, run afresh through Schreier-Sims; the strong
 generators of a chain level and the images of a chain element; subgroup
 equality; triviality; direct powers, block by block, of which the Rist(n)
 image is one; and a vertex's section as the group of its stabilizer words'
@@ -41,8 +41,9 @@ def is_trivial(group: PermGroup) -> bool:
 
 
 def unpack(chain: permgroup._Chain, p) -> tuple[int, ...]:
-    """A chain element's images, sliced to the chain's degree: an element
-    of a chain of degree up to 256 is padded bytes."""
+    """A chain element's images of the leaves, sliced to the chain's degree:
+    the vertex points of a chain with a block size follow the leaves, and an
+    element of a chain of width up to 256 is padded bytes."""
     return tuple(p[: chain.degree])
 
 
@@ -96,24 +97,28 @@ def derived_subgroup(group: PermGroup) -> PermGroup:
     return normal_closure(group, seeds)
 
 
-def forced_base_tail(group: PermGroup, bases: Sequence[int], size: int) -> PermGroup:
-    """Subgroup fixing every listed 0-based vertex of `size` leaves: the
-    strong generators behind those vertices, forced to the front of a
-    chain's base. Its own chain comes from a fresh Schreier-Sims run."""
-    chain, _ = permgroup._build_chain(
-        permgroup._Chain(group.degree, bases, size), group.generators
-    )
-    gens = [Perm(t) for t in strong_generators(chain, chain.forced)]
+def stabilizer_tail(group: PermGroup, chain: permgroup._Chain, prefix: int) -> PermGroup:
+    """Subgroup fixing the bases of the chain's first `prefix` levels, which
+    the chain has before any generator: the strong generators behind them,
+    after Schreier-Sims on the group's generators. Its own chain comes from
+    a fresh Schreier-Sims run."""
+    chain, _ = permgroup._build_chain(chain, group.generators)
+    gens = [Perm(t) for t in strong_generators(chain, prefix)]
     return PermGroup(group.degree, gens)
 
 
 def pointwise_stabilizer(group: PermGroup, points: Sequence[int]) -> PermGroup:
-    """Subgroup fixing every listed 1-based point."""
-    zero_based = [p - 1 for p in points]
+    """Subgroup fixing every listed 1-based point: the tail of a chain whose
+    first bases are those points."""
+    # each point once: a repeated one would open a second level for it
+    zero_based = dict.fromkeys(p - 1 for p in points)
     for p in zero_based:
         if not 0 <= p < group.degree:
             raise ShapeError(f"point outside 1..{group.degree}")
-    return forced_base_tail(group, zero_based, 1)
+    chain = permgroup._Chain(group.degree)
+    for p in zero_based:
+        chain._new_level(p)
+    return stabilizer_tail(group, chain, len(zero_based))
 
 
 def block_size(degree: int, n: int) -> int:
@@ -136,8 +141,8 @@ def kernel_of_level_action(group: PermGroup, n: int) -> PermGroup:
     The group must act on 3**N points, lex-indexed leaves, so level-n
     vertex v is the block of 3**(N-n) consecutive leaves from leaf
     v*3**(N-n), and every generator must map blocks to blocks. The
-    kernel is the pointwise stabilizer of the level-n vertices
-    (forced_base_tail).
+    kernel is the pointwise stabilizer of the level-n vertex points of a
+    chain with that block size (stabilizer_tail).
     """
     size = block_size(group.degree, n)
     if n == 0:
@@ -145,7 +150,7 @@ def kernel_of_level_action(group: PermGroup, n: int) -> PermGroup:
     if size == 1:
         return PermGroup(group.degree)
     permgroup._check_blocks(group, size)
-    return forced_base_tail(group, range(3**n), size)
+    return stabilizer_tail(group, permgroup._Chain(group.degree, size), 3**n)
 
 
 def embed_in_block(p: Perm, block: int, block_count: int) -> Perm:
@@ -262,7 +267,7 @@ def vertex_section(vertex: tuple[int, ...], depth: int) -> PermGroup:
     vertex's stabilizer in G, so the states of Reidemeister-Schreier words
     for that stabilizer generate them."""
     stabilizer_words, _ = words.schreier_generators(
-        list(words.ALPHABET), words.vertex_image, (), vertex
+        list(words.ALPHABET), words.vertex_image, vertex
     )
     below = depth - len(vertex)
     states = [

@@ -268,6 +268,7 @@ def test_output_is_deterministic(capsys):
         (["game", "solve", "--disks", "0"], 2, "disk count 0"),
         (["game", "solve", "--disks", "-3"], 2, "disk count -3"),
         (["game", "solve", "--disks", "13"], 3, "disk count 13"),
+        (["relators", "--depth", "0"], 2, "depth must be >= 1"),
     ],
 )
 def test_bad_arguments_exit_without_traceback(capsys, argv, code, message):

@@ -1,4 +1,6 @@
 import functools
+import importlib.util
+import json
 import math
 import operator
 import os
@@ -21,6 +23,8 @@ from hanoikernel.perm import Perm
 
 import _brute
 import _chain_oracles as oracles
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
 def quotient_group(n):
@@ -307,42 +311,51 @@ def test_kernel_of_level_action_matches_enumeration():
         assert kernel.contains(Perm(e))
 
 
-def assert_chain_is_bsgs(chain):
+def assert_chain_is_bsgs(chain, regenerate=True):
     """Every level's generators fix the shallower bases, their orbit of the
     level's base is the transversal, and they generate a group whose order
-    is the product of the transversal sizes from that level on. A base that
-    is vertex v of `size` leaves has image g[v * size] // size under g.
-    The chain must be finished, so it keeps only the inverse transversal.
+    is the product of the transversal sizes from that level on, which a
+    fresh leaf-only chain per level checks unless `regenerate` is false (at
+    degree 243 that takes seconds). The chain must be finished, so it keeps
+    only the inverse transversal.
 
-    A chain element may be padded past the degree; the padding must fix
-    every point, and the comparisons use the images of 0..degree-1."""
-    degree = chain.degree
-    identity = tuple(range(degree))
+    A chain element holds the images of the leaves 0..degree-1, then, with
+    a block size, of the vertex points, and it may be padded past them.
+    Every strong generator and inverse transversal element must map each
+    vertex point to the vertex of its leaves' images, the padding must fix
+    every point, and the groups are regenerated from the leaves' images."""
+    degree, block = chain.degree, chain.block
+    width = degree + chain.vertices
 
     def images(t):
-        assert list(t[degree:]) == list(range(degree, len(t)))
+        assert list(t[width:]) == list(range(width, len(t)))
+        for v in range(chain.vertices):
+            leaves = t[v * block : (v + 1) * block]
+            assert {degree + x // block for x in leaves} == {t[degree + v]}
         return tuple(t[:degree])
 
-    assert images(chain.identity) == identity
+    assert images(chain.identity) == tuple(range(degree))
     for l, level in enumerate(chain.levels):
-        size = level.size
         for g in level.gens:
+            images(g)
             for lv in chain.levels[:l]:
-                assert g[lv.base * lv.size] // lv.size == lv.base
+                assert g[lv.base] == lv.base
         orbit = {level.base}
         frontier = [level.base]
         while frontier:
             point = frontier.pop()
             for g in level.gens:
-                image = g[point * size] // size
+                image = g[point]
                 if image not in orbit:
                     orbit.add(image)
                     frontier.append(image)
         assert level.transversal is None
         assert orbit == set(level.inverse_transversal)
         for point, t_inv in level.inverse_transversal.items():
-            t = _brute.inv(images(t_inv))
-            assert t[level.base * size] // size == point
+            images(t_inv)
+            assert _brute.inv(tuple(t_inv))[level.base] == point
+        if not regenerate:
+            continue
         expected = 1
         for deeper in chain.levels[l:]:
             expected *= len(deeper.inverse_transversal)
@@ -352,18 +365,22 @@ def assert_chain_is_bsgs(chain):
 
 def test_pointwise_stabilizer_is_the_forced_chain_tail():
     """The stabilizer is generated by the strong generators behind the
-    forced points; its fresh chain has the order of that tail, the product
-    of the tail's orbit sizes, and takes exactly the elements of the group
-    that fix the points."""
+    points, opened as a chain's first levels; its fresh chain has the order
+    of that tail, the product of the tail's orbit sizes, and takes exactly
+    the elements of the group that fix the points."""
     g = quotient_group(3)
     stab = oracles.pointwise_stabilizer(g, [1, 5, 27])
     assert_chain_is_bsgs(stab._get_chain())
-    forced, _ = pg._build_chain(pg._Chain(27, [0, 4, 26]), g.generators)
-    tail = forced.levels[forced.forced :]
-    assert [g.images for g in stab.generators] == oracles.strong_generators(forced, forced.forced)
+    chain = pg._Chain(27)
+    for point in (0, 4, 26):
+        chain._new_level(point)
+    pg._build_chain(chain, g.generators)
+    assert [level.base for level in chain.levels[:3]] == [0, 4, 26]
+    tail = chain.levels[3:]
+    assert [g.images for g in stab.generators] == oracles.strong_generators(chain, 3)
     assert stab.order() == math.prod(len(level.inverse_transversal) for level in tail)
     assert stab.order() * math.prod(
-        len(level.inverse_transversal) for level in forced.levels[: forced.forced]
+        len(level.inverse_transversal) for level in chain.levels[:3]
     ) == g.order()
     rng = random.Random(27)
     for p in random_words(g, rng, 40) + random_words(stab, rng, 20):
@@ -379,25 +396,28 @@ def test_kernel_of_level_action_chain_is_cut_to_leaves(monkeypatch):
             built.append(self)
 
     monkeypatch.setattr(pg, "_Chain", RecordedChain)
-    g = quotient_group(3)
-    for n in (1, 2):
+    # at depth 5 and n = 3 the chain has 243 + 27 points: a tuple chain
+    for depth, n in ((3, 1), (3, 2), (5, 3)):
+        g = quotient_group(depth)
+        degree = 3**depth
         built.clear()
         kernel = oracles.kernel_of_level_action(g, n)
         (chain,) = built
-        assert_chain_is_bsgs(chain)
-        forced = chain.levels[: chain.forced]
-        assert [level.base for level in forced] == list(range(3**n))
-        assert {level.size for level in forced} == {3 ** (3 - n)}
-        # the forced levels' orbits are |G : Stab(n)| = |G_n| cosets
-        assert math.prod(len(level.inverse_transversal) for level in forced) == (
+        assert type(chain.identity) is (bytes if depth == 3 else tuple)
+        assert_chain_is_bsgs(chain, regenerate=depth == 3)
+        assert chain.block == 3 ** (depth - n)
+        vertices = chain.levels[: chain.vertices]
+        assert [level.base for level in vertices] == [degree + v for v in range(3**n)]
+        # the vertex levels' orbits are |G : Stab(n)| = |G_n| cosets
+        assert math.prod(len(level.inverse_transversal) for level in vertices) == (
             quotient_group(n).order()
         )
         # the kernel is generated by the tail's strong generators, and its
         # chain, built afresh from them, has the tail's order and leaf bases
-        tail = chain.levels[chain.forced :]
-        assert [g.images for g in kernel.generators] == oracles.strong_generators(chain, chain.forced)
-        assert all(level.size == 1 for level in tail)
-        assert all(level.size == 1 for level in kernel._get_chain().levels)
+        tail = chain.levels[chain.vertices :]
+        assert [g.images for g in kernel.generators] == oracles.strong_generators(chain, chain.vertices)
+        assert all(level.base < degree for level in tail)
+        assert kernel._get_chain().block == 0
         assert kernel.order() == math.prod(len(level.inverse_transversal) for level in tail)
 
 
@@ -421,14 +441,13 @@ def test_tree_group_matches_plain_chain(depth):
     tree = pg.tree_group(depth, gens)
     plain = pg.PermGroup(3**depth, gens)
     chain = tree._get_chain()
-    if depth <= 4:
-        assert_chain_is_bsgs(chain)
+    assert_chain_is_bsgs(chain, regenerate=depth <= 4)
     level = depth // 2
-    forced = chain.levels[: chain.forced]
-    assert [lv.base for lv in forced] == list(range(3**level))
-    assert {lv.size for lv in forced} == {3 ** (depth - level)}
+    vertices = chain.levels[: chain.vertices]
+    assert [lv.base for lv in vertices] == [3**depth + v for v in range(3**level)]
+    assert chain.block == 3 ** (depth - level)
     # the first orbit is all of level k; a leaf orbit stays in one block
-    assert len(forced[0].inverse_transversal) == 3**level
+    assert len(vertices[0].inverse_transversal) == 3**level
     assert max(len(lv.inverse_transversal) for lv in chain.levels) <= 3 ** (
         depth - level
     )
@@ -450,7 +469,7 @@ def test_tree_group_matches_plain_chain(depth):
 def test_tree_group_of_depth_one_has_no_forced_base():
     # level 0 is the root alone, which every permutation fixes
     tree = pg.tree_group(1, quotient_group(1).generators)
-    assert tree._get_chain().forced == 0
+    assert tree._get_chain().vertices == 0
     assert tree.order() == 6
 
 
@@ -682,13 +701,11 @@ class UnskippedChain(pg._Chain):
             if l < 0:
                 return
             level = self.levels[l]
-            size = level.size
             queue = self._pending[l]
             while queue:
                 point, s = queue.popleft()
                 u = level.transversal[point]
-                image = s[point * size] // size
-                schreier = mult(mult(u, s), level.inverse_transversal[image])
+                schreier = mult(mult(u, s), level.inverse_transversal[s[point]])
                 self.formed += 1
                 if schreier == identity:
                     continue
@@ -705,7 +722,6 @@ def chain_snapshot(chain):
     return [
         (
             level.base,
-            level.size,
             level.gens,
             level.transversal,
             level.inverse_transversal,
@@ -714,25 +730,25 @@ def chain_snapshot(chain):
     ]
 
 
-def forced_prefixes(depth):
-    """(bases, block size) of the plain chain and of every chain forced at
-    depth N: all level-n vertices for kernels of level actions and, at
-    n = N // 2, for the chain of G_N itself (tree_group), and vertex 0 of
-    level 1 or 2 for vertex stabilizers."""
-    yield (), 1
+def block_sizes(depth):
+    """The block sizes of the chains at depth N: none for the plain chain,
+    and the level-n vertices for kernels of level actions, for vertex
+    stabilizers and, at n = N // 2, for the chain of G_N itself
+    (tree_group)."""
+    yield 0
     for n in range(1, depth):
-        size = 3 ** (depth - n)
-        yield range(3**n), size
-        if n <= 2:
-            yield [0], size
+        yield 3 ** (depth - n)
 
 
-def assert_skips_leave_the_chain_unchanged(degree, gens, bases=(), size=1):
+def assert_skips_leave_the_chain_unchanged(degree, gens, block=0, bases=()):
     """The chain, with the skips and the settled levels, against the
-    UnskippedChain oracle; returns it."""
+    UnskippedChain oracle, with the vertex points of a block size and then
+    the bases given as its first levels; returns it."""
     chains = []
     for cls in (pg._Chain, UnskippedChain):
-        chain = cls(degree, bases, size)
+        chain = cls(degree, block)
+        for base in bases:
+            chain._new_level(base)
         for g in gens:
             chain.add_generator(g.images)
         chains.append(chain)
@@ -758,8 +774,8 @@ def assert_skips_leave_the_chain_unchanged(degree, gens, bases=(), size=1):
 def test_skipped_schreier_generators_leave_the_chain_unchanged(depth):
     gens = quotient_group(depth).generators
     settled = 0
-    for bases, size in forced_prefixes(depth):
-        fast = assert_skips_leave_the_chain_unchanged(3**depth, gens, bases, size)
+    for block in block_sizes(depth):
+        fast = assert_skips_leave_the_chain_unchanged(3**depth, gens, block)
         assert fast.order() == quotient_order(depth)
         assert fast.skipped > 0 and fast.sifted > 0
         assert fast.formed > fast.skipped + fast.sifted
@@ -785,7 +801,7 @@ def clustered_cycles(degree, clusters, rng, bridge):
 
 def test_skipped_schreier_generators_of_clustered_cycles():
     """Eight seeded groups on two clusters of 8 to 12 points, each with a
-    plain chain and one forced at points 0 and 1."""
+    plain chain and one whose first bases are points 0 and 1."""
     settling = 0
     for seed in range(8):
         rng = random.Random(seed)
@@ -796,7 +812,7 @@ def test_skipped_schreier_generators_of_clustered_cycles():
         clusters = [points[:split], points[split:]]
         gens = clustered_cycles(degree, clusters, rng, seed % 2)
         for bases in ((), (0, 1)):
-            fast = assert_skips_leave_the_chain_unchanged(degree, gens, bases)
+            fast = assert_skips_leave_the_chain_unchanged(degree, gens, bases=bases)
             settling += fast.settled > 0
     assert settling >= 12
 
@@ -827,8 +843,8 @@ def test_support_masks_meet_exactly_when_the_supports_do(degree):
             images[a] = b
         perms.append(images)
     perms.append(list(range(1, degree)) + [0])
-    support = pg._Chain(degree).support
-    masks = [support(pg._pack(p, degree)) for p in perms]
+    chain = pg._Chain(degree)
+    masks = [chain.support(chain._pack(p)) for p in perms]
     moved = [{i for i, j in enumerate(p) if i != j} for p in perms]
     for mask, points in zip(masks, moved):
         assert mask.bit_count() == len(points)
@@ -855,12 +871,33 @@ def test_chain_inverse_matches_loop(degree):
     for _ in range(5):
         images = list(range(degree))
         rng.shuffle(images)
-        p = pg._pack(images, degree)
+        p = pg._Chain(degree)._pack(images)
         inverse = pg._inv(p)
         assert type(inverse) is type(p) is (bytes if degree <= 256 else tuple)
         assert tuple(inverse) == _brute.inv(tuple(p))
         # the padding past the degree stays fixed
         assert tuple(inverse[degree:]) == tuple(range(degree, len(p)))
+
+
+def test_pack_reads_each_vertex_off_its_first_leaf():
+    """_pack gives vertex point degree + v the vertex of the image of v's
+    first leaf, also for permutations that split blocks, which no chain
+    member does; the padding past the vertex points stays fixed. Widths 12
+    (bytes) and 270 (a tuple)."""
+    rng = random.Random(12)
+    for degree, block in ((9, 3), (243, 9)):
+        chain = pg._Chain(degree, block)
+        width = degree + chain.vertices
+        assert chain.vertices == degree // block
+        for _ in range(5):
+            images = list(range(degree))
+            rng.shuffle(images)
+            p = chain._pack(images)
+            assert list(p[:degree]) == images
+            assert list(p[degree:width]) == [
+                degree + images[v * block] // block for v in range(chain.vertices)
+            ]
+            assert list(p[width:]) == list(range(width, len(p)))
 
 
 # A G_3 build whose chain inverses are wrong: maketrans with its arguments
@@ -903,7 +940,7 @@ def test_orbit_rejects_points_outside_the_degree():
 def reference_sift(chain, p, start=0):
     """The level-by-level sift: (residue, stuck level index)."""
     for i, level in enumerate(chain.levels[start:], start):
-        point = p[level.base * level.size] // level.size
+        point = p[level.base]
         if point == level.base:
             continue
         u_inv = level.inverse_transversal.get(point)
@@ -915,10 +952,12 @@ def reference_sift(chain, p, start=0):
 
 def base_fixing_swap(chain):
     """A transposition of two leaves that are neither a leaf base nor the
-    first leaf of a vertex base. For t of it and p of the group, t * p
-    strips like p through every level and leaves t: a non-member that no
-    level stops."""
-    bases = {level.base * level.size for level in chain.levels}
+    first leaf of a vertex, from which _pack reads the vertex's image. For t
+    of it and p of the group, t * p strips like p through every level and
+    leaves t: a non-member that no level stops."""
+    bases = {level.base for level in chain.levels}
+    if chain.block:
+        bases.update(range(0, chain.degree, chain.block))
     i, j = [x for x in range(chain.degree) if x not in bases][-2:]
     return Perm.transposition(chain.degree, i + 1, j + 1)
 
@@ -944,10 +983,10 @@ def assert_member_steps_decide(chain, queries, truth):
     )
     answers = []
     for q in queries:
-        p = pg._pack(q.images, chain.degree)
+        p = chain._pack(q.images)
         full, stuck = chain.sift(p)
         assert (full, stuck) == reference_sift(chain, p)
-        for start in (1, chain.forced, chain.forced + 1, len(chain.levels) - 1):
+        for start in (1, chain.vertices, chain.vertices + 1, len(chain.levels) - 1):
             assert chain.sift(p, start) == reference_sift(chain, p, start)
         answer = chain.contains(q.images)
         assert answer == (full == chain.identity) == truth(q)
@@ -955,8 +994,8 @@ def assert_member_steps_decide(chain, queries, truth):
     # both answers occur, and some non-member gets through every level
     assert True in answers and False in answers
     swap = base_fixing_swap(chain)
-    assert chain.sift(pg._pack(swap.images, chain.degree)) == (
-        pg._pack(swap.images, chain.degree), len(chain.levels)
+    assert chain.sift(chain._pack(swap.images)) == (
+        chain._pack(swap.images), len(chain.levels)
     )
     assert not chain.contains(swap.images)
 
@@ -993,33 +1032,34 @@ def test_member_steps_match_branch_membership(depth):
 def test_member_steps_skip_the_one_point_forced_levels_of_g5(caplog):
     with caplog.at_level("INFO", logger="hanoikernel.permgroup"):
         chain = pg.tree_group(5, quotient_group(5).generators)._get_chain()
-    assert "levels=144 forced=9 member_levels=140 " in caplog.text
+    assert "levels=144 vertices=9 member_levels=140 " in caplog.text
     # the masks settle 8,808 of the 12,676 formed pairs as a level's whole
     assert "schreier=12676 skipped=9542 sifted=2296 strong=183 settled=8808" in caplog.text
-    forced = chain.levels[: chain.forced]
-    orbits = [len(level.inverse_transversal) for level in forced]
-    assert (len(chain.levels), chain.forced, orbits.count(1)) == (144, 9, 4)
-    member_forced, member_leaves = chain._member_steps
-    assert [vertex for _, vertex, _ in member_forced] == [
-        level.base for level in forced if len(level.inverse_transversal) > 1
-    ]
-    assert len(member_leaves) == len(chain.levels) - chain.forced
-    # the member steps share the levels' inverse transversals
+    vertices = chain.levels[: chain.vertices]
+    orbits = [len(level.inverse_transversal) for level in vertices]
+    assert (len(chain.levels), chain.vertices, orbits.count(1)) == (144, 9, 4)
+    # the member steps are the vertex levels with an orbit and every leaf level
+    assert [base for base, _ in chain._member_steps] == [
+        level.base for level in vertices if len(level.inverse_transversal) > 1
+    ] + [level.base for level in chain.levels[chain.vertices :]]
+    # the steps share the levels' inverse transversals
     assert all(
-        step[-1] is level.inverse_transversal
-        for step, level in zip(
-            chain._forced_steps + chain._leaf_steps, chain.levels, strict=True
-        )
+        step[1] is level.inverse_transversal
+        for step, level in zip(chain._steps, chain.levels, strict=True)
     )
 
 
 def test_member_steps_with_forced_leaf_bases():
-    """Forced leaves, block size 1: after leaves 0 and 1 the group fixes
-    their sibling 2, so that forced level has an orbit of one point. The
-    chain of the forced_base_tail oracle is forced the same way."""
+    """Leaves opened as the first levels: after leaves 0 and 1 the group
+    fixes their sibling 2, so that level has an orbit of one point. The
+    pointwise_stabilizer oracle opens its chain's first levels the same
+    way."""
     g = quotient_group(3)
-    chain, _ = pg._build_chain(pg._Chain(27, [0, 1, 2, 13]), g.generators)
-    assert len(chain._forced_steps) == chain.forced == 4
+    chain = pg._Chain(27)
+    for point in (0, 1, 2, 13):
+        chain._new_level(point)
+    pg._build_chain(chain, g.generators)
+    assert [base for base, _ in chain._steps[:4]] == [0, 1, 2, 13]
     assert len(chain.levels[2].inverse_transversal) == 1
     assert chain.member_levels == len(chain.levels) - 1
     assert_chain_is_bsgs(chain)
@@ -1036,7 +1076,7 @@ def test_unfinished_chain_contains_through_every_level():
     """A chain still growing has no member steps, so contains sifts through
     every level; its answers equal those of the finished chain."""
     g = quotient_group(3)
-    chain = pg._Chain(27, range(3), 9)
+    chain = pg._Chain(27, 9)
     for gen in g.generators:
         chain.add_generator(gen.images)
     assert chain._member_steps is None
@@ -1045,3 +1085,31 @@ def test_unfinished_chain_contains_through_every_level():
     assert growing == [branch.contains(q.images, 3) for q in queries]
     chain._finish()
     assert [chain.contains(q.images) for q in queries] == growing
+
+
+def test_benchmark_sift_pass_answers_its_queries(tmp_path):
+    """bench/child.py's sift pass, run as the benchmark runs it, on this
+    source tree: |G_5| and the answers to 40 of bench/queries.py's seeded
+    queries, whose truth that module computes without the package."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_queries", os.path.join(BENCH, "queries.py")
+    )
+    queries = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(queries)
+    pairs = queries.make_queries(1, 40, 5)
+    query_file = tmp_path / "queries.json"
+    query_file.write_text(json.dumps([list(p) for p, _ in pairs]))
+    src = os.path.dirname(os.path.dirname(pg.__file__))
+    result = subprocess.run(
+        [sys.executable, os.path.join(BENCH, "child.py"), "sift", str(query_file)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"),
+    )
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout)
+    assert out["order"] == 2**81 * 3**121
+    assert out["answers"] == [truth for _, truth in pairs]
+    assert True in out["answers"] and False in out["answers"]

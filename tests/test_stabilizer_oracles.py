@@ -3,8 +3,8 @@
 chain built by Schreier-Sims on the oracle's copies of G'_k's generators on
 the level-n blocks, whose members are checked block by block against the
 chain of G'_k. The level stabilizers of the test oracles (_chain_oracles)
-are generated by the strong generators behind the level's vertices, forced
-to the front of a chain's base; each is checked against its order
+are generated by the strong generators behind the level's vertex points,
+the first bases of their chain; each is checked against its order
 |G_N| / |G_n| and against sifting into G_N. The oracle's section of a
 vertex, the group its stabilizer induces on its subtree, is generated by
 the states of Reidemeister-Schreier words; it is checked against the
@@ -60,7 +60,7 @@ def probes(group: permgroup.PermGroup, depth: int, seed: int) -> list[Perm]:
 @pytest.mark.parametrize("depth, n", STAB_PAIRS)
 def test_stab_matches_fresh_chain(depth, n):
     """The oracle's Stab(n), a fresh chain on the strong generators behind
-    the forced level-n vertices, has order |G_N| / |G_n| and takes a probe
+    the level-n vertex points, has order |G_N| / |G_n| and takes a probe
     exactly when the probe fixes every level-n vertex and sifts into the
     chain of G_N."""
     quotient = analysis.build_quotient(depth)
@@ -124,16 +124,18 @@ def test_depth6_q_orders_match_index_in_stab_chain():
 
 def reference_sections(depth: int, level: int) -> dict:
     """The stabilizer in G_depth of each level vertex in the orbit of vertex
-    1...1, restricted to the vertex's leaves: one chain with that vertex as
-    first base, its stabilizer conjugated by each transversal element."""
+    1...1, restricted to the vertex's leaves: one chain with the level's
+    vertices as points, whose first base is that vertex, its stabilizer
+    conjugated by each transversal element."""
     group = analysis.build_quotient(depth).group
     size = 3 ** (depth - level)
     chain, _ = permgroup._build_chain(
-        permgroup._Chain(group.degree, [0], size), group.generators
+        permgroup._Chain(group.degree, size), group.generators
     )
     stabilizer = [Perm(s) for s in oracles.strong_generators(chain, 1)]
     sections = {}
-    for v, t_inv in chain.levels[0].inverse_transversal.items():
+    for point, t_inv in chain.levels[0].inverse_transversal.items():
+        v = point - group.degree
         t = Perm(oracles.unpack(chain, t_inv)).inverse()
         conjugates = [t.inverse() * s * t for s in stabilizer]
         leaves = range(v * size, (v + 1) * size)
@@ -151,7 +153,7 @@ def test_vertex_stabilizers_match_fresh_chain(depth, n):
     assert sorted(reference) == list(am.level_vertices(n))
     for vertex, expected in reference.items():
         stabilizer_words, _ = words.schreier_generators(
-            list(words.ALPHABET), words.vertex_image, (), vertex
+            list(words.ALPHABET), words.vertex_image, vertex
         )
         assert all(_brute.act_word(w, vertex) == vertex for w in stabilizer_words)
         assert oracles.same_subgroup_as(oracles.vertex_section(vertex, depth), expected)

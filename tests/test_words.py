@@ -5,7 +5,7 @@ import pytest
 from hanoikernel import automorphism as am
 from hanoikernel import permgroup, words
 from hanoikernel.automorphism import leaf_permutation
-from hanoikernel.errors import ResourceLimitError, ShapeError
+from hanoikernel.errors import DepthError, ResourceLimitError, ShapeError
 from hanoikernel.perm import Perm
 
 import _brute
@@ -107,7 +107,7 @@ def test_state_word_matches_state_at(depth):
     for level in range(1, depth + 1):
         for vertex in am.level_vertices(level):
             stabilizer_words, _ = words.schreier_generators(
-                list(words.ALPHABET), words.vertex_image, (), vertex
+                list(words.ALPHABET), words.vertex_image, vertex
             )
             for w in stabilizer_words:
                 state = words.state_word(w, vertex)
@@ -200,6 +200,9 @@ def test_involution_relator_squares_the_letter(monkeypatch, cycle, states):
 def test_ab_is_not_a_relator():
     assert not words.check_relator("ab", 1)
     assert not words.check_relator("ab", 4)
+    # depth 0 would take ab for a relator: every depth-0 portrait is trivial
+    with pytest.raises(DepthError, match="depth must be >= 1"):
+        words.check_relator("ab", 0)
 
 
 def test_relator_words_with_tau_iterates():
@@ -259,22 +262,17 @@ def schreier_stab1_generators() -> tuple[str, ...]:
 
     Two Reidemeister-Schreier stages: first the stabilizer of vertex 1 with
     transversal {empty, c, b}, then within it the stabilizer of vertex 2 with
-    transversal {empty, a}. Fixing two of the three first-level vertices
-    fixes the third, so the result stabilizes the whole level.
+    transversal {empty, a}; those are the breadth-first transversals. Fixing
+    two of the three first-level vertices fixes the third, so the result
+    stabilizes the whole level.
     """
-    stage1, _ = words.schreier_generators(
-        list(words.ALPHABET),
-        words.vertex_image,
-        points=[(1,), (2,), (3,)],
-        base_point=(1,),
-        transversal={(1,): "", (2,): "c", (3,): "b"},
+    stage1, first = words.schreier_generators(
+        list(words.ALPHABET), words.vertex_image, (1,)
     )
-    stage2, _ = words.schreier_generators(
-        stage1,
-        words.vertex_image,
-        points=[(2,), (3,)],
-        base_point=(2,),
-        transversal={(2,): "", (3,): "a"},
+    stage2, second = words.schreier_generators(stage1, words.vertex_image, (2,))
+    assert (first, second) == (
+        {(1,): "", (2,): "c", (3,): "b"},
+        {(2,): "", (3,): "a"},
     )
     return tuple(stage2)
 
@@ -305,17 +303,10 @@ def test_schreier_index_one_case():
     # a transitive... trivial action: every point fixed, so the whole
     # generating set returns unchanged
     gens, transversal = words.schreier_generators(
-        ["a", "b", "c"], lambda p, w: p, points=(1,), base_point=1
+        ["a", "b", "c"], lambda p, w: p, base_point=1
     )
     assert gens == ["a", "b", "c"]
     assert transversal == {1: ""}
-
-
-def test_schreier_generators_reject_uncovered_points():
-    with pytest.raises(ValueError):
-        words.schreier_generators(
-            ["a"], lambda p, w: p, points=(1, 2), base_point=1
-        )
 
 
 def test_tau_power_length_matches_spelled_out_iterate():
