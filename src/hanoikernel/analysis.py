@@ -1,8 +1,8 @@
 """Finite-depth verification pipeline for the Hanoi towers group.
 
-Reads the truncated quotients G_N acting on 3^N leaves and the level and
-rigid stabilizer images inside them, and checks every structural statement
-the rigid-kernel computation rests on. The kernel report assembles the
+Checks every structural statement the rigid-kernel computation rests on,
+about the truncated quotients G_N acting on 3^N leaves and the level and
+rigid stabilizer images inside them. The kernel report assembles the
 inverse-system bookkeeping: Q orders as |G_N| / (|G_n| |Rist(n)|) in the
 truncations, K and the seed order from the exact GF(2)^9 data, and the
 Gamma orders from the exact-sequence recurrence, never from truncated
@@ -23,7 +23,7 @@ no normal closure and no chain of G_k is needed. transrec reads each
 vertex's section off the states of its stabilizer's Reidemeister-Schreier
 words: they are words in a, b and c, and once they include all three the
 section is G_k, with no group built. No command builds G_N: transitive takes
-the orbit of leaf 1 under the leaf permutations of a, b and c, with no chain,
+the orbit of leaf 1 under the leaf permutations of a, b and c, with no group,
 and build_quotient, which makes G_N and its chain, serves the tests and the
 benchmark. The depth cap is checked where a depth enters; everything behind
 those entry points builds through _derived_subgroup.
@@ -122,8 +122,6 @@ class TruncatedQuotient(NamedTuple):
     generator_map: dict[str, Perm]
 
 
-# Under the GIL dict.get and dict.setdefault are atomic: threads that miss
-# together compute the same value, and the first one stored is kept.
 _quotients: dict[int, TruncatedQuotient] = {}
 _derived: dict[int, PermGroup] = {}
 
@@ -167,8 +165,7 @@ def _derived_subgroup(k: int) -> PermGroup:
         leaf_permutation(words.evaluate(w, k), k)
         for w in words.parity_kernel_words()
     ]
-    group = permgroup.generated(3**k, perms)
-    return _derived.setdefault(k, group)
+    return _derived.setdefault(k, PermGroup(3**k, perms))
 
 
 def _rist_generators(depth: int, n: int) -> Iterator[tuple[int, ...]]:
@@ -494,12 +491,12 @@ def _check_selfsim(depth: int) -> LemmaReport:
 
 def _check_transitive(depth: int) -> LemmaReport:
     """The orbit of leaf 1 under the leaf permutations of a, b and c at
-    depth N; an orbit needs no chain, so none is built."""
+    depth N; an orbit needs no group, so none is built."""
     letters = [
         leaf_permutation(words.evaluate(letter, depth), depth)
         for letter in words.ALPHABET
     ]
-    orbit = PermGroup(3**depth, letters).orbit(1)
+    orbit = permgroup.orbit(3**depth, letters, 1)
     computed = {"orbit_size": len(orbit)}
     expected = {"orbit_size": 3**depth}
     return LemmaReport(

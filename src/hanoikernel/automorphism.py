@@ -122,6 +122,8 @@ def from_labels(depth: int, labels: Mapping[Vertex, Perm]) -> Portrait:
 
     Vertices absent from the map get the identity label.
     """
+    if depth < 0:
+        raise DepthError("depth must be >= 0")
     for v in labels:
         if len(v) >= depth:
             raise DepthError(f"label at {v} lies at level >= depth {depth}")

@@ -133,8 +133,8 @@ def _run_verify(args) -> tuple[dict | None, int]:
     if not ids:
         print("error: give lemma ids or 'all' (see verify --list)", file=sys.stderr)
         return None, EXIT_USAGE
-    if ids == ["all"]:
-        ids = list(analysis.LEMMA_IDS)
+    if "all" in ids:
+        ids = [i for i in ids if i != "all"] + list(analysis.LEMMA_IDS)
     unknown = [i for i in ids if i not in analysis.LEMMA_IDS]
     if unknown:
         print(f"error: unknown lemma ids: {', '.join(unknown)}", file=sys.stderr)

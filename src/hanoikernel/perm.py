@@ -84,9 +84,6 @@ class Perm:
             raise ValueError(f"point {point} outside 1..{len(self.images)}")
         return self.images[point - 1] + 1
 
-    def __call__(self, point: int) -> int:
-        return self.apply(point)
-
     def is_identity(self) -> bool:
         return self.images == tuple(range(len(self.images)))
 

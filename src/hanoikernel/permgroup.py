@@ -1,10 +1,15 @@
 """Permutation groups via deterministic Schreier-Sims stabilizer chains.
 
-Orders are exact big integers; membership is by sifting. A chain of a group
-of tree automorphisms may carry the vertices of one level as points of its
-own: with a block size, vertex v, the block of `block` consecutive leaves
-from leaf v*block, is point degree + v of each element, and its image under
-a leaf permutation p is degree + p[v*block] // block. The vertex points are
+PermGroup is the one way to make a group: its constructor builds the
+group's chain, finishes it and keeps it, so every chain a group holds is
+finished. Orders are exact big integers; membership is by sifting. An
+orbit needs no chain, and orbit builds none.
+
+A chain of a group of tree automorphisms may carry the vertices of one
+level as points of its own: with a block size, vertex v, the block of
+`block` consecutive leaves from leaf v*block, is point degree + v of each
+element, and its image under a leaf permutation p is
+degree + p[v*block] // block. The vertex points are
 the chain's first bases, so every level is a level of one point. tree_group
 puts the 3^k vertices of level k = N // 2 of a group on 3^N leaves first:
 their orbit has at most 3^k points, and a leaf orbit inside the level-k
@@ -161,12 +166,12 @@ class _Chain:
     sift reads each level as one flat step, (base, inverse transversal),
     that shares the level's inverse transversal. _finish keeps, as the
     member steps, the steps whose orbit has more than the base, and
-    contains strips a finished chain's element through those alone. That
-    decides membership: a level whose orbit is its base alone leaves an
-    element that moves its base stuck, and the full sift stops there. Every
-    deeper level fixes that base, so a residue that moves it moves it still
-    after the deeper steps, and it never reaches the identity, which is the
-    one comparison contains makes.
+    contains, which only a finished chain answers, strips an element
+    through those alone. That decides membership: a level whose orbit is
+    its base alone leaves an element that moves its base stuck, and the
+    full sift stops there. Every deeper level fixes that base, so a residue
+    that moves it moves it still after the deeper steps, and it never
+    reaches the identity, which is the one comparison contains makes.
     """
 
     # Schreier generators formed, skipped as equal to their generator and
@@ -195,9 +200,6 @@ class _Chain:
         self.levels: list[_Level] = []
         self._pending: list[deque] = []
         self._steps: list[tuple[int, dict[int, _Elem]]] = []
-        # the steps whose orbit has more than the base, set by _finish;
-        # contains sifts through every level until then
-        self._member_steps: list[tuple[int, dict[int, _Elem]]] | None = None
         for v in range(self.vertices):
             self._new_level(degree + v)
 
@@ -219,11 +221,7 @@ class _Chain:
         )
 
     def contains(self, images: _Tuple) -> bool:
-        p = self._pack(images)
-        if self._member_steps is None:
-            residue, _ = self.sift(p)
-        else:
-            residue, _ = self._strip(p, self._member_steps)
+        residue, _ = self._strip(self._pack(images), self._member_steps)
         return residue == self.identity
 
     def add_generator(self, images: _Tuple) -> bool:
@@ -271,10 +269,11 @@ class _Chain:
         return p, None
 
     def _finish(self) -> "_Chain":
-        """Drop the forward transversals and keep the member steps; no
-        generator is added after this."""
+        """Drop the forward transversals and keep the member steps, which
+        contains reads; no generator is added after this."""
         for level in self.levels:
             level.transversal = level.moved = None
+        # the steps whose orbit has more than the base
         self._member_steps = [s for s in self._steps if len(s[1]) > 1]
         # the levels contains walks; read by the build log line
         self.member_levels = len(self._member_steps)
@@ -408,95 +407,68 @@ class _Chain:
 
 
 class PermGroup:
-    """A permutation group on 1..degree with a lazily built stabilizer chain."""
+    """A permutation group on 1..degree and its stabilizer chain, built by
+    Schreier-Sims when the group is made. Its generators are the given ones
+    that enlarged the chain, in order, so each lies outside the group of
+    those before it; identities and repeats never do. With a block size,
+    the chain's first bases are the vertex points (module docstring), so
+    every generator must map blocks to blocks; they are checked before the
+    chain is built, because the chain reads each vertex's image off its
+    first leaf."""
 
-    def __init__(
-        self,
-        degree: int,
-        generators: Iterable[Perm] = (),
-        _chain: "_Chain | None" = None,
-    ):
-        gens: list[Perm] = []
-        seen: set[_Tuple] = set()
-        for g in generators:
+    def __init__(self, degree: int, generators: Iterable[Perm] = (), block: int = 0):
+        candidates = list(generators)
+        for g in candidates:
             if g.degree != degree:
                 raise ShapeError(f"generator degree {g.degree} != {degree}")
-            if g.is_identity() or g.images in seen:
-                continue
-            seen.add(g.images)
-            gens.append(g)
+        if block:
+            _check_blocks(degree, candidates, block)
+        chain = _Chain(degree, block)
         self.degree = degree
-        self.generators = tuple(gens)
-        # a finished chain, or else Schreier-Sims runs on the generators on
-        # first use. Two threads may both build it; either chain is correct,
-        # and one is kept.
-        self._chain = _chain
-
-    # -- chain -------------------------------------------------------------
-
-    def _get_chain(self) -> _Chain:
-        if self._chain is None:
-            self._chain, _ = _build_chain(_Chain(self.degree), self.generators)
-        return self._chain
+        self.generators = tuple(g for g in candidates if chain.add_generator(g.images))
+        self._chain = chain._finish()
+        if logger.isEnabledFor(logging.INFO):
+            logger.info(
+                "built chain: degree=%d gens=%d order=%d levels=%d vertices=%d"
+                " member_levels=%d schreier=%d skipped=%d sifted=%d strong=%d"
+                " settled=%d",
+                degree, len(candidates), chain.order(), len(chain.levels),
+                chain.vertices, chain.member_levels, chain.formed,
+                chain.skipped, chain.sifted, chain.adjoined, chain.settled,
+            )
 
     def order(self) -> int:
-        return self._get_chain().order()
+        return self._chain.order()
 
     def contains(self, g: Perm) -> bool:
         if g.degree != self.degree:
             raise ShapeError(f"degree mismatch: {g.degree} != {self.degree}")
-        return self._get_chain().contains(g.images)
-
-    def orbit(self, point: int) -> list[int]:
-        """Sorted orbit of a 1-based point under the generators."""
-        if not 1 <= point <= self.degree:
-            raise ValueError(f"point {point} outside 1..{self.degree}")
-        seen = {point - 1}
-        frontier = [point - 1]
-        images = [g.images for g in self.generators]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in images:
-                    q = g[p]
-                    if q not in seen:
-                        seen.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        return [p + 1 for p in sorted(seen)]
+        return self._chain.contains(g.images)
 
     def __repr__(self) -> str:
         return f"<PermGroup degree={self.degree} gens={len(self.generators)}>"
 
 
-def _build_chain(
-    chain: _Chain, generators: Sequence[Perm]
-) -> tuple[_Chain, list[Perm]]:
-    """Add the generators to the chain, log what it took, and finish it;
-    also returns the generators that enlarged it."""
-    enlarging = [g for g in generators if chain.add_generator(g.images)]
-    chain._finish()
-    if logger.isEnabledFor(logging.INFO):
-        logger.info(
-            "built chain: degree=%d gens=%d order=%d levels=%d vertices=%d"
-            " member_levels=%d schreier=%d skipped=%d sifted=%d strong=%d"
-            " settled=%d",
-            chain.degree, len(generators), chain.order(), len(chain.levels),
-            chain.vertices, chain.member_levels, chain.formed,
-            chain.skipped, chain.sifted, chain.adjoined, chain.settled,
-        )
-    return chain, enlarging
-
-
 # -- module-level operations -------------------------------------------------
 
 
-def generated(degree: int, candidates: Sequence[Perm]) -> PermGroup:
-    """The group the candidates generate, with a leaf-only chain built now.
-    Its generators are the candidates that enlarged the chain, in order, so
-    each lies outside the group of those before it."""
-    chain, enlarging = _build_chain(_Chain(degree), candidates)
-    return PermGroup(degree, enlarging, _chain=chain)
+def orbit(degree: int, generators: Iterable[Perm], point: int) -> list[int]:
+    """Sorted orbit of a 1-based point under the generators; no chain."""
+    if not 1 <= point <= degree:
+        raise ValueError(f"point {point} outside 1..{degree}")
+    seen = {point - 1}
+    frontier = [point - 1]
+    images = [g.images for g in generators]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in images:
+                q = g[p]
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return [p + 1 for p in sorted(seen)]
 
 
 def is_elementary_abelian(group: PermGroup, p: int) -> bool:
@@ -518,11 +490,11 @@ def is_elementary_abelian(group: PermGroup, p: int) -> bool:
 # -- block structure ---------------------------------------------------------
 
 
-def _check_blocks(group: PermGroup, size: int) -> None:
+def _check_blocks(degree: int, generators: Iterable[Perm], size: int) -> None:
     """Raise InvalidBlocksError unless every generator maps each block of
     `size` consecutive points onto a block."""
-    for g in group.generators:
-        for start in range(0, group.degree, size):
+    for g in generators:
+        for start in range(0, degree, size):
             block = {g.images[start + i] // size for i in range(size)}
             if len(block) != 1:
                 raise InvalidBlocksError(
@@ -532,16 +504,9 @@ def _check_blocks(group: PermGroup, size: int) -> None:
 
 def tree_group(depth: int, generators: Iterable[Perm]) -> PermGroup:
     """A group of automorphisms of the depth-N ternary tree on its 3**N
-    lex-indexed leaves, with its chain built now, starting with the
-    level-(N // 2) vertices as points (module docstring). Raises
-    InvalidBlocksError unless every generator maps those vertices to
-    vertices."""
+    lex-indexed leaves, whose chain starts with the level-(N // 2) vertices
+    as points (module docstring). Raises InvalidBlocksError unless every
+    generator maps those vertices to vertices."""
     level = depth // 2
-    size = 3 ** (depth - level)
-    group = PermGroup(3**depth, generators)
-    _check_blocks(group, size)
     # level 0 is the root alone, which every permutation fixes
-    chain = _Chain(3**depth, size if level else 0)
-    group._chain, _ = _build_chain(chain, group.generators)
-    return group
-
+    return PermGroup(3**depth, generators, 3 ** (depth - level) if level else 0)

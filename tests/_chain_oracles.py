@@ -83,7 +83,8 @@ def normal_closure(group: PermGroup, seeds: Sequence[Perm]) -> PermGroup:
         gens.append(candidate)
         for g_inv, g in conjugators:
             queue.append(g_inv * candidate * g)
-    return PermGroup(group.degree, gens, _chain=chain._finish())
+    # each of gens enlarged the chain, so the new group keeps them all
+    return PermGroup(group.degree, gens)
 
 
 def derived_subgroup(group: PermGroup) -> PermGroup:
@@ -102,7 +103,9 @@ def stabilizer_tail(group: PermGroup, chain: permgroup._Chain, prefix: int) -> P
     the chain has before any generator: the strong generators behind them,
     after Schreier-Sims on the group's generators. Its own chain comes from
     a fresh Schreier-Sims run."""
-    chain, _ = permgroup._build_chain(chain, group.generators)
+    for g in group.generators:
+        chain.add_generator(g.images)
+    chain._finish()
     gens = [Perm(t) for t in strong_generators(chain, prefix)]
     return PermGroup(group.degree, gens)
 
@@ -149,7 +152,7 @@ def kernel_of_level_action(group: PermGroup, n: int) -> PermGroup:
         return group
     if size == 1:
         return PermGroup(group.degree)
-    permgroup._check_blocks(group, size)
+    permgroup._check_blocks(group.degree, group.generators, size)
     return stabilizer_tail(group, permgroup._Chain(group.degree, size), 3**n)
 
 
@@ -165,8 +168,7 @@ def embed_in_block(p: Perm, block: int, block_count: int) -> Perm:
 def direct_power(group: PermGroup, count: int) -> PermGroup:
     """`count` copies of the group, copy b on block b of `count` consecutive
     blocks of group.degree points, generated by the copies of its
-    generators; its chain, when asked for, comes from Schreier-Sims on the
-    copies."""
+    generators; its chain comes from Schreier-Sims on the copies."""
     gens = [
         embed_in_block(g, block, count)
         for block in range(count)

@@ -139,7 +139,7 @@ def test_criterion_6_presentation():
 
 def test_criterion_7_self_replication_and_transitivity():
     report = analysis.verify_lemma("transrec", depth=4)
-    orbit = analysis.build_quotient(4).group.orbit(1)
+    orbit = permgroup.orbit(81, analysis.build_quotient(4).group.generators, 1)
     ok = report.passed and len(orbit) == 81
     verdict(
         7,
@@ -195,7 +195,8 @@ def test_criterion_9_property_suites():
         group = rng.choice([g2, g3])
         point = rng.randint(1, group.degree)
         stabilizer = oracles.pointwise_stabilizer(group, [point])
-        assert stabilizer.order() * len(group.orbit(point)) == group.order()
+        orbit = permgroup.orbit(group.degree, group.generators, point)
+        assert stabilizer.order() * len(orbit) == group.order()
         cases += 1
 
     # chain membership against brute-force enumeration, order <= 5000
@@ -218,8 +219,14 @@ def test_criterion_9_property_suites():
             continue
         groups.append((degree, gens, elements))
     for degree, gens, elements in groups:
-        group = permgroup.PermGroup(degree, [Perm(g) for g in gens])
+        perms = [Perm(g) for g in gens]
+        group = permgroup.PermGroup(degree, perms)
         assert group.order() == len(elements)
+        # the orbit of each point, with no chain, against the closure's images
+        for point in range(1, degree + 1):
+            expected = sorted({e[point - 1] + 1 for e in elements})
+            assert permgroup.orbit(degree, perms, point) == expected
+            cases += 1
         element_list = sorted(elements)
         for _ in range(15):
             member = element_list[rng.randrange(len(element_list))]

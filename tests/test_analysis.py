@@ -56,7 +56,9 @@ def test_block_action_compatibility_across_depths():
         for n in range(1, big_n):
             size = 3 ** (big_n - n)
             small = analysis.build_quotient(n)
-            pairs = zip(big.group.generators, small.group.generators, strict=True)
+            pairs = zip(
+                big.generator_map.values(), small.generator_map.values(), strict=True
+            )
             for g, h in pairs:
                 # every leaf of block v lands in block h(v)
                 for v in range(3**n):
@@ -191,6 +193,18 @@ def test_transitive_fails_on_the_leaves_of_the_level_above(monkeypatch):
         report = analysis.verify_lemma("transitive", depth=depth)
         assert not report.passed
         assert report.computed["orbit_size"] == 3 ** (depth - 1)
+
+
+def test_transitive_fails_on_identity_letters(monkeypatch):
+    """Letters that all act as the identity leave leaf 1 alone: the orbit
+    reads its generators, not just the degree."""
+    def identity(portrait, depth):
+        return Perm.identity(3**depth)
+
+    monkeypatch.setattr(analysis, "leaf_permutation", identity)
+    report = analysis.verify_lemma("transitive", depth=3)
+    assert report.computed["orbit_size"] == 1
+    assert not report.passed
 
 
 def test_level_identity_inside_rigid_product():

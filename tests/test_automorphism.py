@@ -262,6 +262,11 @@ def test_from_labels_rejects_deep_vertex():
         am.from_labels(1, {(1,): Perm.identity(3)})
 
 
+def test_json_import_rejects_negative_depth():
+    with pytest.raises(DepthError, match="depth must be >= 0"):
+        am.from_json_dict({"arity": 3, "depth": -1})
+
+
 def test_depth_zero_portraits():
     p = am.identity(0)
     assert p.depth == 0 and p.is_identity()

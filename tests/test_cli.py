@@ -116,6 +116,20 @@ def test_verify_unknown_id_is_usage_error(capsys):
     assert "unknown" in err
 
 
+@pytest.mark.parametrize("extra", [["selfsim"], ["all"]])
+def test_verify_all_among_other_ids_is_every_id(capsys, extra):
+    _, expected, _ = run(capsys, "verify", "all", "--depth", "2")
+    code, out, _ = run(capsys, "verify", "all", *extra, "--depth", "2")
+    assert code == 0
+    assert out == expected
+
+
+def test_verify_all_keeps_unknown_ids_an_error(capsys):
+    code, _, err = run(capsys, "verify", "all", "bogus")
+    assert code == 2
+    assert "unknown lemma ids: bogus" in err
+
+
 def test_verify_without_ids_is_usage_error(capsys):
     code, _, _ = run(capsys, "verify")
     assert code == 2

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from hanoikernel import permgroup as pg
-from hanoikernel import branch, words
+from hanoikernel import analysis, branch, words
 from hanoikernel.analysis import quotient_order
 from hanoikernel.automorphism import leaf_permutation
 from hanoikernel.errors import (
@@ -147,6 +147,16 @@ def test_vertex_bases_reject_split_blocks():
         oracles.kernel_of_level_action(g, 1)
     with pytest.raises(InvalidBlocksError):
         pg.tree_group(2, g.generators)
+    with pytest.raises(InvalidBlocksError):
+        pg.PermGroup(9, g.generators, 3)
+
+
+def test_generator_degree_mismatch():
+    # the degree is checked before the blocks, which read every leaf
+    with pytest.raises(ShapeError, match="generator degree 4 != 9"):
+        pg.tree_group(2, [Perm.identity(9), Perm.identity(4)])
+    with pytest.raises(ShapeError, match="generator degree 3 != 4"):
+        pg.PermGroup(4, [Perm.identity(3)])
 
 
 def test_derived_subgroup_of_s3_is_a3():
@@ -252,7 +262,7 @@ def test_order_times_index_identity():
 def test_pointwise_stabilizer_orbit_factorization():
     g = quotient_group(2)
     stab = oracles.pointwise_stabilizer(g, [1])
-    assert stab.order() * len(g.orbit(1)) == g.order()
+    assert stab.order() * len(pg.orbit(9, g.generators, 1)) == g.order()
     for gen in stab.generators:
         assert gen.apply(1) == 1
 
@@ -370,11 +380,12 @@ def test_pointwise_stabilizer_is_the_forced_chain_tail():
     the elements of the group that fix the points."""
     g = quotient_group(3)
     stab = oracles.pointwise_stabilizer(g, [1, 5, 27])
-    assert_chain_is_bsgs(stab._get_chain())
+    assert_chain_is_bsgs(stab._chain)
     chain = pg._Chain(27)
     for point in (0, 4, 26):
         chain._new_level(point)
-    pg._build_chain(chain, g.generators)
+    for gen in g.generators:
+        chain.add_generator(gen.images)
     assert [level.base for level in chain.levels[:3]] == [0, 4, 26]
     tail = chain.levels[3:]
     assert [g.images for g in stab.generators] == oracles.strong_generators(chain, 3)
@@ -402,7 +413,9 @@ def test_kernel_of_level_action_chain_is_cut_to_leaves(monkeypatch):
         degree = 3**depth
         built.clear()
         kernel = oracles.kernel_of_level_action(g, n)
-        (chain,) = built
+        # the chain with the vertex points, then the kernel's own
+        chain, fresh = built
+        assert fresh is kernel._chain
         assert type(chain.identity) is (bytes if depth == 3 else tuple)
         assert_chain_is_bsgs(chain, regenerate=depth == 3)
         assert chain.block == 3 ** (depth - n)
@@ -417,7 +430,7 @@ def test_kernel_of_level_action_chain_is_cut_to_leaves(monkeypatch):
         tail = chain.levels[chain.vertices :]
         assert [g.images for g in kernel.generators] == oracles.strong_generators(chain, chain.vertices)
         assert all(level.base < degree for level in tail)
-        assert kernel._get_chain().block == 0
+        assert kernel._chain.block == 0
         assert kernel.order() == math.prod(len(level.inverse_transversal) for level in tail)
 
 
@@ -440,7 +453,7 @@ def test_tree_group_matches_plain_chain(depth):
     gens = quotient_group(depth).generators
     tree = pg.tree_group(depth, gens)
     plain = pg.PermGroup(3**depth, gens)
-    chain = tree._get_chain()
+    chain = tree._chain
     assert_chain_is_bsgs(chain, regenerate=depth <= 4)
     level = depth // 2
     vertices = chain.levels[: chain.vertices]
@@ -469,7 +482,7 @@ def test_tree_group_matches_plain_chain(depth):
 def test_tree_group_of_depth_one_has_no_forced_base():
     # level 0 is the root alone, which every permutation fixes
     tree = pg.tree_group(1, quotient_group(1).generators)
-    assert tree._get_chain().vertices == 0
+    assert tree._chain.vertices == 0
     assert tree.order() == 6
 
 
@@ -482,7 +495,7 @@ def test_direct_power_matches_fresh_chain():
         power = oracles.direct_power(inner, count)
         assert power.degree == inner.degree * count
         assert power.order() == inner.order() ** count
-        assert_chain_is_bsgs(power._get_chain())
+        assert_chain_is_bsgs(power._chain)
         size = inner.degree
 
         def blockwise(q):
@@ -551,7 +564,7 @@ def random_words(group, rng, count):
 @pytest.mark.parametrize("degree", [255, 256, 257, 258])
 def test_encoding_boundary_matches_enumeration(degree):
     group = top_symmetric_group(degree)
-    chain = group._get_chain()
+    chain = group._chain
     assert type(chain.identity) is (bytes if degree <= 256 else tuple)
     assert_chain_is_bsgs(chain)
     elements = _brute.closure([g.images for g in group.generators])
@@ -567,7 +580,7 @@ def test_encoding_boundary_matches_enumeration(degree):
 
     stab = oracles.pointwise_stabilizer(group, [degree])
     assert_perm_degrees(stab, degree)
-    assert_chain_is_bsgs(stab._get_chain())
+    assert_chain_is_bsgs(stab._chain)
     fixing = [e for e in elements if e[degree - 1] == degree - 1]
     assert stab.order() == len(fixing) == 6
     for e in elements:
@@ -584,7 +597,7 @@ def test_encoding_boundary_matches_enumeration(degree):
 def test_direct_power_at_degree_256():
     """64 copies of S_4 fill the bytes encoding exactly: no padding."""
     power = oracles.direct_power(symmetric_group(4), 64)
-    chain = power._get_chain()
+    chain = power._chain
     assert type(chain.identity) is bytes and len(chain.identity) == 256
     assert_perm_degrees(power, 256)
     assert power.order() == 24**64
@@ -605,8 +618,8 @@ def test_direct_power_of_bytes_factor_has_tuple_chain():
     and a tuple chain."""
     inner = quotient_group(2)
     power = oracles.direct_power(inner, 29)
-    assert type(inner._get_chain().identity) is bytes
-    assert type(power._get_chain().identity) is tuple
+    assert type(inner._chain.identity) is bytes
+    assert type(power._chain.identity) is tuple
     assert_perm_degrees(power, 261)
     assert power.order() == 648**29
     elements = _brute.closure([g.images for g in inner.generators])
@@ -645,7 +658,7 @@ def test_vertex_bases_at_degree_729():
     group = pg.PermGroup(
         729, [am.leaf_permutation(am.from_labels(6, lab), 6) for lab in labels]
     )
-    assert type(group._get_chain().identity) is tuple
+    assert type(group._chain.identity) is tuple
     elements = _brute.closure([g.images for g in group.generators])
     assert group.order() == len(elements) == 1536
 
@@ -854,9 +867,9 @@ def test_support_masks_meet_exactly_when_the_supports_do(degree):
 
 def test_skipped_schreier_generators_leave_normal_closures_unchanged(monkeypatch):
     g = quotient_group(3)
-    fast = oracles.derived_subgroup(g)._get_chain()
+    fast = oracles.derived_subgroup(g)._chain
     monkeypatch.setattr(pg, "_Chain", UnskippedChain)
-    oracle = oracles.derived_subgroup(g)._get_chain()
+    oracle = oracles.derived_subgroup(g)._chain
     assert type(oracle) is UnskippedChain
     assert chain_snapshot(fast) == chain_snapshot(oracle)
     assert fast.order() == g.order() // 2
@@ -929,12 +942,12 @@ def test_broken_chain_fails_instead_of_hanging():
 
 
 def test_orbit_rejects_points_outside_the_degree():
-    g = pg.PermGroup(4, [Perm.transposition(4, 1, 2)])
-    assert g.orbit(1) == [1, 2]
-    assert g.orbit(4) == [4]
+    gens = [Perm.transposition(4, 1, 2)]
+    assert pg.orbit(4, gens, 1) == [1, 2]
+    assert pg.orbit(4, gens, 4) == [4]
     for point in (-1, 0, 5, 9):
         with pytest.raises(ValueError, match=f"point {point} outside 1..4"):
-            g.orbit(point)
+            pg.orbit(4, gens, point)
 
 
 def reference_sift(chain, p, start=0):
@@ -965,7 +978,7 @@ def base_fixing_swap(chain):
 def membership_queries(group, depth, rng, count):
     """Seeded members, members times a child swap, and members after a
     base-fixing swap."""
-    swap = base_fixing_swap(group._get_chain())
+    swap = base_fixing_swap(group._chain)
     members = random_words(group, rng, count)
     return (
         members
@@ -1009,7 +1022,7 @@ def test_member_steps_match_enumeration():
         queries = membership_queries(group, depth, rng, 40)
         queries += [Perm(e) for e in sorted(elements)[::7]]
         assert_member_steps_decide(
-            group._get_chain(), queries, lambda q: q.images in elements
+            group._chain, queries, lambda q: q.images in elements
         )
 
 
@@ -1025,13 +1038,15 @@ def test_member_steps_match_branch_membership(depth):
         rng = random.Random(depth)
         queries = membership_queries(group, depth, rng, 24)
         assert_member_steps_decide(
-            group._get_chain(), queries, lambda q: branch.contains(q.images, depth)
+            group._chain, queries, lambda q: branch.contains(q.images, depth)
         )
 
 
 def test_member_steps_skip_the_one_point_forced_levels_of_g5(caplog):
+    gens = quotient_group(5).generators
     with caplog.at_level("INFO", logger="hanoikernel.permgroup"):
-        chain = pg.tree_group(5, quotient_group(5).generators)._get_chain()
+        chain = pg.tree_group(5, gens)._chain
+    assert "degree=243 gens=3 " in caplog.text
     assert "levels=144 vertices=9 member_levels=140 " in caplog.text
     # the masks settle 8,808 of the 12,676 formed pairs as a level's whole
     assert "schreier=12676 skipped=9542 sifted=2296 strong=183 settled=8808" in caplog.text
@@ -1049,6 +1064,32 @@ def test_member_steps_skip_the_one_point_forced_levels_of_g5(caplog):
     )
 
 
+# G'_k's chain from the ten Gamma' words: its enlarging generators and
+# levels member_levels schreier skipped sifted strong settled
+DERIVED_CHAINS = {
+    1: (1, "levels=1 vertices=0 member_levels=1 schreier=3 skipped=0 sifted=0 strong=1 settled=0"),
+    2: (2, "levels=5 vertices=0 member_levels=5 schreier=38 skipped=9 sifted=11 strong=5 settled=3"),
+    3: (2, "levels=15 vertices=0 member_levels=15 schreier=374 skipped=177 sifted=115 strong=18 settled=142"),
+    4: (2, "levels=45 vertices=0 member_levels=45 schreier=2864 skipped=1900 sifted=636 strong=56 settled=1681"),
+    5: (2, "levels=135 vertices=0 member_levels=135 schreier=20037 skipped=15399 sifted=3407 strong=182 settled=14012"),
+}
+
+
+def test_derived_subgroup_chains_log_their_counters(caplog, monkeypatch):
+    """The package's G'_1 to G'_5, built afresh, log the same chains: every
+    counter, and gens=10, the Gamma' words given, of which the enlarging
+    ones are the group's generators."""
+    monkeypatch.setattr(analysis, "_derived", {})
+    for k, (enlarging, counters) in DERIVED_CHAINS.items():
+        caplog.clear()
+        with caplog.at_level("INFO", logger="hanoikernel.permgroup"):
+            group = analysis._derived_subgroup(k)
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "hanoikernel.permgroup"]
+        order = branch.orders(k)[1]
+        assert line == f"built chain: degree={3**k} gens=10 order={order} {counters}"
+        assert len(group.generators) == enlarging
+
+
 def test_member_steps_with_forced_leaf_bases():
     """Leaves opened as the first levels: after leaves 0 and 1 the group
     fixes their sibling 2, so that level has an orbit of one point. The
@@ -1058,7 +1099,9 @@ def test_member_steps_with_forced_leaf_bases():
     chain = pg._Chain(27)
     for point in (0, 1, 2, 13):
         chain._new_level(point)
-    pg._build_chain(chain, g.generators)
+    for gen in g.generators:
+        chain.add_generator(gen.images)
+    chain._finish()
     assert [base for base, _ in chain._steps[:4]] == [0, 1, 2, 13]
     assert len(chain.levels[2].inverse_transversal) == 1
     assert chain.member_levels == len(chain.levels) - 1
@@ -1070,21 +1113,6 @@ def test_member_steps_with_forced_leaf_bases():
     fixes = lambda q: all(q.images[x] == x for x in (0, 1, 2, 13))
     for q in queries + random_words(tail, rng, 12):
         assert tail.contains(q) == (branch.contains(q.images, 3) and fixes(q))
-
-
-def test_unfinished_chain_contains_through_every_level():
-    """A chain still growing has no member steps, so contains sifts through
-    every level; its answers equal those of the finished chain."""
-    g = quotient_group(3)
-    chain = pg._Chain(27, 9)
-    for gen in g.generators:
-        chain.add_generator(gen.images)
-    assert chain._member_steps is None
-    queries = membership_queries(g, 3, random.Random(3), 24)
-    growing = [chain.contains(q.images) for q in queries]
-    assert growing == [branch.contains(q.images, 3) for q in queries]
-    chain._finish()
-    assert [chain.contains(q.images) for q in queries] == growing
 
 
 def test_benchmark_sift_pass_answers_its_queries(tmp_path):

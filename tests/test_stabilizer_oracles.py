@@ -129,9 +129,10 @@ def reference_sections(depth: int, level: int) -> dict:
     conjugated by each transversal element."""
     group = analysis.build_quotient(depth).group
     size = 3 ** (depth - level)
-    chain, _ = permgroup._build_chain(
-        permgroup._Chain(group.degree, size), group.generators
-    )
+    chain = permgroup._Chain(group.degree, size)
+    for g in group.generators:
+        chain.add_generator(g.images)
+    chain._finish()
     stabilizer = [Perm(s) for s in oracles.strong_generators(chain, 1)]
     sections = {}
     for point, t_inv in chain.levels[0].inverse_transversal.items():
