@@ -13,9 +13,10 @@ the part truncations cannot see).
 the depth-2 patterns (branch), with no chain of G_N and no chain of a level
 stabilizer. G_N acts on level n as G_n, so |Stab(n)| is |G_N|/|G_n|, and
 |Stab(n)/Stab(n+1)| is |G_(n+1)|/|G_n|, or |G'_(n+1)|/|G'_n| inside the
-derived subgroup; a Rist(n) generator lies in Stab(n) when it lies in G_N
-and fixes every level-n vertex. Rist(n) in G_N is (G'_k)^(3^n), k = N - n,
-and G'_k is the only Rist(n) object built: its order is read off the chain
+derived subgroup. Rist(n) in G_N is (G'_k)^(3^n), k = N - n, and it lies
+in Stab(n) exactly when the three level-1 copies of each G'_k generator lie
+in G_(k+1) (_rist_in_stab has the proof, from branch's criterion). G'_k is
+the only Rist(n) object built: its order is read off the chain
 of G'_k, and Rist(n)'s generators are the leaf images of G'_k's generators
 copied onto each level-n block (_rist_generators). G'_k is generated by the
 leaf permutations of fixed words for Gamma' (words.parity_kernel_words), so
@@ -171,8 +172,7 @@ def _derived_subgroup(k: int) -> PermGroup:
 def _rist_generators(depth: int, n: int) -> Iterator[tuple[int, ...]]:
     """The leaf images of Rist(n)'s generators in G_N: each generator of
     G'_k, k = N - n, placed on level-n block v, for v in 0..3^n - 1, and the
-    identity on every other leaf. No Perm and no group of degree 3^N is
-    built for them."""
+    identity on every other leaf, with no Perm and no group built."""
     size = 3 ** (depth - n)
     identity = tuple(range(3**depth))
     factor = _derived_subgroup(depth - n).generators
@@ -200,16 +200,35 @@ def q_order(depth: int, n: int, slow: bool = False) -> int:
 
 
 def _rist_in_stab(depth: int, n: int) -> bool:
-    """Whether every generator of the rigid-stabilizer image fixes every
-    level-n vertex and lies in G_N, so that the image lies in Stab(n). G_N
-    maps vertices to vertices, so a vertex's first leaf shows where the
-    vertex goes."""
-    size = 3 ** (depth - n)
-    return all(
-        all(g[v * size] // size == v for v in range(3**n))
-        and branch.contains(g, depth)
-        for g in _rist_generators(depth, n)
+    """Whether Rist(n) = (G'_k)^(3^n), k = N - n, lies in Stab(n) in G_N,
+    decided on the three level-1 copies of each G'_k generator in G_(k+1):
+    each must fix level 1 (a vertex's first leaf shows where it goes) and
+    lie in G_(k+1).
+
+    By branch's criterion, an automorphism lies in G_M exactly when it is a
+    tree automorphism whose depth-2 pattern at every vertex of level <=
+    M - 2 lies in G_2. The copy of a generator g on a level-n vertex v,
+    which fixes level n, is a tree automorphism exactly when g is, with g's
+    own patterns at v's descendants, g's root permutation in slot v mod 3 at
+    v's parent, and the identity at every other vertex. The copy of g on
+    level-1 vertex v mod 3 at depth k + 1 has the same patterns, so the two
+    lie in G_N and G_(k+1) together, and for n >= 1 the three copies decide
+    all 3^n (tests/_chain_oracles.py keeps the per-copy check).
+    """
+    k = depth - n
+    size = 3**k
+    copies = list(_rist_generators(k + 1, 1))
+    inside = all(
+        all(g[v * size] // size == v for v in range(3))
+        and branch.contains(g, k + 1)
+        for g in copies
     )
+    logger.info(
+        "Rist(%d) <= Stab(%d) in G_%d: %s, k = %d, %d level-1 copies of G'_%d's"
+        " generators in G_%d at degree %d",
+        n, n, depth, "pass" if inside else "FAIL", k, len(copies), k, k + 1, 3 * size,
+    )
+    return inside
 
 
 def _exact_quotient(order: int, sub_order: int) -> int:
@@ -229,7 +248,8 @@ def _q_order(depth: int, n: int) -> int:
     logger.info(
         "Q(%d,%d) = |G_N| / (|G_n| |Rist(n)|) = %d / (%d * %d),"
         " |G_N| and |G_n| from the branch recursion,"
-        " |Rist(n)| = |G'_k|^(3^n) from the chain of G'_k",
+        " |Rist(n)| = |G'_k|^(3^n) from the chain of G'_k,"
+        " Rist(n) <= Stab(n) from the level-1 copies of G'_k in G_(k+1)",
         n, depth, *orders,
     )
     return q
@@ -366,8 +386,9 @@ def _elementary_abelian_quotient(depth: int, n: int) -> bool:
     (G'_k)^(3^n), so its order is at most |G'_k|^(3^n). Rist(n) is
     (G'_k)^(3^n) on the level-n blocks (_rist_generators). G'_k is generated
     by the leaf permutations of words in Gamma' (_derived_subgroup), and its
-    order comes from their chain. Once the copies of its generators fix
-    level n and lie in G_N, Rist(n) lies in that kernel, and when that
+    order comes from their chain. Once the three level-1 copies of its
+    generators lie in G_(k+1), their copies on level n lie in G_N and fix
+    level n (_rist_in_stab), so Rist(n) lies in that kernel, and when that
     chain's order is |G'_k| from the branch recursion, it is the kernel.
     Then Q(n,N) embeds in an elementary abelian 2-group. The flag stays
     independent of branch: reading |Rist(n)| from the branch recursion

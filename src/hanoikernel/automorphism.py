@@ -17,10 +17,16 @@ import functools
 import json
 from typing import Iterator, Mapping
 
-from .errors import DepthError, ShapeError
+from .errors import DepthError, ResourceLimitError, ShapeError
 from .perm import Perm
 
 Vertex = tuple[int, ...]
+
+# The depth cap of portraits and words. words.evaluate recurses once per
+# level, and each level takes three of the 1000 frames Python allows by
+# default: the function, its generator expression and the lru_cache call.
+# Depth 330 exceeds them. compose, inverse and equality recurse too.
+MAX_DEPTH = 250
 
 
 class Portrait:
@@ -120,24 +126,26 @@ def identity(depth: int) -> Portrait:
 def from_labels(depth: int, labels: Mapping[Vertex, Perm]) -> Portrait:
     """Build a portrait from a map of internal-vertex labels.
 
-    Vertices absent from the map get the identity label.
+    Vertices absent from the map get the identity label. Only the labelled
+    vertices and their ancestors are built, deepest first; every other
+    subtree is the cached identity, so the work is O(|labels| depth).
     """
     if depth < 0:
         raise DepthError("depth must be >= 0")
+    if depth > MAX_DEPTH:
+        raise ResourceLimitError(f"depth {depth} exceeds the cap {MAX_DEPTH}")
     for v in labels:
         if len(v) >= depth:
             raise DepthError(f"label at {v} lies at level >= depth {depth}")
         for digit in v:
             _check_digit(digit)
-
-    def build(vertex: Vertex, d: int) -> Portrait:
-        if d == 0:
-            return identity(0)
-        root = labels.get(vertex, Perm.identity(3))
-        children = tuple(build(vertex + (i,), d - 1) for i in (1, 2, 3))
-        return Portrait(root, children)
-
-    return build((), depth)
+    built: dict[Vertex, Portrait] = {}
+    ancestors = {v[:i] for v in labels for i in range(len(v) + 1)}
+    for vertex in sorted(ancestors, key=len, reverse=True):
+        below = identity(depth - len(vertex) - 1)
+        children = tuple(built.get(vertex + (i,), below) for i in (1, 2, 3))
+        built[vertex] = Portrait(labels.get(vertex, Perm.identity(3)), children)
+    return built.get((), identity(depth))
 
 
 def _check_digit(digit: int) -> None:

@@ -25,7 +25,7 @@ import re
 from typing import Callable, Hashable, Sequence
 
 from . import automorphism
-from .automorphism import Portrait
+from .automorphism import MAX_DEPTH, Portrait
 from .errors import DepthError, ResourceLimitError, ShapeError
 from .perm import Perm
 
@@ -73,11 +73,6 @@ LEVEL1_STABILIZER_WORDS = ("acab", "abac", "bcba", "babc")
 # (tau_power_length), so neither costs more as n grows; spelling it out
 # (tau_power) still triples.
 MAX_TAU = 12
-
-# Evaluation recurses once per level, and each level of _evaluate_reduced
-# takes three of the 1000 frames Python allows by default: the function, its
-# generator expression and the lru_cache call. Depth 330 exceeds them.
-MAX_DEPTH = 250
 
 _OUTSIDE_ALPHABET = re.compile(f"[^{ALPHABET}]").search
 _DOUBLED = tuple(ch + ch for ch in ALPHABET)

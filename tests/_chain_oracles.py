@@ -10,7 +10,9 @@ by the orders of the G_N, G_n and G'_k chains, the order of a chain of the
 Rist(n) image, and sifting into G_N, and by index and sifting in a Stab(n)
 chain whose first bases are the level-n vertices as points. Each takes
 the Rist(n) image (rist_image) as `rist`, so that a caller builds its
-chain, at degree 3^N, once for all of them.
+chain, at degree 3^N, once for all of them. rist_copies_in_stab is the
+per-copy containment by branch.contains at degree 3^N, which the package
+decides on three level-1 copies in G_(k+1).
 
 They also hold the chain routines that only tests use: the derived subgroup
 as the normal closure of the commutators of the generators, which needs no
@@ -238,6 +240,19 @@ def rist_in_stab(quotient: analysis.TruncatedQuotient, n: int, rist: PermGroup) 
         all(g.images[v * size] // size == v for v in range(3**n))
         and quotient.group.contains(g)
         for g in rist.generators
+    )
+
+
+def rist_copies_in_stab(depth: int, n: int) -> bool:
+    """Whether every copy of every G'_k generator, k = N - n, on every
+    level-n vertex v in 0..3^n - 1 fixes level n and lies in G_N by
+    branch.contains at degree 3^N: the per-copy check that the package
+    decides on the three level-1 copies in G_(k+1)."""
+    size = 3 ** (depth - n)
+    return all(
+        all(g[v * size] // size == v for v in range(3**n))
+        and branch.contains(g, depth)
+        for g in analysis._rist_generators(depth, n)
     )
 
 

@@ -250,6 +250,67 @@ def test_rist_check_fails_when_rist_leaves_stab(monkeypatch, extra):
             assert not analysis._elementary_abelian_quotient(depth, n)
 
 
+@pytest.mark.parametrize("depth", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
+def test_rist_check_matches_the_per_copy_oracle(monkeypatch, depth):
+    """The three level-1 copies in G_(k+1) give the verdict of every copy on
+    level n in G_N, for G'_k's generators, which pass, and for factors whose
+    copies leave G_N: a letter, a transposition of sibling leaves, and a
+    G'_k generator times that transposition."""
+    real = analysis._derived_subgroup
+
+    def transposition(k):
+        return Perm([1, 0, *range(2, 3**k)])
+
+    factors = {
+        "G'_k": lambda k: real(k).generators,
+        "sibling transposition": lambda k: [transposition(k)],
+        "G'_k generator times it": lambda k: [real(k).generators[0] * transposition(k)],
+    }
+    for letter in words.ALPHABET:
+        factors[letter] = lambda k, x=letter: [
+            automorphism.leaf_permutation(words.evaluate(x, k), k)
+        ]
+    for name, gens in factors.items():
+        monkeypatch.setattr(
+            analysis, "_derived_subgroup", lambda k: permgroup.PermGroup(3**k, gens(k))
+        )
+        for n in range(1, depth):
+            verdict = analysis._rist_in_stab(depth, n)
+            assert verdict == oracles.rist_copies_in_stab(depth, n), (name, n)
+            assert verdict is (name == "G'_k"), (name, n)
+
+
+def test_rist_check_reads_three_copies_per_generator_in_g_k_plus_1(monkeypatch):
+    """Each containment makes at most 3 |gens(G'_k)| branch.contains calls,
+    each on the 3^(k+1) leaves of G_(k+1), k = N - n; a per-copy check
+    would make 3^n times as many, each at degree 3^N."""
+    real_contains, real_check = branch.contains, analysis._rist_in_stab
+    pairs, calls = [], []
+
+    def contains(images, depth):
+        calls.append((pairs[-1], len(images)))
+        return real_contains(images, depth)
+
+    def rist_in_stab(depth, n):
+        pairs.append((depth, n))
+        return real_check(depth, n)
+
+    monkeypatch.setattr(branch, "contains", contains)
+    monkeypatch.setattr(analysis, "_rist_in_stab", rist_in_stab)
+    assert analysis.kernel_report(3, 5, slow=True).passed
+    assert len(calls) == 27
+    assert analysis.verify_lemma("rist", 6, slow=True).passed
+    assert pairs[-5:] == [(6, n) for n in range(1, 6)]
+    for big_n, n in set(pairs):
+        k = big_n - n
+        degrees = [degree for pair, degree in calls if pair == (big_n, n)]
+        assert 0 < len(degrees) <= 3 * len(analysis._derived_subgroup(k).generators)
+        assert set(degrees) == {3 ** (k + 1)}
+    assert len(calls) - 27 == sum(
+        3 * len(analysis._derived_subgroup(k).generators) for k in range(1, 6)
+    )
+
+
 @pytest.mark.parametrize(
     "cycles, flag",
     [
@@ -530,5 +591,10 @@ def test_q_order_logs_its_orders_and_their_source(caplog):
     assert (
         "Q(1,3) = |G_N| / (|G_n| |Rist(n)|) = 816293376 / (6 * 34012224),"
         " |G_N| and |G_n| from the branch recursion,"
-        " |Rist(n)| = |G'_k|^(3^n) from the chain of G'_k"
+        " |Rist(n)| = |G'_k|^(3^n) from the chain of G'_k,"
+        " Rist(n) <= Stab(n) from the level-1 copies of G'_k in G_(k+1)"
+    ) in caplog.text
+    assert (
+        "Rist(1) <= Stab(1) in G_3: pass, k = 2,"
+        " 6 level-1 copies of G'_2's generators in G_3 at degree 27"
     ) in caplog.text

@@ -4,7 +4,7 @@ import pytest
 
 from hanoikernel import automorphism as am
 from hanoikernel import words
-from hanoikernel.errors import DepthError, ShapeError
+from hanoikernel.errors import DepthError, ResourceLimitError, ShapeError
 from hanoikernel.perm import Perm
 
 import _brute
@@ -265,6 +265,54 @@ def test_from_labels_rejects_deep_vertex():
 def test_json_import_rejects_negative_depth():
     with pytest.raises(DepthError, match="depth must be >= 0"):
         am.from_json_dict({"arity": 3, "depth": -1})
+
+
+def test_from_labels_builds_only_the_labelled_path(monkeypatch):
+    """A one-label map at depth 12 builds the label's vertex and its 11
+    ancestors, and every subtree off that path is the cached identity; a
+    builder of all 3^12 vertices would take seconds."""
+    vertex = (2, 3, 1, 1, 3, 2, 2, 1, 3, 3, 1)
+    for d in range(13):
+        am.identity(d)
+    made = []
+    real = am.Portrait
+
+    def counting(root, children):
+        made.append(root)
+        return real(root, children)
+
+    monkeypatch.setattr(am, "Portrait", counting)
+    assert am.from_labels(12, {}) is am.identity(12)
+    assert not made
+    g = am.from_labels(12, {vertex: Perm([1, 2, 0])})
+    assert len(made) == len(vertex) + 1
+    node = g
+    for level, digit in enumerate(vertex):
+        for i in (1, 2, 3):
+            if i != digit:
+                assert node.children[i - 1] is am.identity(11 - level)
+        node = node.children[digit - 1]
+    assert node.root == Perm([1, 2, 0])
+
+
+@pytest.mark.parametrize("depth", [12, 200])
+def test_one_label_portrait_round_trips(depth):
+    label = Perm([2, 0, 1])
+    vertex = (3,) * (depth - 1)
+    g = am.from_labels(depth, {vertex: label})
+    assert g == am.embed(vertex, am.from_labels(1, {(): label}))
+    assert g.labels() == {vertex: label}
+    assert am.from_json(am.to_json(g)) == g
+
+
+def test_from_labels_caps_its_depth():
+    assert am.from_labels(am.MAX_DEPTH, {}).depth == am.MAX_DEPTH
+    assert words.MAX_DEPTH == am.MAX_DEPTH
+    for depth in (am.MAX_DEPTH + 1, 2000):
+        with pytest.raises(ResourceLimitError, match=f"depth {depth} exceeds"):
+            am.from_labels(depth, {})
+        with pytest.raises(ResourceLimitError, match=f"depth {depth} exceeds"):
+            am.from_json_dict({"arity": 3, "depth": depth, "labels": {"1": [2, 1, 3]}})
 
 
 def test_depth_zero_portraits():
