@@ -33,18 +33,15 @@ those entry points builds through _derived_subgroup.
 from __future__ import annotations
 
 import json
-import logging
 from importlib import resources
 from typing import Iterator, NamedTuple
 
-from . import branch, f2, permgroup, words
+from . import branch, f2, log, permgroup, words
 from .automorphism import embed, leaf_permutation
 from .errors import DepthError, NotASubgroupError, ResourceLimitError, ShapeError
 from .f2 import F2Subspace
 from .perm import Perm
 from .permgroup import PermGroup
-
-logger = logging.getLogger(__name__)
 
 DEPTH_FREE = 4  # degree 81; anything deeper needs the slow flag
 DEPTH_SLOW = 6  # degree 729, stabilizer computations only
@@ -223,7 +220,8 @@ def _rist_in_stab(depth: int, n: int) -> bool:
         and branch.contains(g, k + 1)
         for g in copies
     )
-    logger.info(
+    log.info(
+        __name__,
         "Rist(%d) <= Stab(%d) in G_%d: %s, k = %d, %d level-1 copies of G'_%d's"
         " generators in G_%d at degree %d",
         n, n, depth, "pass" if inside else "FAIL", k, len(copies), k, k + 1, 3 * size,
@@ -245,7 +243,8 @@ def _q_order(depth: int, n: int) -> int:
         raise NotASubgroupError(f"Rist({n}) of G_{depth} is not inside Stab({n})")
     orders = branch.orders(depth)[0], branch.orders(n)[0], _rist_order(depth, n)
     q = _exact_quotient(_exact_quotient(orders[0], orders[1]), orders[2])
-    logger.info(
+    log.info(
+        __name__,
         "Q(%d,%d) = |G_N| / (|G_n| |Rist(n)|) = %d / (%d * %d),"
         " |G_N| and |G_n| from the branch recursion,"
         " |Rist(n)| = |G'_k|^(3^n) from the chain of G'_k,"
@@ -596,6 +595,10 @@ def _check_stab12(depth: int) -> LemmaReport:
 
 
 def _check_index(depth: int) -> LemmaReport:
+    """The stabilizer vectors read a word's letter parities as its image in
+    Gamma/Gamma' = F_2^3; branch._structure's docstring proves that premise
+    from a step-table condition that branch's certificate checks."""
+    branch.orders(1)  # checks the certificate, unless it already ran
     vectors = {w: list(f2.stab1_vector(w)) for w in words.LEVEL1_STABILIZER_WORDS}
     u = f2.level1_stabilizer_space()
     uz = f2.intersect(u, f2.even_letter_sum_space())
@@ -782,5 +785,7 @@ def verify_lemma(lemma: str, depth: int = 4, slow: bool = False) -> LemmaReport:
         raise KeyError(f"unknown lemma id {lemma!r}; known: {', '.join(LEMMA_IDS)}")
     _require_depth(depth, slow)
     report = _LEMMA_CHECKS[lemma](depth)
-    logger.info("lemma %s at depth %d: %s", lemma, depth, "pass" if report.passed else "FAIL")
+    log.info(
+        __name__, "lemma %s at depth %d: %s", lemma, depth, "pass" if report.passed else "FAIL"
+    )
     return report

@@ -39,22 +39,22 @@ is a tree automorphism whose depth-2 pattern at every vertex of level
 <= N - 2 lies in G_2: G_N is a finitely constrained group (Grigorchuk-Sunic,
 C. R. Acad. Sci. Paris 342 (2006); Sunic, Geom. Dedicata 124 (2007)).
 
-The certificate is checked, and P, P' and G_2 are closed, on first use.
+The certificate is checked, and P, P' and G_2 are closed, on first use;
+the same check certifies that letter parity is well defined on Gamma
+(_structure has the proof).
 """
 
 from __future__ import annotations
 
 import functools
-import logging
+import itertools
 from operator import itemgetter
 from typing import Callable, Sequence
 
-from . import words
+from . import log, words
 from .automorphism import leaf_permutation
 from .errors import DepthError, ShapeError
 from .perm import Perm
-
-logger = logging.getLogger(__name__)
 
 # words of Gamma' with trivial root and states ([x, y], 1, 1)
 BRANCHING_WORDS = {"acbcacbc": "ab", "abcbabcb": "ac", "cbacabacac": "bc"}
@@ -109,7 +109,31 @@ def _sign_root(x: _Images) -> Perm:
 @functools.cache
 def _structure() -> tuple[frozenset[_Images], ...]:
     """G_1, G'_1, P, P' and G_2 as sets of image tuples, once the
-    certificate is checked."""
+    certificate is checked.
+
+    The check also certifies that letter parity is well defined on Gamma,
+    so that Gamma/Gamma' = F_2^3 (the premise of every GF(2) number the
+    package reports). Let w be a reduced word with w = 1 in Gamma.
+    - Every letter of w lands in exactly one first-level state, as itself,
+      and free reduction cancels letters in pairs; so w's vector of letter
+      parities is the sum of its states' vectors, and each state is 1 in
+      Gamma.
+    - For |w| >= 2, no state receives all of w's letters: two adjacent
+      letters x != y land in different states. With root label s before x,
+      that is, for each of the six labels s and each pair x != y: if
+      words._STEP[s][x] = (j, s'), then words._STEP[s'][y][0] != j.
+    - So each state is shorter than w, and by induction on length each
+      state's vector is 0, and so is w's. A single letter is not 1, since
+      its root is odd.
+    So the parity map pi is well defined on Gamma and maps onto F_2^3.
+    Gamma is generated by three involutions, so |Gamma/Gamma'| <= 8, and
+    ker pi = Gamma'.
+    """
+    for s, row in enumerate(words._STEP):
+        for x, y in itertools.permutations(words.ALPHABET, 2):
+            coordinate, after = row[x]
+            if words._STEP[after][y][0] == coordinate:
+                raise AssertionError(f"{x + y!r} lands in one state from root label {s}")
     for word, (x, y) in BRANCHING_WORDS.items():
         if words.word_states(word) != ((words.commutator(x, y), "", ""), Perm.identity(3)):
             raise AssertionError(f"{word!r} is no branching word for [{x}, {y}]")
@@ -130,7 +154,8 @@ def _structure() -> tuple[frozenset[_Images], ...]:
     )
     if len(g2) != len(p) * len(g1_derived) ** 3:
         raise AssertionError(f"|G_2| = {len(g2)} breaks the branch recursion")
-    logger.info(
+    log.info(
+        __name__,
         "branch certificate checked: |P| = %d, |P'| = %d, |G_2| = %d",
         len(p), len(p_derived), len(g2),
     )

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import errno
 import json
-import logging
 import os
 import sys
 
@@ -276,10 +275,16 @@ def _run_export(args) -> tuple[dict | None, int]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # getLevelName maps a level's name to its number, and any other string
-    # to a string
-    level = logging.getLevelName(os.environ.get("LOGLEVEL", "error").upper())
-    logging.basicConfig(level=level if isinstance(level, int) else logging.ERROR)
+    # every package log line is INFO, so at the default ERROR level no
+    # line is shown and logging need not be loaded (log.py)
+    name = os.environ.get("LOGLEVEL", "error").upper()
+    if name != "ERROR":
+        import logging
+
+        # getLevelName maps a level's name to its number, and any other
+        # string to a string
+        level = logging.getLevelName(name)
+        logging.basicConfig(level=level if isinstance(level, int) else logging.ERROR)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

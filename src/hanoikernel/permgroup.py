@@ -66,17 +66,15 @@ they loop forever.
 
 from __future__ import annotations
 
-import logging
 import sys
 from collections import deque
 from functools import partial
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
+from . import log
 from .errors import InvalidBlocksError, ShapeError
 from .perm import Perm
-
-logger = logging.getLogger(__name__)
 
 _Tuple = tuple[int, ...]
 # a chain element: padded bytes up to width _BYTES_MAX, a tuple above
@@ -427,8 +425,9 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(g for g in candidates if chain.add_generator(g.images))
         self._chain = chain._finish()
-        if logger.isEnabledFor(logging.INFO):
-            logger.info(
+        if log.enabled(__name__):
+            log.info(
+                __name__,
                 "built chain: degree=%d gens=%d order=%d levels=%d vertices=%d"
                 " member_levels=%d schreier=%d skipped=%d sifted=%d strong=%d"
                 " settled=%d",

@@ -246,3 +246,37 @@ def test_certificate_rejects_a_p_that_breaks_the_recursion_at_depth_2(
     monkeypatch.setattr(branch, "_sign_image", lambda x: real("b" if x == "c" else x))
     with pytest.raises(AssertionError, match="breaks the branch recursion"):
         branch.orders(3)
+
+
+def reduced_words(length: int):
+    """Every word of the given length with no two equal adjacent letters."""
+    for letters in itertools.product(words.ALPHABET, repeat=length):
+        if all(x != y for x, y in zip(letters, letters[1:])):
+            yield "".join(letters)
+
+
+def test_no_reduced_word_has_a_state_of_full_length():
+    """The step-table condition _structure checks, read off the brute
+    action instead: no first-level state of a reduced word of length >= 2
+    receives all its letters."""
+    for length in range(2, 11):
+        for word in reduced_words(length):
+            states, _ = _brute.word_states(word)
+            assert max(map(len, states)) < length, word
+
+
+def step_table_read_off_root():
+    """words._STEP with each letter's coordinate read off the running root
+    label instead of its inverse."""
+    return tuple(
+        {x: (words._S3[s].apply(words._HOME[x]) - 1, after) for x, (_, after) in row.items()}
+        for s, row in enumerate(words._STEP)
+    )
+
+
+def test_certificate_rejects_a_step_table_that_lands_two_letters_in_one_state(
+    fresh_certificate, monkeypatch
+):
+    monkeypatch.setattr(words, "_STEP", step_table_read_off_root())
+    with pytest.raises(AssertionError, match="lands in one state"):
+        branch.orders(2)

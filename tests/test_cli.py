@@ -39,6 +39,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def child_env(**env):
+    """This process's environment for a child, with the package on its path
+    and LOGLEVEL only as given here."""
+    inherited = {k: v for k, v in os.environ.items() if k != "LOGLEVEL"}
+    return dict(inherited, PYTHONPATH=SRC, **env)
+
+
 def run_child(*argv, env):
     """The CLI in a process of its own, for what happens around main: the
     logging set-up, which holds for the whole process, and the last flush."""
@@ -47,7 +54,7 @@ def run_child(*argv, env):
         capture_output=True,
         text=True,
         timeout=120,
-        env=dict(os.environ, PYTHONPATH=SRC, **env),
+        env=child_env(**env),
     )
     return result.returncode, result.stdout, result.stderr
 
@@ -324,7 +331,7 @@ def test_closed_stdout_keeps_the_exit_code():
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-        env=dict(os.environ, PYTHONPATH=SRC),
+        env=child_env(),
     )
     child.stdout.close()
     err = child.stderr.read()
@@ -360,7 +367,7 @@ def test_import_footprint():
         capture_output=True,
         text=True,
         timeout=120,
-        env=dict(os.environ, PYTHONPATH=SRC),
+        env=child_env(),
     )
     assert result.returncode == 0, result.stderr
     seen = json.loads(result.stdout.splitlines()[-1])
@@ -369,3 +376,58 @@ def test_import_footprint():
     assert "hanoikernel.game" not in seen["relators"]
     assert "hanoikernel.game" not in seen["verify"]
     assert seen["dataclasses"], "the package imported dataclasses"
+
+
+LOGGING_FOOTPRINT = """
+import contextlib, io, json, sys
+from hanoikernel import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["relators", "--max-tau", "1", "--depth", "2"])
+    cli.main(["verify", "all", "--depth", "3"])
+    cli.main(["kernel-report", "--n-max", "1", "--depth", "3"])
+print(json.dumps(sorted({"logging", "traceback"} & set(sys.modules))))
+"""
+
+
+def test_logging_is_imported_only_for_a_set_loglevel():
+    """Every package log line is INFO, so a run at the default level
+    imports neither logging nor the traceback module it brings."""
+    loaded = {}
+    for level in (None, "info"):
+        result = subprocess.run(
+            [sys.executable, "-c", LOGGING_FOOTPRINT],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=child_env(**({"LOGLEVEL": level} if level else {})),
+        )
+        assert result.returncode == 0, result.stderr
+        loaded[level] = json.loads(result.stdout.splitlines()[-1])
+    assert loaded[None] == []
+    assert "logging" in loaded["info"]
+
+
+@pytest.fixture(scope="module")
+def default_rist_run():
+    return run_child("verify", "rist", "--depth", "3", env={})
+
+
+@pytest.mark.parametrize(
+    "level", ["error", "warning", "info", "debug", "basic_format", "nonsense"]
+)
+def test_loglevel_changes_only_the_log_lines(default_rist_run, level):
+    """LOGLEVEL is parsed as a level name; anything else is the default
+    ERROR. At INFO and below stderr gains each stage's line."""
+    code, out, err = run_child("verify", "rist", "--depth", "3", env={"LOGLEVEL": level})
+    assert (code, out) == default_rist_run[:2]
+    assert default_rist_run[2] == "pass  rist\n"
+    if level not in ("info", "debug"):
+        assert err == "pass  rist\n"
+        return
+    *logged, summary = err.splitlines()
+    assert summary == "pass  rist"
+    assert all(re.match(r"INFO:hanoikernel\.(analysis|branch|permgroup):", line) for line in logged)
+    assert "INFO:hanoikernel.branch:branch certificate checked: " in err
+    assert "INFO:hanoikernel.permgroup:built chain: " in err
+    assert re.search(r"^INFO:hanoikernel\.analysis:Rist\(1\) <= Stab\(1\) in G_3: pass", err, re.M)
+    assert "INFO:hanoikernel.analysis:lemma rist at depth 3: pass" in err
