@@ -26,8 +26,8 @@ words: they are words in a, b and c, and once they include all three the
 section is G_k, with no group built. No command builds G_N: transitive takes
 the orbit of leaf 1 under the leaf permutations of a, b and c, with no group,
 and build_quotient, which makes G_N and its chain, serves the tests and the
-benchmark. The depth cap is checked where a depth enters; everything behind
-those entry points builds through _derived_subgroup.
+benchmark. Every entry point checks one depth cap, 3^6 leaves, where its
+depth enters; only build_quotient also wants slow, for the chain of G_6.
 """
 
 from __future__ import annotations
@@ -43,22 +43,14 @@ from .f2 import F2Subspace
 from .perm import Perm
 from .permgroup import PermGroup
 
-DEPTH_FREE = 4  # degree 81; anything deeper needs the slow flag
-DEPTH_SLOW = 6  # degree 729, stabilizer computations only
+DEPTH_CAP = 6  # degree 729
 
 
-def _require_depth(depth: int, slow: bool) -> None:
+def _require_depth(depth: int) -> None:
     if depth < 1:
         raise DepthError("depth must be >= 1")
-    if depth <= DEPTH_FREE:
-        return
-    if depth <= DEPTH_SLOW and slow:
-        return
-    if depth <= DEPTH_SLOW:
-        raise ResourceLimitError(
-            f"depth {depth} needs the slow flag (degree {3 ** depth})"
-        )
-    raise ResourceLimitError(f"depth {depth} exceeds the degree cap 3^{DEPTH_SLOW}")
+    if depth > DEPTH_CAP:
+        raise ResourceLimitError(f"depth {depth} exceeds the degree cap 3^{DEPTH_CAP}")
 
 
 # -- expected values ---------------------------------------------------------
@@ -132,8 +124,10 @@ def clear_caches() -> None:
 def build_quotient(depth: int, slow: bool = False) -> TruncatedQuotient:
     """The group generated by the leaf permutations of a, b, c at depth N,
     with its vertex-prefixed chain (permgroup.tree_group). No command builds
-    it."""
-    _require_depth(depth, slow)
+    it. Its one slow build, G_6's chain (over a second), needs slow."""
+    _require_depth(depth)
+    if depth == DEPTH_CAP and not slow:
+        raise ResourceLimitError(f"the chain of G_{depth} needs the slow flag")
     cached = _quotients.get(depth)
     if cached is not None:
         return cached
@@ -187,12 +181,12 @@ def _rist_order(depth: int, n: int) -> int:
     return _derived_subgroup(depth - n).order() ** 3**n
 
 
-def q_order(depth: int, n: int, slow: bool = False) -> int:
+def q_order(depth: int, n: int) -> int:
     """|Q_{n,N}|: index of the rigid-stabilizer image inside the
     level-stabilizer image of the depth-N truncation."""
     if not 1 <= n < depth:
         raise DepthError(f"level {n} outside 1..{depth - 1}")
-    _require_depth(depth, slow)
+    _require_depth(depth)
     return _q_order(depth, n)
 
 
@@ -254,14 +248,14 @@ def _q_order(depth: int, n: int) -> int:
     return q
 
 
-def q_table(n_max: int, depth: int, slow: bool = False) -> dict[tuple[int, int], int]:
+def q_table(n_max: int, depth: int) -> dict[tuple[int, int], int]:
     """|Q_{n,N}| for every 1 <= n <= n_max and n < N <= depth, keyed by
     (n, N) in that order."""
     if n_max < 1:
         raise ShapeError("n_max must be >= 1")
     if depth <= n_max:
         raise ShapeError(f"depth {depth} must exceed n_max {n_max}")
-    _require_depth(depth, slow)
+    _require_depth(depth)
     return {
         (n, big_n): _q_order(big_n, n)
         for n in range(1, n_max + 1)
@@ -405,7 +399,7 @@ def _rist_is_kernel(depth: int, n: int) -> bool:
     return _derived_subgroup(k).order() == branch.orders(k)[1]
 
 
-def kernel_report(n_max: int = 2, depth_budget: int = 4, slow: bool = False) -> KernelReport:
+def kernel_report(n_max: int = 2, depth_budget: int = 4) -> KernelReport:
     """Assemble the inverse-system table and the final kernel verdict.
 
     Gamma orders are never read off a truncation; they follow from the
@@ -421,7 +415,7 @@ def kernel_report(n_max: int = 2, depth_budget: int = 4, slow: bool = False) -> 
         raise ShapeError("n_max must be >= 1")
     if depth_budget < n_max + 2:
         raise ShapeError("depth budget must be at least n_max + 2")
-    _require_depth(depth_budget, slow)
+    _require_depth(depth_budget)
 
     gamma1 = gamma1_order()
     seed = kernel_seed_order()
@@ -779,11 +773,11 @@ LEMMA_STATEMENTS = {
 }
 
 
-def verify_lemma(lemma: str, depth: int = 4, slow: bool = False) -> LemmaReport:
+def verify_lemma(lemma: str, depth: int = 4) -> LemmaReport:
     """Run one structural check; see LEMMA_STATEMENTS for the catalogue."""
     if lemma not in _LEMMA_CHECKS:
         raise KeyError(f"unknown lemma id {lemma!r}; known: {', '.join(LEMMA_IDS)}")
-    _require_depth(depth, slow)
+    _require_depth(depth)
     report = _LEMMA_CHECKS[lemma](depth)
     log.info(
         __name__, "lemma %s at depth %d: %s", lemma, depth, "pass" if report.passed else "FAIL"

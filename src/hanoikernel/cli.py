@@ -21,6 +21,8 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
+SLOW_HELP = "no effect: every depth up to 6 runs without it (kept for old command lines)"
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -33,18 +35,18 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run structural checks by id")
     verify.add_argument("ids", nargs="*", help="lemma ids, or 'all'")
     verify.add_argument("--depth", type=int, default=4)
-    verify.add_argument("--slow", action="store_true")
+    verify.add_argument("--slow", action="store_true", help=SLOW_HELP)
     verify.add_argument("--list", action="store_true", help="list known ids")
 
     qtable = sub.add_parser("qtable", help="indices of rigid inside level stabilizers")
     qtable.add_argument("--n-max", type=int, default=2)
     qtable.add_argument("--depth", type=int, default=4)
-    qtable.add_argument("--slow", action="store_true")
+    qtable.add_argument("--slow", action="store_true", help=SLOW_HELP)
 
     kernel = sub.add_parser("kernel-report", help="the full rigid-kernel bookkeeping")
     kernel.add_argument("--n-max", type=int, default=2)
     kernel.add_argument("--depth", type=int, default=4)
-    kernel.add_argument("--slow", action="store_true")
+    kernel.add_argument("--slow", action="store_true", help=SLOW_HELP)
 
     relators = sub.add_parser("relators", help="check the defining relators")
     relators.add_argument("--max-tau", type=int, default=4)
@@ -140,14 +142,14 @@ def _run_verify(args) -> tuple[dict | None, int]:
         return None, EXIT_USAGE
     results = []
     for lemma in sorted(set(ids)):  # output order fixed by id
-        report = analysis.verify_lemma(lemma, depth=args.depth, slow=args.slow)
+        report = analysis.verify_lemma(lemma, depth=args.depth)
         results.append(report.to_json_dict())
     params = {"depth": args.depth, "slow": args.slow}
     return _report("verify", params, results), None
 
 
 def _run_qtable(args) -> tuple[dict | None, int]:
-    table = analysis.q_table(args.n_max, args.depth, slow=args.slow)
+    table = analysis.q_table(args.n_max, args.depth)
     results = []
     for (n, depth), computed in table.items():
         expected = analysis.q_expected(n)
@@ -164,7 +166,7 @@ def _run_qtable(args) -> tuple[dict | None, int]:
 
 
 def _run_kernel_report(args) -> tuple[dict | None, int]:
-    report = analysis.kernel_report(args.n_max, args.depth, slow=args.slow)
+    report = analysis.kernel_report(args.n_max, args.depth)
     data = report.to_json_dict()
     table = analysis.load_expected_table()
     gamma1 = table["gamma_order"]["values"]["1"]
@@ -261,10 +263,10 @@ def _run_export(args) -> tuple[dict | None, int]:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return None, EXIT_USAGE
-    if args.format == "dot" and args.depth > analysis.DEPTH_SLOW:
+    if args.format == "dot" and args.depth > analysis.DEPTH_CAP:
         # dot output grows about 3x per level: 0.7 MB at depth 8
         raise ResourceLimitError(
-            f"dot export at depth {args.depth} exceeds the depth cap {analysis.DEPTH_SLOW}"
+            f"dot export at depth {args.depth} exceeds the depth cap {analysis.DEPTH_CAP}"
         )
     portrait = words.evaluate(args.word, args.depth)
     if args.format == "dot":

@@ -239,10 +239,6 @@ def check_relator(word: str, depth: int, n: int = 0) -> bool:
 # -- relators ----------------------------------------------------------------
 
 
-def _cj(x: str, y: str) -> str:
-    return conjugate(x, y)
-
-
 _AB = commutator("a", "b")
 _BA = commutator("b", "a")
 _AC = commutator("a", "c")
@@ -251,13 +247,15 @@ _BC = commutator("b", "c")
 _CB = commutator("c", "b")
 
 RELATORS: dict[str, str] = {
-    "w1": free_reduce(_BA + _BC + _CA + _cj(_AC, "b") + _cj(_AB, "c") + _CB),
-    "w2": free_reduce(_cj(_BC, "a") + _CB + _BA + _CA + _AB + _cj(_AC, "b")),
+    "w1": free_reduce(_BA + _BC + _CA + conjugate(_AC, "b") + conjugate(_AB, "c") + _CB),
+    "w2": free_reduce(conjugate(_BC, "a") + _CB + _BA + _CA + _AB + conjugate(_AC, "b")),
     "w3": free_reduce(
-        _CB + _AB + _cj(_BC, "a") + _CB + _CB + _BA + _cj(_BC, "a") + _cj(_BC, "a")
+        _CB + _AB + conjugate(_BC, "a") + _CB + _CB + _BA
+        + conjugate(_BC, "a") + conjugate(_BC, "a")
     ),
     "w4": free_reduce(
-        _cj(_BC, "a") + _cj(_AB, "c") + _BA + _BA + _AC + _cj(_AB, "c") + _CA + _CB
+        conjugate(_BC, "a") + conjugate(_AB, "c") + _BA + _BA + _AC
+        + conjugate(_AB, "c") + _CA + _CB
     ),
 }
 

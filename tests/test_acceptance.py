@@ -248,14 +248,14 @@ def test_criterion_9_property_suites():
 def test_optional_q_table_level_3():
     values = {
         (4, 3): analysis.q_order(4, 3),
-        (5, 3): analysis.q_order(5, 3, slow=True),
+        (5, 3): analysis.q_order(5, 3),
     }
     ok = values == {(4, 3): 262_144, (5, 3): 262_144}
     verdict(4, ok, f"slow q rows {sorted(values.items())}")
 
 
 def test_optional_kernel_report_three_rows():
-    report = analysis.kernel_report(n_max=3, depth_budget=5, slow=True)
+    report = analysis.kernel_report(n_max=3, depth_budget=5)
     row = report.rows[-1]
     ok = (
         report.passed
@@ -292,7 +292,7 @@ def test_optional_depth6_quotient():
 
 
 def test_optional_depth6_self_replication():
-    report = analysis.verify_lemma("transrec", 6, slow=True)
+    report = analysis.verify_lemma("transrec", 6)
     ok = (
         report.passed
         and report.computed["level_1"]["vertices"] == 3

@@ -41,9 +41,11 @@ def test_quotient_generators_are_involutions():
 
 
 def test_depth_guard():
-    with pytest.raises(ResourceLimitError):
-        analysis.build_quotient(5)
-    with pytest.raises(ResourceLimitError):
+    # slow gates G_6's chain alone: depth 5 builds without it
+    assert analysis.build_quotient(5).group.order() == analysis.quotient_order(5)
+    with pytest.raises(ResourceLimitError, match="needs the slow flag"):
+        analysis.build_quotient(6)
+    with pytest.raises(ResourceLimitError, match=r"exceeds the degree cap 3\^6"):
         analysis.build_quotient(7, slow=True)
     with pytest.raises(DepthError):
         analysis.build_quotient(0)
@@ -156,10 +158,10 @@ def test_no_command_builds_a_chain_of_g_k(monkeypatch):
     monkeypatch.setattr(permgroup, "tree_group", refuse)
     monkeypatch.setattr(permgroup, "_check_blocks", refuse)
     analysis.clear_caches()
-    analysis.kernel_report(3, 5, slow=True)
+    analysis.kernel_report(3, 5)
     for depth in (4, 6):
         for lemma in analysis.LEMMA_IDS:
-            assert analysis.verify_lemma(lemma, depth, slow=True).passed
+            assert analysis.verify_lemma(lemma, depth).passed
     assert not analysis._quotients
 
 
@@ -297,9 +299,9 @@ def test_rist_check_reads_three_copies_per_generator_in_g_k_plus_1(monkeypatch):
 
     monkeypatch.setattr(branch, "contains", contains)
     monkeypatch.setattr(analysis, "_rist_in_stab", rist_in_stab)
-    assert analysis.kernel_report(3, 5, slow=True).passed
+    assert analysis.kernel_report(3, 5).passed
     assert len(calls) == 27
-    assert analysis.verify_lemma("rist", 6, slow=True).passed
+    assert analysis.verify_lemma("rist", 6).passed
     assert pairs[-5:] == [(6, n) for n in range(1, 6)]
     for big_n, n in set(pairs):
         k = big_n - n
@@ -367,7 +369,7 @@ def test_transrec_builds_no_group(monkeypatch, depth):
     monkeypatch.setattr(permgroup.PermGroup, "__init__", refuse)
     monkeypatch.setattr(analysis, "leaf_permutation", refuse)
     monkeypatch.setattr(automorphism, "leaf_permutation", refuse)
-    assert analysis.verify_lemma("transrec", depth, slow=True).passed
+    assert analysis.verify_lemma("transrec", depth).passed
     assert not hasattr(analysis, "state_at")
 
 

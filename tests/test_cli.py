@@ -64,30 +64,42 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
-def assert_output_matches_recorded(capsys, directory, name, argv):
+# a name with this suffix runs its recorded command without --slow
+NO_SLOW = "-no-slow"
+
+
+def assert_output_matches_recorded(capsys, directory, name, commands):
     """stdout bytes and exit code against directory/name.stdout and the
-    name's entry in directory/exit_codes.json."""
+    name's entry in directory/exit_codes.json. Without --slow, which changes
+    nothing that runs, only the "slow" param reads false."""
+    recorded = name.removesuffix(NO_SLOW)
+    argv = commands[recorded]
     with open(os.path.join(directory, "exit_codes.json")) as handle:
-        expected_code = json.load(handle)[name]
-    with open(os.path.join(directory, f"{name}.stdout"), "rb") as handle:
+        expected_code = json.load(handle)[recorded]
+    with open(os.path.join(directory, f"{recorded}.stdout"), "rb") as handle:
         expected = handle.read()
+    if name != recorded:
+        argv = [arg for arg in argv if arg != "--slow"]
+        expected = expected.replace(b'"slow": true', b'"slow": false')
     code, out, _ = run(capsys, *argv)
     assert code == expected_code
     assert out.encode() == expected
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS) + ["kernel-d5" + NO_SLOW])
 def test_output_matches_benchmark_golden(capsys, name):
     """The benchmark refuses a checkout whose output differs from these
     files by a byte."""
-    assert_output_matches_recorded(capsys, GOLDEN, name, GOLDEN_COMMANDS[name])
+    assert_output_matches_recorded(capsys, GOLDEN, name, GOLDEN_COMMANDS)
 
 
-@pytest.mark.parametrize("name", sorted(DEPTH6_COMMANDS))
+@pytest.mark.parametrize(
+    "name", sorted(DEPTH6_COMMANDS) + [name + NO_SLOW for name in sorted(DEPTH6_COMMANDS)]
+)
 def test_depth6_output_matches_chain_era_output(capsys, name):
     """The branch recursion and the depth-2 pattern test leave every byte of
     the depth-6 reports as the chains of G_6 and G'_6 gave them."""
-    assert_output_matches_recorded(capsys, DEPTH6, name, DEPTH6_COMMANDS[name])
+    assert_output_matches_recorded(capsys, DEPTH6, name, DEPTH6_COMMANDS)
 
 
 def test_verify_single_lemma(capsys):
@@ -171,11 +183,6 @@ def test_game_solve_resource_cap(capsys):
     code, _, err = run(capsys, "game", "solve", "--disks", "15")
     assert code == 3
     assert "resource" in err.lower()
-
-
-def test_depth_cap_without_slow(capsys):
-    code, _, err = run(capsys, "qtable", "--n-max", "1", "--depth", "5")
-    assert code == 3
 
 
 def test_qtable(capsys):
@@ -290,6 +297,14 @@ def test_output_is_deterministic(capsys):
         (["game", "solve", "--disks", "-3"], 2, "disk count -3"),
         (["game", "solve", "--disks", "13"], 3, "disk count 13"),
         (["relators", "--depth", "0"], 2, "depth must be >= 1"),
+        *(
+            (argv + slow, 3, "resource limit: depth 7 exceeds the degree cap 3^6")
+            for argv in (
+                ["verify", "all", "--depth", "7"],
+                ["kernel-report", "--n-max", "1", "--depth", "7"],
+            )
+            for slow in ([], ["--slow"])
+        ),
     ],
 )
 def test_bad_arguments_exit_without_traceback(capsys, argv, code, message):

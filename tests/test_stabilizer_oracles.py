@@ -105,7 +105,7 @@ def assert_q_orders_match_chains(depth: int, n_max: int):
     orders and against the index of Rist(n) in a Stab(n) chain."""
     quotient = analysis.build_quotient(depth, slow=True)
     for n in range(1, n_max + 1):
-        q = analysis.q_order(depth, n, slow=True)
+        q = analysis.q_order(depth, n)
         # one chain of the image serves both oracles
         rist = oracles.rist_image(depth, n)
         assert q == oracles.chain_q_order(quotient, n, rist) == analysis.q_expected(n)
