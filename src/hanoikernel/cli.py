@@ -225,8 +225,11 @@ def _run_game(args) -> tuple[dict | None, int]:
         try:
             state = tuple(int(s) for s in args.state.split(","))
             game.check_state(state)
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
+        except ValueError:
+            print(
+                f"error: --state {args.state!r}: expected comma-separated pegs 1-3",
+                file=sys.stderr,
+            )
             return None, EXIT_USAGE
         result = game.apply_move(state, args.move)
         results = [

@@ -161,15 +161,11 @@ class _Chain:
     image tuples of length `degree`, which _pack extends by the vertex
     points; everything else holds the encoding of the module docstring.
 
-    sift reads each level as one flat step, (base, inverse transversal),
-    that shares the level's inverse transversal. _finish keeps, as the
-    member steps, the steps whose orbit has more than the base, and
-    contains, which only a finished chain answers, strips an element
-    through those alone. That decides membership: a level whose orbit is
-    its base alone leaves an element that moves its base stuck, and the
-    full sift stops there. Every deeper level fixes that base, so a residue
-    that moves it moves it still after the deeper steps, and it never
-    reaches the identity, which is the one comparison contains makes.
+    sift and contains read each level as one flat step, (base, inverse
+    transversal), that shares the level's inverse transversal. contains,
+    which only a finished chain answers, is the standard sift: it strips
+    an element through every step, and the element is a member exactly
+    when the residue is the identity.
     """
 
     # Schreier generators formed, skipped as equal to their generator and
@@ -219,7 +215,7 @@ class _Chain:
         )
 
     def contains(self, images: _Tuple) -> bool:
-        residue, _ = self._strip(self._pack(images), self._member_steps)
+        residue, _ = self._strip(self._pack(images), self._steps)
         return residue == self.identity
 
     def add_generator(self, images: _Tuple) -> bool:
@@ -267,14 +263,10 @@ class _Chain:
         return p, None
 
     def _finish(self) -> "_Chain":
-        """Drop the forward transversals and keep the member steps, which
-        contains reads; no generator is added after this."""
+        """Drop the forward transversals and the moved-point ints; no
+        generator is added after this."""
         for level in self.levels:
             level.transversal = level.moved = None
-        # the steps whose orbit has more than the base
-        self._member_steps = [s for s in self._steps if len(s[1]) > 1]
-        # the levels contains walks; read by the build log line
-        self.member_levels = len(self._member_steps)
         return self
 
     def _new_level(self, base: int) -> None:
@@ -429,11 +421,10 @@ class PermGroup:
             log.info(
                 __name__,
                 "built chain: degree=%d gens=%d order=%d levels=%d vertices=%d"
-                " member_levels=%d schreier=%d skipped=%d sifted=%d strong=%d"
-                " settled=%d",
+                " schreier=%d skipped=%d sifted=%d strong=%d settled=%d",
                 degree, len(candidates), chain.order(), len(chain.levels),
-                chain.vertices, chain.member_levels, chain.formed,
-                chain.skipped, chain.sifted, chain.adjoined, chain.settled,
+                chain.vertices, chain.formed, chain.skipped, chain.sifted,
+                chain.adjoined, chain.settled,
             )
 
     def order(self) -> int:

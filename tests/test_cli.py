@@ -305,6 +305,11 @@ def test_output_is_deterministic(capsys):
             )
             for slow in ([], ["--slow"])
         ),
+        *(
+            (["game", "act", "--state", state, "--move", "a"], 2,
+             f"error: --state {state!r}: expected comma-separated pegs 1-3")
+            for state in (",", "1,x", "2,9")
+        ),
     ],
 )
 def test_bad_arguments_exit_without_traceback(capsys, argv, code, message):

@@ -938,7 +938,7 @@ def test_broken_chain_fails_instead_of_hanging():
     assert result.stdout == ""
 
 
-# -- member steps: a finished chain sifts only its nontrivial levels ----------
+# -- membership: a finished chain sifts through every level ------------------
 
 
 def test_orbit_rejects_points_outside_the_degree():
@@ -975,6 +975,16 @@ def base_fixing_swap(chain):
     return Perm.transposition(chain.degree, i + 1, j + 1)
 
 
+def level2_block_swap(depth, v, w):
+    """Swap the leaves of level-2 vertices v and w in order, fixing the
+    rest."""
+    size = 3 ** (depth - 2)
+    images = list(range(3**depth))
+    vs, ws = slice(v * size, (v + 1) * size), slice(w * size, (w + 1) * size)
+    images[vs], images[ws] = images[ws], images[vs]
+    return Perm(images)
+
+
 def membership_queries(group, depth, rng, count):
     """Seeded members, members times a child swap, and members after a
     base-fixing swap."""
@@ -987,13 +997,9 @@ def membership_queries(group, depth, rng, count):
     )
 
 
-def assert_member_steps_decide(chain, queries, truth):
-    """contains, through the member steps, against the full sift from level
-    0, the level-by-level sift from every level, and the truth."""
-    assert chain._member_steps is not None
-    assert chain.member_levels == sum(
-        len(level.inverse_transversal) > 1 for level in chain.levels
-    )
+def assert_contains_decides(chain, queries, truth):
+    """contains against the full sift from level 0, the level-by-level sift
+    from every level, and the truth."""
     answers = []
     for q in queries:
         p = chain._pack(q.images)
@@ -1013,7 +1019,7 @@ def assert_member_steps_decide(chain, queries, truth):
     assert not chain.contains(swap.images)
 
 
-def test_member_steps_match_enumeration():
+def test_contains_matches_enumeration_on_both_chains():
     depth = 2
     gens = quotient_group(depth).generators
     elements = _brute.closure([g.images for g in gens])
@@ -1021,15 +1027,19 @@ def test_member_steps_match_enumeration():
         rng = random.Random(depth)
         queries = membership_queries(group, depth, rng, 40)
         queries += [Perm(e) for e in sorted(elements)[::7]]
-        assert_member_steps_decide(
+        assert_contains_decides(
             group._chain, queries, lambda q: q.images in elements
         )
 
 
 @pytest.mark.parametrize("depth", [3, 4, 5])
-def test_member_steps_match_branch_membership(depth):
+def test_contains_matches_branch_membership(depth):
     """G_N on its vertex-prefixed chain and on a leaf-only chain, against
-    branch.contains, which reads depth-2 patterns and builds no chain."""
+    branch.contains, which reads depth-2 patterns and builds no chain. From
+    depth 4 the vertex prefix is level 2, whose vertex 2 has a one-point
+    orbit once vertices 0 and 1 are fixed: a swap of level-2 blocks 2 and 3,
+    under different parents, is no tree automorphism, and the sift stops
+    there."""
     gens = quotient_group(depth).generators
     groups = [pg.tree_group(depth, gens)]
     if depth < 5:
@@ -1037,26 +1047,32 @@ def test_member_steps_match_branch_membership(depth):
     for group in groups:
         rng = random.Random(depth)
         queries = membership_queries(group, depth, rng, 24)
-        assert_member_steps_decide(
+        assert_contains_decides(
             group._chain, queries, lambda q: branch.contains(q.images, depth)
         )
+    if depth >= 4:
+        chain = groups[0]._chain
+        assert len(chain.levels[2].inverse_transversal) == 1
+        swap = level2_block_swap(depth, 2, 3)
+        packed = chain._pack(swap.images)
+        assert [packed[chain.degree + v] for v in range(4)] == [
+            chain.degree + v for v in (0, 1, 3, 2)
+        ]
+        assert chain.sift(packed) == (packed, 2)
+        assert not chain.contains(swap.images)
 
 
-def test_member_steps_skip_the_one_point_forced_levels_of_g5(caplog):
+def test_contains_sifts_every_level_of_g5(caplog):
     gens = quotient_group(5).generators
     with caplog.at_level("INFO", logger="hanoikernel.permgroup"):
         chain = pg.tree_group(5, gens)._chain
     assert "degree=243 gens=3 " in caplog.text
-    assert "levels=144 vertices=9 member_levels=140 " in caplog.text
+    assert "levels=144 vertices=9 " in caplog.text
     # the masks settle 8,808 of the 12,676 formed pairs as a level's whole
     assert "schreier=12676 skipped=9542 sifted=2296 strong=183 settled=8808" in caplog.text
     vertices = chain.levels[: chain.vertices]
     orbits = [len(level.inverse_transversal) for level in vertices]
     assert (len(chain.levels), chain.vertices, orbits.count(1)) == (144, 9, 4)
-    # the member steps are the vertex levels with an orbit and every leaf level
-    assert [base for base, _ in chain._member_steps] == [
-        level.base for level in vertices if len(level.inverse_transversal) > 1
-    ] + [level.base for level in chain.levels[chain.vertices :]]
     # the steps share the levels' inverse transversals
     assert all(
         step[1] is level.inverse_transversal
@@ -1065,13 +1081,13 @@ def test_member_steps_skip_the_one_point_forced_levels_of_g5(caplog):
 
 
 # G'_k's chain from the ten Gamma' words: its enlarging generators and
-# levels member_levels schreier skipped sifted strong settled
+# levels schreier skipped sifted strong settled
 DERIVED_CHAINS = {
-    1: (1, "levels=1 vertices=0 member_levels=1 schreier=3 skipped=0 sifted=0 strong=1 settled=0"),
-    2: (2, "levels=5 vertices=0 member_levels=5 schreier=38 skipped=9 sifted=11 strong=5 settled=3"),
-    3: (2, "levels=15 vertices=0 member_levels=15 schreier=374 skipped=177 sifted=115 strong=18 settled=142"),
-    4: (2, "levels=45 vertices=0 member_levels=45 schreier=2864 skipped=1900 sifted=636 strong=56 settled=1681"),
-    5: (2, "levels=135 vertices=0 member_levels=135 schreier=20037 skipped=15399 sifted=3407 strong=182 settled=14012"),
+    1: (1, "levels=1 vertices=0 schreier=3 skipped=0 sifted=0 strong=1 settled=0"),
+    2: (2, "levels=5 vertices=0 schreier=38 skipped=9 sifted=11 strong=5 settled=3"),
+    3: (2, "levels=15 vertices=0 schreier=374 skipped=177 sifted=115 strong=18 settled=142"),
+    4: (2, "levels=45 vertices=0 schreier=2864 skipped=1900 sifted=636 strong=56 settled=1681"),
+    5: (2, "levels=135 vertices=0 schreier=20037 skipped=15399 sifted=3407 strong=182 settled=14012"),
 }
 
 
@@ -1090,7 +1106,7 @@ def test_derived_subgroup_chains_log_their_counters(caplog, monkeypatch):
         assert len(group.generators) == enlarging
 
 
-def test_member_steps_with_forced_leaf_bases():
+def test_contains_with_forced_leaf_bases():
     """Leaves opened as the first levels: after leaves 0 and 1 the group
     fixes their sibling 2, so that level has an orbit of one point. The
     pointwise_stabilizer oracle opens its chain's first levels the same
@@ -1103,12 +1119,12 @@ def test_member_steps_with_forced_leaf_bases():
         chain.add_generator(gen.images)
     chain._finish()
     assert [base for base, _ in chain._steps[:4]] == [0, 1, 2, 13]
-    assert len(chain.levels[2].inverse_transversal) == 1
-    assert chain.member_levels == len(chain.levels) - 1
+    orbits = [len(level.inverse_transversal) for level in chain.levels]
+    assert orbits[2] == orbits.count(1) == 1
     assert_chain_is_bsgs(chain)
     rng = random.Random(13)
     queries = membership_queries(g, 3, rng, 24)
-    assert_member_steps_decide(chain, queries, lambda q: branch.contains(q.images, 3))
+    assert_contains_decides(chain, queries, lambda q: branch.contains(q.images, 3))
     tail = oracles.pointwise_stabilizer(g, [1, 2, 3, 14])
     fixes = lambda q: all(q.images[x] == x for x in (0, 1, 2, 13))
     for q in queries + random_words(tail, rng, 12):
