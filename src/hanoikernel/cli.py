@@ -126,20 +126,20 @@ def _report(command: str, params: dict, results: list[dict]) -> dict:
 
 
 def _run_verify(args) -> tuple[dict | None, int]:
+    ids = list(args.ids)
+    unknown = [i for i in ids if i != "all" and i not in analysis.LEMMA_IDS]
+    if unknown:
+        print(f"error: unknown lemma ids: {', '.join(unknown)}", file=sys.stderr)
+        return None, EXIT_USAGE
     if args.list:
         lines = [f"{i:11s} {analysis.LEMMA_STATEMENTS[i]}" for i in analysis.LEMMA_IDS]
         _write("\n".join(lines), None)
         return None, EXIT_PASS
-    ids = list(args.ids)
     if not ids:
         print("error: give lemma ids or 'all' (see verify --list)", file=sys.stderr)
         return None, EXIT_USAGE
     if "all" in ids:
         ids = [i for i in ids if i != "all"] + list(analysis.LEMMA_IDS)
-    unknown = [i for i in ids if i not in analysis.LEMMA_IDS]
-    if unknown:
-        print(f"error: unknown lemma ids: {', '.join(unknown)}", file=sys.stderr)
-        return None, EXIT_USAGE
     results = []
     for lemma in sorted(set(ids)):  # output order fixed by id
         report = analysis.verify_lemma(lemma, depth=args.depth)

@@ -2,8 +2,9 @@
 
 PermGroup is the one way to make a group: its constructor builds the
 group's chain, finishes it and keeps it, so every chain a group holds is
-finished. Orders are exact big integers; membership is by sifting. An
-orbit needs no chain, and orbit builds none.
+finished. Orders are exact big integers; membership is by sifting, through
+segment tables on a chain of width up to 256 (_Chain). An orbit needs no
+chain, and orbit builds none.
 
 A chain of a group of tree automorphisms may carry the vertices of one
 level as points of its own: with a block size, vertex v, the block of
@@ -15,14 +16,16 @@ puts the 3^k vertices of level k = N // 2 of a group on 3^N leaves first:
 their orbit has at most 3^k points, and a leaf orbit inside the level-k
 stabilizer stays in one block of 3^(N-k) leaves, where a leaf-only base
 starts with an orbit of all 3^N leaves. That halves the chain-build time of
-G_5 and G_6. A sift pays for it: sifting a member of G_5 takes about 53
-products against 25 through a leaf-only chain, and about 23-32 against
-15-19 us, while the build takes 17-22 against 34-44 ms (the 1000 members
-among 2000 seeded sift-d5 queries, in-process, each round building and
-sifting through both chains, 2-vCPU VM; the host's speed varied between
-runs, the ratios less). The build saving outweighs the sifts up to about
-1200-3000 member sifts per chain (the interquartile range over 42 rounds),
-more than the 1000 of the sift-d5 benchmark, so the prefix is kept.
+G_5 and G_6. A sift pays for it: through the segment tables (_Chain),
+sifting a member of G_5 takes about 32 products against 20 through a
+leaf-only chain, and about 25-29 against 18-22 us, while the build takes
+22-28 against 39-51 ms and the tables 2-3 against 3-4 ms (the 1000 members
+among 2000 seeded sift-d5 queries, in-process, each round building both
+chains and their tables and sifting through both, 2-vCPU VM; the host's
+speed varied between runs, the ratios less). The build saving outweighs
+the sifts up to about 2500-3700 member sifts per chain (the interquartile
+range over 42 rounds), more than the 1000 of the sift-d5 benchmark, so the
+prefix is kept.
 
 A chain stores its permutations in an encoding chosen from its width, the
 leaves and the vertex points together, so that a product is one C call. Up
@@ -82,6 +85,9 @@ _Elem = bytes | _Tuple
 
 _BYTES_MAX = 256
 _BYTES_IDENTITY = bytes(range(_BYTES_MAX))
+# the largest product of orbit sizes that one segment table covers
+# (_Chain._segment_tables)
+_SEGMENT_BOUND = 64
 
 
 def _mult_tuples(p: _Tuple, q: _Tuple) -> _Tuple:
@@ -161,11 +167,47 @@ class _Chain:
     image tuples of length `degree`, which _pack extends by the vertex
     points; everything else holds the encoding of the module docstring.
 
-    sift and contains read each level as one flat step, (base, inverse
-    transversal), that shares the level's inverse transversal. contains,
-    which only a finished chain answers, is the standard sift: it strips
-    an element through every step, and the element is a member exactly
-    when the residue is the identity.
+    sift reads each level as one flat step, (base, inverse transversal),
+    that shares the level's inverse transversal. contains, which only a
+    finished chain answers, is the standard sift: it strips an element p
+    through every level, and p is a member exactly when the residue is the
+    identity. A tuple chain walks the steps. A bytes chain walks segments:
+    runs of consecutive levels whose orbit sizes multiply to at most
+    _SEGMENT_BOUND, or single levels with a larger orbit. A segment's
+    table maps the images of its bases under w^-1 to w, for every product
+    w = v_i ... v_j of one inverse transversal element per level, applied
+    in level order; p's key is bases.translate(p), one C call. So a segment
+    costs one lookup and at most one product, where the steps cost one
+    Python step per level and one product per moved base.
+
+    The table strips as the levels do. Write p v for p, then v, and let the
+    strip of p through levels i..j pick v_i, ..., v_j, giving p w. Each v_k
+    maps the residue's image of b_k back to b_k, and the later ones fix b_k,
+    since they lie in the stabilizer of b_i..b_k; so p w fixes every base
+    of the segment, that is, p agrees with w^-1 on them. Conversely, let p
+    agree with w^-1 on the bases. Then the residue p v_i ... v_(k-1) at
+    level k agrees with (v_k ... v_j)^-1 on them, and the later v^-1 fix
+    b_k, so the residue sends b_k to v_k^-1[b_k], the point at which level
+    k stores v_k: the strip picks v_k, and by induction all of w. Two
+    products that differ first at level k send b_k to different points
+    under their inverses, so the keys of the table are distinct, one per
+    product. Hence the strip through a segment depends only on p's images
+    of its bases; a key the table misses is exactly a level the strip is
+    stuck at, and p is no member; and the key `bases`, the identity's,
+    maps to the identity, which contains skips without a lookup.
+
+    The tables are made by a chain's first contains call, so a chain that
+    answers no membership query pays nothing for them. The bound is 64. On
+    G_5's 144 levels, with 809 inverse transversal elements, the bounds 16,
+    32, 64, 128 and 256 give 85, 72, 59, 47 and 42 segments, whose tables
+    hold 925, 1158, 1788, 3213 and 5121 elements (0.35, 0.43, 0.66, 1.18
+    and 1.87 MB by sys.getsizeof). Building them took 1.3-2.0, 1.4-2.1,
+    2.1-3.1, 3.3-5.0 and 5.2-7.8 ms, and the 2000 sift-d5 queries then
+    36-53, 30-48, 27-42, 25-37 and 24-35 ms (medians of 30 rounds in each
+    of three runs, in-process, 2-vCPU VM). 128 had the lowest total by 1-4
+    ms in those runs, at nearly twice 64's memory, so 64 is kept: its
+    tables stay under 1 MB, and 128's saving is under 1% of a sift-d5
+    pass.
     """
 
     # Schreier generators formed, skipped as equal to their generator and
@@ -194,6 +236,8 @@ class _Chain:
         self.levels: list[_Level] = []
         self._pending: list[deque] = []
         self._steps: list[tuple[int, dict[int, _Elem]]] = []
+        # a finished bytes chain's segment tables, made by its first contains
+        self._segments: list[tuple[bytes, dict[bytes, bytes]]] | None = None
         for v in range(self.vertices):
             self._new_level(degree + v)
 
@@ -215,8 +259,20 @@ class _Chain:
         )
 
     def contains(self, images: _Tuple) -> bool:
-        residue, _ = self._strip(self._pack(images), self._steps)
-        return residue == self.identity
+        p = self._pack(images)
+        if type(p) is not bytes:
+            residue, _ = self._strip(p, self._steps)
+            return residue == self.identity
+        if self._segments is None:
+            self._segments = self._segment_tables()
+        for bases, table in self._segments:
+            key = bases.translate(p)
+            if key != bases:
+                w = table.get(key)
+                if w is None:
+                    return False
+                p = p.translate(w)
+        return p == _BYTES_IDENTITY
 
     def add_generator(self, images: _Tuple) -> bool:
         """Add a generator; returns False if it was already a member."""
@@ -268,6 +324,36 @@ class _Chain:
         for level in self.levels:
             level.transversal = level.moved = None
         return self
+
+    def _segment_tables(self) -> list[tuple[bytes, dict[bytes, bytes]]]:
+        """The levels cut into segments, each with its table (class
+        docstring): a segment's bases as bytes, and the map from the images
+        of those bases under w^-1 to w, for every product w of one inverse
+        transversal element per level, taken in level order."""
+        runs: list[list[_Level]] = []
+        size = _SEGMENT_BOUND + 1  # so that the first level opens a run
+        for level in self.levels:
+            orbit = len(level.inverse_transversal)
+            if size * orbit > _SEGMENT_BOUND:
+                runs.append([])
+                size = 1
+            runs[-1].append(level)
+            size *= orbit
+        segments = []
+        for run in runs:
+            products = [_BYTES_IDENTITY]
+            for level in run:
+                inverses = level.inverse_transversal.values()
+                products = [w.translate(v) for w in products for v in inverses]
+            bases = bytes(level.base for level in run)
+            segments.append((bases, {bases.translate(_inv(w)): w for w in products}))
+        if log.enabled(__name__):
+            log.info(
+                __name__,
+                "built segment tables: segments=%d elements=%d bound=%d",
+                len(segments), sum(len(table) for _, table in segments), _SEGMENT_BOUND,
+            )
+        return segments
 
     def _new_level(self, base: int) -> None:
         level = _Level(base, self.identity)

@@ -310,6 +310,9 @@ def test_output_is_deterministic(capsys):
              f"error: --state {state!r}: expected comma-separated pegs 1-3")
             for state in (",", "1,x", "2,9")
         ),
+        (["verify", "--list", "bogus"], 2, "error: unknown lemma ids: bogus"),
+        (["verify", "--list", "all", "bogus", "selfsim", "nope"], 2,
+         "error: unknown lemma ids: bogus, nope"),
     ],
 )
 def test_bad_arguments_exit_without_traceback(capsys, argv, code, message):

@@ -592,6 +592,8 @@ def test_encoding_boundary_matches_enumeration(degree):
     assert derived.order() == len(_brute.commutator_closure(elements, gens)) == 12
     for p in random_words(group, rng, 10):
         assert derived.contains(p) == (p.sign() == 1)
+    for checked in (group, stab, derived):
+        assert_segment_tables(checked._chain)
 
 
 def test_direct_power_at_degree_256():
@@ -963,6 +965,35 @@ def reference_sift(chain, p, start=0):
     return p, len(chain.levels)
 
 
+def assert_segment_tables(chain):
+    """A bytes chain that has answered contains holds one table per
+    segment, a run of consecutive levels whose orbit sizes multiply to at
+    most the bound unless it is one level. A table has one entry per
+    product w of one inverse transversal element per level: its key is the
+    images of the segment's bases under w^-1, and the level-by-level strip
+    of w^-1 through the segment multiplies by w. So the bases map to the
+    identity. A tuple chain holds no tables."""
+    if type(chain.identity) is not bytes:
+        assert chain._segments is None
+        return
+    levels = iter(chain.levels)
+    for bases, table in chain._segments:
+        run = [next(levels) for _ in bases]
+        assert bases == bytes(level.base for level in run)
+        orbits = [len(level.inverse_transversal) for level in run]
+        assert len(run) == 1 or math.prod(orbits) <= pg._SEGMENT_BOUND
+        assert len(table) == math.prod(orbits)
+        assert len(set(table.values())) == len(table)
+        assert table[bases] == chain.identity
+        for key, w in table.items():
+            q = pg._inv(w)
+            assert bases.translate(q) == key
+            for level in run:
+                q = chain.mult(q, level.inverse_transversal[q[level.base]])
+            assert q == chain.identity
+    assert next(levels, None) is None
+
+
 def base_fixing_swap(chain):
     """A transposition of two leaves that are neither a leaf base nor the
     first leaf of a vertex, from which _pack reads the vertex's image. For t
@@ -999,7 +1030,7 @@ def membership_queries(group, depth, rng, count):
 
 def assert_contains_decides(chain, queries, truth):
     """contains against the full sift from level 0, the level-by-level sift
-    from every level, and the truth."""
+    from every level, and the truth; then the segment tables it built."""
     answers = []
     for q in queries:
         p = chain._pack(q.images)
@@ -1017,6 +1048,7 @@ def assert_contains_decides(chain, queries, truth):
         chain._pack(swap.images), len(chain.levels)
     )
     assert not chain.contains(swap.images)
+    assert_segment_tables(chain)
 
 
 def test_contains_matches_enumeration_on_both_chains():
@@ -1078,6 +1110,34 @@ def test_contains_sifts_every_level_of_g5(caplog):
         step[1] is level.inverse_transversal
         for step, level in zip(chain._steps, chain.levels, strict=True)
     )
+
+
+def test_g5_builds_its_segment_tables_on_the_first_contains(caplog):
+    """G_5's 144 levels make 59 segments, whose tables hold 1,788 elements
+    against the levels' 809, built and logged once, by the first contains."""
+    gens = quotient_group(5).generators
+    with caplog.at_level("INFO", logger="hanoikernel.permgroup"):
+        group = pg.tree_group(5, gens)
+        chain = group._chain
+        assert chain._segments is None
+        assert group.contains(gens[0])
+        assert not group.contains(base_fixing_swap(chain))
+    lines = [r.getMessage() for r in caplog.records if r.name == "hanoikernel.permgroup"]
+    assert lines[1:] == ["built segment tables: segments=59 elements=1788 bound=64"]
+    assert sum(len(level.inverse_transversal) for level in chain.levels) == 809
+    assert_segment_tables(chain)
+
+
+def test_commands_build_no_segment_tables(monkeypatch):
+    """The kernel report and every lemma at depth 4 answer no membership
+    query, so none of the G'_k chains they build holds tables (the test
+    above has G_5 build them on its first contains)."""
+    monkeypatch.setattr(analysis, "_derived", {})
+    assert analysis.kernel_report(3, 5).passed
+    for lemma in analysis.LEMMA_IDS:
+        assert analysis.verify_lemma(lemma, 4).passed
+    assert analysis._derived
+    assert all(g._chain._segments is None for g in analysis._derived.values())
 
 
 # G'_k's chain from the ten Gamma' words: its enlarging generators and
