@@ -25,9 +25,11 @@ vertex's section off the states of its stabilizer's Reidemeister-Schreier
 words: they are words in a, b and c, and once they include all three the
 section is G_k, with no group built. No command builds G_N: transitive takes
 the orbit of leaf 1 under the leaf permutations of a, b and c, with no group,
-and build_quotient, which makes G_N and its chain, serves the tests and the
-benchmark. Every entry point checks one depth cap, 3^6 leaves, where its
-depth enters; only build_quotient also wants slow, for the chain of G_6.
+and build_quotient, which makes G_N and its chain on the leaves, serves the
+tests and the benchmark. Every chain the package builds is on leaves alone;
+the chains with tree vertices as points are test oracles. Every entry point
+checks one depth cap, 3^6 leaves, where its depth enters; only
+build_quotient also wants slow, for the chain of G_6.
 """
 
 from __future__ import annotations
@@ -123,8 +125,8 @@ def clear_caches() -> None:
 
 def build_quotient(depth: int, slow: bool = False) -> TruncatedQuotient:
     """The group generated by the leaf permutations of a, b, c at depth N,
-    with its vertex-prefixed chain (permgroup.tree_group). No command builds
-    it. Its one slow build, G_6's chain (over a second), needs slow."""
+    with its leaf-only chain. No command builds it. Its one slow build,
+    G_6's chain (seconds), needs slow."""
     _require_depth(depth)
     if depth == DEPTH_CAP and not slow:
         raise ResourceLimitError(f"the chain of G_{depth} needs the slow flag")
@@ -138,7 +140,7 @@ def build_quotient(depth: int, slow: bool = False) -> TruncatedQuotient:
     for letter, perm in gen_map.items():
         if not (perm * perm).is_identity():
             raise AssertionError(f"generator {letter} is not an involution")
-    group = permgroup.tree_group(depth, gen_map.values())
+    group = PermGroup(3**depth, gen_map.values())
     quotient = TruncatedQuotient(depth, group, gen_map)
     return _quotients.setdefault(depth, quotient)
 

@@ -9,10 +9,6 @@ class ShapeError(ValueError):
     """Mismatched arities, depths, or permutation degrees."""
 
 
-class InvalidBlocksError(ValueError):
-    """A permutation does not preserve the requested block structure."""
-
-
 class NotASubgroupError(ValueError):
     """A claimed subgroup has a generator outside the ambient group."""
 

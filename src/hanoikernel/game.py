@@ -79,25 +79,27 @@ def consistency_check(n: int, rng: random.Random | None = None) -> bool:
 
 
 def solve(n: int) -> str:
-    """A shortest move word from all disks on peg 1 to all on peg 3."""
+    """The shortest move word from all disks on peg 1 to all on peg 3.
+
+    The classical recursion: to move k disks from one peg to another, move
+    the k - 1 smaller ones to the third peg, the largest one across, and the
+    smaller ones onto it. When the largest one moves, every smaller disk is
+    on the third peg, so the move of the other two pegs, the letter of the
+    third peg (MOVE_PAIRS), transfers it. The shortest solution is unique,
+    and this is it.
+    """
     if n < 1:
         raise ShapeError(f"disk count {n} must be >= 1")
     if n > SOLVE_DISK_CAP:
         raise ResourceLimitError(f"disk count {n} exceeds the cap {SOLVE_DISK_CAP}")
-    start = (1,) * n
-    goal = (3,) * n
-    seen: dict[GameState, str] = {start: ""}
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
-        if state == goal:
-            return seen[state]
-        for move in "abc":
-            nxt = apply_move(state, move)
-            if nxt not in seen:
-                seen[nxt] = seen[state] + move
-                queue.append(nxt)
-    raise AssertionError("goal unreachable; the state graph is connected")
+
+    def moves(k: int, source: int, target: int) -> str:
+        if k == 0:
+            return ""
+        spare = 6 - source - target
+        return moves(k - 1, source, spare) + "abc"[spare - 1] + moves(k - 1, spare, target)
+
+    return moves(n, 1, 3)
 
 
 def reachable_states(n: int) -> int:

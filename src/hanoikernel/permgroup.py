@@ -5,43 +5,37 @@ group's chain, finishes it and keeps it, so every chain a group holds is
 finished. Orders are exact big integers; membership is by sifting. An
 orbit needs no chain, and orbit builds none.
 
-A chain of a group of tree automorphisms may carry the vertices of one
-level as points of its own: with a block size, vertex v, the block of
-`block` consecutive leaves from leaf v*block, is point degree + v of each
-element, and its image under a leaf permutation p is
-degree + p[v*block] // block. The vertex points are
-the chain's first bases, so every level is a level of one point. tree_group
-puts the 3^k vertices of level k = N // 2 of a group on 3^N leaves first:
-their orbit has at most 3^k points, and a leaf orbit inside the level-k
-stabilizer stays in one block of 3^(N-k) leaves, where a leaf-only base
-starts with an orbit of all 3^N leaves. That halves the chain-build time of
-G_5 and G_6. A sift pays for it: sifting a member of G_5 takes about 53
-products against 25 through a leaf-only chain, and about 29-40 against
-17-24 us, while the build takes 20-28 against 38-55 ms (the 1000 members
-among 2000 seeded sift-d5 queries, in-process CPU time, each round building
-and sifting through both chains, 2-vCPU VM; the host's speed varied between
-runs, the ratios less). The build saving outweighs the sifts up to about
-1100-2200 member sifts per chain (the interquartile ranges of two runs of
-42 rounds), more than the 1000 of the sift-d5 benchmark, so the prefix is
-kept.
-
-A chain stores its permutations in an encoding chosen from its width, the
-leaves and the vertex points together, so that a product is one C call. Up
-to width 256 an element is a bytes object padded with fixed points to
-length 256, and p then q is p.translate(q); above 256 it is a tuple, and p
-then q is operator.itemgetter(*p)(q). Both are sequences of ints, so the
-algorithm reads them alike. Perm images are packed where they enter a chain
-(_Chain._pack), and the encoding never leaves this module. A bytes element
-is inverted by bytes.maketrans(p, identity), one C call; a tuple by a
-Python loop, which beat sorted, map and itemgetter at degree 729.
+A chain stores its permutations in an encoding chosen from its degree, so
+that a product is one C call. Up to degree 256 an element is a bytes object
+padded with fixed points to length 256, and p then q is p.translate(q);
+above 256 it is a tuple, and p then q is operator.itemgetter(*p)(q). Both
+are sequences of ints, so the algorithm reads them alike. Perm images are
+packed where they enter a chain (_Chain._pack), and the encoding never
+leaves this module. A bytes element is inverted by
+bytes.maketrans(p, identity), one C call; a tuple by a Python loop, which
+beat sorted, map and itemgetter at degree 729.
 
 Schreier-Sims skips the sift of a Schreier generator that equals its strong
 generator s: s then fixes the level's base, so it is a strong generator of
 the next level too, and it sifts to the identity there (_Chain._drain has
-the proof). The chain is the same with or without the skip; in the depth-5
-kernel report it removes about nine in ten sifts. The pair of a level's
-base and a new strong generator that fixes it always forms that generator,
-so _adjoin does not queue it and counts it as formed and skipped.
+the proof). The pair of a level's base and a new strong generator that
+fixes it always forms that generator, so _adjoin does not queue it and
+counts it as formed and skipped.
+
+It also skips the sift of a Schreier generator that its level has sifted
+before. That sift ran through the deeper levels while their queues were
+empty, and either reached the identity or left a residue that became a
+strong generator there; so the generator lies in the group of the deeper
+levels, which only grows. Whenever the level drains, the deeper queues are
+empty again, so the deeper levels are a base and strong generating set of
+that group, and the generator would sift to the identity (_Chain._drain).
+Each level keeps the Schreier generators it has sifted in a set, which
+_finish drops. Neither skip changes the chain: every level's base, strong
+generators and transversal are those of the chain that sifts every
+Schreier generator. In the G_5 build the s-skip takes 21,518 of the 25,543
+nontrivial Schreier generators and the repeat skip 1,836 of the 4,025 left,
+so 2,189 are sifted (`skipped`, `repeated` and `sifted` in the build log
+line).
 
 A level settles all of a new strong generator's pairs at once when the
 generator moves none of the points its transversal elements move; each
@@ -53,12 +47,9 @@ h and u_pt move disjoint sets of points, so they commute, and the pair
 (pt, h) forms u_pt h u_pt^-1 = h, the generator that _drain skips. So
 _adjoin counts each of the level's pairs with h as formed and skipped, as
 it does the base pair, queues none of them and leaves the orbit as it is;
-the chain and its counters stay the same. A vertex point is a point like
-any other here, and an element that moves it moves all of the vertex's
-leaves, so two elements that meet on a vertex point meet on its leaves too:
-the vertex points change no level's decision. A level at hi is never
-settled: h moves its base. In the G_5 build the levels settle 8,808 of the
-12,676 pairs formed (`settled` in the build log line).
+the chain and its counters stay the same. A level at hi is never settled:
+h moves its base. In the G_5 build the levels settle 17,869 of the 27,104
+pairs formed (`settled` in the build log line).
 
 A chain that would need more levels than it has points raises
 AssertionError: only broken invariants get there, and without the check
@@ -74,7 +65,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from . import log
-from .errors import InvalidBlocksError, ShapeError
+from .errors import ShapeError
 from .perm import Perm
 
 _Tuple = tuple[int, ...]
@@ -132,7 +123,7 @@ def _inv(p: _Elem) -> _Elem:
 
 
 class _Level:
-    __slots__ = ("base", "gens", "transversal", "inverse_transversal", "moved")
+    __slots__ = ("base", "gens", "transversal", "inverse_transversal", "moved", "sifted")
 
     def __init__(self, base: int, identity: _Elem):
         self.base = base
@@ -146,6 +137,9 @@ class _Level:
         # the points the transversal elements move, as _support gives them;
         # a growing chain reads it, and _finish drops it
         self.moved: int | None = 0
+        # the Schreier generators of this level that _drain has sifted; a
+        # growing chain reads it, and _finish drops it
+        self.sifted: set[_Elem] | None = set()
 
 
 class _Chain:
@@ -156,11 +150,9 @@ class _Chain:
     level, every Schreier generator of the base orbit sifts to the identity
     through the deeper levels.
 
-    With a block size, the first levels have the vertex points as bases
-    (module docstring), and every generator must map blocks to blocks; the
-    levels after them have leaves as bases. add_generator and contains take
-    image tuples of length `degree`, which _pack extends by the vertex
-    points; everything else holds the encoding of the module docstring.
+    add_generator and contains take image tuples of length `degree`, which
+    _pack encodes; everything else holds the encoding of the module
+    docstring.
 
     sift and contains read each level as one flat step, (base, inverse
     transversal), that shares the level's inverse transversal, and both
@@ -170,34 +162,25 @@ class _Chain:
     when the residue is the identity.
     """
 
-    # Schreier generators formed, skipped as equal to their generator and
-    # sifted, strong generators adjoined, and the formed and skipped pairs
-    # that a level settled as a whole (_adjoin); read by the build log line
-    formed = skipped = sifted = adjoined = settled = 0
+    # Schreier generators formed, skipped as equal to their generator,
+    # skipped as sifted before at their level, and sifted, strong generators
+    # adjoined, and the formed and skipped pairs that a level settled as a
+    # whole (_adjoin); read by the build log line
+    formed = skipped = repeated = sifted = adjoined = settled = 0
 
-    def __init__(self, degree: int, block: int = 0):
+    def __init__(self, degree: int):
         self.degree = degree
-        self.block = block
-        # the vertex points degree + v, opened as the first levels below
-        self.vertices = degree // block if block else 0
-        # the vertex point of each leaf, which _pack reads by C-level calls
-        vertex_of = [degree + x // block for x in range(degree)] if block else []
-        if degree + self.vertices <= _BYTES_MAX:
+        if degree <= _BYTES_MAX:
             self.identity: _Elem = _BYTES_IDENTITY
             # apply p, then q
             self.mult: Callable[[_Elem, _Elem], _Elem] = bytes.translate
-            # a translate table; the bytes past the degree are never read
-            self._vertex_of: _Elem = bytes(vertex_of).ljust(_BYTES_MAX, b"\0")
         else:
-            self.identity = tuple(range(degree + self.vertices))
+            self.identity = tuple(range(degree))
             self.mult = _mult_tuples
-            self._vertex_of = tuple(vertex_of)
         self.support = _support(self.identity)
         self.levels: list[_Level] = []
         self._pending: list[deque] = []
         self._steps: list[tuple[int, dict[int, _Elem]]] = []
-        for v in range(self.vertices):
-            self._new_level(degree + v)
 
     def order(self) -> int:
         n = 1
@@ -232,29 +215,22 @@ class _Chain:
     # -- internals ---------------------------------------------------------
 
     def _pack(self, images: Sequence[int]) -> _Elem:
-        """The chain element of leaf images. With a block size, the vertex
-        points follow the leaves: point degree + v has the image
-        degree + images[v*block] // block, the vertex of the image of vertex
-        v's first leaf, read off the table _vertex_of."""
-        block = self.block
+        """The chain element of the images."""
         if type(self.identity) is bytes:
             # bytearray() reads a tuple faster than bytes() does at degree 243
             packed = bytearray(images)
-            if block:
-                packed += packed[::block].translate(self._vertex_of)
             packed += _BYTES_IDENTITY[len(packed) :]
             return bytes(packed)
-        packed = tuple(images)
-        if block:
-            packed += tuple(map(self._vertex_of.__getitem__, packed[::block]))
-        return packed
+        return tuple(images)
 
     def _strip(
         self, p: _Elem, steps: list[tuple[int, dict[int, _Elem]]]
     ) -> tuple[_Elem, dict[int, _Elem] | None]:
         """Strip p through the steps; returns the residue and the inverse
-        transversal of the level it is stuck at, or None if it got through."""
-        mult = self.mult
+        transversal of the level it is stuck at, or None if it got through.
+        The identity fixes every base, so a residue that is the identity
+        gets through at once."""
+        mult, identity = self.mult, self.identity
         for base, inverses in steps:
             point = p[base]
             if point != base:
@@ -262,13 +238,15 @@ class _Chain:
                 if u_inv is None:
                     return p, inverses
                 p = mult(p, u_inv)
+                if p == identity:
+                    return p, None
         return p, None
 
     def _finish(self) -> "_Chain":
-        """Drop the forward transversals and the moved-point ints; no
-        generator is added after this."""
+        """Drop the forward transversals, the moved-point ints and the
+        sifted Schreier generators; no generator is added after this."""
         for level in self.levels:
-            level.transversal = level.moved = None
+            level.transversal = level.moved = level.sifted = None
         return self
 
     def _new_level(self, base: int) -> None:
@@ -290,7 +268,7 @@ class _Chain:
             # h fixes every base, so the point it first moves is a new one:
             # a chain has at most one level per point. A broken chain would
             # open levels forever instead of failing.
-            if hi >= self.degree + self.vertices:
+            if hi >= self.degree:
                 raise AssertionError(
                     f"chain of degree {self.degree} needs more than"
                     f" {hi} levels; its invariants are broken"
@@ -330,7 +308,7 @@ class _Chain:
     def _drain(self) -> None:
         """Process pending Schreier pairs, deepest level first."""
         identity, mult = self.identity, self.mult
-        formed = skipped = sifted = 0
+        formed = skipped = repeated = sifted = 0
         while True:
             l = len(self.levels) - 1
             while l >= 0 and not self._pending[l]:
@@ -338,10 +316,12 @@ class _Chain:
             if l < 0:
                 self.formed += formed
                 self.skipped += skipped
+                self.repeated += repeated
                 self.sifted += sifted
                 return
             level = self.levels[l]
             queue = self._pending[l]
+            seen = level.sifted
             while queue:
                 point, s = queue.popleft()
                 u = level.transversal[point]
@@ -360,6 +340,19 @@ class _Chain:
                 if schreier == s:
                     skipped += 1
                     continue
+                # A Schreier generator this level sifted before sifts to the
+                # identity again, so it is skipped. The first sift ran from
+                # level l + 1 while the deeper queues were empty, so it
+                # either reached the identity, or stopped at a residue that
+                # _adjoin installed and the deeper levels drained before
+                # level l went on. Either way the generator lies in the
+                # group of levels l + 1.., which only grows; now, with the
+                # deeper queues empty again, those levels are a base and
+                # strong generating set of it, as above.
+                if schreier in seen:
+                    repeated += 1
+                    continue
+                seen.add(schreier)
                 sifted += 1
                 residue, stuck = self.sift(schreier, l + 1)
                 if residue != identity:
@@ -402,30 +395,24 @@ class PermGroup:
     """A permutation group on 1..degree and its stabilizer chain, built by
     Schreier-Sims when the group is made. Its generators are the given ones
     that enlarged the chain, in order, so each lies outside the group of
-    those before it; identities and repeats never do. With a block size,
-    the chain's first bases are the vertex points (module docstring), so
-    every generator must map blocks to blocks; they are checked before the
-    chain is built, because the chain reads each vertex's image off its
-    first leaf."""
+    those before it; identities and repeats never do."""
 
-    def __init__(self, degree: int, generators: Iterable[Perm] = (), block: int = 0):
+    def __init__(self, degree: int, generators: Iterable[Perm] = ()):
         candidates = list(generators)
         for g in candidates:
             if g.degree != degree:
                 raise ShapeError(f"generator degree {g.degree} != {degree}")
-        if block:
-            _check_blocks(degree, candidates, block)
-        chain = _Chain(degree, block)
+        chain = _Chain(degree)
         self.degree = degree
         self.generators = tuple(g for g in candidates if chain.add_generator(g.images))
         self._chain = chain._finish()
         if log.enabled(__name__):
             log.info(
                 __name__,
-                "built chain: degree=%d gens=%d order=%d levels=%d vertices=%d"
-                " schreier=%d skipped=%d sifted=%d strong=%d settled=%d",
+                "built chain: degree=%d gens=%d order=%d levels=%d schreier=%d"
+                " skipped=%d repeated=%d sifted=%d strong=%d settled=%d",
                 degree, len(candidates), chain.order(), len(chain.levels),
-                chain.vertices, chain.formed, chain.skipped, chain.sifted,
+                chain.formed, chain.skipped, chain.repeated, chain.sifted,
                 chain.adjoined, chain.settled,
             )
 
@@ -482,27 +469,3 @@ def is_elementary_abelian(group: PermGroup, p: int) -> bool:
                 return False
     return True
 
-
-# -- block structure ---------------------------------------------------------
-
-
-def _check_blocks(degree: int, generators: Iterable[Perm], size: int) -> None:
-    """Raise InvalidBlocksError unless every generator maps each block of
-    `size` consecutive points onto a block."""
-    for g in generators:
-        for start in range(0, degree, size):
-            block = {g.images[start + i] // size for i in range(size)}
-            if len(block) != 1:
-                raise InvalidBlocksError(
-                    f"generator {g!r} splits block {start // size + 1} of size {size}"
-                )
-
-
-def tree_group(depth: int, generators: Iterable[Perm]) -> PermGroup:
-    """A group of automorphisms of the depth-N ternary tree on its 3**N
-    lex-indexed leaves, whose chain starts with the level-(N // 2) vertices
-    as points (module docstring). Raises InvalidBlocksError unless every
-    generator maps those vertices to vertices."""
-    level = depth // 2
-    # level 0 is the root alone, which every permutation fixes
-    return PermGroup(3**depth, generators, 3 ** (depth - level) if level else 0)

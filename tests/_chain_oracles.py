@@ -8,7 +8,11 @@ generated by the images of fixed words for Gamma', and builds no group for
 Rist(n) itself. The functions here answer the same questions from chains:
 by the orders of the G_N, G_n and G'_k chains, the order of a chain of the
 Rist(n) image, and sifting into G_N, and by index and sifting in a Stab(n)
-chain whose first bases are the level-n vertices as points. Each takes
+chain whose first bases are the level-n vertices as points. The package's
+chains have leaves as points only; the vertex points live here:
+with_vertex_points appends a leaf permutation's level-n vertex images to
+its leaf images, and vertex_chain opens the vertex points as a chain's
+first levels, as pointwise_stabilizer opens its points. Each takes
 the Rist(n) image (rist_image) as `rist`, so that a caller builds its
 chain, at degree 3^N, once for all of them. rist_copies_in_stab is the
 per-copy containment by branch.contains at degree 3^N, which the package
@@ -28,7 +32,7 @@ recursion once those states include a, b and c.
 from __future__ import annotations
 
 from collections import deque
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from hanoikernel import analysis, branch, permgroup, words
 from hanoikernel.automorphism import leaf_permutation, state_at
@@ -43,9 +47,8 @@ def is_trivial(group: PermGroup) -> bool:
 
 
 def unpack(chain: permgroup._Chain, p) -> tuple[int, ...]:
-    """A chain element's images of the leaves, sliced to the chain's degree:
-    the vertex points of a chain with a block size follow the leaves, and an
-    element of a chain of width up to 256 is padded bytes."""
+    """A chain element's images, sliced to the chain's degree: an element of
+    a chain of degree up to 256 is padded bytes."""
     return tuple(p[: chain.degree])
 
 
@@ -100,16 +103,28 @@ def derived_subgroup(group: PermGroup) -> PermGroup:
     return normal_closure(group, seeds)
 
 
-def stabilizer_tail(group: PermGroup, chain: permgroup._Chain, prefix: int) -> PermGroup:
-    """Subgroup fixing the bases of the chain's first `prefix` levels, which
-    the chain has before any generator: the strong generators behind them,
-    after Schreier-Sims on the group's generators. Its own chain comes from
+def forced_chain(
+    degree: int, bases: Iterable[int], generators: Iterable[Sequence[int]]
+) -> permgroup._Chain:
+    """A finished chain on `degree` points whose first bases are the given
+    points, opened as levels before any generator, and then Schreier-Sims on
+    the generators' image tuples."""
+    # looked up on the module, so that a test may swap the chain class
+    chain = permgroup._Chain(degree)
+    for base in bases:
+        chain._new_level(base)
+    for images in generators:
+        chain.add_generator(images)
+    return chain._finish()
+
+
+def stabilizer_tail(chain: permgroup._Chain, prefix: int, degree: int) -> PermGroup:
+    """Subgroup fixing the bases of the chain's first `prefix` levels: the
+    strong generators behind them, cut to their images of the points
+    0..degree-1, which they map among themselves. Its own chain comes from
     a fresh Schreier-Sims run."""
-    for g in group.generators:
-        chain.add_generator(g.images)
-    chain._finish()
-    gens = [Perm(t) for t in strong_generators(chain, prefix)]
-    return PermGroup(group.degree, gens)
+    gens = [Perm(t[:degree]) for t in strong_generators(chain, prefix)]
+    return PermGroup(degree, gens)
 
 
 def pointwise_stabilizer(group: PermGroup, points: Sequence[int]) -> PermGroup:
@@ -120,10 +135,9 @@ def pointwise_stabilizer(group: PermGroup, points: Sequence[int]) -> PermGroup:
     for p in zero_based:
         if not 0 <= p < group.degree:
             raise ShapeError(f"point outside 1..{group.degree}")
-    chain = permgroup._Chain(group.degree)
-    for p in zero_based:
-        chain._new_level(p)
-    return stabilizer_tail(group, chain, len(zero_based))
+    gens = (g.images for g in group.generators)
+    chain = forced_chain(group.degree, zero_based, gens)
+    return stabilizer_tail(chain, len(zero_based), group.degree)
 
 
 def block_size(degree: int, n: int) -> int:
@@ -140,22 +154,55 @@ def block_size(degree: int, n: int) -> int:
     return 3 ** (big_n - n)
 
 
+def check_blocks(generators: Iterable[Perm], size: int) -> None:
+    """Raise ValueError unless every generator maps each block of `size`
+    consecutive points onto a block."""
+    for g in generators:
+        for start in range(0, g.degree, size):
+            if len({x // size for x in g.images[start : start + size]}) != 1:
+                raise ValueError(
+                    f"generator {g!r} splits block {start // size + 1} of size {size}"
+                )
+
+
+def with_vertex_points(images: Sequence[int], n: int) -> tuple[int, ...]:
+    """The leaf images of a permutation of the 3^N lex-indexed leaves, then
+    the level-n vertices as points: vertex v, the block of 3^(N-n) leaves
+    from leaf v*3^(N-n), is point 3^N + v, and its image is the vertex of
+    the image of its first leaf. For a tree automorphism that is the image
+    of the whole block."""
+    degree = len(images)
+    size = block_size(degree, n)
+    return tuple(images) + tuple(degree + x // size for x in images[::size])
+
+
+def vertex_chain(group: PermGroup, n: int) -> permgroup._Chain:
+    """The finished chain of the group on its 3^N leaves and its 3^n
+    level-n vertex points (with_vertex_points), whose first bases are the
+    vertex points. Every generator must map the level-n blocks to blocks,
+    since a vertex's image is read off its first leaf."""
+    size = block_size(group.degree, n)
+    check_blocks(group.generators, size)
+    points = range(group.degree, group.degree + 3**n)
+    gens = (with_vertex_points(g.images, n) for g in group.generators)
+    return forced_chain(group.degree + 3**n, points, gens)
+
+
 def kernel_of_level_action(group: PermGroup, n: int) -> PermGroup:
     """Kernel of the induced action on the level-n vertices.
 
     The group must act on 3**N points, lex-indexed leaves, so level-n
     vertex v is the block of 3**(N-n) consecutive leaves from leaf
     v*3**(N-n), and every generator must map blocks to blocks. The
-    kernel is the pointwise stabilizer of the level-n vertex points of a
-    chain with that block size (stabilizer_tail).
+    kernel is the pointwise stabilizer of the vertex points of the
+    vertex chain (stabilizer_tail).
     """
     size = block_size(group.degree, n)
     if n == 0:
         return group
     if size == 1:
         return PermGroup(group.degree)
-    permgroup._check_blocks(group.degree, group.generators, size)
-    return stabilizer_tail(group, permgroup._Chain(group.degree, size), 3**n)
+    return stabilizer_tail(vertex_chain(group, n), 3**n, group.degree)
 
 
 def embed_in_block(p: Perm, block: int, block_count: int) -> Perm:

@@ -155,8 +155,7 @@ def test_no_command_builds_a_chain_of_g_k(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a command built a truncated quotient")
 
-    monkeypatch.setattr(permgroup, "tree_group", refuse)
-    monkeypatch.setattr(permgroup, "_check_blocks", refuse)
+    monkeypatch.setattr(analysis, "build_quotient", refuse)
     analysis.clear_caches()
     analysis.kernel_report(3, 5)
     for depth in (4, 6):

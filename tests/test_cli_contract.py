@@ -57,12 +57,7 @@ def vector(rng, tmp_path, index):
             argv += ["act"] + maybe(rng, "--state", rng.choice(STATES))
             argv += maybe(rng, "--move", rng.choice("abcd"))
         else:
-            disks = number(rng)
-            # solving 12 disks, which the cap allows, takes about 5 s and
-            # 1.5 GB, since game.solve keeps a move string per state
-            if disks == "12":
-                disks = "7"
-            argv += ["solve"] + maybe(rng, "--disks", disks)
+            argv += ["solve"] + maybe(rng, "--disks", number(rng))
     elif command == "export":
         argv += [rng.choice(["portrait", "tree"]), rng.choice(EXPORT_WORDS)]
         argv += maybe(rng, "--depth", number(rng))

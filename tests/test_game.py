@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -81,6 +82,36 @@ def test_solution_reaches_goal():
     for n in (1, 3, 5):
         word = game.solve(n)
         assert game.apply_word((1,) * n, word) == (3,) * n
+
+
+def breadth_first_solve(n):
+    """A shortest move word from all disks on peg 1 to all on peg 3, by
+    breadth-first search over the states with a move string per state."""
+    start, goal = (1,) * n, (3,) * n
+    seen = {start: ""}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        if state == goal:
+            return seen[state]
+        for move in "abc":
+            nxt = game.apply_move(state, move)
+            if nxt not in seen:
+                seen[nxt] = seen[state] + move
+                queue.append(nxt)
+    raise AssertionError("goal unreachable")
+
+
+def test_solve_matches_breadth_first_search():
+    """The recursive word is the shortest one, which is unique."""
+    for n in range(1, 9):
+        assert game.solve(n) == breadth_first_solve(n)
+
+
+def test_solve_at_the_cap():
+    word = game.solve(game.SOLVE_DISK_CAP)
+    assert len(word) == 4095
+    assert game.apply_word((1,) * 12, word) == (3,) * 12
 
 
 def test_solve_cap():

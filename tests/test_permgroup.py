@@ -14,11 +14,7 @@ from hanoikernel import permgroup as pg
 from hanoikernel import analysis, branch, cli, words
 from hanoikernel.analysis import quotient_order
 from hanoikernel.automorphism import leaf_permutation
-from hanoikernel.errors import (
-    InvalidBlocksError,
-    NotASubgroupError,
-    ShapeError,
-)
+from hanoikernel.errors import NotASubgroupError, ShapeError
 from hanoikernel.perm import Perm
 
 import _brute
@@ -139,23 +135,23 @@ def test_kernel_rejects_bad_degree():
 
 
 def test_vertex_bases_reject_split_blocks():
+    """Only the oracles' vertex chains read a vertex off its first leaf, so
+    only they check the blocks; a group is made on its leaves alone."""
     # the first generator maps level-1 blocks to blocks; (3 4) splits
     # {1,2,3} and {4,5,6}
     g = pg.PermGroup(
         9, [Perm.from_cycles(9, [(1, 4), (2, 5), (3, 6)]), Perm.from_cycles(9, [(3, 4)])]
     )
-    with pytest.raises(InvalidBlocksError):
-        oracles.kernel_of_level_action(g, 1)
-    with pytest.raises(InvalidBlocksError):
-        pg.tree_group(2, g.generators)
-    with pytest.raises(InvalidBlocksError):
+    for oracle in (oracles.kernel_of_level_action, oracles.vertex_chain):
+        with pytest.raises(ValueError, match="splits block 1 of size 3"):
+            oracle(g, 1)
+    with pytest.raises(TypeError):
         pg.PermGroup(9, g.generators, 3)
 
 
 def test_generator_degree_mismatch():
-    # the degree is checked before the blocks, which read every leaf
     with pytest.raises(ShapeError, match="generator degree 4 != 9"):
-        pg.tree_group(2, [Perm.identity(9), Perm.identity(4)])
+        pg.PermGroup(9, [Perm.identity(9), Perm.identity(4)])
     with pytest.raises(ShapeError, match="generator degree 3 != 4"):
         pg.PermGroup(4, [Perm.identity(3)])
 
@@ -328,21 +324,13 @@ def assert_chain_is_bsgs(chain, regenerate=True):
     is the product of the transversal sizes from that level on, which a
     fresh leaf-only chain per level checks unless `regenerate` is false (at
     degree 243 that takes seconds). The chain must be finished, so it keeps
-    only the inverse transversal.
-
-    A chain element holds the images of the leaves 0..degree-1, then, with
-    a block size, of the vertex points, and it may be padded past them.
-    Every strong generator and inverse transversal element must map each
-    vertex point to the vertex of its leaves' images, the padding must fix
-    every point, and the groups are regenerated from the leaves' images."""
-    degree, block = chain.degree, chain.block
-    width = degree + chain.vertices
+    only the inverse transversal, and no moved-point int and no set of
+    sifted Schreier generators. A chain element may be padded past the
+    degree, and the padding must fix every point."""
+    degree = chain.degree
 
     def images(t):
-        assert list(t[width:]) == list(range(width, len(t)))
-        for v in range(chain.vertices):
-            leaves = t[v * block : (v + 1) * block]
-            assert {degree + x // block for x in leaves} == {t[degree + v]}
+        assert list(t[degree:]) == list(range(degree, len(t)))
         return tuple(t[:degree])
 
     assert images(chain.identity) == tuple(range(degree))
@@ -360,7 +348,7 @@ def assert_chain_is_bsgs(chain, regenerate=True):
                 if image not in orbit:
                     orbit.add(image)
                     frontier.append(image)
-        assert level.transversal is None
+        assert level.transversal is level.moved is level.sifted is None
         assert orbit == set(level.inverse_transversal)
         for point, t_inv in level.inverse_transversal.items():
             images(t_inv)
@@ -417,21 +405,29 @@ def test_kernel_of_level_action_chain_is_cut_to_leaves(monkeypatch):
         # the chain with the vertex points, then the kernel's own
         chain, fresh = built
         assert fresh is kernel._chain
+        assert chain.degree == degree + 3**n
         assert type(chain.identity) is (bytes if depth == 3 else tuple)
         assert_chain_is_bsgs(chain, regenerate=depth == 3)
-        assert chain.block == 3 ** (depth - n)
-        vertices = chain.levels[: chain.vertices]
+        # every strong generator and inverse transversal element maps each
+        # vertex point to the vertex of its leaves' images
+        for level in chain.levels:
+            for t in level.gens + list(level.inverse_transversal.values()):
+                leaves = oracles.unpack(chain, t)[:degree]
+                assert oracles.unpack(chain, t) == oracles.with_vertex_points(leaves, n)
+        vertices = chain.levels[: 3**n]
         assert [level.base for level in vertices] == [degree + v for v in range(3**n)]
         # the vertex levels' orbits are |G : Stab(n)| = |G_n| cosets
         assert math.prod(len(level.inverse_transversal) for level in vertices) == (
             quotient_group(n).order()
         )
-        # the kernel is generated by the tail's strong generators, and its
-        # chain, built afresh from them, has the tail's order and leaf bases
-        tail = chain.levels[chain.vertices :]
-        assert [g.images for g in kernel.generators] == oracles.strong_generators(chain, chain.vertices)
+        # the kernel is generated by the tail's strong generators, cut to the
+        # leaves, and its chain, built afresh from them, has the tail's order
+        tail = chain.levels[3**n :]
+        assert [g.images for g in kernel.generators] == [
+            t[:degree] for t in oracles.strong_generators(chain, 3**n)
+        ]
         assert all(level.base < degree for level in tail)
-        assert kernel._chain.block == 0
+        assert kernel._chain.degree == degree
         assert kernel.order() == math.prod(len(level.inverse_transversal) for level in tail)
 
 
@@ -445,46 +441,42 @@ def child_swap(depth, rng):
     return am.leaf_permutation(am.from_labels(depth, labels), depth)
 
 
+def with_vertex_points(q, n):
+    return oracles.with_vertex_points(q.images, n)
+
+
 @pytest.mark.parametrize("depth", [2, 3, 4, 5])
-def test_tree_group_matches_plain_chain(depth):
-    """G_N on a chain whose base starts with the level-(N // 2) vertices
-    against G_N on a leaf-only chain: order, members, and members times one
-    child swap, which lie outside G_N (the sibling sign invariant of
-    bench/queries.py); at depth 2 also against enumeration."""
-    gens = quotient_group(depth).generators
-    tree = pg.tree_group(depth, gens)
-    plain = pg.PermGroup(3**depth, gens)
-    chain = tree._chain
-    assert_chain_is_bsgs(chain, regenerate=depth <= 4)
+def test_vertex_chain_matches_plain_chain(depth):
+    """G_N on the oracles' chain whose base starts with the level-k
+    vertices, k = N // 2, against G_N on its leaf-only chain: order,
+    members, and members times one child swap, which lie outside G_N (the
+    sibling sign invariant of bench/queries.py); at depth 2 also against
+    enumeration."""
+    plain = quotient_group(depth)
+    gens = plain.generators
     level = depth // 2
-    vertices = chain.levels[: chain.vertices]
+    chain = oracles.vertex_chain(plain, level)
+    assert_chain_is_bsgs(chain, regenerate=depth <= 4)
+    vertices = chain.levels[: 3**level]
     assert [lv.base for lv in vertices] == [3**depth + v for v in range(3**level)]
-    assert chain.block == 3 ** (depth - level)
     # the first orbit is all of level k; a leaf orbit stays in one block
     assert len(vertices[0].inverse_transversal) == 3**level
     assert max(len(lv.inverse_transversal) for lv in chain.levels) <= 3 ** (
         depth - level
     )
-    assert tree.order() == plain.order() == quotient_order(depth)
+    assert chain.order() == plain.order() == quotient_order(depth)
     rng = random.Random(depth)
     members = random_words(plain, rng, 40)
     near = [p * child_swap(depth, rng) for p in members]
     for p in members:
-        assert tree.contains(p) and plain.contains(p)
+        assert chain.contains(with_vertex_points(p, level)) and plain.contains(p)
     for q in near:
-        assert not tree.contains(q) and not plain.contains(q)
+        assert not chain.contains(with_vertex_points(q, level)) and not plain.contains(q)
     if depth == 2:
         elements = _brute.closure([g.images for g in gens])
         for e in elements:
-            assert tree.contains(Perm(e))
+            assert chain.contains(oracles.with_vertex_points(e, level))
         assert not any(q.images in elements for q in near)
-
-
-def test_tree_group_of_depth_one_has_no_forced_base():
-    # level 0 is the root alone, which every permutation fixes
-    tree = pg.tree_group(1, quotient_group(1).generators)
-    assert tree._chain.vertices == 0
-    assert tree.order() == 6
 
 
 def test_direct_power_matches_fresh_chain():
@@ -683,12 +675,16 @@ class UnskippedChain(pg._Chain):
     """A chain whose _adjoin queues every Schreier pair and whose _drain
     sifts every nontrivial Schreier generator, the bodies without the skips.
     It records whether each Schreier generator that equals its generator s,
-    one the skips leave out, sifted to the identity, and counts every
-    Schreier generator it forms."""
+    one the s-skip leaves out, sifted to the identity, and whether each
+    other one that its level sifted before, one the repeat skip leaves out,
+    did; and it counts every Schreier generator it forms."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.equal_to_s: list[bool] = []
+        self.repeats: list[bool] = []
+        # per level index, the Schreier generators other than s sifted there
+        self.seen: dict[int, set] = {}
 
     def _adjoin(self, h, lo, hi):
         if hi == len(self.levels):
@@ -724,8 +720,13 @@ class UnskippedChain(pg._Chain):
                 if schreier == identity:
                     continue
                 residue, stuck = self.sift(schreier, l + 1)
+                seen = self.seen.setdefault(l, set())
                 if schreier == s:
                     self.equal_to_s.append(residue == identity)
+                elif schreier in seen:
+                    self.repeats.append(residue == identity)
+                else:
+                    seen.add(schreier)
                 if residue != identity:
                     self._adjoin(residue, l + 1, stuck)
                     if stuck > l:
@@ -744,23 +745,26 @@ def chain_snapshot(chain):
     ]
 
 
-def block_sizes(depth):
-    """The block sizes of the chains at depth N: none for the plain chain,
-    and the level-n vertices for kernels of level actions, for vertex
-    stabilizers and, at n = N // 2, for the chain of G_N itself
-    (tree_group)."""
-    yield 0
+def vertex_chains(depth):
+    """The degree, generators and first bases of the chains of G_N: the
+    plain chain, and for each level n in 1..N - 1 the oracles' chain with
+    the level-n vertex points as first bases, whose tails are the kernels
+    of level actions and vertex stabilizers (vertex_chain)."""
+    gens = quotient_group(depth).generators
+    degree = 3**depth
+    yield degree, gens, ()
     for n in range(1, depth):
-        yield 3 ** (depth - n)
+        vertex_gens = [Perm(with_vertex_points(g, n)) for g in gens]
+        yield degree + 3**n, vertex_gens, range(degree, degree + 3**n)
 
 
-def assert_skips_leave_the_chain_unchanged(degree, gens, block=0, bases=()):
+def assert_skips_leave_the_chain_unchanged(degree, gens, bases=()):
     """The chain, with the skips and the settled levels, against the
-    UnskippedChain oracle, with the vertex points of a block size and then
-    the bases given as its first levels; returns it."""
+    UnskippedChain oracle, with the bases given as its first levels;
+    returns it."""
     chains = []
     for cls in (pg._Chain, UnskippedChain):
-        chain = cls(degree, block)
+        chain = cls(degree)
         for base in bases:
             chain._new_level(base)
         for g in gens:
@@ -768,8 +772,12 @@ def assert_skips_leave_the_chain_unchanged(degree, gens, block=0, bases=()):
         chains.append(chain)
     fast, oracle = chains
     assert chain_snapshot(fast) == chain_snapshot(oracle)
-    # every skipped generator sifts to the identity from level l + 1
+    # every skipped generator sifts to the identity from level l + 1, both
+    # those equal to s and those sifted before at their level
     assert oracle.equal_to_s == [True] * fast.skipped
+    assert oracle.repeats == [True] * fast.repeated
+    # each level sifts each of its other Schreier generators once
+    assert fast.sifted == sum(map(len, oracle.seen.values()))
     # the skipped and the settled pairs count as formed, so the build log
     # is unchanged
     assert fast.formed == oracle.formed
@@ -786,15 +794,26 @@ def assert_skips_leave_the_chain_unchanged(degree, gens, block=0, bases=()):
 
 @pytest.mark.parametrize("depth", [2, 3, 4, 5])
 def test_skipped_schreier_generators_leave_the_chain_unchanged(depth):
-    gens = quotient_group(depth).generators
     settled = 0
-    for block in block_sizes(depth):
-        fast = assert_skips_leave_the_chain_unchanged(3**depth, gens, block)
+    for degree, gens, bases in vertex_chains(depth):
+        fast = assert_skips_leave_the_chain_unchanged(degree, gens, bases)
         assert fast.order() == quotient_order(depth)
-        assert fast.skipped > 0 and fast.sifted > 0
-        assert fast.formed > fast.skipped + fast.sifted
+        assert fast.skipped > 0 and fast.repeated > 0 and fast.sifted > 0
+        assert fast.formed > fast.skipped + fast.repeated + fast.sifted
         settled += fast.settled
     assert settled > 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_skipped_schreier_generators_of_the_command_chains(k):
+    """The chains the commands build: G'_k from the ten Gamma' words, and at
+    k = 2 also stab12's group of the four level-1 stabilizer words."""
+    perms = [leaf_permutation(words.evaluate(w, k), k) for w in words.parity_kernel_words()]
+    fast = assert_skips_leave_the_chain_unchanged(3**k, perms)
+    assert fast.order() == branch.orders(k)[1]
+    if k == 2:
+        four = [leaf_permutation(words.evaluate(w, 2), 2) for w in words.LEVEL1_STABILIZER_WORDS]
+        assert assert_skips_leave_the_chain_unchanged(9, four).order() == 108
 
 
 def clustered_cycles(degree, clusters, rng, bridge):
@@ -875,8 +894,9 @@ def test_skipped_schreier_generators_leave_normal_closures_unchanged(monkeypatch
     assert chain_snapshot(fast) == chain_snapshot(oracle)
     assert fast.order() == g.order() // 2
     assert oracle.equal_to_s == [True] * fast.skipped
+    assert oracle.repeats == [True] * fast.repeated
     assert fast.formed == oracle.formed
-    assert fast.skipped > 0
+    assert fast.skipped > 0 and fast.repeated > 0
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 243, 255, 256, 257, 729])
@@ -893,25 +913,21 @@ def test_chain_inverse_matches_loop(degree):
         assert tuple(inverse[degree:]) == tuple(range(degree, len(p)))
 
 
-def test_pack_reads_each_vertex_off_its_first_leaf():
-    """_pack gives vertex point degree + v the vertex of the image of v's
-    first leaf, also for permutations that split blocks, which no chain
-    member does; the padding past the vertex points stays fixed. Widths 12
-    (bytes) and 270 (a tuple)."""
+def test_with_vertex_points_reads_each_vertex_off_its_first_leaf():
+    """The oracles' vertex points: point degree + v gets the vertex of the
+    image of v's first leaf, also for permutations that split blocks, which
+    no vertex chain's member does. Widths 12 and 270."""
     rng = random.Random(12)
-    for degree, block in ((9, 3), (243, 9)):
-        chain = pg._Chain(degree, block)
-        width = degree + chain.vertices
-        assert chain.vertices == degree // block
+    for degree, n in ((9, 1), (243, 3)):
+        block = degree // 3**n
         for _ in range(5):
             images = list(range(degree))
             rng.shuffle(images)
-            p = chain._pack(images)
+            p = oracles.with_vertex_points(images, n)
             assert list(p[:degree]) == images
-            assert list(p[degree:width]) == [
-                degree + images[v * block] // block for v in range(chain.vertices)
+            assert list(p[degree:]) == [
+                degree + images[v * block] // block for v in range(3**n)
             ]
-            assert list(p[width:]) == list(range(width, len(p)))
 
 
 # A G_3 build whose chain inverses are wrong: maketrans with its arguments
@@ -974,13 +990,10 @@ def reference_sift(chain, p, start=0):
 
 
 def base_fixing_swap(chain):
-    """A transposition of two leaves that are neither a leaf base nor the
-    first leaf of a vertex, from which _pack reads the vertex's image. For t
-    of it and p of the group, t * p strips like p through every level and
-    leaves t: a non-member that no level stops."""
+    """A transposition of two points that are not bases. For t of it and p
+    of the group, t * p strips like p through every level and leaves t: a
+    non-member that no level stops."""
     bases = {level.base for level in chain.levels}
-    if chain.block:
-        bases.update(range(0, chain.degree, chain.block))
     i, j = [x for x in range(chain.degree) if x not in bases][-2:]
     return Perm.transposition(chain.degree, i + 1, j + 1)
 
@@ -1009,15 +1022,16 @@ def membership_queries(group, depth, rng, count):
 
 def assert_contains_decides(chain, queries, truth):
     """contains against the full sift from level 0, the level-by-level sift
-    from every level, and the truth."""
+    from several levels, and the truth, on image tuples of the chain's
+    degree."""
     answers = []
     for q in queries:
-        p = chain._pack(q.images)
+        p = chain._pack(q)
         full, stuck = chain.sift(p)
         assert (full, stuck) == reference_sift(chain, p)
-        for start in (1, chain.vertices, chain.vertices + 1, len(chain.levels) - 1):
+        for start in (1, 2, len(chain.levels) // 2, len(chain.levels) - 1):
             assert chain.sift(p, start) == reference_sift(chain, p, start)
-        answer = chain.contains(q.images)
+        answer = chain.contains(q)
         assert answer == (full == chain.identity) == truth(q)
         answers.append(answer)
     # both answers occur, and some non-member gets through every level
@@ -1030,59 +1044,68 @@ def assert_contains_decides(chain, queries, truth):
 
 
 def test_contains_matches_enumeration_on_both_chains():
+    """G_2 on its leaf-only chain and on the oracles' chain with the
+    level-1 vertex points first, whose queries carry those points too."""
     depth = 2
-    gens = quotient_group(depth).generators
-    elements = _brute.closure([g.images for g in gens])
-    for group in (pg.tree_group(depth, gens), pg.PermGroup(3**depth, gens)):
-        rng = random.Random(depth)
-        queries = membership_queries(group, depth, rng, 40)
-        queries += [Perm(e) for e in sorted(elements)[::7]]
-        assert_contains_decides(
-            group._chain, queries, lambda q: q.images in elements
-        )
+    group = quotient_group(depth)
+    elements = _brute.closure([g.images for g in group.generators])
+    rng = random.Random(depth)
+    queries = membership_queries(group, depth, rng, 40)
+    queries += [Perm(e) for e in sorted(elements)[::7]]
+    assert_contains_decides(
+        group._chain, [q.images for q in queries], lambda q: q in elements
+    )
+    assert_contains_decides(
+        oracles.vertex_chain(group, 1),
+        [with_vertex_points(q, 1) for q in queries],
+        lambda q: q[:9] in elements,
+    )
 
 
 @pytest.mark.parametrize("depth", [3, 4, 5])
 def test_contains_matches_branch_membership(depth):
-    """G_N on its vertex-prefixed chain and on a leaf-only chain, against
-    branch.contains, which reads depth-2 patterns and builds no chain. From
-    depth 4 the vertex prefix is level 2, whose vertex 2 has a one-point
-    orbit once vertices 0 and 1 are fixed: a swap of level-2 blocks 2 and 3,
-    under different parents, is no tree automorphism, and the sift stops
-    there."""
-    gens = quotient_group(depth).generators
-    groups = [pg.tree_group(depth, gens)]
-    if depth < 5:
-        groups.append(pg.PermGroup(3**depth, gens))
-    for group in groups:
-        rng = random.Random(depth)
-        queries = membership_queries(group, depth, rng, 24)
-        assert_contains_decides(
-            group._chain, queries, lambda q: branch.contains(q.images, depth)
-        )
+    """G_N on its leaf-only chain and on the oracles' chain with the
+    level-(N // 2) vertex points first, against branch.contains, which
+    reads depth-2 patterns and builds no chain. From depth 4 the vertex
+    prefix is level 2, whose vertex 2 has a one-point orbit once vertices 0
+    and 1 are fixed: a swap of level-2 blocks 2 and 3, under different
+    parents, is no tree automorphism, and the sift stops there."""
+    group = quotient_group(depth)
+    degree, level = 3**depth, depth // 2
+    rng = random.Random(depth)
+    queries = membership_queries(group, depth, rng, 24)
+    assert_contains_decides(
+        group._chain, [q.images for q in queries], lambda q: branch.contains(q, depth)
+    )
+    chain = oracles.vertex_chain(group, level)
+    assert_contains_decides(
+        chain,
+        [with_vertex_points(q, level) for q in queries],
+        lambda q: branch.contains(q[:degree], depth),
+    )
     if depth >= 4:
-        chain = groups[0]._chain
         assert len(chain.levels[2].inverse_transversal) == 1
-        swap = level2_block_swap(depth, 2, 3)
-        packed = chain._pack(swap.images)
-        assert [packed[chain.degree + v] for v in range(4)] == [
-            chain.degree + v for v in (0, 1, 3, 2)
-        ]
+        swap = with_vertex_points(level2_block_swap(depth, 2, 3), level)
+        assert swap[degree : degree + 4] == tuple(degree + v for v in (0, 1, 3, 2))
+        packed = chain._pack(swap)
         assert chain.sift(packed) == (packed, 2)
-        assert not chain.contains(swap.images)
+        assert not chain.contains(swap)
 
 
 def test_contains_sifts_every_level_of_g5(caplog):
     gens = quotient_group(5).generators
     with caplog.at_level("INFO", logger="hanoikernel.permgroup"):
-        chain = pg.tree_group(5, gens)._chain
+        chain = pg.PermGroup(3**5, gens)._chain
     assert "degree=243 gens=3 " in caplog.text
-    assert "levels=144 vertices=9 " in caplog.text
-    # the masks settle 8,808 of the 12,676 formed pairs as a level's whole
-    assert "schreier=12676 skipped=9542 sifted=2296 strong=183 settled=8808" in caplog.text
-    vertices = chain.levels[: chain.vertices]
-    orbits = [len(level.inverse_transversal) for level in vertices]
-    assert (len(chain.levels), chain.vertices, orbits.count(1)) == (144, 9, 4)
+    # the masks settle 17,869 of the 27,104 formed pairs as a level's
+    # whole, and 1,836 Schreier generators repeat one their level sifted
+    assert (
+        "levels=135 schreier=27104 skipped=21518 repeated=1836 sifted=2189"
+        " strong=188 settled=17869"
+    ) in caplog.text
+    # every base is a leaf, and every orbit has more than one point
+    assert all(level.base < 243 for level in chain.levels)
+    assert min(len(level.inverse_transversal) for level in chain.levels) > 1
     # the steps share the levels' inverse transversals
     assert all(
         step[1] is level.inverse_transversal
@@ -1121,13 +1144,14 @@ def test_commands_never_call_contains(monkeypatch, capsys):
 
 
 # G'_k's chain from the ten Gamma' words: its enlarging generators and
-# levels schreier skipped sifted strong settled
+# levels schreier skipped repeated sifted strong settled; repeated + sifted
+# is the number of sifts the chain would run without the repeat skip
 DERIVED_CHAINS = {
-    1: (1, "levels=1 vertices=0 schreier=3 skipped=0 sifted=0 strong=1 settled=0"),
-    2: (2, "levels=5 vertices=0 schreier=38 skipped=9 sifted=11 strong=5 settled=3"),
-    3: (2, "levels=15 vertices=0 schreier=374 skipped=177 sifted=115 strong=18 settled=142"),
-    4: (2, "levels=45 vertices=0 schreier=2864 skipped=1900 sifted=636 strong=56 settled=1681"),
-    5: (2, "levels=135 vertices=0 schreier=20037 skipped=15399 sifted=3407 strong=182 settled=14012"),
+    1: (1, "levels=1 schreier=3 skipped=0 repeated=0 sifted=0 strong=1 settled=0"),
+    2: (2, "levels=5 schreier=38 skipped=9 repeated=0 sifted=11 strong=5 settled=3"),
+    3: (2, "levels=15 schreier=374 skipped=177 repeated=20 sifted=95 strong=18 settled=142"),
+    4: (2, "levels=45 schreier=2864 skipped=1900 repeated=106 sifted=530 strong=56 settled=1681"),
+    5: (2, "levels=135 schreier=20037 skipped=15399 repeated=960 sifted=2447 strong=182 settled=14012"),
 }
 
 
@@ -1164,7 +1188,9 @@ def test_contains_with_forced_leaf_bases():
     assert_chain_is_bsgs(chain)
     rng = random.Random(13)
     queries = membership_queries(g, 3, rng, 24)
-    assert_contains_decides(chain, queries, lambda q: branch.contains(q.images, 3))
+    assert_contains_decides(
+        chain, [q.images for q in queries], lambda q: branch.contains(q, 3)
+    )
     tail = oracles.pointwise_stabilizer(g, [1, 2, 3, 14])
     fixes = lambda q: all(q.images[x] == x for x in (0, 1, 2, 13))
     for q in queries + random_words(tail, rng, 12):

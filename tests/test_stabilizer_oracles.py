@@ -129,15 +129,12 @@ def reference_sections(depth: int, level: int) -> dict:
     conjugated by each transversal element."""
     group = analysis.build_quotient(depth).group
     size = 3 ** (depth - level)
-    chain = permgroup._Chain(group.degree, size)
-    for g in group.generators:
-        chain.add_generator(g.images)
-    chain._finish()
-    stabilizer = [Perm(s) for s in oracles.strong_generators(chain, 1)]
+    chain = oracles.vertex_chain(group, level)
+    stabilizer = [Perm(s[: group.degree]) for s in oracles.strong_generators(chain, 1)]
     sections = {}
     for point, t_inv in chain.levels[0].inverse_transversal.items():
         v = point - group.degree
-        t = Perm(oracles.unpack(chain, t_inv)).inverse()
+        t = Perm(t_inv[: group.degree]).inverse()
         conjugates = [t.inverse() * s * t for s in stabilizer]
         leaves = range(v * size, (v + 1) * size)
         restricted = [Perm([g.images[x] - v * size for x in leaves]) for g in conjugates]
