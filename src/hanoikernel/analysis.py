@@ -13,20 +13,22 @@ the part truncations cannot see).
 the depth-2 patterns (branch), with no chain of G_N and no chain of a level
 stabilizer. G_N acts on level n as G_n, so |Stab(n)| is |G_N|/|G_n|, and
 |Stab(n)/Stab(n+1)| is |G_(n+1)|/|G_n|, or |G'_(n+1)|/|G'_n| inside the
-derived subgroup. Rist(n) in G_N is (G'_k)^(3^n), k = N - n, and it lies
-in Stab(n) exactly when the three level-1 copies of each G'_k generator lie
-in G_(k+1) (_rist_in_stab has the proof, from branch's criterion). G'_k is
-the only Rist(n) object built: its order is read off the chain
-of G'_k, and Rist(n)'s generators are the leaf images of G'_k's generators
-copied onto each level-n block (_rist_generators). G'_k is generated by the
-leaf permutations of fixed words for Gamma' (words.parity_kernel_words), so
-no normal closure and no chain of G_k is needed. transrec reads each
-vertex's section off the states of its stabilizer's Reidemeister-Schreier
-words: they are words in a, b and c, and once they include all three the
-section is G_k, with no group built. No command builds G_N: transitive takes
-the orbit of leaf 1 under the leaf permutations of a, b and c, with no group,
-and build_quotient, which makes G_N and its chain on the leaves, serves the
-tests and the benchmark. Every chain the package builds is on leaves alone;
+derived subgroup. Rist(n) in G_N is (G'_k)^(3^n), k = N - n, so what is
+said of it depends on k alone: its order |G'_k|^(3^n) off the chain of G'_k
+(_derived_subgroup); its containment in Stab(n), which holds exactly when
+the three level-1 copies of each G'_k generator lie in G_(k+1)
+(_rist_in_stab has the proof, from branch's criterion); and the order check
+behind the elementary-abelian flag (_rist_is_kernel). The chain of G'_k and
+the containment are cached, so each is decided once per k in a process.
+G'_k is the only Rist(n) object built, and nothing at Rist(n)'s degree 3^N
+is. G'_k is generated by the leaf permutations of fixed words for Gamma'
+(words.parity_kernel_words), so no normal closure and no chain of G_k is
+needed. transrec reads each vertex's section off the states of its
+stabilizer's Reidemeister-Schreier words: they are words in a, b and c,
+and once they include all three the section is G_k, with no group built.
+No command builds G_N: transitive takes the orbit of leaf 1 under the leaf
+permutations of a, b and c, with no group, and build_quotient, which makes
+G_N and its chain on the leaves, serves the tests and the benchmark. Every chain the package builds is on leaves alone;
 the chains with tree vertices as points are test oracles. Every entry point
 checks one depth cap, 3^6 leaves, where its depth enters; only
 build_quotient also wants slow, for the chain of G_6.
@@ -34,9 +36,10 @@ build_quotient also wants slow, for the chain of G_6.
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from . import branch, f2, log, permgroup, words
 from .automorphism import embed, leaf_permutation
@@ -115,12 +118,6 @@ class TruncatedQuotient(NamedTuple):
 
 
 _quotients: dict[int, TruncatedQuotient] = {}
-_derived: dict[int, PermGroup] = {}
-
-
-def clear_caches() -> None:
-    _quotients.clear()
-    _derived.clear()
 
 
 def build_quotient(depth: int, slow: bool = False) -> TruncatedQuotient:
@@ -145,58 +142,31 @@ def build_quotient(depth: int, slow: bool = False) -> TruncatedQuotient:
     return _quotients.setdefault(depth, quotient)
 
 
+@functools.cache
 def _derived_subgroup(k: int) -> PermGroup:
     """G'_k, generated by the leaf permutations of the Gamma' words
     (words.parity_kernel_words): those words generate the derived subgroup
     of the free product C2*C2*C2, which maps onto G_k, so their images
     generate G'_k. Its chain is leaf-only, built from the words alone; its
-    order is never read from branch. No chain of G_k is built. A copy on
-    each level-n block, k = N - n, makes Rist(n) in G_N (_rist_generators)."""
-    cached = _derived.get(k)
-    if cached is not None:
-        return cached
+    order is never read from branch. No chain of G_k is built.
+
+    Rist(n) in G_N, k = N - n, is a copy of G'_k on each level-n block. The
+    3^n copies act on disjoint blocks of leaves, so they commute and meet
+    trivially, the group they generate is their direct product, and
+    |Rist(n)| = |G'_k|^(3^n)."""
     perms = [
         leaf_permutation(words.evaluate(w, k), k)
         for w in words.parity_kernel_words()
     ]
-    return _derived.setdefault(k, PermGroup(3**k, perms))
+    return PermGroup(3**k, perms)
 
 
-def _rist_generators(depth: int, n: int) -> Iterator[tuple[int, ...]]:
-    """The leaf images of Rist(n)'s generators in G_N: each generator of
-    G'_k, k = N - n, placed on level-n block v, for v in 0..3^n - 1, and the
-    identity on every other leaf, with no Perm and no group built."""
-    size = 3 ** (depth - n)
-    identity = tuple(range(3**depth))
-    factor = _derived_subgroup(depth - n).generators
-    for v in range(3**n):
-        start, stop = v * size, (v + 1) * size
-        for g in factor:
-            yield identity[:start] + tuple(start + x for x in g.images) + identity[stop:]
-
-
-def _rist_order(depth: int, n: int) -> int:
-    """|Rist(n)| in G_N: |G'_k|^(3^n), k = N - n, with |G'_k| off the chain
-    of G'_k. The 3^n copies of G'_k act on disjoint blocks of leaves, so
-    they commute and meet trivially, and the group they generate is their
-    direct product."""
-    return _derived_subgroup(depth - n).order() ** 3**n
-
-
-def q_order(depth: int, n: int) -> int:
-    """|Q_{n,N}|: index of the rigid-stabilizer image inside the
-    level-stabilizer image of the depth-N truncation."""
-    if not 1 <= n < depth:
-        raise DepthError(f"level {n} outside 1..{depth - 1}")
-    _require_depth(depth)
-    return _q_order(depth, n)
-
-
-def _rist_in_stab(depth: int, n: int) -> bool:
-    """Whether Rist(n) = (G'_k)^(3^n), k = N - n, lies in Stab(n) in G_N,
-    decided on the three level-1 copies of each G'_k generator in G_(k+1):
-    each must fix level 1 (a vertex's first leaf shows where it goes) and
-    lie in G_(k+1).
+@functools.cache
+def _rist_in_stab(k: int) -> bool:
+    """Whether Rist(n) = (G'_k)^(3^n) lies in Stab(n) in G_(n+k), for every
+    n >= 1, decided on the three level-1 copies of each G'_k generator in
+    G_(k+1): each must fix level 1 (a vertex's first leaf shows where it
+    goes) and lie in G_(k+1).
 
     By branch's criterion, an automorphism lies in G_M exactly when it is a
     tree automorphism whose depth-2 pattern at every vertex of level <=
@@ -208,9 +178,13 @@ def _rist_in_stab(depth: int, n: int) -> bool:
     lie in G_N and G_(k+1) together, and for n >= 1 the three copies decide
     all 3^n (tests/_chain_oracles.py keeps the per-copy check).
     """
-    k = depth - n
     size = 3**k
-    copies = list(_rist_generators(k + 1, 1))
+    identity = tuple(range(3 * size))
+    copies = [
+        identity[: v * size] + tuple(v * size + x for x in g.images) + identity[(v + 1) * size :]
+        for v in range(3)
+        for g in _derived_subgroup(k).generators
+    ]
     inside = all(
         all(g[v * size] // size == v for v in range(3))
         and branch.contains(g, k + 1)
@@ -218,11 +192,31 @@ def _rist_in_stab(depth: int, n: int) -> bool:
     )
     log.info(
         __name__,
-        "Rist(%d) <= Stab(%d) in G_%d: %s, k = %d, %d level-1 copies of G'_%d's"
-        " generators in G_%d at degree %d",
-        n, n, depth, "pass" if inside else "FAIL", k, len(copies), k, k + 1, 3 * size,
+        "Rist(n) <= Stab(n) in G_(n+%d) for every n: %s, %d level-1 copies of"
+        " G'_%d's generators in G_%d at degree %d",
+        k, "pass" if inside else "FAIL", len(copies), k, k + 1, 3 * size,
     )
     return inside
+
+
+# bound here, so that clear_caches reaches the caches while a name is patched
+_CACHED = (_derived_subgroup, _rist_in_stab)
+
+
+def clear_caches() -> None:
+    """Forget the quotients, the G'_k chains and the containment verdicts."""
+    _quotients.clear()
+    for function in _CACHED:
+        function.cache_clear()
+
+
+def q_order(depth: int, n: int) -> int:
+    """|Q_{n,N}|: index of the rigid-stabilizer image inside the
+    level-stabilizer image of the depth-N truncation."""
+    if not 1 <= n < depth:
+        raise DepthError(f"level {n} outside 1..{depth - 1}")
+    _require_depth(depth)
+    return _q_order(depth, n)
 
 
 def _exact_quotient(order: int, sub_order: int) -> int:
@@ -235,9 +229,10 @@ def _exact_quotient(order: int, sub_order: int) -> int:
 def _q_order(depth: int, n: int) -> int:
     """|Stab(n)| / |Rist(n)| in G_N, with |Stab(n)| = |G_N| / |G_n|: G_N
     acts on level n as G_n, and Stab(n) is the kernel of that action."""
-    if not _rist_in_stab(depth, n):
+    k = depth - n
+    if not _rist_in_stab(k):
         raise NotASubgroupError(f"Rist({n}) of G_{depth} is not inside Stab({n})")
-    orders = branch.orders(depth)[0], branch.orders(n)[0], _rist_order(depth, n)
+    orders = branch.orders(depth)[0], branch.orders(n)[0], _derived_subgroup(k).order() ** 3**n
     q = _exact_quotient(_exact_quotient(orders[0], orders[1]), orders[2])
     log.info(
         __name__,
@@ -364,40 +359,32 @@ class KernelReport(NamedTuple):
         }
 
 
-def _elementary_abelian_quotient(depth: int, n: int) -> bool:
-    """Whether Q(n,N) = Stab(n)/Rist(n) in G_N is elementary abelian 2,
-    from a containment and an order; no chain of Stab(n) is built.
+def _rist_is_kernel(k: int) -> bool:
+    """Whether the chain of G'_k has the order |G'_k| of the branch
+    recursion. Where _rist_in_stab(k) holds too, Q(n,N) = Stab(n)/Rist(n)
+    in G_N, N = n + k, is elementary abelian 2, for every n >= 1; no chain
+    of Stab(n) is built.
 
-    Let k = N - n. Taking the states at the level-n vertices maps Stab(n)
-    homomorphically into (G_k)^(3^n): the states of a, b and c are a, b, c
-    or trivial (selfsim), so the states of an element of G_N lie in G_k.
-    Follow it with G_k -> G_k/G'_k on each factor. G_k is generated by
-    involutions: a letter x is (x, 1, 1) sigma up to coordinate order, with
-    sigma a transposition fixing x's coordinate, so x^2 = (x^2, 1, 1) up to
-    that order, and by induction x is an involution at every depth (the
-    relators a^2, b^2 and c^2 square the letters' portraits to check it,
+    Taking the states at the level-n vertices maps Stab(n) homomorphically
+    into (G_k)^(3^n): the states of a, b and c are a, b, c or trivial
+    (selfsim), so the states of an element of G_N lie in G_k. Follow it
+    with G_k -> G_k/G'_k on each factor. G_k is generated by involutions: a
+    letter x is (x, 1, 1) sigma up to coordinate order, with sigma a
+    transposition fixing x's coordinate, so x^2 = (x^2, 1, 1) up to that
+    order, and by induction x is an involution at every depth (the relators
+    a^2, b^2 and c^2 square the letters' portraits to check it,
     words.check_relator). So G_k/G'_k is elementary abelian 2, and the image
     of Stab(n) is too. The kernel is the intersection of Stab(n) with
     (G'_k)^(3^n), so its order is at most |G'_k|^(3^n). Rist(n) is
-    (G'_k)^(3^n) on the level-n blocks (_rist_generators). G'_k is generated
-    by the leaf permutations of words in Gamma' (_derived_subgroup), and its
-    order comes from their chain. Once the three level-1 copies of its
-    generators lie in G_(k+1), their copies on level n lie in G_N and fix
-    level n (_rist_in_stab), so Rist(n) lies in that kernel, and when that
-    chain's order is |G'_k| from the branch recursion, it is the kernel.
-    Then Q(n,N) embeds in an elementary abelian 2-group. The flag stays
-    independent of branch: reading |Rist(n)| from the branch recursion
-    instead would make the order check a tautology.
+    (G'_k)^(3^n) on the level-n blocks, of order |G'_k|^(3^n) with |G'_k|
+    off the chain of G'_k (_derived_subgroup). Once the three level-1
+    copies of its generators lie in G_(k+1), their copies on level n lie in
+    G_N and fix level n (_rist_in_stab), so Rist(n) lies in that kernel, and
+    when that chain's order is |G'_k| from the branch recursion, it is the
+    kernel. Then Q(n,N) embeds in an elementary abelian 2-group. The check
+    stays independent of branch: reading |Rist(n)| from the branch
+    recursion instead would make the order check a tautology.
     """
-    return _rist_in_stab(depth, n) and _rist_is_kernel(depth, n)
-
-
-def _rist_is_kernel(depth: int, n: int) -> bool:
-    """The order half of _elementary_abelian_quotient: |Rist(n)| is
-    |G'_k|^(3^n), k = N - n (_rist_order), so it is the kernel's order
-    exactly when the chain of G'_k has the order |G'_k| of the branch
-    recursion."""
-    k = depth - n
     return _derived_subgroup(k).order() == branch.orders(k)[1]
 
 
@@ -410,8 +397,9 @@ def kernel_report(n_max: int = 2, depth_budget: int = 4) -> KernelReport:
     with the Q orders those of the truncations (legitimate because they
     stabilize, which is itself checked here): |G_N| and |G_n| from the
     branch recursion, |Rist(n)| as |G'_(N-n)|^(3^n) from the chain of
-    G'_(N-n). Each Rist(n) containment in G_N is tested once, for Q and the
-    flag together.
+    G'_(N-n). Each Rist(n) containment is tested once per k = N - n, for Q
+    and the flag together, and the report reads G'_1 and G'_2 alone at every
+    depth budget.
     """
     if n_max < 1:
         raise ShapeError("n_max must be >= 1")
@@ -439,8 +427,8 @@ def kernel_report(n_max: int = 2, depth_budget: int = 4) -> KernelReport:
         # _q_order raised unless Rist(n) lies in Stab(n), so each flag is
         # its order check alone
         flags = {
-            f"Q({n},{n + 1})": _rist_is_kernel(n + 1, n),
-            f"Q({n},{n + 2})": _rist_is_kernel(n + 2, n),
+            f"Q({n},{n + 1})": _rist_is_kernel(1),
+            f"Q({n},{n + 2})": _rist_is_kernel(2),
         }
         row_pass = (
             stable
@@ -628,7 +616,7 @@ def _check_rist(depth: int) -> LemmaReport:
     w = f2.first_subtree_space()
     containments = {}
     for n in range(1, depth):
-        containments[f"rist({n}) <= stab({n})"] = _rist_in_stab(depth, n)
+        containments[f"rist({n}) <= stab({n})"] = _rist_in_stab(depth - n)
     computed = {
         "vectors": {x: list(f2.stab1_vector(x)) for x in words.LEVEL1_STABILIZER_WORDS},
         "dim_u": u.dim(),
@@ -655,7 +643,7 @@ def _check_ristquot(depth: int) -> LemmaReport:
     expected = {}
     for n in range(1, depth):
         computed[f"n={n}"] = {
-            "order": _rist_order(n + 1, n),
+            "order": _derived_subgroup(1).order() ** 3**n,
             "elementary_abelian_3": permgroup.is_elementary_abelian(_derived_subgroup(1), 3),
         }
         expected[f"n={n}"] = {"order": 3 ** (3**n), "elementary_abelian_3": True}
@@ -689,8 +677,8 @@ def _check_elab(depth: int) -> LemmaReport:
         for big_n in (n + 1, n + 2):
             if big_n > depth:
                 continue
-            flag = _elementary_abelian_quotient(big_n, n)
-            computed[f"Q({n},{big_n})"] = flag
+            k = big_n - n
+            computed[f"Q({n},{big_n})"] = _rist_in_stab(k) and _rist_is_kernel(k)
     expected = {key: True for key in computed}
     return LemmaReport("elab", depth, computed, expected, computed == expected)
 

@@ -15,27 +15,26 @@ leaves this module. A bytes element is inverted by
 bytes.maketrans(p, identity), one C call; a tuple by a Python loop, which
 beat sorted, map and itemgetter at degree 729.
 
-Schreier-Sims skips the sift of a Schreier generator that equals its strong
-generator s: s then fixes the level's base, so it is a strong generator of
-the next level too, and it sifts to the identity there (_Chain._drain has
-the proof). The pair of a level's base and a new strong generator that
-fixes it always forms that generator, so _adjoin does not queue it and
-counts it as formed and skipped.
-
-It also skips the sift of a Schreier generator that its level has sifted
-before. That sift ran through the deeper levels while their queues were
-empty, and either reached the identity or left a residue that became a
-strong generator there; so the generator lies in the group of the deeper
-levels, which only grows. Whenever the level drains, the deeper queues are
-empty again, so the deeper levels are a base and strong generating set of
-that group, and the generator would sift to the identity (_Chain._drain).
-Each level keeps the Schreier generators it has sifted in a set, which
-_finish drops. Neither skip changes the chain: every level's base, strong
-generators and transversal are those of the chain that sifts every
-Schreier generator. In the G_5 build the s-skip takes 21,518 of the 25,543
-nontrivial Schreier generators and the repeat skip 1,836 of the 4,025 left,
-so 2,189 are sifted (`skipped`, `repeated` and `sifted` in the build log
-line).
+Schreier-Sims skips the sift of a Schreier generator that its level knows
+to lie in the group of the deeper levels. Each level keeps a set of such
+elements, which _finish drops. _adjoin(h, lo, hi) installs h on levels
+lo..hi, so at each level l < hi h is a generator of level l + 1 too, and
+_adjoin adds it to level l's set. _drain adds each Schreier generator it
+sifts from level l: that sift ran from level l + 1 while the deeper queues
+were empty, so it either reached the identity or left a residue that
+_adjoin installed and the deeper levels drained before level l went on.
+Either way the element lies in the group of levels l + 1.., which only
+grows. Whenever level l drains, the deeper queues are empty again, so the
+deeper levels are a base and strong generating set of that group, and an
+element of the set would sift to the identity. So the skip does not change
+the chain: every level's base, strong generators and transversal are those
+of the chain that sifts every Schreier generator. A Schreier generator that
+equals its strong generator s is one case: s fixes the level's base, so it
+is a generator of the next level and in the set. The pair of a level's base
+and a new strong generator that fixes it always forms that generator, so
+_adjoin does not queue it and counts it as formed and skipped. In the G_5
+build the set takes 23,376 of the 25,543 nontrivial Schreier generators,
+and 2,167 are sifted (`skipped` and `sifted` in the build log line).
 
 A level settles all of a new strong generator's pairs at once when the
 generator moves none of the points its transversal elements move; each
@@ -123,7 +122,7 @@ def _inv(p: _Elem) -> _Elem:
 
 
 class _Level:
-    __slots__ = ("base", "gens", "transversal", "inverse_transversal", "moved", "sifted")
+    __slots__ = ("base", "gens", "transversal", "inverse_transversal", "moved", "known")
 
     def __init__(self, base: int, identity: _Elem):
         self.base = base
@@ -137,9 +136,11 @@ class _Level:
         # the points the transversal elements move, as _support gives them;
         # a growing chain reads it, and _finish drops it
         self.moved: int | None = 0
-        # the Schreier generators of this level that _drain has sifted; a
-        # growing chain reads it, and _finish drops it
-        self.sifted: set[_Elem] | None = set()
+        # elements known to lie in the group of the deeper levels: the strong
+        # generators _adjoin installs below their deepest level and the
+        # Schreier generators _drain sifts here; a growing chain reads it,
+        # and _finish drops it
+        self.known: set[_Elem] | None = set()
 
 
 class _Chain:
@@ -162,11 +163,10 @@ class _Chain:
     when the residue is the identity.
     """
 
-    # Schreier generators formed, skipped as equal to their generator,
-    # skipped as sifted before at their level, and sifted, strong generators
-    # adjoined, and the formed and skipped pairs that a level settled as a
-    # whole (_adjoin); read by the build log line
-    formed = skipped = repeated = sifted = adjoined = settled = 0
+    # Schreier generators formed, skipped as known to their level, and
+    # sifted, strong generators adjoined, and the formed and skipped pairs
+    # that a level settled as a whole (_adjoin); read by the build log line
+    formed = skipped = sifted = adjoined = settled = 0
 
     def __init__(self, degree: int):
         self.degree = degree
@@ -243,10 +243,10 @@ class _Chain:
         return p, None
 
     def _finish(self) -> "_Chain":
-        """Drop the forward transversals, the moved-point ints and the
-        sifted Schreier generators; no generator is added after this."""
+        """Drop the forward transversals, the moved-point ints and the known
+        sets; no generator is added after this."""
         for level in self.levels:
-            level.transversal = level.moved = level.sifted = None
+            level.transversal = level.moved = level.known = None
         return self
 
     def _new_level(self, base: int) -> None:
@@ -278,26 +278,29 @@ class _Chain:
         for l in range(lo, hi + 1):
             level = self.levels[l]
             level.gens.append(h)
-            if l < hi and not moved & level.moved:
-                # h moves no point a transversal element moves, so each pair
-                # (pt, h) forms h and the orbit stays (module docstring)
-                pairs = len(level.transversal)
-                self.formed += pairs
-                self.skipped += pairs
-                self.settled += pairs
-                continue
-            old_points = list(level.transversal)
-            new_points = self._extend_orbit(level, h)
-            queue = self._pending[l]
-            # Below level hi, h fixes the level's base, so the pair
-            # (base, h) forms identity * h * identity = h, which _drain
-            # skips as equal to its generator. It is counted here instead
-            # of queued.
             skip = None
             if l < hi:
+                # h is a generator of level l + 1 too, so it lies in the group
+                # of the deeper levels (module docstring)
+                level.known.add(h)
+                if not moved & level.moved:
+                    # h moves no point a transversal element moves, so each
+                    # pair (pt, h) forms h and the orbit stays (module
+                    # docstring)
+                    pairs = len(level.transversal)
+                    self.formed += pairs
+                    self.skipped += pairs
+                    self.settled += pairs
+                    continue
+                # h fixes the level's base, so the pair (base, h) forms
+                # identity * h * identity = h, which _drain would skip as
+                # known; it is counted here instead of queued
                 skip = level.base
                 self.formed += 1
                 self.skipped += 1
+            old_points = list(level.transversal)
+            new_points = self._extend_orbit(level, h)
+            queue = self._pending[l]
             for pt in old_points:
                 if pt != skip:
                     queue.append((pt, h))
@@ -308,7 +311,7 @@ class _Chain:
     def _drain(self) -> None:
         """Process pending Schreier pairs, deepest level first."""
         identity, mult = self.identity, self.mult
-        formed = skipped = repeated = sifted = 0
+        formed = skipped = sifted = 0
         while True:
             l = len(self.levels) - 1
             while l >= 0 and not self._pending[l]:
@@ -316,12 +319,11 @@ class _Chain:
             if l < 0:
                 self.formed += formed
                 self.skipped += skipped
-                self.repeated += repeated
                 self.sifted += sifted
                 return
             level = self.levels[l]
             queue = self._pending[l]
-            seen = level.sifted
+            known = level.known
             while queue:
                 point, s = queue.popleft()
                 u = level.transversal[point]
@@ -329,30 +331,15 @@ class _Chain:
                 formed += 1
                 if schreier == identity:
                     continue
-                # A Schreier generator equal to s sifts to the identity, so
-                # it is skipped. _adjoin(h, lo, hi) installed s on levels
-                # lo..hi, and h moves level hi's base. A Schreier generator
-                # of level l fixes level l's base, so s does, so l < hi and
-                # s is a generator of level l + 1 too. The deeper queues are
-                # empty while level l drains, so levels l + 1.. are a base
-                # and strong generating set of the group their generators
-                # make, and s sifts through them to the identity.
-                if schreier == s:
+                # A Schreier generator in the level's known set sifts to the
+                # identity, so it is skipped: it lies in the group of levels
+                # l + 1.., and while level l drains the deeper queues are
+                # empty, so those levels are a base and strong generating set
+                # of that group (module docstring).
+                if schreier in known:
                     skipped += 1
                     continue
-                # A Schreier generator this level sifted before sifts to the
-                # identity again, so it is skipped. The first sift ran from
-                # level l + 1 while the deeper queues were empty, so it
-                # either reached the identity, or stopped at a residue that
-                # _adjoin installed and the deeper levels drained before
-                # level l went on. Either way the generator lies in the
-                # group of levels l + 1.., which only grows; now, with the
-                # deeper queues empty again, those levels are a base and
-                # strong generating set of it, as above.
-                if schreier in seen:
-                    repeated += 1
-                    continue
-                seen.add(schreier)
+                known.add(schreier)
                 sifted += 1
                 residue, stuck = self.sift(schreier, l + 1)
                 if residue != identity:
@@ -410,9 +397,9 @@ class PermGroup:
             log.info(
                 __name__,
                 "built chain: degree=%d gens=%d order=%d levels=%d schreier=%d"
-                " skipped=%d repeated=%d sifted=%d strong=%d settled=%d",
+                " skipped=%d sifted=%d strong=%d settled=%d",
                 degree, len(candidates), chain.order(), len(chain.levels),
-                chain.formed, chain.skipped, chain.repeated, chain.sifted,
+                chain.formed, chain.skipped, chain.sifted,
                 chain.adjoined, chain.settled,
             )
 

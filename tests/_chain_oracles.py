@@ -15,8 +15,9 @@ its leaf images, and vertex_chain opens the vertex points as a chain's
 first levels, as pointwise_stabilizer opens its points. Each takes
 the Rist(n) image (rist_image) as `rist`, so that a caller builds its
 chain, at degree 3^N, once for all of them. rist_copies_in_stab is the
-per-copy containment by branch.contains at degree 3^N, which the package
-decides on three level-1 copies in G_(k+1).
+per-copy containment by branch.contains at degree 3^N, on every copy that
+rist_copies builds, which the package decides once per k on three level-1
+copies in G_(k+1).
 
 They also hold the chain routines that only tests use: the derived subgroup
 as the normal closure of the commutators of the generators, which needs no
@@ -290,16 +291,24 @@ def rist_in_stab(quotient: analysis.TruncatedQuotient, n: int, rist: PermGroup) 
     )
 
 
+def rist_copies(depth: int, n: int) -> list[tuple[int, ...]]:
+    """The leaf images of Rist(n)'s generators in G_N: each generator of the
+    package's G'_k, k = N - n, on each level-n block v in 0..3^n - 1, and the
+    identity on every other leaf."""
+    factor = analysis._derived_subgroup(depth - n).generators
+    return [embed_in_block(g, v, 3**n).images for v in range(3**n) for g in factor]
+
+
 def rist_copies_in_stab(depth: int, n: int) -> bool:
     """Whether every copy of every G'_k generator, k = N - n, on every
-    level-n vertex v in 0..3^n - 1 fixes level n and lies in G_N by
-    branch.contains at degree 3^N: the per-copy check that the package
-    decides on the three level-1 copies in G_(k+1)."""
+    level-n vertex fixes level n and lies in G_N by branch.contains at
+    degree 3^N: the per-copy check that the package decides on the three
+    level-1 copies in G_(k+1)."""
     size = 3 ** (depth - n)
     return all(
         all(g[v * size] // size == v for v in range(3**n))
         and branch.contains(g, depth)
-        for g in analysis._rist_generators(depth, n)
+        for g in rist_copies(depth, n)
     )
 
 

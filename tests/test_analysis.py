@@ -14,6 +14,23 @@ from hanoikernel.errors import (
 import _chain_oracles as oracles
 
 
+def elab_flag(depth, n):
+    """elab's flag for Q(n,N): the containment and the order check of
+    k = N - n."""
+    k = depth - n
+    return analysis._rist_in_stab(k) and analysis._rist_is_kernel(k)
+
+
+@pytest.fixture
+def fresh_caches():
+    """Caches cleared before the test and again after it, so that neither
+    a verdict cached before a patch hides a mutant nor one cached under it
+    outlives the patch."""
+    analysis.clear_caches()
+    yield
+    analysis.clear_caches()
+
+
 def test_quotient_orders():
     assert analysis.build_quotient(1).group.order() == 6
     assert analysis.build_quotient(2).group.order() == 648
@@ -99,10 +116,10 @@ def test_rist_image_examples():
 
 @pytest.mark.parametrize("depth", [2, 3, 4])
 def test_rist_generators_match_oracle_blocks(depth):
-    """The package's Rist(n) generators are the oracle's copies of G'_k on
-    the level-n blocks, none dropped, moved or added."""
+    """The per-copy oracle's Rist(n) generators are rist_image's copies of
+    G'_k on the level-n blocks, none dropped, moved or added."""
     for n in range(1, depth):
-        images = list(analysis._rist_generators(depth, n))
+        images = oracles.rist_copies(depth, n)
         oracle = {g.images for g in oracles.rist_image(depth, n).generators}
         factor = analysis._derived_subgroup(depth - n).generators
         assert len(images) == len(oracle) == 3**n * len(factor)
@@ -221,26 +238,29 @@ def test_level_identity_inside_rigid_product():
 
 
 @pytest.mark.parametrize("extra", ["leaf transposition", "generator a"])
-def test_rist_check_fails_when_rist_leaves_stab(monkeypatch, extra):
-    # a transposition of two leaves fixes every level-n vertex but lies
-    # outside G_N; a lies in G_N but moves the level-n vertices
-    real = analysis._rist_generators
+def test_rist_check_fails_when_rist_leaves_stab(monkeypatch, fresh_caches, extra):
+    # a factor with one more generator: a transposition of two sibling
+    # leaves, outside G_k for k >= 2 (G_1 is S_3), or a, inside G_k but
+    # outside G'_k; the copies of either on the level-n blocks fix level n
+    # and lie outside G_N
+    real = analysis._derived_subgroup
 
-    def extra_perm(depth):
+    def extra_perm(k):
         if extra == "generator a":
-            return analysis.build_quotient(depth).generator_map["a"]
-        return Perm([1, 0, *range(2, 3**depth)])
+            return analysis.build_quotient(k).generator_map["a"]
+        return Perm([1, 0, *range(2, 3**k)])
 
-    def fake(depth, n):
-        yield from real(depth, n)
-        yield extra_perm(depth).images
-
-    monkeypatch.setattr(analysis, "_rist_generators", fake)
-    for depth in (2, 3, 4):
-        quotient = analysis.build_quotient(depth)
+    monkeypatch.setattr(
+        analysis,
+        "_derived_subgroup",
+        lambda k: permgroup.PermGroup(3**k, [*real(k).generators, extra_perm(k)]),
+    )
+    analysis.clear_caches()
+    for k in (2, 3):
         member = extra == "generator a"
-        assert quotient.group.contains(extra_perm(depth)) == member
-        assert branch.contains(extra_perm(depth).images, depth) == member
+        assert analysis.build_quotient(k).group.contains(extra_perm(k)) == member
+        assert branch.contains(extra_perm(k).images, k) == member
+    for depth in (2, 3, 4):
         report = analysis.verify_lemma("rist", depth=depth)
         assert not report.passed
         assert not any(report.computed["containments"].values())
@@ -248,11 +268,12 @@ def test_rist_check_fails_when_rist_leaves_stab(monkeypatch, extra):
         for n in range(1, depth):
             with pytest.raises(NotASubgroupError):
                 analysis.q_order(depth, n)
-            assert not analysis._elementary_abelian_quotient(depth, n)
+            assert not elab_flag(depth, n)
+        assert not any(analysis.verify_lemma("elab", depth=depth).computed.values())
 
 
 @pytest.mark.parametrize("depth", [2, 3, 4, 5, pytest.param(6, marks=pytest.mark.slow)])
-def test_rist_check_matches_the_per_copy_oracle(monkeypatch, depth):
+def test_rist_check_matches_the_per_copy_oracle(monkeypatch, fresh_caches, depth):
     """The three level-1 copies in G_(k+1) give the verdict of every copy on
     level n in G_N, for G'_k's generators, which pass, and for factors whose
     copies leave G_N: a letter, a transposition of sibling leaves, and a
@@ -275,41 +296,99 @@ def test_rist_check_matches_the_per_copy_oracle(monkeypatch, depth):
         monkeypatch.setattr(
             analysis, "_derived_subgroup", lambda k: permgroup.PermGroup(3**k, gens(k))
         )
+        analysis.clear_caches()
         for n in range(1, depth):
-            verdict = analysis._rist_in_stab(depth, n)
+            verdict = analysis._rist_in_stab(depth - n)
             assert verdict == oracles.rist_copies_in_stab(depth, n), (name, n)
             assert verdict is (name == "G'_k"), (name, n)
 
 
-def test_rist_check_reads_three_copies_per_generator_in_g_k_plus_1(monkeypatch):
-    """Each containment makes at most 3 |gens(G'_k)| branch.contains calls,
-    each on the 3^(k+1) leaves of G_(k+1), k = N - n; a per-copy check
-    would make 3^n times as many, each at degree 3^N."""
-    real_contains, real_check = branch.contains, analysis._rist_in_stab
-    pairs, calls = [], []
+def count_containments(monkeypatch):
+    """Wrap branch.contains; returns the list of the degrees it is called
+    at, which grows with every call."""
+    real = branch.contains
+    degrees = []
 
     def contains(images, depth):
-        calls.append((pairs[-1], len(images)))
-        return real_contains(images, depth)
-
-    def rist_in_stab(depth, n):
-        pairs.append((depth, n))
-        return real_check(depth, n)
+        degrees.append(len(images))
+        return real(images, depth)
 
     monkeypatch.setattr(branch, "contains", contains)
-    monkeypatch.setattr(analysis, "_rist_in_stab", rist_in_stab)
+    return degrees
+
+
+def test_rist_check_reads_three_copies_per_generator_in_g_k_plus_1(monkeypatch, fresh_caches):
+    """Each containment makes 3 |gens(G'_k)| branch.contains calls, each on
+    the 3^(k+1) leaves of G_(k+1); a per-copy check would make 3^n times as
+    many for each n, each at degree 3^N."""
+    degrees = count_containments(monkeypatch)
+    analysis.clear_caches()
     assert analysis.kernel_report(3, 5).passed
-    assert len(calls) == 27
     assert analysis.verify_lemma("rist", 6).passed
-    assert pairs[-5:] == [(6, n) for n in range(1, 6)]
-    for big_n, n in set(pairs):
-        k = big_n - n
-        degrees = [degree for pair, degree in calls if pair == (big_n, n)]
-        assert 0 < len(degrees) <= 3 * len(analysis._derived_subgroup(k).generators)
-        assert set(degrees) == {3 ** (k + 1)}
-    assert len(calls) - 27 == sum(
+    for k in range(1, 6):
+        copies = 3 * len(analysis._derived_subgroup(k).generators)
+        assert degrees.count(3 ** (k + 1)) == copies
+    assert len(degrees) == sum(
         3 * len(analysis._derived_subgroup(k).generators) for k in range(1, 6)
     )
+
+
+def test_each_k_is_decided_once(monkeypatch, fresh_caches):
+    """With fresh caches, the kernel report and every lemma at depth 4
+    decide each k = N - n once: all the copies of k at degree 3^(k+1), in
+    one run of calls. A second report decides none, after clear_caches each
+    k is decided once again, and each lemma alone decides the k it reads."""
+    degrees = count_containments(monkeypatch)
+
+    def runs():
+        """Each degree's runs of consecutive calls, as [degree, calls]."""
+        out = []
+        for degree in degrees:
+            if out and out[-1][0] == degree:
+                out[-1][1] += 1
+            else:
+                out.append([degree, 1])
+        return out
+
+    def decided_once(ks):
+        return [
+            [3 ** (k + 1), 3 * len(analysis._derived_subgroup(k).generators)] for k in ks
+        ]
+
+    analysis.clear_caches()
+    assert analysis.kernel_report(3, 5).passed
+    assert runs() == decided_once([1, 2])
+    for lemma in analysis.LEMMA_IDS:
+        assert analysis.verify_lemma(lemma, 4).passed
+    assert runs() == decided_once([1, 2, 3])
+    degrees.clear()
+    assert analysis.kernel_report(3, 5).passed
+    assert degrees == []
+    analysis.clear_caches()
+    assert analysis.kernel_report(3, 5).passed
+    assert runs() == decided_once([1, 2])
+    # alone, each lemma decides the k it reads: rist k = N - n for every n,
+    # elab those of Q(n,n+1) and Q(n,n+2)
+    reads = {"rist": [1, 2, 3], "elab": [1, 2]}
+    for lemma in analysis.LEMMA_IDS:
+        analysis.clear_caches()
+        degrees.clear()
+        assert analysis.verify_lemma(lemma, 4).passed
+        assert sorted(runs()) == decided_once(reads.get(lemma, [])), lemma
+
+
+def test_kernel_report_logs_one_containment_per_k(caplog, fresh_caches):
+    """The depth-5 kernel report of the benchmark logs the two containments
+    it decides, for k = 1 and k = 2."""
+    with caplog.at_level("INFO", logger="hanoikernel.analysis"):
+        assert analysis.kernel_report(3, 5).passed
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("Rist(")]
+    assert lines == [
+        "Rist(n) <= Stab(n) in G_(n+1) for every n: pass,"
+        " 3 level-1 copies of G'_1's generators in G_2 at degree 9",
+        "Rist(n) <= Stab(n) in G_(n+2) for every n: pass,"
+        " 6 level-1 copies of G'_2's generators in G_3 at degree 27",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -321,13 +400,14 @@ def test_rist_check_reads_three_copies_per_generator_in_g_k_plus_1(monkeypatch):
         ([(1, 2, 3), (4, 5)], False),
     ],
 )
-def test_ristquot_flag_reads_the_factor(monkeypatch, cycles, flag):
+def test_ristquot_flag_reads_the_factor(monkeypatch, fresh_caches, cycles, flag):
     """ristquot's flag is the factor's: every generator of order 3 and every
     pair commuting."""
     def fake(k):
         return permgroup.PermGroup(9, [Perm.from_cycles(9, [c]) for c in cycles])
 
     monkeypatch.setattr(analysis, "_derived_subgroup", fake)
+    analysis.clear_caches()
     report = analysis.verify_lemma("ristquot", depth=2)
     assert report.computed["n=1"]["elementary_abelian_3"] is flag
     assert not report.passed
@@ -543,7 +623,7 @@ def test_elementary_abelian_flags_match_unpruned_check():
     for big_n in range(2, 6):
         quotient = analysis.build_quotient(big_n, slow=True)
         for n in range(1, big_n):
-            flag = analysis._elementary_abelian_quotient(big_n, n)
+            flag = elab_flag(big_n, n)
             rist = oracles.rist_image(big_n, n)
             assert flag == oracles.chain_elementary_abelian_quotient(quotient, n, rist)
             assert flag == oracles.elementary_abelian_quotient(quotient, n, rist)
@@ -551,7 +631,7 @@ def test_elementary_abelian_flags_match_unpruned_check():
             assert flag, (n, big_n)
 
 
-def test_elementary_abelian_flags_fail_over_too_small_subgroups(monkeypatch):
+def test_elementary_abelian_flags_fail_over_too_small_subgroups(monkeypatch, fresh_caches):
     # Each fake factor is a subgroup of G'_k, k = N - n, smaller than G'_k,
     # so its copies lie in Stab(n) and generate less than (G'_k)^(3^n): the
     # flag's order check fails them, and so do the three oracles. The flag
@@ -574,10 +654,11 @@ def test_elementary_abelian_flags_fail_over_too_small_subgroups(monkeypatch):
         assert 3 * level1_kernel(k).order() == real(k).order()
     for fake in (trivial, level1_kernel):
         monkeypatch.setattr(analysis, "_derived_subgroup", fake)
+        analysis.clear_caches()
         for quotient in quotients:
             for n in range(1, quotient.depth):
                 rist = oracles.rist_image(quotient.depth, n)
-                assert not analysis._elementary_abelian_quotient(quotient.depth, n)
+                assert not elab_flag(quotient.depth, n)
                 assert not oracles.chain_elementary_abelian_quotient(quotient, n, rist)
                 assert not oracles.elementary_abelian_quotient(quotient, n, rist)
                 assert not unpruned_elementary_abelian_quotient(quotient, n, rist)
@@ -586,7 +667,7 @@ def test_elementary_abelian_flags_fail_over_too_small_subgroups(monkeypatch):
     assert len(inside) == 1
 
 
-def test_q_order_logs_its_orders_and_their_source(caplog):
+def test_q_order_logs_its_orders_and_their_source(caplog, fresh_caches):
     with caplog.at_level("INFO", logger="hanoikernel.analysis"):
         assert analysis.q_order(3, 1) == 4
     assert (
@@ -596,6 +677,6 @@ def test_q_order_logs_its_orders_and_their_source(caplog):
         " Rist(n) <= Stab(n) from the level-1 copies of G'_k in G_(k+1)"
     ) in caplog.text
     assert (
-        "Rist(1) <= Stab(1) in G_3: pass, k = 2,"
+        "Rist(n) <= Stab(n) in G_(n+2) for every n: pass,"
         " 6 level-1 copies of G'_2's generators in G_3 at degree 27"
     ) in caplog.text

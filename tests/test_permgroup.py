@@ -324,9 +324,9 @@ def assert_chain_is_bsgs(chain, regenerate=True):
     is the product of the transversal sizes from that level on, which a
     fresh leaf-only chain per level checks unless `regenerate` is false (at
     degree 243 that takes seconds). The chain must be finished, so it keeps
-    only the inverse transversal, and no moved-point int and no set of
-    sifted Schreier generators. A chain element may be padded past the
-    degree, and the padding must fix every point."""
+    only the inverse transversal, and no moved-point int and no known set.
+    A chain element may be padded past the degree, and the padding must fix
+    every point."""
     degree = chain.degree
 
     def images(t):
@@ -348,7 +348,7 @@ def assert_chain_is_bsgs(chain, regenerate=True):
                 if image not in orbit:
                     orbit.add(image)
                     frontier.append(image)
-        assert level.transversal is level.moved is level.sifted is None
+        assert level.transversal is level.moved is level.known is None
         assert orbit == set(level.inverse_transversal)
         for point, t_inv in level.inverse_transversal.items():
             images(t_inv)
@@ -673,18 +673,19 @@ def test_vertex_bases_at_degree_729():
 
 class UnskippedChain(pg._Chain):
     """A chain whose _adjoin queues every Schreier pair and whose _drain
-    sifts every nontrivial Schreier generator, the bodies without the skips.
-    It records whether each Schreier generator that equals its generator s,
-    one the s-skip leaves out, sifted to the identity, and whether each
-    other one that its level sifted before, one the repeat skip leaves out,
-    did; and it counts every Schreier generator it forms."""
+    sifts every nontrivial Schreier generator, the bodies without the skip.
+    It keeps its own known set per level, seeded as the chain's are:
+    _adjoin(h, lo, hi) adds h at each level below hi, and _drain adds each
+    Schreier generator it finds outside the set. It records whether each
+    generator it finds in the set, one the skip leaves out, sifted to the
+    identity, and it counts the others as sifted."""
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.equal_to_s: list[bool] = []
-        self.repeats: list[bool] = []
-        # per level index, the Schreier generators other than s sifted there
-        self.seen: dict[int, set] = {}
+        self.records: list[bool] = []
+        # per level index, the elements known to lie in the deeper levels
+        self.known: dict[int, set] = {}
+        self.sifted = 0
 
     def _adjoin(self, h, lo, hi):
         if hi == len(self.levels):
@@ -693,6 +694,8 @@ class UnskippedChain(pg._Chain):
         for l in range(lo, hi + 1):
             level = self.levels[l]
             level.gens.append(h)
+            if l < hi:
+                self.known.setdefault(l, set()).add(h)
             old_points = list(level.transversal)
             new_points = self._extend_orbit(level, h)
             queue = self._pending[l]
@@ -720,13 +723,12 @@ class UnskippedChain(pg._Chain):
                 if schreier == identity:
                     continue
                 residue, stuck = self.sift(schreier, l + 1)
-                seen = self.seen.setdefault(l, set())
-                if schreier == s:
-                    self.equal_to_s.append(residue == identity)
-                elif schreier in seen:
-                    self.repeats.append(residue == identity)
+                known = self.known.setdefault(l, set())
+                if schreier in known:
+                    self.records.append(residue == identity)
                 else:
-                    seen.add(schreier)
+                    known.add(schreier)
+                    self.sifted += 1
                 if residue != identity:
                     self._adjoin(residue, l + 1, stuck)
                     if stuck > l:
@@ -772,12 +774,18 @@ def assert_skips_leave_the_chain_unchanged(degree, gens, bases=()):
         chains.append(chain)
     fast, oracle = chains
     assert chain_snapshot(fast) == chain_snapshot(oracle)
-    # every skipped generator sifts to the identity from level l + 1, both
-    # those equal to s and those sifted before at their level
-    assert oracle.equal_to_s == [True] * fast.skipped
-    assert oracle.repeats == [True] * fast.repeated
-    # each level sifts each of its other Schreier generators once
-    assert fast.sifted == sum(map(len, oracle.seen.values()))
+    # the oracle finds in its sets exactly the generators the chain skips,
+    # the base and settled pairs among them, and each sifts to the identity
+    # from level l + 1
+    assert oracle.records == [True] * fast.skipped
+    assert fast.sifted == oracle.sifted
+    # each level's set is the oracle's, and every element of it fixes the
+    # level's base and lies in the group of the deeper levels
+    for l, level in enumerate(fast.levels):
+        assert level.known == oracle.known.get(l, set())
+        for g in level.known:
+            assert g[level.base] == level.base
+            assert fast.sift(g, l + 1)[0] == fast.identity
     # the skipped and the settled pairs count as formed, so the build log
     # is unchanged
     assert fast.formed == oracle.formed
@@ -798,8 +806,8 @@ def test_skipped_schreier_generators_leave_the_chain_unchanged(depth):
     for degree, gens, bases in vertex_chains(depth):
         fast = assert_skips_leave_the_chain_unchanged(degree, gens, bases)
         assert fast.order() == quotient_order(depth)
-        assert fast.skipped > 0 and fast.repeated > 0 and fast.sifted > 0
-        assert fast.formed > fast.skipped + fast.repeated + fast.sifted
+        assert fast.skipped > 0 and fast.sifted > 0
+        assert fast.formed > fast.skipped + fast.sifted
         settled += fast.settled
     assert settled > 0
 
@@ -893,10 +901,10 @@ def test_skipped_schreier_generators_leave_normal_closures_unchanged(monkeypatch
     assert type(oracle) is UnskippedChain
     assert chain_snapshot(fast) == chain_snapshot(oracle)
     assert fast.order() == g.order() // 2
-    assert oracle.equal_to_s == [True] * fast.skipped
-    assert oracle.repeats == [True] * fast.repeated
+    assert oracle.records == [True] * fast.skipped
+    assert fast.sifted == oracle.sifted
     assert fast.formed == oracle.formed
-    assert fast.skipped > 0 and fast.repeated > 0
+    assert fast.skipped > 0
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 243, 255, 256, 257, 729])
@@ -1098,9 +1106,9 @@ def test_contains_sifts_every_level_of_g5(caplog):
         chain = pg.PermGroup(3**5, gens)._chain
     assert "degree=243 gens=3 " in caplog.text
     # the masks settle 17,869 of the 27,104 formed pairs as a level's
-    # whole, and 1,836 Schreier generators repeat one their level sifted
+    # whole, and the known sets leave 2,167 Schreier generators to sift
     assert (
-        "levels=135 schreier=27104 skipped=21518 repeated=1836 sifted=2189"
+        "levels=135 schreier=27104 skipped=23376 sifted=2167"
         " strong=188 settled=17869"
     ) in caplog.text
     # every base is a leaf, and every orbit has more than one point
@@ -1123,8 +1131,7 @@ def test_commands_never_call_contains(monkeypatch, capsys):
         raise AssertionError("a command called _Chain.contains")
 
     monkeypatch.setattr(pg._Chain, "contains", refuse)
-    monkeypatch.setattr(analysis, "_quotients", {})
-    monkeypatch.setattr(analysis, "_derived", {})
+    analysis.clear_caches()
     assert analysis.kernel_report(3, 5).passed
     for (n, _), order in analysis.q_table(2, 4).items():
         assert order == analysis.q_expected(n)
@@ -1133,7 +1140,7 @@ def test_commands_never_call_contains(monkeypatch, capsys):
     for base, n in words.relator_family(4).values():
         assert words.check_relator(base, 4, n)
     # the G'_k chains were built here, not read from a cache
-    assert analysis._derived
+    assert analysis._derived_subgroup.cache_info().currsize
     with open(os.path.join(GOLDEN, "exit_codes.json")) as handle:
         codes = json.load(handle)
     for name, argv in GOLDEN_COMMANDS.items():
@@ -1144,22 +1151,21 @@ def test_commands_never_call_contains(monkeypatch, capsys):
 
 
 # G'_k's chain from the ten Gamma' words: its enlarging generators and
-# levels schreier skipped repeated sifted strong settled; repeated + sifted
-# is the number of sifts the chain would run without the repeat skip
+# levels schreier skipped sifted strong settled
 DERIVED_CHAINS = {
-    1: (1, "levels=1 schreier=3 skipped=0 repeated=0 sifted=0 strong=1 settled=0"),
-    2: (2, "levels=5 schreier=38 skipped=9 repeated=0 sifted=11 strong=5 settled=3"),
-    3: (2, "levels=15 schreier=374 skipped=177 repeated=20 sifted=95 strong=18 settled=142"),
-    4: (2, "levels=45 schreier=2864 skipped=1900 repeated=106 sifted=530 strong=56 settled=1681"),
-    5: (2, "levels=135 schreier=20037 skipped=15399 repeated=960 sifted=2447 strong=182 settled=14012"),
+    1: (1, "levels=1 schreier=3 skipped=0 sifted=0 strong=1 settled=0"),
+    2: (2, "levels=5 schreier=38 skipped=9 sifted=11 strong=5 settled=3"),
+    3: (2, "levels=15 schreier=374 skipped=198 sifted=94 strong=18 settled=142"),
+    4: (2, "levels=45 schreier=2864 skipped=2010 sifted=526 strong=56 settled=1681"),
+    5: (2, "levels=135 schreier=20037 skipped=16381 sifted=2425 strong=182 settled=14012"),
 }
 
 
-def test_derived_subgroup_chains_log_their_counters(caplog, monkeypatch):
+def test_derived_subgroup_chains_log_their_counters(caplog):
     """The package's G'_1 to G'_5, built afresh, log the same chains: every
     counter, and gens=10, the Gamma' words given, of which the enlarging
     ones are the group's generators."""
-    monkeypatch.setattr(analysis, "_derived", {})
+    analysis.clear_caches()
     for k, (enlarging, counters) in DERIVED_CHAINS.items():
         caplog.clear()
         with caplog.at_level("INFO", logger="hanoikernel.permgroup"):
