@@ -181,7 +181,7 @@ def _rist_in_stab(k: int) -> bool:
     size = 3**k
     identity = tuple(range(3 * size))
     copies = [
-        identity[: v * size] + tuple(v * size + x for x in g.images) + identity[(v + 1) * size :]
+        identity[: v * size] + tuple(v * size + x for x in g.data) + identity[(v + 1) * size :]
         for v in range(3)
         for g in _derived_subgroup(k).generators
     ]
@@ -292,7 +292,7 @@ def h_subspace() -> F2Subspace:
     }
 
     def act(point: tuple, word: str) -> tuple:
-        return tuple(map(gen_perms[word].images.__getitem__, point))
+        return tuple(map(gen_perms[word].data.__getitem__, point))
 
     identity = tuple(range(9))
     generator_words, _ = words.schreier_generators(
@@ -553,7 +553,7 @@ def _check_stab12(depth: int) -> LemmaReport:
         """g fixes level 1 and the signs of its three labels multiply to 1."""
         total = 1
         for block in range(3):
-            local = [g.images[3 * block + i] - 3 * block for i in range(3)]
+            local = [g.data[3 * block + i] - 3 * block for i in range(3)]
             if sorted(local) != [0, 1, 2]:
                 return False
             total *= Perm(local).sign()

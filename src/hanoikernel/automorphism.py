@@ -247,7 +247,7 @@ def _leaf_images(g: Portrait, n: int) -> list[int]:
     size = 3 ** (n - 1)
     out: list[int] = []
     for i, child in enumerate(g.children):
-        offset = g.root.images[i] * size
+        offset = g.root.data[i] * size
         out += [offset + x for x in _leaf_images(child, n - 1)]
     return out
 

@@ -99,7 +99,7 @@ def _sign_image(word: str) -> _Images:
     i flips e when it is odd on its level 1."""
     states, root = words.word_states(word)
     flips = [words.word_states(s)[1].sign() < 0 for s in states]
-    return tuple(2 * root.images[i] + (e ^ flips[i]) for i in range(3) for e in (0, 1))
+    return tuple(2 * root.data[i] + (e ^ flips[i]) for i in range(3) for e in (0, 1))
 
 
 def _sign_root(x: _Images) -> Perm:

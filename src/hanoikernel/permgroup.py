@@ -5,15 +5,15 @@ group's chain, finishes it and keeps it, so every chain a group holds is
 finished. Orders are exact big integers; membership is by sifting. An
 orbit needs no chain, and orbit builds none.
 
-A chain stores its permutations in an encoding chosen from its degree, so
-that a product is one C call. Up to degree 256 an element is a bytes object
-padded with fixed points to length 256, and p then q is p.translate(q);
-above 256 it is a tuple, and p then q is operator.itemgetter(*p)(q). Both
-are sequences of ints, so the algorithm reads them alike. Perm images are
-packed where they enter a chain (_Chain._pack), and the encoding never
-leaves this module. A bytes element is inverted by
-bytes.maketrans(p, identity), one C call; a tuple by a Python loop, which
-beat sorted, map and itemgetter at degree 729.
+A chain stores its permutations as Perm stores its images, by the same
+degree bound (perm.BYTES_MAX), so that a product is one C call. Up to degree
+256 an element is a bytes object padded with fixed points to length 256, and
+p then q is p.translate(q); above 256 it is a tuple, and p then q is
+operator.itemgetter(*p)(q). Both are sequences of ints, so the algorithm
+reads them alike. A Perm's stored images enter a chain as they are
+(_Chain._pack): bytes are only padded, and a tuple is kept. An element is
+inverted by the function Perm.inverse calls: bytes by bytes.maketrans, one
+C call, and a tuple by a Python loop.
 
 Schreier-Sims skips the sift of a Schreier generator that its level knows
 to lie in the group of the deeper levels. Each level keeps a set of such
@@ -65,14 +65,14 @@ from typing import Callable, Iterable, Sequence
 
 from . import log
 from .errors import ShapeError
-from .perm import Perm
+from .perm import BYTES_MAX, Perm
+from .perm import _inverse_images as _inv
 
 _Tuple = tuple[int, ...]
-# a chain element: padded bytes up to width _BYTES_MAX, a tuple above
+# a chain element: padded bytes up to width BYTES_MAX, a tuple above
 _Elem = bytes | _Tuple
 
-_BYTES_MAX = 256
-_BYTES_IDENTITY = bytes(range(_BYTES_MAX))
+_BYTES_IDENTITY = bytes(range(BYTES_MAX))
 
 
 def _mult_tuples(p: _Tuple, q: _Tuple) -> _Tuple:
@@ -111,16 +111,6 @@ def _support(identity: _Elem) -> Callable[[_Elem], int]:
     return moved
 
 
-def _inv(p: _Elem) -> _Elem:
-    if type(p) is bytes:
-        # the table that maps p[i] to i; p is padded, so it is all of it
-        return bytes.maketrans(p, _BYTES_IDENTITY)
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return type(p)(out)
-
-
 class _Level:
     __slots__ = ("base", "gens", "transversal", "inverse_transversal", "moved", "known")
 
@@ -151,9 +141,9 @@ class _Chain:
     level, every Schreier generator of the base orbit sifts to the identity
     through the deeper levels.
 
-    add_generator and contains take image tuples of length `degree`, which
-    _pack encodes; everything else holds the encoding of the module
-    docstring.
+    add_generator and contains take a Perm's stored images, or an image
+    tuple, of length `degree`, which _pack encodes; everything else holds
+    the encoding of the module docstring.
 
     sift and contains read each level as one flat step, (base, inverse
     transversal), that shares the level's inverse transversal, and both
@@ -170,7 +160,7 @@ class _Chain:
 
     def __init__(self, degree: int):
         self.degree = degree
-        if degree <= _BYTES_MAX:
+        if degree <= BYTES_MAX:
             self.identity: _Elem = _BYTES_IDENTITY
             # apply p, then q
             self.mult: Callable[[_Elem, _Elem], _Elem] = bytes.translate
@@ -199,11 +189,11 @@ class _Chain:
             if level.inverse_transversal is stuck
         )
 
-    def contains(self, images: _Tuple) -> bool:
+    def contains(self, images: Sequence[int]) -> bool:
         residue, _ = self._strip(self._pack(images), self._steps)
         return residue == self.identity
 
-    def add_generator(self, images: _Tuple) -> bool:
+    def add_generator(self, images: Sequence[int]) -> bool:
         """Add a generator; returns False if it was already a member."""
         residue, stuck = self.sift(self._pack(images))
         if residue == self.identity:
@@ -215,12 +205,12 @@ class _Chain:
     # -- internals ---------------------------------------------------------
 
     def _pack(self, images: Sequence[int]) -> _Elem:
-        """The chain element of the images."""
+        """The chain element of a Perm's stored images or of an image tuple."""
         if type(self.identity) is bytes:
-            # bytearray() reads a tuple faster than bytes() does at degree 243
-            packed = bytearray(images)
-            packed += _BYTES_IDENTITY[len(packed) :]
-            return bytes(packed)
+            if type(images) is not bytes:
+                # bytearray() reads a tuple faster than bytes() does
+                images = bytes(bytearray(images))
+            return images + _BYTES_IDENTITY[len(images) :]
         return tuple(images)
 
     def _strip(
@@ -391,7 +381,7 @@ class PermGroup:
                 raise ShapeError(f"generator degree {g.degree} != {degree}")
         chain = _Chain(degree)
         self.degree = degree
-        self.generators = tuple(g for g in candidates if chain.add_generator(g.images))
+        self.generators = tuple(g for g in candidates if chain.add_generator(g.data))
         self._chain = chain._finish()
         if log.enabled(__name__):
             log.info(
@@ -409,7 +399,7 @@ class PermGroup:
     def contains(self, g: Perm) -> bool:
         if g.degree != self.degree:
             raise ShapeError(f"degree mismatch: {g.degree} != {self.degree}")
-        return self._chain.contains(g.images)
+        return self._chain.contains(g.data)
 
     def __repr__(self) -> str:
         return f"<PermGroup degree={self.degree} gens={len(self.generators)}>"
@@ -426,7 +416,7 @@ def orbit(degree: int, generators: Iterable[Perm], point: int) -> list[int]:
     for g in generators:
         if g.degree != degree:
             raise ShapeError(f"generator degree {g.degree} != {degree}")
-        images.append(g.images)
+        images.append(g.data)
     seen = {point - 1}
     frontier = [point - 1]
     while frontier:

@@ -97,7 +97,7 @@ def portrait_leaf_tuple(g, n: int) -> tuple[int, ...]:
     for v in order:
         node, image = g, []
         for digit in v:
-            image.append(node.root.images[digit - 1] + 1)
+            image.append(node.root.data[digit - 1] + 1)
             node = node.children[digit - 1]
         out.append(index[tuple(image)])
     return tuple(out)

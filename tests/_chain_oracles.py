@@ -160,7 +160,7 @@ def check_blocks(generators: Iterable[Perm], size: int) -> None:
     consecutive points onto a block."""
     for g in generators:
         for start in range(0, g.degree, size):
-            if len({x // size for x in g.images[start : start + size]}) != 1:
+            if len({x // size for x in g.data[start : start + size]}) != 1:
                 raise ValueError(
                     f"generator {g!r} splits block {start // size + 1} of size {size}"
                 )
@@ -285,7 +285,7 @@ def rist_in_stab(quotient: analysis.TruncatedQuotient, n: int, rist: PermGroup) 
     the G_N chain."""
     size = 3 ** (quotient.depth - n)
     return all(
-        all(g.images[v * size] // size == v for v in range(3**n))
+        all(g.data[v * size] // size == v for v in range(3**n))
         and quotient.group.contains(g)
         for g in rist.generators
     )

@@ -82,7 +82,7 @@ def test_block_action_compatibility_across_depths():
                 # every leaf of block v lands in block h(v)
                 for v in range(3**n):
                     leaves = range(v * size, (v + 1) * size)
-                    assert {g.images[leaf] // size for leaf in leaves} == {h.images[v]}
+                    assert {g.data[leaf] // size for leaf in leaves} == {h.data[v]}
 
 
 def test_stab_examples():

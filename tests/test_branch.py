@@ -119,7 +119,7 @@ def test_contains_rejects_leaf_swaps_that_keep_every_pattern(depth):
         (i, j)
         for i in range(1, 27, 3)
         for j in range(i + 1, 3**depth)
-        if j % 3 and member.images[i] % 9 == member.images[j] % 9
+        if j % 3 and member.data[i] % 9 == member.data[j] % 9
     ]
     assert pairs
     for i, j in pairs[:20]:

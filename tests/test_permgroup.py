@@ -124,7 +124,7 @@ def test_kernel_of_level_action_level1():
             assert kernel.contains(gen.inverse() * k * gen)
     # the block action has order |G| / |kernel|
     block_action = pg.PermGroup(
-        3, [Perm([gen.images[3 * v] // 3 for v in range(3)]) for gen in g.generators]
+        3, [Perm([gen.data[3 * v] // 3 for v in range(3)]) for gen in g.generators]
     )
     assert block_action.order() == g.order() // kernel.order()
 
@@ -186,7 +186,7 @@ def test_derived_subgroup_inside_abelian_kernels():
     d = oracles.derived_subgroup(g)
     for gen in d.generators:
         assert gen.sign() == 1
-        block_perm = Perm([gen.images[3 * block] // 3 for block in range(3)])
+        block_perm = Perm([gen.data[3 * block] // 3 for block in range(3)])
         assert block_perm.sign() == 1
 
 
@@ -384,7 +384,7 @@ def test_pointwise_stabilizer_is_the_forced_chain_tail():
     ) == g.order()
     rng = random.Random(27)
     for p in random_words(g, rng, 40) + random_words(stab, rng, 20):
-        assert stab.contains(p) == all(p.images[x] == x for x in (0, 4, 26))
+        assert stab.contains(p) == all(p.data[x] == x for x in (0, 4, 26))
 
 
 def test_kernel_of_level_action_chain_is_cut_to_leaves(monkeypatch):
@@ -492,7 +492,7 @@ def test_direct_power_matches_fresh_chain():
         size = inner.degree
 
         def blockwise(q):
-            blocks = [q.images[b * size : (b + 1) * size] for b in range(count)]
+            blocks = [q.data[b * size : (b + 1) * size] for b in range(count)]
             return all(
                 {x // size for x in block} == {b}
                 and inner.contains(Perm([x - b * size for x in block]))
@@ -599,7 +599,7 @@ def test_direct_power_at_degree_256():
     swaps = [Perm.from_cycles(256, [c]) for c in [(4, 5), (253, 256)]]
     for p in random_words(power, rng, 20):
         for q in [p] + [p * s for s in swaps]:
-            keeps_blocks = all(q.images[i] // 4 == i // 4 for i in range(256))
+            keeps_blocks = all(q.data[i] // 4 == i // 4 for i in range(256))
             assert power.contains(q) == keeps_blocks
     stab = oracles.pointwise_stabilizer(power, [1, 256])
     assert_perm_degrees(stab, 256)
@@ -618,7 +618,7 @@ def test_direct_power_of_bytes_factor_has_tuple_chain():
     elements = _brute.closure([g.images for g in inner.generators])
 
     def in_power(q):
-        blocks = [q.images[9 * b : 9 * b + 9] for b in range(29)]
+        blocks = [q.data[9 * b : 9 * b + 9] for b in range(29)]
         return all(
             tuple(x - 9 * b for x in block) in elements for b, block in enumerate(blocks)
         )
@@ -1198,7 +1198,7 @@ def test_contains_with_forced_leaf_bases():
         chain, [q.images for q in queries], lambda q: branch.contains(q, 3)
     )
     tail = oracles.pointwise_stabilizer(g, [1, 2, 3, 14])
-    fixes = lambda q: all(q.images[x] == x for x in (0, 1, 2, 13))
+    fixes = lambda q: all(q.data[x] == x for x in (0, 1, 2, 13))
     for q in queries + random_words(tail, rng, 12):
         assert tail.contains(q) == (branch.contains(q.images, 3) and fixes(q))
 

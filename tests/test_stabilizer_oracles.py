@@ -88,7 +88,7 @@ def test_rist_image_matches_fresh_chain(depth, n):
 
     def blockwise(p: Perm) -> bool:
         return _fixes_blocks(p.images, size) and all(
-            factor.contains(Perm([x - b * size for x in p.images[b * size : (b + 1) * size]]))
+            factor.contains(Perm([x - b * size for x in p.data[b * size : (b + 1) * size]]))
             for b in range(3**n)
         )
 
@@ -137,7 +137,7 @@ def reference_sections(depth: int, level: int) -> dict:
         t = Perm(t_inv[: group.degree]).inverse()
         conjugates = [t.inverse() * s * t for s in stabilizer]
         leaves = range(v * size, (v + 1) * size)
-        restricted = [Perm([g.images[x] - v * size for x in leaves]) for g in conjugates]
+        restricted = [Perm([g.data[x] - v * size for x in leaves]) for g in conjugates]
         sections[_brute.vertex_of_index(v, level)] = permgroup.PermGroup(size, restricted)
     return sections
 
