@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import json
+import threading
 from importlib import resources
 from typing import NamedTuple
 
@@ -61,15 +62,28 @@ def _require_depth(depth: int) -> None:
 # -- expected values ---------------------------------------------------------
 
 
-def load_expected_table() -> dict:
-    """The table of expected constants shipped with the package."""
+@functools.cache
+def _table() -> dict:
+    """The table file, read and parsed once per process; never handed out."""
     text = resources.files(__package__).joinpath("expected_values.json").read_text()
     return json.loads(text)
 
 
+def _copy(value):
+    """A deep copy of JSON data: its dicts and lists are new."""
+    if isinstance(value, dict):
+        return {key: _copy(item) for key, item in value.items()}
+    return [_copy(item) for item in value] if isinstance(value, list) else value
+
+
+def load_expected_table() -> dict:
+    """A copy of the table of expected constants shipped with the package."""
+    return _copy(_table())
+
+
 def _table_entry(name: str) -> dict:
-    """A table entry with the human-readable annotation stripped."""
-    entry = dict(load_expected_table()[name])
+    """A copy of a table entry with the human-readable annotation stripped."""
+    entry = _copy(_table()[name])
     entry.pop("statement", None)
     return entry
 
@@ -106,6 +120,11 @@ def k_expected(n: int) -> int:
     return 2 ** (2 * 3**n)
 
 
+def ristquot_expected(n: int) -> int:
+    """|Rist(n)| in G_(n+1), of (A_3)^(3^n): 3^(3^n)."""
+    return 3 ** (3**n)
+
+
 # -- truncated quotients -----------------------------------------------------
 
 
@@ -117,19 +136,24 @@ class TruncatedQuotient(NamedTuple):
     generator_map: dict[str, Perm]
 
 
-_quotients: dict[int, TruncatedQuotient] = {}
+_BUILDING = threading.Lock()
 
 
 def build_quotient(depth: int, slow: bool = False) -> TruncatedQuotient:
     """The group generated by the leaf permutations of a, b, c at depth N,
     with its leaf-only chain. No command builds it. Its one slow build,
-    G_6's chain (seconds), needs slow."""
+    G_6's chain (seconds), needs slow; a refused depth caches nothing.
+    functools.cache would let racing misses each build and keep their own
+    quotient, so racing callers wait for one build and all get it."""
     _require_depth(depth)
     if depth == DEPTH_CAP and not slow:
         raise ResourceLimitError(f"the chain of G_{depth} needs the slow flag")
-    cached = _quotients.get(depth)
-    if cached is not None:
-        return cached
+    with _BUILDING:
+        return _quotient(depth)
+
+
+@functools.cache
+def _quotient(depth: int) -> TruncatedQuotient:
     gen_map = {
         letter: leaf_permutation(words.evaluate(letter, depth), depth)
         for letter in words.ALPHABET
@@ -137,9 +161,7 @@ def build_quotient(depth: int, slow: bool = False) -> TruncatedQuotient:
     for letter, perm in gen_map.items():
         if not (perm * perm).is_identity():
             raise AssertionError(f"generator {letter} is not an involution")
-    group = PermGroup(3**depth, gen_map.values())
-    quotient = TruncatedQuotient(depth, group, gen_map)
-    return _quotients.setdefault(depth, quotient)
+    return TruncatedQuotient(depth, PermGroup(3**depth, gen_map.values()), gen_map)
 
 
 @functools.cache
@@ -200,12 +222,12 @@ def _rist_in_stab(k: int) -> bool:
 
 
 # bound here, so that clear_caches reaches the caches while a name is patched
-_CACHED = (_derived_subgroup, _rist_in_stab)
+_CACHED = (_quotient, _derived_subgroup, _rist_in_stab)
 
 
 def clear_caches() -> None:
-    """Forget the quotients, the G'_k chains and the containment verdicts."""
-    _quotients.clear()
+    """Forget the quotients, the G'_k chains and the containment verdicts;
+    the expected-values table is read once and kept."""
     for function in _CACHED:
         function.cache_clear()
 
@@ -358,6 +380,30 @@ class KernelReport(NamedTuple):
             "failed_at": self.failed_at,
         }
 
+    def results(self) -> list[dict]:
+        """The checks against the expected table, one result each: gamma(1),
+        every row's H order and Q stability, and the kernel."""
+        gamma1 = _table_entry("gamma_order")["values"]["1"]
+        h_order = _table_entry("h_order")["value"]
+        rows = [
+            {
+                "id": f"row n={row.n}",
+                "computed": row.to_json_dict(),
+                "expected": {"h(n,n+1)": h_order, "q_stable": True},
+                "pass": row.passed,
+            }
+            for row in self.rows
+        ]
+        kernel = {
+            "id": "kernel",
+            "computed": {"order": self.kernel_order, "type": self.kernel_type},
+            "expected": _table_entry("rigid_kernel"),
+            "pass": self.passed,
+        }
+        gamma = {"id": "gamma(1)", "computed": self.gamma1, "expected": gamma1}
+        gamma["pass"] = self.gamma1 == gamma1
+        return [gamma, *rows, kernel]
+
 
 def _rist_is_kernel(k: int) -> bool:
     """Whether the chain of G'_k has the order |G'_k| of the branch
@@ -409,7 +455,7 @@ def kernel_report(n_max: int = 2, depth_budget: int = 4) -> KernelReport:
 
     gamma1 = gamma1_order()
     seed = kernel_seed_order()
-    expected = load_expected_table()
+    h_expected = _table_entry("h_order")["value"]
 
     rows: list[KernelRow] = []
     failed_at: str | None = None
@@ -432,7 +478,7 @@ def kernel_report(n_max: int = 2, depth_budget: int = 4) -> KernelReport:
         }
         row_pass = (
             stable
-            and h == expected["h_order"]["value"]
+            and h == h_expected
             and all(flags.values())
             and q1 == q_expected(n)
             and k == k_expected(n)
@@ -444,8 +490,8 @@ def kernel_report(n_max: int = 2, depth_budget: int = 4) -> KernelReport:
         gamma = gamma_next
 
     base_ok = (
-        gamma1 == expected["gamma_order"]["values"]["1"]
-        and seed == expected["seed_order"]["value"]
+        gamma1 == _table_entry("gamma_order")["values"]["1"]
+        and seed == _table_entry("seed_order")["value"]
     )
     if not base_ok and failed_at is None:
         failed_at = "GF(2)^9 seed values"
@@ -453,7 +499,7 @@ def kernel_report(n_max: int = 2, depth_budget: int = 4) -> KernelReport:
     # a passing report has the same computed H order on every row, and the
     # kernel is that stable H
     kernel_order = rows[-1].h_order if passed else None
-    kernel_type = expected["rigid_kernel"]["type"] if passed else None
+    kernel_type = _table_entry("rigid_kernel")["type"] if passed else None
     return KernelReport(
         n_max, depth_budget, gamma1, seed, rows, kernel_order, kernel_type,
         passed, failed_at,
@@ -566,10 +612,9 @@ def _check_stab12(depth: int) -> LemmaReport:
         "generated_by_four_words": PermGroup(9, four).order(),
         "sign_sum_kernel": all(in_sign_sum_kernel(g) for g in four),
     }
-    table = load_expected_table()
-    stab12_order = table["stabilizer_quotient_order"]["values"]["1"]
+    stab12_order = _table_entry("stabilizer_quotient_order")["values"]["1"]
     expected = {
-        "quotient_order_level1": table["quotient_order"]["values"]["1"],
+        "quotient_order_level1": _table_entry("quotient_order")["values"]["1"],
         "stab1_mod_stab2_order": stab12_order,
         "label_triples": _table_entry("stab12_label_triples"),
         "generated_by_four_words": stab12_order,
@@ -598,13 +643,12 @@ def _check_index(depth: int) -> LemmaReport:
         "uz_basis_matches_pair_sums": uz == f2.span([ab, dg], 9),
         "seed_order": kernel_seed_order(),
     }
-    table = load_expected_table()
     expected = {
         "vectors": _table_entry("stab1_vectors"),
-        "dim_u": table["level1_stabilizer_space_dim"]["value"],
-        "gamma1_order": table["gamma_order"]["values"]["1"],
+        "dim_u": _table_entry("level1_stabilizer_space_dim")["value"],
+        "gamma1_order": _table_entry("gamma_order")["values"]["1"],
         "uz_basis_matches_pair_sums": True,
-        "seed_order": table["seed_order"]["value"],
+        "seed_order": _table_entry("seed_order")["value"],
     }
     return LemmaReport("index", depth, computed, expected, computed == expected)
 
@@ -625,7 +669,7 @@ def _check_rist(depth: int) -> LemmaReport:
     }
     expected = {
         "vectors": _table_entry("stab1_vectors"),
-        "dim_u": load_expected_table()["level1_stabilizer_space_dim"]["value"],
+        "dim_u": _table_entry("level1_stabilizer_space_dim")["value"],
         "dim_u_meet_first_subtree": 0,
         "containments": {key: True for key in containments},
     }
@@ -646,7 +690,7 @@ def _check_ristquot(depth: int) -> LemmaReport:
             "order": _derived_subgroup(1).order() ** 3**n,
             "elementary_abelian_3": permgroup.is_elementary_abelian(_derived_subgroup(1), 3),
         }
-        expected[f"n={n}"] = {"order": 3 ** (3**n), "elementary_abelian_3": True}
+        expected[f"n={n}"] = {"order": ristquot_expected(n), "elementary_abelian_3": True}
     return LemmaReport("ristquot", depth, computed, expected, computed == expected)
 
 
@@ -734,41 +778,29 @@ def _check_transrec(depth: int) -> LemmaReport:
     return LemmaReport("transrec", depth, computed, expected, computed == expected)
 
 
-_LEMMA_CHECKS = {
-    "branching": _check_branching,
-    "elab": _check_elab,
-    "index": _check_index,
-    "rist": _check_rist,
-    "ristquot": _check_ristquot,
-    "selfsim": _check_selfsim,
-    "stab12": _check_stab12,
-    "stabquot": _check_stabquot,
-    "transitive": _check_transitive,
-    "transrec": _check_transrec,
+_LEMMAS = {  # id -> (check, statement)
+    "branching": (_check_branching, "the squared four-letter words place commutators in the first subtree"),
+    "elab": (_check_elab, "stabilizer-over-rigid-stabilizer quotients are elementary abelian 2-groups"),
+    "index": (_check_index, "GF(2)^9 data: |Stab(1)/Rist(1)| = 16 and the derived-subgroup seed order is 4"),
+    "rist": (_check_rist, "stabilizer vectors, trivial meet with the first-subtree space, rist inside stab"),
+    "ristquot": (_check_ristquot, "rigid-stabilizer image at depth n+1 is (A_3)^(3^n)"),
+    "selfsim": (_check_selfsim, "each generator's first-level states are the generator itself or trivial"),
+    "stab12": (_check_stab12, "level-1 quotient is S_3; level-1-over-level-2 is the 108-element sign-sum kernel"),
+    "stabquot": (_check_stabquot, "|Stab(n)/Stab(n+1)| = 2^(2*3^(n-1)) * 3^(3^n), also inside the derived subgroup"),
+    "transitive": (_check_transitive, "the quotient is transitive on the leaves"),
+    "transrec": (_check_transrec, "vertex-stabilizer states generate the full lower-depth quotient"),
 }
 
-LEMMA_IDS = tuple(_LEMMA_CHECKS)
-
-LEMMA_STATEMENTS = {
-    "branching": "the squared four-letter words place commutators in the first subtree",
-    "elab": "stabilizer-over-rigid-stabilizer quotients are elementary abelian 2-groups",
-    "index": "GF(2)^9 data: |Stab(1)/Rist(1)| = 16 and the derived-subgroup seed order is 4",
-    "rist": "stabilizer vectors, trivial meet with the first-subtree space, rist inside stab",
-    "ristquot": "rigid-stabilizer image at depth n+1 is (A_3)^(3^n)",
-    "selfsim": "each generator's first-level states are the generator itself or trivial",
-    "stab12": "level-1 quotient is S_3; level-1-over-level-2 is the 108-element sign-sum kernel",
-    "stabquot": "|Stab(n)/Stab(n+1)| = 2^(2*3^(n-1)) * 3^(3^n), also inside the derived subgroup",
-    "transitive": "the quotient is transitive on the leaves",
-    "transrec": "vertex-stabilizer states generate the full lower-depth quotient",
-}
+LEMMA_IDS = tuple(_LEMMAS)
+LEMMA_STATEMENTS = {lemma: statement for lemma, (_, statement) in _LEMMAS.items()}
 
 
 def verify_lemma(lemma: str, depth: int = 4) -> LemmaReport:
     """Run one structural check; see LEMMA_STATEMENTS for the catalogue."""
-    if lemma not in _LEMMA_CHECKS:
+    if lemma not in _LEMMAS:
         raise KeyError(f"unknown lemma id {lemma!r}; known: {', '.join(LEMMA_IDS)}")
     _require_depth(depth)
-    report = _LEMMA_CHECKS[lemma](depth)
+    report = _LEMMAS[lemma][0](depth)
     log.info(
         __name__, "lemma %s at depth %d: %s", lemma, depth, "pass" if report.passed else "FAIL"
     )

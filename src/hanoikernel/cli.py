@@ -167,38 +167,8 @@ def _run_qtable(args) -> tuple[dict | None, int]:
 
 def _run_kernel_report(args) -> tuple[dict | None, int]:
     report = analysis.kernel_report(args.n_max, args.depth)
-    data = report.to_json_dict()
-    table = analysis.load_expected_table()
-    gamma1 = table["gamma_order"]["values"]["1"]
-    h_order = table["h_order"]["value"]
-    kernel = table["rigid_kernel"]
-    results = [
-        {
-            "id": f"gamma(1)",
-            "computed": report.gamma1,
-            "expected": gamma1,
-            "pass": report.gamma1 == gamma1,
-        }
-    ]
-    for row in report.rows:
-        results.append(
-            {
-                "id": f"row n={row.n}",
-                "computed": row.to_json_dict(),
-                "expected": {"h(n,n+1)": h_order, "q_stable": True},
-                "pass": row.passed,
-            }
-        )
-    results.append(
-        {
-            "id": "kernel",
-            "computed": {"order": report.kernel_order, "type": report.kernel_type},
-            "expected": {"order": kernel["order"], "type": kernel["type"]},
-            "pass": report.passed,
-        }
-    )
-    out = _report("kernel-report", {"n_max": args.n_max, "depth": args.depth}, results)
-    out["table"] = data
+    out = _report("kernel-report", {"n_max": args.n_max, "depth": args.depth}, report.results())
+    out["table"] = report.to_json_dict()
     return out, None
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import NotInStabilizerError, ShapeError
-from .words import parity_vector, word_states
+from .words import LEVEL1_STABILIZER_WORDS, parity_vector, word_states
 
 Bits = tuple[int, ...]
 
@@ -145,8 +145,6 @@ def stab1_vector(word: str) -> Bits:
 
 def level1_stabilizer_space() -> F2Subspace:
     """Span of the four level-1 stabilizer generator vectors."""
-    from .words import LEVEL1_STABILIZER_WORDS
-
     return span([stab1_vector(w) for w in LEVEL1_STABILIZER_WORDS], 9)
 
 

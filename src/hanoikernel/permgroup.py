@@ -65,14 +65,12 @@ from typing import Callable, Iterable, Sequence
 
 from . import log
 from .errors import ShapeError
-from .perm import BYTES_MAX, Perm
+from .perm import BYTES_MAX, _IDENTITY_BYTES, Perm
 from .perm import _inverse_images as _inv
 
 _Tuple = tuple[int, ...]
 # a chain element: padded bytes up to width BYTES_MAX, a tuple above
 _Elem = bytes | _Tuple
-
-_BYTES_IDENTITY = bytes(range(BYTES_MAX))
 
 
 def _mult_tuples(p: _Tuple, q: _Tuple) -> _Tuple:
@@ -161,7 +159,7 @@ class _Chain:
     def __init__(self, degree: int):
         self.degree = degree
         if degree <= BYTES_MAX:
-            self.identity: _Elem = _BYTES_IDENTITY
+            self.identity: _Elem = _IDENTITY_BYTES
             # apply p, then q
             self.mult: Callable[[_Elem, _Elem], _Elem] = bytes.translate
         else:
@@ -210,7 +208,7 @@ class _Chain:
             if type(images) is not bytes:
                 # bytearray() reads a tuple faster than bytes() does
                 images = bytes(bytearray(images))
-            return images + _BYTES_IDENTITY[len(images) :]
+            return images + _IDENTITY_BYTES[len(images) :]
         return tuple(images)
 
     def _strip(

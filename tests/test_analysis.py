@@ -68,6 +68,17 @@ def test_depth_guard():
         analysis.build_quotient(0)
 
 
+def test_a_refused_quotient_caches_nothing(fresh_caches):
+    """The depth and slow checks come before the cache."""
+    for depth, slow, error in (
+        (6, False, ResourceLimitError), (7, True, ResourceLimitError), (0, False, DepthError)
+    ):
+        with pytest.raises(error):
+            analysis.build_quotient(depth, slow)
+    assert analysis._quotient.cache_info().currsize == 0
+    assert analysis.build_quotient(2) is analysis.build_quotient(2)
+
+
 def test_block_action_compatibility_across_depths():
     # the level-n block action of G_N has the generator images of G_n
     for big_n in (2, 3):
@@ -178,7 +189,7 @@ def test_no_command_builds_a_chain_of_g_k(monkeypatch):
     for depth in (4, 6):
         for lemma in analysis.LEMMA_IDS:
             assert analysis.verify_lemma(lemma, depth).passed
-    assert not analysis._quotients
+    assert analysis._quotient.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("letters, passed", [
@@ -503,8 +514,11 @@ def test_exact_sequence_consistency():
 
 
 def test_verify_lemma_dispatch_is_exhaustive():
-    assert set(analysis.LEMMA_IDS) == set(analysis._LEMMA_CHECKS)
-    assert set(analysis.LEMMA_IDS) == set(analysis.LEMMA_STATEMENTS)
+    """One table gives every id its check and its statement."""
+    assert analysis.LEMMA_IDS == tuple(analysis._LEMMAS) == tuple(analysis.LEMMA_STATEMENTS)
+    for lemma, (check, statement) in analysis._LEMMAS.items():
+        assert check.__name__ == f"_check_{lemma}"
+        assert analysis.LEMMA_STATEMENTS[lemma] == statement
 
 
 def test_verify_lemma_unknown_id():
@@ -553,6 +567,8 @@ def test_expected_table_is_consistent_with_formulas():
         assert analysis.gamma_expected(int(n)) == value
     for n, value in table["kernel_step_order"]["values"].items():
         assert analysis.k_expected(int(n)) == value
+    for n, value in table["rist_level_quotient_order"]["values"].items():
+        assert analysis.ristquot_expected(int(n)) == value
     for n, value in table["quotient_order"]["values"].items():
         assert analysis.quotient_order(int(n)) == value
     dim_u = table["level1_stabilizer_space_dim"]["value"]
@@ -560,6 +576,41 @@ def test_expected_table_is_consistent_with_formulas():
     assert 2**dim_u == table["gamma_order"]["values"]["1"] == analysis.gamma1_order()
     assert table["rigid_kernel"]["order"] == 4
     assert table["seed_order"]["value"] == analysis.kernel_seed_order()
+
+
+def test_derived_subgroup_index_is_two():
+    """|G_N| / |G'_N| = 2 at every depth: the letter parities the table's
+    entry says truncations cannot see."""
+    index = analysis.load_expected_table()["derived_subgroup_index"]["value"]
+    for depth in range(1, 7):
+        order, derived = branch.orders(depth)
+        assert order == index * derived
+
+
+def test_expected_table_readers_get_copies():
+    """What a caller gets from the table, or from a report's expected
+    values, can be changed without changing what the next caller gets."""
+    table = analysis.load_expected_table()
+    table["h_order"]["value"] = 5
+    table["stab1_vectors"]["abac"].clear()
+    analysis.verify_lemma("rist", 2).expected["vectors"]["abac"].clear()
+    report = analysis.kernel_report(1, 3)
+    report.results()[-1]["expected"]["type"] = "cyclic"
+    assert analysis.load_expected_table()["stab1_vectors"]["abac"] == [1, 0, 0, 1, 0, 0, 0, 1, 1]
+    for lemma in ("index", "rist"):
+        assert analysis.verify_lemma(lemma, 2).passed
+    _, row, kernel = report.results()
+    assert row["expected"] == {"h(n,n+1)": 4, "q_stable": True}
+    assert kernel["expected"] == {"order": 4, "type": "Klein four-group"}
+
+
+def test_kernel_report_decides_the_gamma1_verdict(monkeypatch):
+    monkeypatch.setattr(analysis, "gamma1_order", lambda: 32)
+    report = analysis.kernel_report(1, 3)
+    gamma1 = report.results()[0]
+    assert gamma1 == {"id": "gamma(1)", "computed": 32, "expected": 16, "pass": False}
+    assert not report.passed
+    assert report.failed_at == "row n=1"
 
 
 def test_concurrent_lemma_checks():
@@ -574,9 +625,9 @@ def test_concurrent_lemma_checks():
 
 
 def test_unlocked_caches_keep_one_value_per_key():
-    # racing misses may each build a quotient, but setdefault stores the
-    # first one, and every thread gets that one back; the oracle's Rist
-    # images are not cached, so each thread builds its own
+    # racing callers wait for build_quotient's one build, and every thread
+    # gets that one back; the oracle's Rist images are not cached, so each
+    # thread builds its own
     import sys
     import threading
 

@@ -228,6 +228,43 @@ def test_kernel_report(capsys):
     assert report["table"]["rows"][0]["h(n,n+1)"] == 4
 
 
+TABLE_READS = """
+import contextlib, io
+from importlib import resources
+from hanoikernel import cli
+reads = []
+files = resources.files
+resources.files = lambda package: reads.append(package) or files(package)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [
+        cli.main(["verify", "all", "--depth", "4"]),
+        cli.main(["kernel-report", "--n-max", "3", "--depth", "5"]),
+    ]
+print(codes, reads)
+"""
+
+
+def test_one_process_reads_the_expected_table_once():
+    result = subprocess.run(
+        [sys.executable, "-c", TABLE_READS],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=child_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[0, 0] ['hanoikernel']"
+
+
+def test_only_analysis_knows_the_expected_table():
+    """The CLI takes expected values and verdicts from analysis, so no
+    table reader and no table key appears in its source."""
+    with open(cli.__file__) as handle:
+        source = handle.read()
+    names = ["load_expected_table", "_table_entry", "expected_values"]
+    for name in names + list(analysis.load_expected_table()):
+        assert name not in source, name
+
 def test_relators(capsys):
     code, report, _ = run_json(capsys, "relators", "--max-tau", "1", "--depth", "5")
     assert code == 0

@@ -941,9 +941,9 @@ def test_with_vertex_points_reads_each_vertex_off_its_first_leaf():
 # A G_3 build whose chain inverses are wrong: maketrans with its arguments
 # swapped returns the element itself, not its inverse.
 BROKEN_INVERSE_BUILD = """
-from hanoikernel import permgroup as pg, words
+from hanoikernel import perm, permgroup as pg, words
 from hanoikernel.automorphism import leaf_permutation
-pg._inv = lambda p: bytes.maketrans(pg._BYTES_IDENTITY, p)
+pg._inv = lambda p: bytes.maketrans(perm._IDENTITY_BYTES, p)
 gens = [leaf_permutation(words.evaluate(x, 3), 3) for x in "abc"]
 print(pg.PermGroup(27, gens).order())
 """
