@@ -7,7 +7,8 @@ inverse-system bookkeeping: Q orders as |G_N| / (|G_n| |Rist(n)|) in the
 truncations, K and the seed order from the exact GF(2)^9 data, and the
 Gamma orders from the exact-sequence recurrence, never from truncated
 indices (the truncated index is exactly the Q order; the kernel itself is
-the part truncations cannot see).
+the part truncations cannot see). Every command's verdicts are Results
+built here or in game; the CLI only serializes them.
 
 |G_N| and |G'_N| come from the branch recursion and membership in G_N from
 the depth-2 patterns (branch), with no chain of G_N and no chain of a level
@@ -19,19 +20,22 @@ said of it depends on k alone: its order |G'_k|^(3^n) off the chain of G'_k
 the three level-1 copies of each G'_k generator lie in G_(k+1)
 (_rist_in_stab has the proof, from branch's criterion); and the order check
 behind the elementary-abelian flag (_rist_is_kernel). The chain of G'_k and
-the containment are cached, so each is decided once per k in a process.
-G'_k is the only Rist(n) object built, and nothing at Rist(n)'s degree 3^N
-is. G'_k is generated by the leaf permutations of fixed words for Gamma'
+the containment are cached per k, with no lock: threads that miss together
+each build, and get equal results, so a race wastes work but gives no
+wrong answer (build_quotient is the one locked build). G'_k is the only
+Rist(n) object built, and nothing at Rist(n)'s degree 3^N is. G'_k is
+generated by the leaf permutations of fixed words for Gamma'
 (words.parity_kernel_words), so no normal closure and no chain of G_k is
 needed. transrec reads each vertex's section off the states of its
 stabilizer's Reidemeister-Schreier words: they are words in a, b and c,
 and once they include all three the section is G_k, with no group built.
 No command builds G_N: transitive takes the orbit of leaf 1 under the leaf
 permutations of a, b and c, with no group, and build_quotient, which makes
-G_N and its chain on the leaves, serves the tests and the benchmark. Every chain the package builds is on leaves alone;
-the chains with tree vertices as points are test oracles. Every entry point
-checks one depth cap, 3^6 leaves, where its depth enters; only
-build_quotient also wants slow, for the chain of G_6.
+G_N and its chain on the leaves, serves the tests and the benchmark. Every
+chain the package builds is on leaves alone; the chains with tree vertices
+as points are test oracles. Every entry point checks one depth cap, 3^6
+leaves, where its depth enters; only build_quotient also wants slow, for
+the chain of G_6.
 """
 
 from __future__ import annotations
@@ -123,6 +127,29 @@ def k_expected(n: int) -> int:
 def ristquot_expected(n: int) -> int:
     """|Rist(n)| in G_(n+1), of (A_3)^(3^n): 3^(3^n)."""
     return 3 ** (3**n)
+
+
+# -- results -----------------------------------------------------------------
+
+
+class Result(NamedTuple):
+    """One verdict of a command: what it computed, what the theorem expects,
+    and whether the two agree. Lemma results carry their depth."""
+
+    id: str
+    computed: object
+    expected: object
+    passed: bool
+    depth: int | None = None
+
+    def to_json_dict(self) -> dict:
+        out = {
+            "id": self.id, "computed": self.computed, "expected": self.expected,
+            "pass": self.passed,
+        }
+        if self.depth is not None:
+            out["depth"] = self.depth
+        return out
 
 
 # -- truncated quotients -----------------------------------------------------
@@ -267,19 +294,34 @@ def _q_order(depth: int, n: int) -> int:
     return q
 
 
-def q_table(n_max: int, depth: int) -> dict[tuple[int, int], int]:
-    """|Q_{n,N}| for every 1 <= n <= n_max and n < N <= depth, keyed by
-    (n, N) in that order."""
+def q_table(n_max: int, depth: int) -> list[Result]:
+    """|Q_{n,N}| against q_expected(n) for every 1 <= n <= n_max and
+    n < N <= depth, in (n, N) order."""
     if n_max < 1:
         raise ShapeError("n_max must be >= 1")
     if depth <= n_max:
         raise ShapeError(f"depth {depth} must exceed n_max {n_max}")
     _require_depth(depth)
-    return {
-        (n, big_n): _q_order(big_n, n)
-        for n in range(1, n_max + 1)
-        for big_n in range(n + 1, depth + 1)
-    }
+    results = []
+    for n in range(1, n_max + 1):
+        for big_n in range(n + 1, depth + 1):
+            q, expected = _q_order(big_n, n), q_expected(n)
+            results.append(Result(f"q({n},{big_n})", q, expected, q == expected))
+    return results
+
+
+# -- relators ----------------------------------------------------------------
+
+
+def check_relators(max_tau: int, depth: int) -> list[Result]:
+    """Whether each relator of words.relator_family is trivial at the depth,
+    with the length of its spelled-out tau-iterate."""
+    results = []
+    for name, (base, n) in words.relator_family(max_tau).items():
+        trivial = words.check_relator(base, depth, n)
+        computed = {"trivial": trivial, "length": words.tau_power_length(base, n)}
+        results.append(Result(name, computed, {"trivial": True}, trivial))
+    return results
 
 
 # -- exact GF(2)^9 data ------------------------------------------------------
@@ -380,29 +422,23 @@ class KernelReport(NamedTuple):
             "failed_at": self.failed_at,
         }
 
-    def results(self) -> list[dict]:
+    def results(self) -> list[Result]:
         """The checks against the expected table, one result each: gamma(1),
         every row's H order and Q stability, and the kernel."""
         gamma1 = _table_entry("gamma_order")["values"]["1"]
         h_order = _table_entry("h_order")["value"]
         rows = [
-            {
-                "id": f"row n={row.n}",
-                "computed": row.to_json_dict(),
-                "expected": {"h(n,n+1)": h_order, "q_stable": True},
-                "pass": row.passed,
-            }
+            Result(
+                f"row n={row.n}", row.to_json_dict(),
+                {"h(n,n+1)": h_order, "q_stable": True}, row.passed,
+            )
             for row in self.rows
         ]
-        kernel = {
-            "id": "kernel",
-            "computed": {"order": self.kernel_order, "type": self.kernel_type},
-            "expected": _table_entry("rigid_kernel"),
-            "pass": self.passed,
-        }
-        gamma = {"id": "gamma(1)", "computed": self.gamma1, "expected": gamma1}
-        gamma["pass"] = self.gamma1 == gamma1
-        return [gamma, *rows, kernel]
+        kernel = Result(
+            "kernel", {"order": self.kernel_order, "type": self.kernel_type},
+            _table_entry("rigid_kernel"), self.passed,
+        )
+        return [Result("gamma(1)", self.gamma1, gamma1, self.gamma1 == gamma1), *rows, kernel]
 
 
 def _rist_is_kernel(k: int) -> bool:
@@ -509,24 +545,7 @@ def kernel_report(n_max: int = 2, depth_budget: int = 4) -> KernelReport:
 # -- lemma verification ------------------------------------------------------
 
 
-class LemmaReport(NamedTuple):
-    lemma: str
-    depth: int
-    computed: dict
-    expected: dict
-    passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "id": self.lemma,
-            "depth": self.depth,
-            "computed": self.computed,
-            "expected": self.expected,
-            "pass": self.passed,
-        }
-
-
-def _check_selfsim(depth: int) -> LemmaReport:
+def _check_selfsim(depth: int) -> Result:
     computed = {}
     ok = True
     for letter in words.ALPHABET:
@@ -536,10 +555,10 @@ def _check_selfsim(depth: int) -> LemmaReport:
     expected = {
         letter: "states are the letter itself or empty" for letter in words.ALPHABET
     }
-    return LemmaReport("selfsim", depth, computed, expected, ok)
+    return Result("selfsim", computed, expected, ok, depth)
 
 
-def _check_transitive(depth: int) -> LemmaReport:
+def _check_transitive(depth: int) -> Result:
     """The orbit of leaf 1 under the leaf permutations of a, b and c at
     depth N; an orbit needs no group, so none is built."""
     letters = [
@@ -549,12 +568,10 @@ def _check_transitive(depth: int) -> LemmaReport:
     orbit = permgroup.orbit(3**depth, letters, 1)
     computed = {"orbit_size": len(orbit)}
     expected = {"orbit_size": 3**depth}
-    return LemmaReport(
-        "transitive", depth, computed, expected, len(orbit) == 3**depth
-    )
+    return Result("transitive", computed, expected, len(orbit) == 3**depth, depth)
 
 
-def _check_branching(depth: int) -> LemmaReport:
+def _check_branching(depth: int) -> Result:
     if depth < 2:
         raise DepthError("branching identities need depth >= 2")
     identities = {
@@ -574,10 +591,10 @@ def _check_branching(depth: int) -> LemmaReport:
         name: {"first_state": inner, "match": True}
         for name, (_, inner) in identities.items()
     }
-    return LemmaReport("branching", depth, computed, expected, ok)
+    return Result("branching", computed, expected, ok, depth)
 
 
-def _check_stab12(depth: int) -> LemmaReport:
+def _check_stab12(depth: int) -> Result:
     if depth < 2:
         raise DepthError("the level-2 data needs depth >= 2")
     g1 = branch.orders(1)[0]
@@ -620,10 +637,10 @@ def _check_stab12(depth: int) -> LemmaReport:
         "generated_by_four_words": stab12_order,
         "sign_sum_kernel": True,
     }
-    return LemmaReport("stab12", depth, computed, expected, computed == expected)
+    return Result("stab12", computed, expected, computed == expected, depth)
 
 
-def _check_index(depth: int) -> LemmaReport:
+def _check_index(depth: int) -> Result:
     """The stabilizer vectors read a word's letter parities as its image in
     Gamma/Gamma' = F_2^3; branch._structure's docstring proves that premise
     from a step-table condition that branch's certificate checks."""
@@ -650,10 +667,10 @@ def _check_index(depth: int) -> LemmaReport:
         "uz_basis_matches_pair_sums": True,
         "seed_order": _table_entry("seed_order")["value"],
     }
-    return LemmaReport("index", depth, computed, expected, computed == expected)
+    return Result("index", computed, expected, computed == expected, depth)
 
 
-def _check_rist(depth: int) -> LemmaReport:
+def _check_rist(depth: int) -> Result:
     if depth < 2:
         raise DepthError("rigid stabilizer containment needs depth >= 2")
     u = f2.level1_stabilizer_space()
@@ -673,10 +690,10 @@ def _check_rist(depth: int) -> LemmaReport:
         "dim_u_meet_first_subtree": 0,
         "containments": {key: True for key in containments},
     }
-    return LemmaReport("rist", depth, computed, expected, computed == expected)
+    return Result("rist", computed, expected, computed == expected, depth)
 
 
-def _check_ristquot(depth: int) -> LemmaReport:
+def _check_ristquot(depth: int) -> Result:
     """Rist(n) in G_(n+1) is (G'_1)^(3^n), one copy of G'_1 on each level-n
     block. Copies on disjoint blocks commute, so the power is elementary
     abelian 3 exactly when G'_1 is, and the check reads the generators of
@@ -691,10 +708,10 @@ def _check_ristquot(depth: int) -> LemmaReport:
             "elementary_abelian_3": permgroup.is_elementary_abelian(_derived_subgroup(1), 3),
         }
         expected[f"n={n}"] = {"order": ristquot_expected(n), "elementary_abelian_3": True}
-    return LemmaReport("ristquot", depth, computed, expected, computed == expected)
+    return Result("ristquot", computed, expected, computed == expected, depth)
 
 
-def _check_stabquot(depth: int) -> LemmaReport:
+def _check_stabquot(depth: int) -> Result:
     if depth < 2:
         raise DepthError("stabilizer quotients need depth >= 2")
     computed = {}
@@ -710,10 +727,10 @@ def _check_stabquot(depth: int) -> LemmaReport:
             "stab_quotient": stab_quotient_order(n),
             "derived_stab_quotient": stab_quotient_order(n),
         }
-    return LemmaReport("stabquot", depth, computed, expected, computed == expected)
+    return Result("stabquot", computed, expected, computed == expected, depth)
 
 
-def _check_elab(depth: int) -> LemmaReport:
+def _check_elab(depth: int) -> Result:
     if depth < 2:
         raise DepthError("the quotient structure needs depth >= 2")
     computed = {}
@@ -724,7 +741,7 @@ def _check_elab(depth: int) -> LemmaReport:
             k = big_n - n
             computed[f"Q({n},{big_n})"] = _rist_in_stab(k) and _rist_is_kernel(k)
     expected = {key: True for key in computed}
-    return LemmaReport("elab", depth, computed, expected, computed == expected)
+    return Result("elab", computed, expected, computed == expected, depth)
 
 
 def _section_order(vertex: tuple[int, ...], depth: int) -> int | None:
@@ -740,7 +757,7 @@ def _section_order(vertex: tuple[int, ...], depth: int) -> int | None:
     return None
 
 
-def _check_transrec(depth: int) -> LemmaReport:
+def _check_transrec(depth: int) -> Result:
     """Self-replication: at each vertex v of levels 1..min(2, N-1), the
     elements of G_N that fix v act on v's subtree as all of G_k, k = N - |v|.
 
@@ -775,7 +792,7 @@ def _check_transrec(depth: int) -> LemmaReport:
             "vertices": 3**level,
             "orders": [quotient_order(depth - level)] * 3**level,
         }
-    return LemmaReport("transrec", depth, computed, expected, computed == expected)
+    return Result("transrec", computed, expected, computed == expected, depth)
 
 
 _LEMMAS = {  # id -> (check, statement)
@@ -795,7 +812,7 @@ LEMMA_IDS = tuple(_LEMMAS)
 LEMMA_STATEMENTS = {lemma: statement for lemma, (_, statement) in _LEMMAS.items()}
 
 
-def verify_lemma(lemma: str, depth: int = 4) -> LemmaReport:
+def verify_lemma(lemma: str, depth: int = 4) -> Result:
     """Run one structural check; see LEMMA_STATEMENTS for the catalogue."""
     if lemma not in _LEMMAS:
         raise KeyError(f"unknown lemma id {lemma!r}; known: {', '.join(LEMMA_IDS)}")

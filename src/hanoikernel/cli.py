@@ -116,12 +116,12 @@ def _summary(results: list[dict]) -> None:
         print(f"{status}  {row['id']}", file=sys.stderr)
 
 
-def _report(command: str, params: dict, results: list[dict]) -> dict:
+def _report(command: str, params: dict, results: list[analysis.Result]) -> dict:
     return {
         "command": command,
         "params": params,
-        "results": results,
-        "pass": all(r["pass"] for r in results),
+        "results": [r.to_json_dict() for r in results],
+        "pass": all(r.passed for r in results),
     }
 
 
@@ -140,27 +140,14 @@ def _run_verify(args) -> tuple[dict | None, int]:
         return None, EXIT_USAGE
     if "all" in ids:
         ids = [i for i in ids if i != "all"] + list(analysis.LEMMA_IDS)
-    results = []
-    for lemma in sorted(set(ids)):  # output order fixed by id
-        report = analysis.verify_lemma(lemma, depth=args.depth)
-        results.append(report.to_json_dict())
+    # output order fixed by id
+    results = [analysis.verify_lemma(lemma, depth=args.depth) for lemma in sorted(set(ids))]
     params = {"depth": args.depth, "slow": args.slow}
     return _report("verify", params, results), None
 
 
 def _run_qtable(args) -> tuple[dict | None, int]:
-    table = analysis.q_table(args.n_max, args.depth)
-    results = []
-    for (n, depth), computed in table.items():
-        expected = analysis.q_expected(n)
-        results.append(
-            {
-                "id": f"q({n},{depth})",
-                "computed": computed,
-                "expected": expected,
-                "pass": computed == expected,
-            }
-        )
+    results = analysis.q_table(args.n_max, args.depth)
     params = {"n_max": args.n_max, "depth": args.depth, "slow": args.slow}
     return _report("qtable", params, results), None
 
@@ -173,17 +160,7 @@ def _run_kernel_report(args) -> tuple[dict | None, int]:
 
 
 def _run_relators(args) -> tuple[dict | None, int]:
-    results = []
-    for name, (base, n) in words.relator_family(args.max_tau).items():
-        ok = words.check_relator(base, args.depth, n)
-        results.append(
-            {
-                "id": name,
-                "computed": {"trivial": ok, "length": words.tau_power_length(base, n)},
-                "expected": {"trivial": True},
-                "pass": ok,
-            }
-        )
+    results = analysis.check_relators(args.max_tau, args.depth)
     params = {"max_tau": args.max_tau, "depth": args.depth}
     return _report("relators", params, results), None
 
@@ -201,33 +178,9 @@ def _run_game(args) -> tuple[dict | None, int]:
                 file=sys.stderr,
             )
             return None, EXIT_USAGE
-        result = game.apply_move(state, args.move)
-        results = [
-            {
-                "id": f"act {args.move}",
-                "computed": {
-                    "state": ",".join(map(str, state)),
-                    "result": ",".join(map(str, result)),
-                },
-                "expected": {},
-                "pass": True,
-            }
-        ]
+        results = [game.act_result(state, args.move)]
         return _report("game", {"move": args.move}, results), None
-    word = game.solve(args.disks)
-    results = [
-        {
-            "id": f"solve {args.disks}",
-            "computed": {
-                "word": word,
-                "moves": list(word),
-                "length": len(word),
-            },
-            "expected": {"length": 2**args.disks - 1},
-            "pass": len(word) == 2**args.disks - 1,
-        }
-    ]
-    return _report("game", {"disks": args.disks}, results), None
+    return _report("game", {"disks": args.disks}, [game.solve_result(args.disks)]), None
 
 
 def _run_export(args) -> tuple[dict | None, int]:

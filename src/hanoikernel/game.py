@@ -14,6 +14,7 @@ import random
 from collections import deque
 
 from . import automorphism, words
+from .analysis import Result
 from .errors import ResourceLimitError, ShapeError
 
 GameState = tuple[int, ...]
@@ -100,6 +101,25 @@ def solve(n: int) -> str:
         return moves(k - 1, source, spare) + "abc"[spare - 1] + moves(k - 1, spare, target)
 
     return moves(n, 1, 3)
+
+
+def act_result(state: GameState, move: str) -> Result:
+    """The state and its image under the move. It records a move and claims
+    nothing, so it expects nothing and passes."""
+    computed = {
+        "state": ",".join(map(str, state)),
+        "result": ",".join(map(str, apply_move(state, move))),
+    }
+    return Result(f"act {move}", computed, {}, True)
+
+
+def solve_result(disks: int) -> Result:
+    """The solution word, which passes when its length is the least number
+    of moves for the disks, 2^disks - 1."""
+    word = solve(disks)
+    computed = {"word": word, "moves": list(word), "length": len(word)}
+    expected = {"length": 2**disks - 1}
+    return Result(f"solve {disks}", computed, expected, len(word) == expected["length"])
 
 
 def reachable_states(n: int) -> int:

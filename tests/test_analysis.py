@@ -595,20 +595,20 @@ def test_expected_table_readers_get_copies():
     table["stab1_vectors"]["abac"].clear()
     analysis.verify_lemma("rist", 2).expected["vectors"]["abac"].clear()
     report = analysis.kernel_report(1, 3)
-    report.results()[-1]["expected"]["type"] = "cyclic"
+    report.results()[-1].expected["type"] = "cyclic"
     assert analysis.load_expected_table()["stab1_vectors"]["abac"] == [1, 0, 0, 1, 0, 0, 0, 1, 1]
     for lemma in ("index", "rist"):
         assert analysis.verify_lemma(lemma, 2).passed
     _, row, kernel = report.results()
-    assert row["expected"] == {"h(n,n+1)": 4, "q_stable": True}
-    assert kernel["expected"] == {"order": 4, "type": "Klein four-group"}
+    assert row.expected == {"h(n,n+1)": 4, "q_stable": True}
+    assert kernel.expected == {"order": 4, "type": "Klein four-group"}
 
 
 def test_kernel_report_decides_the_gamma1_verdict(monkeypatch):
     monkeypatch.setattr(analysis, "gamma1_order", lambda: 32)
     report = analysis.kernel_report(1, 3)
     gamma1 = report.results()[0]
-    assert gamma1 == {"id": "gamma(1)", "computed": 32, "expected": 16, "pass": False}
+    assert gamma1.to_json_dict() == {"id": "gamma(1)", "computed": 32, "expected": 16, "pass": False}
     assert not report.passed
     assert report.failed_at == "row n=1"
 
@@ -624,10 +624,9 @@ def test_concurrent_lemma_checks():
     assert all(r.passed for r in reports)
 
 
-def test_unlocked_caches_keep_one_value_per_key():
-    # racing callers wait for build_quotient's one build, and every thread
-    # gets that one back; the oracle's Rist images are not cached, so each
-    # thread builds its own
+def race(work):
+    """work's results from eight threads started together, with fresh
+    caches and a short switch interval, so that cache misses overlap."""
     import sys
     import threading
 
@@ -636,12 +635,7 @@ def test_unlocked_caches_keep_one_value_per_key():
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        def work():
-            quotient = analysis.build_quotient(3)
-            rist = oracles.rist_image(3, 1)
-            results.append((quotient, rist, quotient.group.order()))
-
-        threads = [threading.Thread(target=work) for _ in range(8)]
+        threads = [threading.Thread(target=lambda: results.append(work())) for _ in range(8)]
         for t in threads:
             t.start()
         for t in threads:
@@ -650,10 +644,31 @@ def test_unlocked_caches_keep_one_value_per_key():
     finally:
         sys.setswitchinterval(old_interval)
     assert len(results) == 8
+    return results
+
+
+def test_unlocked_caches_keep_one_value_per_key():
+    # racing callers wait for build_quotient's one build, and every thread
+    # gets that one back; the oracle's Rist images are not cached, so each
+    # thread builds its own
+    def work():
+        quotient = analysis.build_quotient(3)
+        return quotient, oracles.rist_image(3, 1), quotient.group.order()
+
+    results = race(work)
     assert len({id(q) for q, _, _ in results}) == 1
     assert {order for _, _, order in results} == {analysis.quotient_order(3)}
     # |G'_2|^3, half of |G_2| in each of the three level-1 subtrees
     assert results[0][1].order() == (analysis.quotient_order(2) // 2) ** 3
+
+
+def test_racing_derived_subgroup_callers_get_equal_groups():
+    # the G'_k cache takes no lock, so racing misses may each build; what
+    # each caller gets must still be the same group, with the same
+    # generators in the same order
+    groups = race(lambda: analysis._derived_subgroup(3))
+    assert {group.order() for group in groups} == {branch.orders(3)[1]}
+    assert len({tuple(group.generators) for group in groups}) == 1
 
 
 def unpruned_elementary_abelian_quotient(quotient, n, rist):

@@ -262,8 +262,48 @@ def test_only_analysis_knows_the_expected_table():
     with open(cli.__file__) as handle:
         source = handle.read()
     names = ["load_expected_table", "_table_entry", "expected_values"]
+    # and no result is built there: every result is an analysis.Result
+    names += ['"computed"', '"expected"']
     for name in names + list(analysis.load_expected_table()):
         assert name not in source, name
+
+
+def _doubled_q_expected(monkeypatch):
+    q_expected = analysis.q_expected
+    monkeypatch.setattr(analysis, "q_expected", lambda n: 2 * q_expected(n))
+
+
+def _false_relators(monkeypatch):
+    monkeypatch.setattr(words, "check_relator", lambda *args: False)
+
+
+def _lengthened_solution(monkeypatch):
+    from hanoikernel import game
+
+    solve = game.solve
+    monkeypatch.setattr(game, "solve", lambda disks: solve(disks) + "a")
+
+
+# a builder's comparison made false, and a command whose rows it builds
+VERDICTS = {
+    "qtable": (_doubled_q_expected, ["qtable", "--n-max", "1", "--depth", "3"]),
+    "relators": (_false_relators, ["relators", "--max-tau", "1", "--depth", "3"]),
+    "game-solve": (_lengthened_solution, ["game", "solve", "--disks", "3"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERDICTS))
+def test_each_verdict_follows_its_comparison(capsys, monkeypatch, name):
+    """Each row's pass is its builder's comparison: when what was computed
+    no longer matches what is expected, the row fails and the command
+    exits 1."""
+    break_comparison, argv = VERDICTS[name]
+    break_comparison(monkeypatch)
+    code, report, err = run_json(capsys, *argv)
+    assert code == 1 and report["pass"] is False
+    assert report["results"] and not any(r["pass"] for r in report["results"])
+    assert err.splitlines() == [f"FAIL  {r['id']}" for r in report["results"]]
+
 
 def test_relators(capsys):
     code, report, _ = run_json(capsys, "relators", "--max-tau", "1", "--depth", "5")

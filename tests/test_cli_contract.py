@@ -19,7 +19,9 @@ LEMMAS = list(analysis.LEMMA_IDS) + ["all", "bogus", "Rist", ""]
 STATES = ["1,2,3", "2,1,3,2,2,1", "3", ",", "1,x", "2,9", "", "1,,2", "0", "-1", "1;2"]
 EXPORT_WORDS = ["acab", "abcab", "cbacabacac", "aa", "", "abd", "ABC", "a b", "-a"]
 # the commands whose exit 0 or 1 carries a JSON report with "pass"
-REPORTING = ("verify", "qtable", "kernel-report", "relators")
+REPORTING = ("verify", "qtable", "kernel-report", "relators", "game")
+# the keys of every result; lemma results add their depth
+RESULT_KEYS = {"id", "computed", "expected", "pass"}
 
 
 def number(rng):
@@ -94,7 +96,11 @@ def test_cli_contract_holds_on_seeded_vectors(tmp_path, capsys, monkeypatch, cou
         assert "Traceback" not in err, argv
         command = argv[2] if argv[0] == "--out" else argv[0]
         if code in (0, 1) and command in REPORTING and "--list" not in argv:
-            assert report_of(argv, out)["pass"] is (code == 0), argv
+            report = report_of(argv, out)
+            assert report["pass"] is (code == 0), argv
+            keys = RESULT_KEYS | ({"depth"} if command == "verify" else set())
+            assert all(set(r) == keys for r in report["results"]), argv
+            assert report["pass"] is all(r["pass"] for r in report["results"]), argv
         if code == 3:
             limits = [line for line in err.splitlines() if line.startswith("resource limit:")]
             assert len(limits) == 1, (argv, err)
