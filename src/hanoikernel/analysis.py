@@ -574,24 +574,14 @@ def _check_transitive(depth: int) -> Result:
 def _check_branching(depth: int) -> Result:
     if depth < 2:
         raise DepthError("branching identities need depth >= 2")
-    identities = {
-        "(acbc)^2": ("acbcacbc", words.commutator("a", "b")),
-        "(abcb)^2": ("abcbabcb", words.commutator("a", "c")),
-        "c(baca)^2c": ("cbacabacac", words.commutator("b", "c")),
-    }
-    computed = {}
-    ok = True
-    for name, (word, inner) in identities.items():
+    computed, expected = {}, {}
+    for name, (word, (x, y)) in branch.BRANCHING_WORDS.items():
+        inner = words.commutator(x, y)
         left = words.evaluate(word, depth)
         right = embed((1,), words.evaluate(inner, depth - 1))
-        match = left == right
-        computed[name] = {"first_state": inner, "match": match}
-        ok = ok and match
-    expected = {
-        name: {"first_state": inner, "match": True}
-        for name, (_, inner) in identities.items()
-    }
-    return Result("branching", computed, expected, ok, depth)
+        computed[name] = {"first_state": inner, "match": left == right}
+        expected[name] = {"first_state": inner, "match": True}
+    return Result("branching", computed, expected, computed == expected, depth)
 
 
 def _check_stab12(depth: int) -> Result:

@@ -14,7 +14,6 @@ Words of generators act left-to-right, so composition is in action order:
 from __future__ import annotations
 
 import functools
-import json
 from typing import Iterator, Mapping
 
 from .errors import DepthError, ResourceLimitError, ShapeError
@@ -25,7 +24,7 @@ Vertex = tuple[int, ...]
 # The depth cap of portraits and words. words.evaluate recurses once per
 # level, and each level takes three of the 1000 frames Python allows by
 # default: the function, its generator expression and the lru_cache call.
-# Depth 330 exceeds them. compose, inverse and equality recurse too.
+# Depth 330 exceeds them. compose and equality recurse too.
 MAX_DEPTH = 250
 
 
@@ -185,17 +184,6 @@ def compose(g: Portrait, h: Portrait) -> Portrait:
     return Portrait(root, children)
 
 
-def inverse(g: Portrait) -> Portrait:
-    """The inverse automorphism."""
-    if g.depth == 0 or g._is_identity:
-        return g
-    root = g.root.inverse()
-    children = tuple(
-        inverse(g.children[root.apply(j) - 1]) for j in (1, 2, 3)
-    )
-    return Portrait(root, children)
-
-
 def state_at(g: Portrait, u: Vertex) -> Portrait:
     """The state of g at u: the depth-(N-|u|) action on the subtree at u."""
     if len(u) > g.depth:
@@ -262,25 +250,6 @@ def to_json_dict(g: Portrait) -> dict:
         for v, p in sorted(g.labels().items())
     }
     return {"arity": 3, "depth": g.depth, "labels": labels}
-
-
-def to_json(g: Portrait) -> str:
-    return json.dumps(to_json_dict(g), sort_keys=True)
-
-
-def from_json_dict(data: Mapping) -> Portrait:
-    if int(data["arity"]) != 3:
-        raise ShapeError(f"arity {data['arity']} is not 3: portraits act on the ternary tree")
-    depth = int(data["depth"])
-    labels: dict[Vertex, Perm] = {}
-    for key, images in data.get("labels", {}).items():
-        vertex = tuple(int(s) for s in key.split(",")) if key else ()
-        labels[vertex] = Perm.from_one_based(images)
-    return from_labels(depth, labels)
-
-
-def from_json(text: str) -> Portrait:
-    return from_json_dict(json.loads(text))
 
 
 def to_dot(g: Portrait, name: str = "portrait") -> str:

@@ -56,8 +56,13 @@ from .automorphism import leaf_permutation
 from .errors import DepthError, ShapeError
 from .perm import Perm
 
-# words of Gamma' with trivial root and states ([x, y], 1, 1)
-BRANCHING_WORDS = {"acbcacbc": "ab", "abcbabcb": "ac", "cbacabacac": "bc"}
+# words of Gamma' with trivial root and states ([x, y], 1, 1), each as
+# (word, xy) under the name verify's branching check prints
+BRANCHING_WORDS = {
+    "(acbc)^2": ("acbcacbc", "ab"),
+    "(abcb)^2": ("abcbabcb", "ac"),
+    "c(baca)^2c": ("cbacabacac", "bc"),
+}
 # words fixing level 1 with first state the letter
 SELF_REPLICATION_WORDS = {"a": "abac", "b": "babc", "c": "bcac"}
 
@@ -134,7 +139,7 @@ def _structure() -> tuple[frozenset[_Images], ...]:
             coordinate, after = row[x]
             if words._STEP[after][y][0] == coordinate:
                 raise AssertionError(f"{x + y!r} lands in one state from root label {s}")
-    for word, (x, y) in BRANCHING_WORDS.items():
+    for word, (x, y) in BRANCHING_WORDS.values():
         if words.word_states(word) != ((words.commutator(x, y), "", ""), Perm.identity(3)):
             raise AssertionError(f"{word!r} is no branching word for [{x}, {y}]")
     for letter, word in SELF_REPLICATION_WORDS.items():

@@ -104,13 +104,19 @@ def solve(n: int) -> str:
 
 
 def act_result(state: GameState, move: str) -> Result:
-    """The state and its image under the move. It records a move and claims
-    nothing, so it expects nothing and passes."""
-    computed = {
-        "state": ",".join(map(str, state)),
-        "result": ",".join(map(str, apply_move(state, move))),
-    }
-    return Result(f"act {move}", computed, {}, True)
+    """The state and its image under the move, which passes when that image
+    is the state's image under the move's letter acting on the tree. The
+    tree action is read off word_states along the state's digits, as
+    words.state_word walks them, so no portrait is built and no depth cap
+    applies."""
+    result = apply_move(state, move)
+    word, image = move, []
+    for peg in state:
+        states, root = words.word_states(word)
+        image.append(root.apply(peg))
+        word = states[peg - 1]
+    computed = {"state": ",".join(map(str, state)), "result": ",".join(map(str, result))}
+    return Result(f"act {move}", computed, {}, result == tuple(image))
 
 
 def solve_result(disks: int) -> Result:

@@ -71,10 +71,6 @@ class Perm:
         return cls(range(degree))
 
     @classmethod
-    def from_one_based(cls, images: Sequence[int]) -> "Perm":
-        return cls([i - 1 for i in images])
-
-    @classmethod
     def transposition(cls, degree: int, i: int, j: int) -> "Perm":
         return cls.from_cycles(degree, [(i, j)])
 

@@ -30,11 +30,10 @@ element of the set would sift to the identity. So the skip does not change
 the chain: every level's base, strong generators and transversal are those
 of the chain that sifts every Schreier generator. A Schreier generator that
 equals its strong generator s is one case: s fixes the level's base, so it
-is a generator of the next level and in the set. The pair of a level's base
-and a new strong generator that fixes it always forms that generator, so
-_adjoin does not queue it and counts it as formed and skipped. In the G_5
-build the set takes 23,376 of the 25,543 nontrivial Schreier generators,
-and 2,167 are sifted (`skipped` and `sifted` in the build log line).
+is a generator of the next level and in the set; the pair of the level's
+base and s always forms s. In the G_5 build the set takes 23,376 of the
+25,543 nontrivial Schreier generators, and 2,167 are sifted (`skipped` and
+`sifted` in the build log line).
 
 A level settles all of a new strong generator's pairs at once when the
 generator moves none of the points its transversal elements move; each
@@ -44,11 +43,11 @@ The transversal element u_pt maps the base to pt, so for pt other than the
 base it moves pt; so h fixes every orbit point and the orbit cannot grow.
 h and u_pt move disjoint sets of points, so they commute, and the pair
 (pt, h) forms u_pt h u_pt^-1 = h, the generator that _drain skips. So
-_adjoin counts each of the level's pairs with h as formed and skipped, as
-it does the base pair, queues none of them and leaves the orbit as it is;
-the chain and its counters stay the same. A level at hi is never settled:
-h moves its base. In the G_5 build the levels settle 17,869 of the 27,104
-pairs formed (`settled` in the build log line).
+_adjoin counts each of the level's pairs with h as formed and skipped,
+queues none of them and leaves the orbit as it is; the chain and its
+counters stay the same. A level at hi is never settled: h moves its base.
+In the G_5 build the levels settle 17,869 of the 27,104 pairs formed
+(`settled` in the build log line).
 
 A chain that would need more levels than it has points raises
 AssertionError: only broken invariants get there, and without the check
@@ -266,7 +265,6 @@ class _Chain:
         for l in range(lo, hi + 1):
             level = self.levels[l]
             level.gens.append(h)
-            skip = None
             if l < hi:
                 # h is a generator of level l + 1 too, so it lies in the group
                 # of the deeper levels (module docstring)
@@ -280,18 +278,11 @@ class _Chain:
                     self.skipped += pairs
                     self.settled += pairs
                     continue
-                # h fixes the level's base, so the pair (base, h) forms
-                # identity * h * identity = h, which _drain would skip as
-                # known; it is counted here instead of queued
-                skip = level.base
-                self.formed += 1
-                self.skipped += 1
             old_points = list(level.transversal)
             new_points = self._extend_orbit(level, h)
             queue = self._pending[l]
             for pt in old_points:
-                if pt != skip:
-                    queue.append((pt, h))
+                queue.append((pt, h))
             for pt in new_points:
                 for s in level.gens:
                     queue.append((pt, s))

@@ -70,15 +70,6 @@ def test_compose_agrees_with_pointwise_action():
         assert am.apply(composed, vertex) == am.apply(h, am.apply(g, vertex))
 
 
-def test_inverse():
-    assert am.inverse(am.identity(3)) == am.identity(3)
-    a = words.evaluate("a", 4)
-    assert am.inverse(a) == a
-    ab = words.evaluate("ab", 4)
-    assert am.inverse(ab) == words.evaluate("ba", 4)
-    assert am.compose(ab, am.inverse(ab)).is_identity()
-
-
 def test_state_at_generator():
     n = 4
     a = words.evaluate("a", n)
@@ -201,12 +192,6 @@ def test_lex_index_bijection():
     assert _brute.vertex_of_index(26, 3) == (3, 3, 3)
 
 
-def test_json_round_trip():
-    g = words.evaluate("acab", 3)
-    data = am.to_json(g)
-    assert am.from_json(data) == g
-
-
 def test_json_format_fields():
     g = words.evaluate("a", 2)
     d = am.to_json_dict(g)
@@ -214,16 +199,6 @@ def test_json_format_fields():
     assert d["labels"][""] == [1, 3, 2]
     assert d["labels"]["1"] == [1, 3, 2]
     assert "2" not in d["labels"]  # identity labels omitted
-
-
-@pytest.mark.parametrize("arity", [2, 4, "2"])
-def test_json_import_rejects_other_arities(arity):
-    data = am.to_json_dict(words.evaluate("a", 2))
-    data["arity"] = arity
-    with pytest.raises(ShapeError, match="arity"):
-        am.from_json_dict(data)
-    data["arity"] = "3"
-    assert am.from_json_dict(data) == words.evaluate("a", 2)
 
 
 def test_json_labels_match_walk_of_every_vertex():
@@ -260,11 +235,8 @@ def test_dot_export_contains_labels():
 def test_from_labels_rejects_deep_vertex():
     with pytest.raises(DepthError):
         am.from_labels(1, {(1,): Perm.identity(3)})
-
-
-def test_json_import_rejects_negative_depth():
     with pytest.raises(DepthError, match="depth must be >= 0"):
-        am.from_json_dict({"arity": 3, "depth": -1})
+        am.from_labels(-1, {})
 
 
 def test_from_labels_builds_only_the_labelled_path(monkeypatch):
@@ -302,7 +274,7 @@ def test_one_label_portrait_round_trips(depth):
     g = am.from_labels(depth, {vertex: label})
     assert g == am.embed(vertex, am.from_labels(1, {(): label}))
     assert g.labels() == {vertex: label}
-    assert am.from_json(am.to_json(g)) == g
+    assert am.from_labels(depth, g.labels()) == g
 
 
 def test_from_labels_caps_its_depth():
@@ -311,8 +283,6 @@ def test_from_labels_caps_its_depth():
     for depth in (am.MAX_DEPTH + 1, 2000):
         with pytest.raises(ResourceLimitError, match=f"depth {depth} exceeds"):
             am.from_labels(depth, {})
-        with pytest.raises(ResourceLimitError, match=f"depth {depth} exceeds"):
-            am.from_json_dict({"arity": 3, "depth": depth, "labels": {"1": [2, 1, 3]}})
 
 
 def test_depth_zero_portraits():

@@ -186,12 +186,17 @@ def test_certificate_logs_its_orders(fresh_certificate, caplog):
     ],
 )
 def test_certificate_rejects_a_bad_branching_word(fresh_certificate, monkeypatch, word, pair):
+    """A bad word for a pair fails the certificate and, since verify reads
+    the same table, that pair's row of the branching lemma."""
     certificate = dict(branch.BRANCHING_WORDS)
-    certificate.pop(next(w for w, p in certificate.items() if p == pair))
-    certificate[word] = pair
+    name = next(n for n, (_, p) in certificate.items() if p == pair)
+    certificate[name] = (word, pair)
     monkeypatch.setattr(branch, "BRANCHING_WORDS", certificate)
     with pytest.raises(AssertionError, match="no branching word"):
         branch.orders(2)
+    result = analysis.verify_lemma("branching", 3)
+    assert not result.passed
+    assert [n for n, row in result.computed.items() if not row["match"]] == [name]
 
 
 @pytest.mark.parametrize(

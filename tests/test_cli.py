@@ -191,6 +191,12 @@ def test_game_act_known_example(capsys):
     )
     assert code == 0
     assert report["results"][0]["computed"]["result"] == "2,3,3,2,2,1"
+    # a state deeper than the portrait depth cap: the move is checked
+    # without a portrait
+    state = ",".join(["3"] * 300 + ["1"])
+    code, report, _ = run_json(capsys, "game", "act", "--state", state, "--move", "b")
+    assert code == 0 and report["pass"] is True
+    assert report["results"][0]["computed"]["result"] == ",".join(["1"] + ["3"] * 299 + ["1"])
 
 
 def test_game_act_invalid_state(capsys):
@@ -284,11 +290,23 @@ def _lengthened_solution(monkeypatch):
     monkeypatch.setattr(game, "solve", lambda disks: solve(disks) + "a")
 
 
+def _last_occurrence_moved(monkeypatch):
+    from hanoikernel import game
+
+    apply_move = game.apply_move
+    monkeypatch.setattr(
+        game, "apply_move", lambda state, move: apply_move(state[::-1], move)[::-1]
+    )
+
+
 # a builder's comparison made false, and a command whose rows it builds
 VERDICTS = {
     "qtable": (_doubled_q_expected, ["qtable", "--n-max", "1", "--depth", "3"]),
     "relators": (_false_relators, ["relators", "--max-tau", "1", "--depth", "3"]),
     "game-solve": (_lengthened_solution, ["game", "solve", "--disks", "3"]),
+    "game-act": (
+        _last_occurrence_moved, ["game", "act", "--state", "2,1,3,2,2,1", "--move", "b"]
+    ),
 }
 
 
@@ -333,6 +351,22 @@ def test_export_json(capsys):
     assert data["depth"] == 2 and data["labels"] == {
         "1": [1, 3, 2], "2": [2, 3, 1], "3": [1, 3, 2],
     }
+
+
+def test_export_json_lists_the_portrait_labels(capsys):
+    """The exported labels are the portrait's labels in one-based form."""
+    for word, depth in [("a", 1), ("abc", 3), ("acbcacbc", 5)]:
+        argv = ["export", "portrait", word, "--depth", str(depth)]
+        code, data, _ = run_json(capsys, *argv)
+        assert code == 0
+        labels = words.evaluate(word, depth).labels()
+        assert data == {
+            "arity": 3,
+            "depth": depth,
+            "labels": {
+                ",".join(map(str, v)): list(p.one_based()) for v, p in labels.items()
+            },
+        }
 
 
 def test_depth_cap_is_reachable(capsys):

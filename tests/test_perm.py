@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from hanoikernel.automorphism import from_json_dict
 from hanoikernel.perm import BYTES_MAX, Perm
 
 # both sides of the switch from bytes to tuple storage, and the edges
@@ -42,8 +41,9 @@ def test_sign():
 
 
 def test_one_based_round_trip():
-    p = Perm.from_one_based([2, 3, 1])
+    p = Perm([1, 2, 0])
     assert p.one_based() == (2, 3, 1)
+    assert Perm([i - 1 for i in p.one_based()]) == p
 
 
 def test_rejects_non_bijection():
@@ -75,9 +75,11 @@ def test_rejects_every_non_permutation(degree, bad):
         Perm(images)
 
 
-def test_rejects_float_images_from_json():
+def test_rejects_float_images():
+    # the one-based label [2.0, 1.0, 3.0] of a JSON portrait, 0-based: a
+    # bijection of 0..2 in every respect but the type
     with pytest.raises(ValueError):
-        from_json_dict({"arity": 3, "depth": 1, "labels": {"": [2.0, 1.0, 3.0]}})
+        Perm([1.0, 0.0, 2.0])
 
 
 @pytest.mark.parametrize("degree", [0, 1, 256, 257])
