@@ -265,6 +265,8 @@ def q_order(depth: int, n: int) -> int:
     if not 1 <= n < depth:
         raise DepthError(f"level {n} outside 1..{depth - 1}")
     _require_depth(depth)
+    if not _rist_in_stab(depth - n):
+        raise NotASubgroupError(f"Rist({n}) of G_{depth} is not inside Stab({n})")
     return _q_order(depth, n)
 
 
@@ -277,10 +279,10 @@ def _exact_quotient(order: int, sub_order: int) -> int:
 
 def _q_order(depth: int, n: int) -> int:
     """|Stab(n)| / |Rist(n)| in G_N, with |Stab(n)| = |G_N| / |G_n|: G_N
-    acts on level n as G_n, and Stab(n) is the kernel of that action."""
+    acts on level n as G_n, and Stab(n) is the kernel of that action. It is
+    |Q(n,N)| once _rist_in_stab(N - n) holds, which every caller reads
+    first."""
     k = depth - n
-    if not _rist_in_stab(k):
-        raise NotASubgroupError(f"Rist({n}) of G_{depth} is not inside Stab({n})")
     orders = branch.orders(depth)[0], branch.orders(n)[0], _derived_subgroup(k).order() ** 3**n
     q = _exact_quotient(_exact_quotient(orders[0], orders[1]), orders[2])
     log.info(
@@ -296,7 +298,8 @@ def _q_order(depth: int, n: int) -> int:
 
 def q_table(n_max: int, depth: int) -> list[Result]:
     """|Q_{n,N}| against q_expected(n) for every 1 <= n <= n_max and
-    n < N <= depth, in (n, N) order."""
+    n < N <= depth, in (n, N) order; a Q whose Rist(n) is not inside
+    Stab(n) is no quotient, and its row computes None and fails."""
     if n_max < 1:
         raise ShapeError("n_max must be >= 1")
     if depth <= n_max:
@@ -305,7 +308,8 @@ def q_table(n_max: int, depth: int) -> list[Result]:
     results = []
     for n in range(1, n_max + 1):
         for big_n in range(n + 1, depth + 1):
-            q, expected = _q_order(big_n, n), q_expected(n)
+            q = _q_order(big_n, n) if _rist_in_stab(big_n - n) else None
+            expected = q_expected(n)
             results.append(Result(f"q({n},{big_n})", q, expected, q == expected))
     return results
 
@@ -497,8 +501,13 @@ def kernel_report(n_max: int = 2, depth_budget: int = 4) -> KernelReport:
     failed_at: str | None = None
     gamma = gamma1
     for n in range(1, n_max + 1):
-        q1 = _q_order(n + 1, n)
-        q2 = _q_order(n + 2, n)
+        # Q(n,n+step) and its flag, which reads, as elab does, the
+        # containment that makes Q a quotient and the order check
+        flags, q_orders = {}, []
+        for step in (1, 2):
+            flags[f"Q({n},{n + step})"] = _rist_in_stab(step) and _rist_is_kernel(step)
+            q_orders.append(_q_order(n + step, n))
+        q1, q2 = q_orders
         stable = q1 == q2
         k = seed ** (3**n)
         # the exact sequence: |Gamma_{n+1}| * |Q| == |Gamma_n| * |K|
@@ -506,12 +515,6 @@ def kernel_report(n_max: int = 2, depth_budget: int = 4) -> KernelReport:
         if remainder:
             raise AssertionError("exact sequence arithmetic is inconsistent")
         h = gamma_next // k
-        # _q_order raised unless Rist(n) lies in Stab(n), so each flag is
-        # its order check alone
-        flags = {
-            f"Q({n},{n + 1})": _rist_is_kernel(1),
-            f"Q({n},{n + 2})": _rist_is_kernel(2),
-        }
         row_pass = (
             stable
             and h == h_expected
@@ -572,8 +575,6 @@ def _check_transitive(depth: int) -> Result:
 
 
 def _check_branching(depth: int) -> Result:
-    if depth < 2:
-        raise DepthError("branching identities need depth >= 2")
     computed, expected = {}, {}
     for name, (word, (x, y)) in branch.BRANCHING_WORDS.items():
         inner = words.commutator(x, y)
@@ -585,8 +586,6 @@ def _check_branching(depth: int) -> Result:
 
 
 def _check_stab12(depth: int) -> Result:
-    if depth < 2:
-        raise DepthError("the level-2 data needs depth >= 2")
     g1 = branch.orders(1)[0]
     # G_2 acts on level 1 as G_1, so |Stab(1)/Stab(2)| = |G_2| / |G_1|
     order = _exact_quotient(branch.orders(2)[0], g1)
@@ -638,9 +637,7 @@ def _check_index(depth: int) -> Result:
     vectors = {w: list(f2.stab1_vector(w)) for w in words.LEVEL1_STABILIZER_WORDS}
     u = f2.level1_stabilizer_space()
     uz = f2.intersect(u, f2.even_letter_sum_space())
-    alpha, beta, delta, gamma = (
-        f2.stab1_vector(w) for w in words.LEVEL1_STABILIZER_WORDS
-    )
+    alpha, beta, delta, gamma = vectors.values()
     ab = tuple(x ^ y for x, y in zip(alpha, beta))
     dg = tuple(x ^ y for x, y in zip(delta, gamma))
     computed = {
@@ -661,8 +658,6 @@ def _check_index(depth: int) -> Result:
 
 
 def _check_rist(depth: int) -> Result:
-    if depth < 2:
-        raise DepthError("rigid stabilizer containment needs depth >= 2")
     u = f2.level1_stabilizer_space()
     w = f2.first_subtree_space()
     containments = {}
@@ -688,8 +683,6 @@ def _check_ristquot(depth: int) -> Result:
     block. Copies on disjoint blocks commute, so the power is elementary
     abelian 3 exactly when G'_1 is, and the check reads the generators of
     G'_1 alone."""
-    if depth < 2:
-        raise DepthError("rigid stabilizer quotients need depth >= 2")
     computed = {}
     expected = {}
     for n in range(1, depth):
@@ -702,8 +695,6 @@ def _check_ristquot(depth: int) -> Result:
 
 
 def _check_stabquot(depth: int) -> Result:
-    if depth < 2:
-        raise DepthError("stabilizer quotients need depth >= 2")
     computed = {}
     expected = {}
     for n in range(1, depth):
@@ -721,8 +712,6 @@ def _check_stabquot(depth: int) -> Result:
 
 
 def _check_elab(depth: int) -> Result:
-    if depth < 2:
-        raise DepthError("the quotient structure needs depth >= 2")
     computed = {}
     for n in range(1, depth):
         for big_n in (n + 1, n + 2):
@@ -763,8 +752,6 @@ def _check_transrec(depth: int) -> Result:
     permutation is built. A vertex whose states miss a letter reports None,
     and the check fails.
     """
-    if depth < 2:
-        raise DepthError("self-replication needs depth >= 2")
     computed = {}
     expected = {}
     computed["level_0"] = {"vertices": 1, "orders": [branch.orders(depth)[0]]}
@@ -785,21 +772,21 @@ def _check_transrec(depth: int) -> Result:
     return Result("transrec", computed, expected, computed == expected, depth)
 
 
-_LEMMAS = {  # id -> (check, statement)
-    "branching": (_check_branching, "the squared four-letter words place commutators in the first subtree"),
-    "elab": (_check_elab, "stabilizer-over-rigid-stabilizer quotients are elementary abelian 2-groups"),
-    "index": (_check_index, "GF(2)^9 data: |Stab(1)/Rist(1)| = 16 and the derived-subgroup seed order is 4"),
-    "rist": (_check_rist, "stabilizer vectors, trivial meet with the first-subtree space, rist inside stab"),
-    "ristquot": (_check_ristquot, "rigid-stabilizer image at depth n+1 is (A_3)^(3^n)"),
-    "selfsim": (_check_selfsim, "each generator's first-level states are the generator itself or trivial"),
-    "stab12": (_check_stab12, "level-1 quotient is S_3; level-1-over-level-2 is the 108-element sign-sum kernel"),
-    "stabquot": (_check_stabquot, "|Stab(n)/Stab(n+1)| = 2^(2*3^(n-1)) * 3^(3^n), also inside the derived subgroup"),
-    "transitive": (_check_transitive, "the quotient is transitive on the leaves"),
-    "transrec": (_check_transrec, "vertex-stabilizer states generate the full lower-depth quotient"),
+_LEMMAS = {  # id -> (check, least depth, statement)
+    "branching": (_check_branching, 2, "the squared four-letter words place commutators in the first subtree"),
+    "elab": (_check_elab, 2, "stabilizer-over-rigid-stabilizer quotients are elementary abelian 2-groups"),
+    "index": (_check_index, 1, "GF(2)^9 data: |Stab(1)/Rist(1)| = 16 and the derived-subgroup seed order is 4"),
+    "rist": (_check_rist, 2, "stabilizer vectors, trivial meet with the first-subtree space, rist inside stab"),
+    "ristquot": (_check_ristquot, 2, "rigid-stabilizer image at depth n+1 is (A_3)^(3^n)"),
+    "selfsim": (_check_selfsim, 1, "each generator's first-level states are the generator itself or trivial"),
+    "stab12": (_check_stab12, 2, "level-1 quotient is S_3; level-1-over-level-2 is the 108-element sign-sum kernel"),
+    "stabquot": (_check_stabquot, 2, "|Stab(n)/Stab(n+1)| = 2^(2*3^(n-1)) * 3^(3^n), also inside the derived subgroup"),
+    "transitive": (_check_transitive, 1, "the quotient is transitive on the leaves"),
+    "transrec": (_check_transrec, 2, "vertex-stabilizer states generate the full lower-depth quotient"),
 }
 
 LEMMA_IDS = tuple(_LEMMAS)
-LEMMA_STATEMENTS = {lemma: statement for lemma, (_, statement) in _LEMMAS.items()}
+LEMMA_STATEMENTS = {lemma: statement for lemma, (*_, statement) in _LEMMAS.items()}
 
 
 def verify_lemma(lemma: str, depth: int = 4) -> Result:
@@ -807,7 +794,10 @@ def verify_lemma(lemma: str, depth: int = 4) -> Result:
     if lemma not in _LEMMAS:
         raise KeyError(f"unknown lemma id {lemma!r}; known: {', '.join(LEMMA_IDS)}")
     _require_depth(depth)
-    report = _LEMMAS[lemma][0](depth)
+    check, least, _ = _LEMMAS[lemma]
+    if depth < least:
+        raise DepthError(f"{lemma} needs depth >= {least}")
+    report = check(depth)
     log.info(
         __name__, "lemma %s at depth %d: %s", lemma, depth, "pass" if report.passed else "FAIL"
     )

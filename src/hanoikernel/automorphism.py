@@ -14,6 +14,7 @@ Words of generators act left-to-right, so composition is in action order:
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Iterator, Mapping
 
 from .errors import DepthError, ResourceLimitError, ShapeError
@@ -208,12 +209,7 @@ def embed(u: Vertex, g: Portrait) -> Portrait:
 
 def level_vertices(n: int) -> Iterator[Vertex]:
     """All level-n vertices in lexicographic order."""
-    if n == 0:
-        yield ()
-        return
-    for prefix in level_vertices(n - 1):
-        for digit in (1, 2, 3):
-            yield prefix + (digit,)
+    return itertools.product((1, 2, 3), repeat=n)
 
 
 def leaf_permutation(g: Portrait, n: int) -> Perm:
@@ -252,10 +248,10 @@ def to_json_dict(g: Portrait) -> dict:
     return {"arity": 3, "depth": g.depth, "labels": labels}
 
 
-def to_dot(g: Portrait, name: str = "portrait") -> str:
+def to_dot(g: Portrait) -> str:
     """Graphviz DOT export: one node per vertex, internal nodes labeled
     with their permutation in cycle notation."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph portrait {"]
     for level in range(g.depth + 1):
         for v in level_vertices(level):
             node_id = ",".join(map(str, v)) or "root"

@@ -7,7 +7,7 @@ equal subspaces compare equal representationally.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import NotInStabilizerError, ShapeError
 from .words import LEVEL1_STABILIZER_WORDS, parity_vector, word_states
@@ -46,21 +46,11 @@ def _rref(rows: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(basis, reverse=True))
 
 
-class F2Subspace:
+class F2Subspace(NamedTuple):
     """A subspace of GF(2)^n with canonical (RREF) basis."""
 
-    __slots__ = ("dimension_ambient", "rows")
-
-    def __init__(self, dimension_ambient: int, rows: tuple[int, ...]):
-        object.__setattr__(self, "dimension_ambient", dimension_ambient)
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("F2Subspace is immutable")
-
-    @classmethod
-    def zero(cls, dimension_ambient: int) -> "F2Subspace":
-        return cls(dimension_ambient, ())
+    dimension_ambient: int
+    rows: tuple[int, ...]
 
     def dim(self) -> int:
         return len(self.rows)
@@ -76,24 +66,8 @@ class F2Subspace:
             x = min(x, x ^ row)
         return x == 0
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, F2Subspace)
-            and self.dimension_ambient == other.dimension_ambient
-            and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.dimension_ambient, self.rows))
-
     def __repr__(self) -> str:
         return f"<F2Subspace dim={self.dim()} of GF(2)^{self.dimension_ambient}>"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ambient": self.dimension_ambient,
-            "basis": [list(b) for b in self.basis()],
-        }
 
 
 def span(vectors: Iterable[Sequence[int]], dimension_ambient: int) -> F2Subspace:

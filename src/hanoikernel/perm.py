@@ -112,22 +112,9 @@ class Perm:
         return tuple(i + 1 for i in self.data)
 
     def sign(self) -> int:
-        """+1 for even permutations, -1 for odd ones."""
-        images = self.data
-        sign = 1
-        seen = [False] * len(images)
-        for i in range(len(images)):
-            if seen[i]:
-                continue
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = images[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign
+        """+1 for even permutations, -1 for odd ones; a cycle of length m is
+        m - 1 transpositions."""
+        return -1 if sum(len(c) - 1 for c in self.cycles()) % 2 else 1
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles on 1-based points, each starting at its minimum."""

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hanoikernel import analysis, automorphism, branch, f2, permgroup, words
+from hanoikernel import analysis, automorphism, branch, cli, f2, permgroup, words
 from hanoikernel.perm import Perm
 from hanoikernel.errors import (
     DepthError,
@@ -514,10 +514,12 @@ def test_exact_sequence_consistency():
 
 
 def test_verify_lemma_dispatch_is_exhaustive():
-    """One table gives every id its check and its statement."""
+    """One table gives every id its check, its least depth and its
+    statement."""
     assert analysis.LEMMA_IDS == tuple(analysis._LEMMAS) == tuple(analysis.LEMMA_STATEMENTS)
-    for lemma, (check, statement) in analysis._LEMMAS.items():
+    for lemma, (check, least, statement) in analysis._LEMMAS.items():
         assert check.__name__ == f"_check_{lemma}"
+        assert least in (1, 2)
         assert analysis.LEMMA_STATEMENTS[lemma] == statement
 
 
@@ -611,6 +613,18 @@ def test_kernel_report_decides_the_gamma1_verdict(monkeypatch):
     assert gamma1.to_json_dict() == {"id": "gamma(1)", "computed": 32, "expected": 16, "pass": False}
     assert not report.passed
     assert report.failed_at == "row n=1"
+
+
+def test_kernel_report_decides_the_seed_verdict(monkeypatch, capsys):
+    """The seed order has no result of its own: the report's verdict alone
+    carries it, and the command exits 1 on it."""
+    table = analysis._table()
+    seed = dict(table["seed_order"], value=8)
+    monkeypatch.setattr(analysis, "_table", lambda: dict(table, seed_order=seed))
+    report = analysis.kernel_report(1, 3)
+    assert not report.passed
+    assert report.failed_at == "GF(2)^9 seed values"
+    assert cli.main(["kernel-report", "--n-max", "1", "--depth", "3"]) == 1
 
 
 def test_concurrent_lemma_checks():

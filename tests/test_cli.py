@@ -191,6 +191,7 @@ def test_game_act_known_example(capsys):
     )
     assert code == 0
     assert report["results"][0]["computed"]["result"] == "2,3,3,2,2,1"
+    assert report["results"][0]["expected"] == {"result": "2,3,3,2,2,1"}
     # a state deeper than the portrait depth cap: the move is checked
     # without a portrait
     state = ",".join(["3"] * 300 + ["1"])
@@ -323,6 +324,27 @@ def test_each_verdict_follows_its_comparison(capsys, monkeypatch, name):
     assert err.splitlines() == [f"FAIL  {r['id']}" for r in report["results"]]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["qtable", "--n-max", "1", "--depth", "3"], ["kernel-report", "--n-max", "1", "--depth", "3"]],
+)
+def test_failed_containment_fails_its_rows(capsys, monkeypatch, argv):
+    """A Rist(n) outside Stab(n) makes no Q a quotient: the command reports
+    its rows as failing and exits 1, with no traceback."""
+    monkeypatch.setattr(analysis, "_rist_in_stab", lambda k: False)
+    code, report, err = run_json(capsys, *argv)
+    assert code == 1 and report["pass"] is False
+    assert "Traceback" not in err
+    assert err.splitlines() == [
+        f"{'pass' if r['pass'] else 'FAIL'}  {r['id']}" for r in report["results"]
+    ]
+    if argv[0] == "qtable":
+        assert all(r["computed"] is None for r in report["results"])
+    else:
+        assert report["table"]["failed_at"] == "row n=1"
+        assert not any(report["table"]["rows"][0]["elementary_abelian_2"].values())
+
+
 def test_relators(capsys):
     code, report, _ = run_json(capsys, "relators", "--max-tau", "1", "--depth", "5")
     assert code == 0
@@ -451,6 +473,11 @@ def test_output_is_deterministic(capsys):
         (["verify", "--list", "bogus"], 2, "error: unknown lemma ids: bogus"),
         (["verify", "--list", "all", "bogus", "selfsim", "nope"], 2,
          "error: unknown lemma ids: bogus, nope"),
+        *(
+            (["verify", lemma, "--depth", "1"], 2, f"error: {lemma} needs depth >= 2")
+            for lemma in ("branching", "elab", "rist", "ristquot", "stab12", "stabquot", "transrec")
+        ),
+        (["verify", "all", "--depth", "1"], 2, "error: branching needs depth >= 2"),
     ],
 )
 def test_bad_arguments_exit_without_traceback(capsys, argv, code, message):

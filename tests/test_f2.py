@@ -100,7 +100,7 @@ def test_membership_criterion_matches_parity_rule():
 
 
 def test_zero_space_and_contains_validation():
-    zero = f2.F2Subspace.zero(9)
+    zero = f2.span([], 9)
     assert zero.dim() == 0
     assert zero.contains((0,) * 9)
     assert not zero.contains(STAB_VECTORS["acab"])
@@ -145,9 +145,3 @@ def test_subspace_equality_is_representation_equality():
                 v = tuple(x ^ y for x, y in zip(v, shuffled[0]))
             mixed.append(v)
         assert f2.span(mixed, n) == a
-
-
-def test_json_dict():
-    u = f2.level1_stabilizer_space()
-    data = u.to_json_dict()
-    assert data["ambient"] == 9 and len(data["basis"]) == 4
