@@ -290,8 +290,8 @@ def _q_order(depth: int, n: int) -> int:
         "Q(%d,%d) = |G_N| / (|G_n| |Rist(n)|) = %d / (%d * %d),"
         " |G_N| and |G_n| from the branch recursion,"
         " |Rist(n)| = |G'_k|^(3^n) from the chain of G'_k,"
-        " Rist(n) <= Stab(n) from the level-1 copies of G'_k in G_(k+1)",
-        n, depth, *orders,
+        " Rist(n) <= Stab(n) from the level-1 copies of G'_k in G_(k+1): %s",
+        n, depth, *orders, "pass" if _rist_in_stab(k) else "FAIL",
     )
     return q
 
@@ -511,9 +511,7 @@ def kernel_report(n_max: int = 2, depth_budget: int = 4) -> KernelReport:
         stable = q1 == q2
         k = seed ** (3**n)
         # the exact sequence: |Gamma_{n+1}| * |Q| == |Gamma_n| * |K|
-        gamma_next, remainder = divmod(gamma * k, q1)
-        if remainder:
-            raise AssertionError("exact sequence arithmetic is inconsistent")
+        gamma_next = _exact_quotient(gamma * k, q1)
         h = gamma_next // k
         row_pass = (
             stable
@@ -590,33 +588,26 @@ def _check_stab12(depth: int) -> Result:
     # G_2 acts on level 1 as G_1, so |Stab(1)/Stab(2)| = |G_2| / |G_1|
     order = _exact_quotient(branch.orders(2)[0], g1)
 
-    # the four generator images in the level-1-to-2 labels
-    triples = {}
+    # The four generator images in the level-1-to-2 labels generate all of
+    # Stab(1)/Stab(2), the sign-sum kernel: each fixes level 1 (a trivial
+    # root) and the signs of its three labels multiply to 1, so they lie in
+    # the kernel, which is inside Stab(1), and their group has the order of
+    # Stab(1)/Stab(2).
+    triples, four, in_kernel = {}, [], []
     for word in words.LEVEL1_STABILIZER_WORDS:
         portrait = words.evaluate(word, 2)
-        triples[word] = [portrait.label((i,)).cycle_string() for i in (1, 2, 3)]
-
-    # the four images generate all of Stab(1)/Stab(2), the sign-sum kernel:
-    # they lie in the kernel, which is inside Stab(1), and their group has
-    # the order of Stab(1)/Stab(2)
-    four = [leaf_permutation(words.evaluate(w, 2), 2) for w in words.LEVEL1_STABILIZER_WORDS]
-
-    def in_sign_sum_kernel(g: Perm) -> bool:
-        """g fixes level 1 and the signs of its three labels multiply to 1."""
-        total = 1
-        for block in range(3):
-            local = [g.data[3 * block + i] - 3 * block for i in range(3)]
-            if sorted(local) != [0, 1, 2]:
-                return False
-            total *= Perm(local).sign()
-        return total == 1
+        labels = [portrait.label((i,)) for i in (1, 2, 3)]
+        triples[word] = [label.cycle_string() for label in labels]
+        four.append(leaf_permutation(portrait, 2))
+        signs = labels[0].sign() * labels[1].sign() * labels[2].sign()
+        in_kernel.append(portrait.label(()).is_identity() and signs == 1)
 
     computed = {
         "quotient_order_level1": g1,
         "stab1_mod_stab2_order": order,
         "label_triples": triples,
         "generated_by_four_words": PermGroup(9, four).order(),
-        "sign_sum_kernel": all(in_sign_sum_kernel(g) for g in four),
+        "sign_sum_kernel": all(in_kernel),
     }
     stab12_order = _table_entry("stabilizer_quotient_order")["values"]["1"]
     expected = {

@@ -2,7 +2,9 @@
 
 Machine-readable JSON goes to stdout (or --out); a one-line-per-check human
 summary goes to stderr. Exit codes: 0 all checks pass, 1 a verification
-failed, 2 usage error, 3 resource cap exceeded.
+failed, 2 usage error, 3 resource cap exceeded. Each subcommand's runner
+returns its report, or None when it wrote its own output, and raises
+ShapeError for a usage error; main alone maps the outcome to an exit code.
 """
 
 from __future__ import annotations
@@ -37,22 +39,27 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--depth", type=int, default=4)
     verify.add_argument("--slow", action="store_true", help=SLOW_HELP)
     verify.add_argument("--list", action="store_true", help="list known ids")
+    verify.set_defaults(run=_run_verify)
 
     qtable = sub.add_parser("qtable", help="indices of rigid inside level stabilizers")
     qtable.add_argument("--n-max", type=int, default=2)
     qtable.add_argument("--depth", type=int, default=4)
     qtable.add_argument("--slow", action="store_true", help=SLOW_HELP)
+    qtable.set_defaults(run=_run_qtable)
 
     kernel = sub.add_parser("kernel-report", help="the full rigid-kernel bookkeeping")
     kernel.add_argument("--n-max", type=int, default=2)
     kernel.add_argument("--depth", type=int, default=4)
     kernel.add_argument("--slow", action="store_true", help=SLOW_HELP)
+    kernel.set_defaults(run=_run_kernel_report)
 
     relators = sub.add_parser("relators", help="check the defining relators")
     relators.add_argument("--max-tau", type=int, default=4)
     relators.add_argument("--depth", type=int, default=4)
+    relators.set_defaults(run=_run_relators)
 
     game_cmd = sub.add_parser("game", help="the disk-moving game")
+    game_cmd.set_defaults(run=_run_game)
     game_sub = game_cmd.add_subparsers(dest="game_command", required=True)
     act = game_sub.add_parser("act", help="apply a move to a state")
     act.add_argument("--state", required=True, help="comma-separated pegs, e.g. 2,1,3,2,2,1")
@@ -66,31 +73,28 @@ def build_parser() -> argparse.ArgumentParser:
     portrait.add_argument("word")
     portrait.add_argument("--depth", type=int, default=4)
     portrait.add_argument("--format", choices=["dot", "json"], default="json")
+    portrait.set_defaults(run=_run_export)
 
     return parser
 
 
-def _write(text: str, out_path: str | None) -> bool:
-    """Write text and a newline to the --out file, or else to stdout.
-
-    Returns False, after one error line, when the file cannot be opened.
-    """
-    if not out_path:
-        try:
-            print(text, flush=True)
-        except BrokenPipeError:
-            # The reader has gone. Point stdout at the null device, so that
-            # the flush at exit does not fail again, and finish the run.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return True
+def _write(text: str, out_path: str | None) -> None:
+    """Write text and a newline to the --out file, or else to stdout; raise
+    ShapeError when that fails, unless the reader of stdout has gone."""
     try:
-        handle = open(out_path, "w")
+        if not out_path:
+            print(text, flush=True)
+            return
+        with open(out_path, "w") as handle:
+            handle.write(text + "\n")
     except OSError as err:
-        print(f"error: cannot write {out_path}: {err.strerror}", file=sys.stderr)
-        return False
-    with handle:
-        handle.write(text + "\n")
-    return True
+        if not out_path:
+            # Point stdout at the null device, so that the flush at exit
+            # does not fail again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(err, BrokenPipeError):
+                return  # the reader has gone: finish the run
+        raise ShapeError(f"cannot write {out_path or 'stdout'}: {err.strerror}") from None
 
 
 def _out_error(out_path: str) -> str | None:
@@ -106,8 +110,8 @@ def _out_error(out_path: str) -> str | None:
     return None if os.access(folder, os.W_OK | os.X_OK) else os.strerror(errno.EACCES)
 
 
-def _emit(report: dict, out_path: str | None) -> bool:
-    return _write(json.dumps(report, indent=2, sort_keys=True), out_path)
+def _emit(report: dict, out_path: str | None) -> None:
+    _write(json.dumps(report, indent=2, sort_keys=True), out_path)
 
 
 def _summary(results: list[dict]) -> None:
@@ -125,70 +129,61 @@ def _report(command: str, params: dict, results: list[analysis.Result]) -> dict:
     }
 
 
-def _run_verify(args) -> tuple[dict | None, int]:
+def _run_verify(args) -> dict | None:
     ids = list(args.ids)
     unknown = [i for i in ids if i != "all" and i not in analysis.LEMMA_IDS]
     if unknown:
-        print(f"error: unknown lemma ids: {', '.join(unknown)}", file=sys.stderr)
-        return None, EXIT_USAGE
+        raise ShapeError(f"unknown lemma ids: {', '.join(unknown)}")
     if args.list:
         lines = [f"{i:11s} {analysis.LEMMA_STATEMENTS[i]}" for i in analysis.LEMMA_IDS]
         _write("\n".join(lines), None)
-        return None, EXIT_PASS
+        return None
     if not ids:
-        print("error: give lemma ids or 'all' (see verify --list)", file=sys.stderr)
-        return None, EXIT_USAGE
+        raise ShapeError("give lemma ids or 'all' (see verify --list)")
     if "all" in ids:
         ids = [i for i in ids if i != "all"] + list(analysis.LEMMA_IDS)
     # output order fixed by id
     results = [analysis.verify_lemma(lemma, depth=args.depth) for lemma in sorted(set(ids))]
     params = {"depth": args.depth, "slow": args.slow}
-    return _report("verify", params, results), None
+    return _report("verify", params, results)
 
 
-def _run_qtable(args) -> tuple[dict | None, int]:
+def _run_qtable(args) -> dict:
     results = analysis.q_table(args.n_max, args.depth)
     params = {"n_max": args.n_max, "depth": args.depth, "slow": args.slow}
-    return _report("qtable", params, results), None
+    return _report("qtable", params, results)
 
 
-def _run_kernel_report(args) -> tuple[dict | None, int]:
+def _run_kernel_report(args) -> dict:
     report = analysis.kernel_report(args.n_max, args.depth)
     out = _report("kernel-report", {"n_max": args.n_max, "depth": args.depth}, report.results())
     out["table"] = report.to_json_dict()
-    return out, None
+    return out
 
 
-def _run_relators(args) -> tuple[dict | None, int]:
+def _run_relators(args) -> dict:
     results = analysis.check_relators(args.max_tau, args.depth)
     params = {"max_tau": args.max_tau, "depth": args.depth}
-    return _report("relators", params, results), None
+    return _report("relators", params, results)
 
 
-def _run_game(args) -> tuple[dict | None, int]:
+def _run_game(args) -> dict:
     from . import game
 
-    if args.game_command == "act":
-        try:
-            state = tuple(int(s) for s in args.state.split(","))
-            game.check_state(state)
-        except ValueError:
-            print(
-                f"error: --state {args.state!r}: expected comma-separated pegs 1-3",
-                file=sys.stderr,
-            )
-            return None, EXIT_USAGE
-        results = [game.act_result(state, args.move)]
-        return _report("game", {"move": args.move}, results), None
-    return _report("game", {"disks": args.disks}, [game.solve_result(args.disks)]), None
+    if args.game_command == "solve":
+        return _report("game", {"disks": args.disks}, [game.solve_result(args.disks)])
+    try:
+        state = game.check_state(tuple(int(s) for s in args.state.split(",")))
+    except ValueError:
+        raise ShapeError(f"--state {args.state!r}: expected comma-separated pegs 1-3") from None
+    return _report("game", {"move": args.move}, [game.act_result(state, args.move)])
 
 
-def _run_export(args) -> tuple[dict | None, int]:
+def _run_export(args) -> None:
     try:
         words.check_word(args.word)
     except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return None, EXIT_USAGE
+        raise ShapeError(str(err)) from None
     if args.format == "dot" and args.depth > analysis.DEPTH_CAP:
         # dot output grows about 3x per level: 0.7 MB at depth 8
         raise ResourceLimitError(
@@ -196,13 +191,13 @@ def _run_export(args) -> tuple[dict | None, int]:
         )
     portrait = words.evaluate(args.word, args.depth)
     if args.format == "dot":
-        written = _write(automorphism.to_dot(portrait), args.out)
+        _write(automorphism.to_dot(portrait), args.out)
     else:
-        written = _emit(automorphism.to_json_dict(portrait), args.out)
-    return None, EXIT_PASS if written else EXIT_USAGE
+        _emit(automorphism.to_json_dict(portrait), args.out)
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the only place that maps its outcome to an exit code."""
     # every package log line is INFO, so at the default ERROR level no
     # line is shown and logging need not be loaded (log.py)
     name = os.environ.get("LOGLEVEL", "error").upper()
@@ -219,29 +214,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_PASS
 
-    if args.out and (reason := _out_error(args.out)):
-        print(f"error: cannot write {args.out}: {reason}", file=sys.stderr)
-        return EXIT_USAGE
-
-    runners = {
-        "verify": _run_verify,
-        "qtable": _run_qtable,
-        "kernel-report": _run_kernel_report,
-        "relators": _run_relators,
-        "game": _run_game,
-        "export": _run_export,
-    }
     try:
-        report, code = runners[args.command](args)
+        if args.out and (reason := _out_error(args.out)):
+            raise ShapeError(f"cannot write {args.out}: {reason}")
+        report = args.run(args)
+        if report is None:
+            return EXIT_PASS
+        _emit(report, args.out)
     except ResourceLimitError as err:
         print(f"resource limit: {err}", file=sys.stderr)
         return EXIT_RESOURCE
     except (DepthError, ShapeError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    if report is None:
-        return code
-    if not _emit(report, args.out):
         return EXIT_USAGE
     _summary(report["results"])
     return EXIT_PASS if report["pass"] else EXIT_FAIL

@@ -6,7 +6,7 @@ class DepthError(ValueError):
 
 
 class ShapeError(ValueError):
-    """Mismatched arities, depths, or permutation degrees."""
+    """Mismatched arities, depths, or permutation degrees; cli raises it for a usage error."""
 
 
 class NotASubgroupError(ValueError):

@@ -747,16 +747,24 @@ def test_elementary_abelian_flags_fail_over_too_small_subgroups(monkeypatch, fre
     assert len(inside) == 1
 
 
-def test_q_order_logs_its_orders_and_their_source(caplog, fresh_caches):
+def test_q_order_logs_its_orders_and_their_source(caplog, monkeypatch, fresh_caches):
     with caplog.at_level("INFO", logger="hanoikernel.analysis"):
         assert analysis.q_order(3, 1) == 4
     assert (
         "Q(1,3) = |G_N| / (|G_n| |Rist(n)|) = 816293376 / (6 * 34012224),"
         " |G_N| and |G_n| from the branch recursion,"
         " |Rist(n)| = |G'_k|^(3^n) from the chain of G'_k,"
-        " Rist(n) <= Stab(n) from the level-1 copies of G'_k in G_(k+1)"
+        " Rist(n) <= Stab(n) from the level-1 copies of G'_k in G_(k+1): pass"
     ) in caplog.text
     assert (
         "Rist(n) <= Stab(n) in G_(n+2) for every n: pass,"
         " 6 level-1 copies of G'_2's generators in G_3 at degree 27"
     ) in caplog.text
+    # a failed containment shows on each Q line
+    caplog.clear()
+    monkeypatch.setattr(analysis, "_rist_in_stab", lambda k: False)
+    with caplog.at_level("INFO", logger="hanoikernel.analysis"):
+        analysis.kernel_report(1, 3)
+    q_lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("Q(")]
+    assert [line[:6] for line in q_lines] == ["Q(1,2)", "Q(1,3)"]
+    assert all(line.endswith("in G_(k+1): FAIL") for line in q_lines)

@@ -33,6 +33,10 @@ DEPTH6_COMMANDS = {
 }
 
 
+# a device on which every write fails with ENOSPC
+FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -478,6 +482,20 @@ def test_output_is_deterministic(capsys):
             for lemma in ("branching", "elab", "rist", "ristquot", "stab12", "stabquot", "transrec")
         ),
         (["verify", "all", "--depth", "1"], 2, "error: branching needs depth >= 2"),
+        *(
+            pytest.param(
+                ["--out", "/dev/full", *argv], 2,
+                "error: cannot write /dev/full: No space left on device", marks=FULL,
+            )
+            for argv in (
+                ["verify", "selfsim", "--depth", "2"],
+                ["export", "portrait", "abc", "--depth", "3", "--format", "dot"],
+            )
+        ),
+        (["verify"], 2, "error: give lemma ids or 'all'"),
+        (["export", "portrait", "abd"], 2, "error: letter 'd' outside alphabet"),
+        (["--out", "/nonexistent/x.json", "export", "portrait", "a"], 2,
+         "error: cannot write /nonexistent/x.json"),
     ],
 )
 def test_bad_arguments_exit_without_traceback(capsys, argv, code, message):
@@ -512,20 +530,32 @@ def test_bad_out_path_fails_before_the_run(tmp_path, capsys, monkeypatch, name):
     assert sorted(tmp_path.iterdir()) == []
 
 
-def test_closed_stdout_keeps_the_exit_code():
-    # the reader closes the pipe before the report is written
+@pytest.mark.parametrize(
+    "device, code, message",
+    [
+        (None, 0, "pass  selfsim\n"),
+        pytest.param(
+            "/dev/full", 2, "error: cannot write stdout: No space left on device\n", marks=FULL
+        ),
+    ],
+    ids=["closed-pipe", "full-device"],
+)
+def test_closed_stdout_keeps_the_exit_code(device, code, message):
+    """A reader that closes the pipe before the report is written costs the
+    run nothing; a device that refuses the report is a failed write."""
+    stdout = open(device, "w") if device else subprocess.PIPE
     child = subprocess.Popen(
         COMMAND + ["verify", "selfsim", "--depth", "2"],
-        stdout=subprocess.PIPE,
+        stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
         env=child_env(),
     )
-    child.stdout.close()
+    (stdout if device else child.stdout).close()
     err = child.stderr.read()
     child.stderr.close()
-    assert child.wait(timeout=120) == 0
-    assert err == "pass  selfsim\n"
+    assert child.wait(timeout=120) == code
+    assert err == message
 
 
 FOOTPRINT = """
